@@ -651,12 +651,9 @@ def finite_group_assembly(group: twistgroup.FiniteAbelianGroup,
     u = twistgroup.GroupAlgebraElement(ext, u_slice, 1)
     h = u.add(u.involution())
 
-    conv = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        e_j = np.zeros(n, dtype=complex)
-        e_j[j] = 1.0
-        conv[:, j] = twistgroup.convolve(
-            h, twistgroup.GroupAlgebraElement(ext, e_j, 1)).values
+    conv = np.column_stack([
+        twistgroup.convolve(h, twistgroup.GroupAlgebraElement(ext, e_j, 1)).values
+        for e_j in np.eye(n)])
 
     c = {p: 1.0 / n for p in grp.elements}
     template = twistgroup.CrossedProductElement.translation(grp)
@@ -687,6 +684,9 @@ def level_vanishing_pattern(group: twistgroup.FiniteAbelianGroup,
     pairing with a level-``l`` module leg carries the fiber character sum
     ``(1/m) sum_i omega^(i (1 - l))``: it survives only at ``l = 1``.
     Returns rows ``(level, brute-force max abs, exact character factor)``.
+    The pairing sums the translation by ``(h, i)`` over the whole extension;
+    ``(h, i)^{-1} (g, 0)`` has phase ``phase[h, g] - i``, so the fiber sum
+    over ``i`` is evaluated numerically once per pair of phases.
     """
     ext = twistgroup.TwistedExtension(tau)
     grp = group
@@ -695,27 +695,22 @@ def level_vanishing_pattern(group: twistgroup.FiniteAbelianGroup,
     c = {p: 1.0 / n for p in grp.elements}
     template = twistgroup.CrossedProductElement.translation(grp)
     cut = twistgroup.mishchenko(c, template)
+    tgt, phase, fiber = ext.tgt, ext.phase, np.arange(m)
     rng = np.random.default_rng(seed)
     rows = []
     for level in range(m):
         table = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        out = np.zeros((n, n), dtype=complex)
-        for gi, g in enumerate(grp.elements):
-            for yi, y in enumerate(grp.elements):
-                acc = 0.0 + 0.0j
-                for hi, hh in enumerate(grp.elements):
-                    a_val = cut.values[hi, yi]
-                    if a_val == 0:
-                        continue
-                    for i in range(m):
-                        # e at outer level `level`, inner level -1; the
-                        # translation by (hh, i) acts at level 1
-                        tgt_g, jg = ext.mul(ext.inv((hh, i)), (g, 0))
-                        tgt_y, jy = ext.mul(ext.inv((hh, i)), (y, 0))
-                        e_val = (table[grp.index(tgt_g), grp.index(tgt_y)]
-                                 * omega ** (jg * level) * omega ** (-jy))
-                        acc += a_val * e_val
-                out[gi, yi] = acc / m
+        # e at outer level `level`, inner level -1: fiber_sum[p, q] is
+        # sum_i omega^((p - i) level) omega^-(q - i), exponents mod m
+        fiber_sum = np.zeros((m, m), dtype=complex)
+        for i in range(m):
+            j = (fiber - i) % m
+            fiber_sum += np.outer(omega ** (j * level), omega ** (-j))
+        out = np.empty((n, n), dtype=complex)
+        for y in range(n):
+            out[:, y] = cut.values[:, y] @ (table[tgt, tgt[:, y, None]]
+                                            * fiber_sum[phase, phase[:, y, None]])
+        out /= m
         character = abs(sum(omega ** (i * (1 - level)) for i in range(m))) / m
         rows.append((level, float(np.max(np.abs(out))), character))
     return rows

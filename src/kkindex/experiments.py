@@ -114,18 +114,28 @@ def parse_config(path: str) -> Config:
                 raise ConfigError(f"key {key!r}: must be positive, got {ival}")
             cfg = replace(cfg, **{key: ival})
         elif key == "tolerance":
-            fval = float(val)
-            if fval <= 0:
+            try:
+                fval = float(val)
+            except ValueError:
+                raise ConfigError(f"key 'tolerance': malformed number {val!r}")
+            if not fval > 0:
                 raise ConfigError(f"key 'tolerance': must be positive, got {fval}")
             cfg = replace(cfg, tolerance=fval)
         elif key == "hermite_cut":
             if val != "adaptive":
-                hval = int(val)
+                try:
+                    hval = int(val)
+                except ValueError:
+                    raise ConfigError(f"key 'hermite_cut': expected 'adaptive' or an "
+                                      f"integer, got {val!r}")
                 if hval <= 0:
                     raise ConfigError(f"key 'hermite_cut': must be positive, got {hval}")
                 cfg = replace(cfg, hermite_cut=hval)
         elif key == "sigma":
-            limitspace.SigmaSequence.parse(val)  # validates
+            try:
+                limitspace.SigmaSequence.parse(val)  # validates
+            except ValueError as exc:
+                raise ConfigError(f"key 'sigma': {exc}")
             cfg = replace(cfg, sigma=val)
         elif key == "experiments":
             names = tuple(tok.strip() for tok in val.split(",") if tok.strip())

@@ -11,10 +11,20 @@ A function on the extension at level ``l`` satisfies ``f(z g) = z^l f(g)``
 and is determined by its slice on the zero-phase section.  Level-tagged
 arithmetic works on slices, with the fiber sums evaluated by exact character
 orthogonality; untagged arithmetic sums over the full extension numerically.
+
+Every kernel runs as array gathers over integer tables built once per group
+and per extension: the group law ``add_table``/``neg_table`` on element
+indices, and for the extension ``tgt[g, x] = index(-g + x)`` with the phase
+``(g, i)^{-1} (x, j) = (tgt[g, x], phase[g, x] + j - i mod m)``.  The tuple
+methods (``add``, ``neg``, ``mul``, ``inv``, ``exponent``) are the slow
+reference the tables are tested against.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -42,7 +52,6 @@ __all__ = [
     "module_right_action",
     "module_left_action",
     "module_inner_product",
-    "transpose_iso",
     "decompose_twisted_algebra",
     "parse_group_spec",
     "element_table_csv",
@@ -51,24 +60,35 @@ __all__ = [
 
 class FiniteAbelianGroup:
     """Product of cyclic groups ``Z_n1 x ... x Z_nr``, elements as residue
-    tuples under componentwise addition."""
+    tuples under componentwise addition, listed in lexicographic order.
+
+    ``add_table[g, h]`` and ``neg_table[g]`` are the group law on element
+    indices, by mixed-radix arithmetic on the coordinates ``coords``.
+    """
 
     def __init__(self, moduli):
         self.moduli = tuple(int(n) for n in moduli)
         if any(n < 1 for n in self.moduli):
             raise ValueError("moduli must be >= 1")
-        self.elements = []
-        self._build()
+        self.elements = list(itertools.product(*(range(n) for n in self.moduli)))
         self._index = {g: i for i, g in enumerate(self.elements)}
+        self.coords = np.array(self.elements, dtype=np.intp).reshape(self.order, -1)
+        # lexicographic order: an element's index is its coordinates dotted
+        # with the mixed-radix strides
+        self._strides = np.array([math.prod(self.moduli[k + 1:])
+                                  for k in range(len(self.moduli))], dtype=np.intp)
+        self.neg_table = self._indices(-self.coords)
 
-    def _build(self):
-        def rec(prefix, rest):
-            if not rest:
-                self.elements.append(tuple(prefix))
-                return
-            for a in range(rest[0]):
-                rec(prefix + [a], rest[1:])
-        rec([], list(self.moduli))
+    def _indices(self, coords: np.ndarray) -> np.ndarray:
+        """Element indices of integer coordinate arrays ``[..., r]``, reduced
+        mod the moduli."""
+        return (coords % np.array(self.moduli, dtype=np.intp)) @ self._strides
+
+    @functools.cached_property
+    def add_table(self) -> np.ndarray:
+        """``[g, h]``: index of ``g + h``; n x n, built on first use so that
+        large groups used only through the tuple API allocate nothing."""
+        return self._indices(self.coords[:, None, :] + self.coords[None, :, :])
 
     @property
     def order(self) -> int:
@@ -124,30 +144,22 @@ def heisenberg_cocycle(group: FiniteAbelianGroup) -> Cocycle:
     n1, n2 = group.moduli
     if n1 % n2:
         raise ValueError("second modulus must divide the first")
-    table = np.zeros((group.order, group.order), dtype=int)
-    for i, g in enumerate(group.elements):
-        for j, h in enumerate(group.elements):
-            table[i, j] = (g[1] * h[0]) % n2
-    return Cocycle(group, table, n2)
+    return Cocycle(group, np.outer(group.coords[:, 1], group.coords[:, 0]), n2)
 
 
 def check_cocycle(tau: Cocycle):
     """All violated identities: cocycle triples ``(g, h, k)`` with
     ``tau(g,h) tau(gh,k) != tau(h,k) tau(g,hk)`` and unnormalized pairs."""
     grp, m = tau.group, tau.root_order
-    bad = []
-    e = grp.identity
-    for g in grp.elements:
-        if tau.exponent(e, g) % m or tau.exponent(g, e) % m:
-            bad.append(("normalization", g))
-    for g in grp.elements:
-        for h in grp.elements:
-            gh = grp.add(g, h)
-            for k in grp.elements:
-                lhs = tau.exponent(g, h) + tau.exponent(gh, k)
-                rhs = tau.exponent(h, k) + tau.exponent(g, grp.add(h, k))
-                if (lhs - rhs) % m:
-                    bad.append(("identity", g, h, k))
+    K, add, elts = tau.exponents, grp.add_table, grp.elements
+    e = grp.index(grp.identity)
+    bad = [("normalization", g) for g, row, col in zip(elts, K[e] % m, K[:, e] % m)
+           if row or col]
+    for gi, g in enumerate(elts):
+        # one (h, k) slab per g: K[g,h] + K[gh,k] - K[h,k] - K[g,hk]
+        slab = (K[gi][:, None] + K[add[gi]] - K - K[gi][add]) % m
+        if slab.any():
+            bad.extend(("identity", g, elts[h], elts[k]) for h, k in zip(*np.nonzero(slab)))
     return bad
 
 
@@ -185,9 +197,17 @@ class TwistedExtension:
     """Central extension ``G x mu_m`` with product twisted by the cocycle."""
 
     def __init__(self, tau: Cocycle):
-        self.group = tau.group
+        self.group = grp = tau.group
         self.tau = tau
-        self.m = tau.root_order
+        self.m = m = tau.root_order
+        K, neg = tau.exponents, grp.neg_table
+        k_inv = K[np.arange(grp.order), neg]  # K[g, -g]
+        # (g, i)^{-1} = (-g, inv_phase[g] - i mod m)
+        self.inv_phase = -k_inv % m
+        # (g, i)^{-1} (x, j) = (tgt[g, x], phase[g, x] + j - i mod m)
+        self.tgt = grp.add_table[neg]
+        self.phase = (K[neg] - k_inv[:, None]) % m
+        self.roots = tau.root() ** np.arange(m)
 
     @property
     def order(self) -> int:
@@ -210,6 +230,11 @@ class TwistedExtension:
     @property
     def identity(self):
         return (self.group.identity, 0)
+
+    def translates(self, slice_, level: int) -> np.ndarray:
+        """``[g, x]``: the level-``level`` function with zero-phase slice
+        ``slice_`` evaluated at ``(g, 0)^{-1} (x, 0)``."""
+        return slice_[self.tgt] * self.roots[(level * self.phase) % self.m]
 
     def __repr__(self):
         return f"{self.group!r}^tau(m={self.m})"
@@ -267,18 +292,12 @@ class GroupAlgebraElement:
 
     def involution(self) -> "GroupAlgebraElement":
         """``f*(x) = conj(f(x^{-1}))``; preserves the level."""
-        ext = self.ext
+        ext, neg = self.ext, self.ext.group.neg_table
         if self.level is not None:
-            out = np.zeros_like(self.values)
-            for i, g in enumerate(ext.group.elements):
-                out[i] = np.conj(self.at(ext.inv((g, 0))))
-            return GroupAlgebraElement(ext, out, self.level)
-        out = np.zeros_like(self.values)
-        for i, g in enumerate(ext.group.elements):
-            for j in range(ext.m):
-                gi, ji = ext.inv((g, j))
-                out[i, j] = np.conj(self.values[ext.group.index(gi), ji])
-        return GroupAlgebraElement(ext, out, None)
+            at_inv = self.values[neg] * ext.roots[(self.level * ext.inv_phase) % ext.m]
+            return GroupAlgebraElement(ext, np.conj(at_inv), self.level)
+        fiber = (ext.inv_phase[:, None] - np.arange(ext.m)[None, :]) % ext.m
+        return GroupAlgebraElement(ext, np.conj(self.values[neg[:, None], fiber]), None)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
@@ -310,30 +329,17 @@ def convolve(f: GroupAlgebraElement, h: GroupAlgebraElement) -> GroupAlgebraElem
     if f.level is not None and h.level is not None:
         if f.level != h.level:
             return GroupAlgebraElement(ext, np.zeros(grp.order, dtype=complex), h.level)
-        lvl = h.level
-        omega = ext.tau.root()
-        out = np.zeros(grp.order, dtype=complex)
-        for xi, x in enumerate(grp.elements):
-            acc = 0.0 + 0.0j
-            for gi, g in enumerate(grp.elements):
-                if f.values[gi] == 0:
-                    continue
-                # (g,0)^{-1} (x,0) carries the inversion and product phases
-                tgt, j = ext.mul(ext.inv((g, 0)), (x, 0))
-                acc += f.values[gi] * h.values[grp.index(tgt)] * omega ** (j * lvl)
-            out[xi] = acc
-        return GroupAlgebraElement(ext, out, lvl)
-    ftab, htab = f.table(), h.table()
-    out = np.zeros((grp.order, m), dtype=complex)
-    for xi, x in enumerate(grp.elements):
-        for xj in range(m):
-            acc = 0.0 + 0.0j
-            for gi, g in enumerate(grp.elements):
-                for gj in range(m):
-                    yg, yj = ext.mul(ext.inv((g, gj)), (x, xj))
-                    acc += ftab[gi, gj] * htab[grp.index(yg), yj]
-            out[xi, xj] = acc / m
-    return GroupAlgebraElement(ext, out, None)
+        return GroupAlgebraElement(ext, f.values @ ext.translates(h.values, h.level),
+                                   h.level)
+    ftab, htab = f.table().ravel(), h.table()
+    fiber = np.arange(m)
+    shift = fiber[None, :] - fiber[:, None]  # [gj, xj] -> xj - gj
+    out = np.empty((grp.order, m), dtype=complex)
+    for x in range(grp.order):
+        # (g, gj)^{-1} (x, xj) over all (g, gj, xj): one n x m x m slab per row
+        cols = (ext.phase[:, x, None, None] + shift) % m
+        out[x] = ftab @ htab[ext.tgt[:, x, None, None], cols].reshape(-1, m)
+    return GroupAlgebraElement(ext, out / m, None)
 
 
 def level_project(f: GroupAlgebraElement, level: int) -> GroupAlgebraElement:
@@ -344,22 +350,19 @@ def level_project(f: GroupAlgebraElement, level: int) -> GroupAlgebraElement:
         if f.level == int(level) % ext.m:
             return f
         return GroupAlgebraElement(ext, np.zeros_like(f.values), level)
-    m = ext.m
-    omega = ext.tau.root()
-    out = np.zeros(ext.group.order, dtype=complex)
-    for gi in range(ext.group.order):
-        acc = 0.0 + 0.0j
-        for j in range(m):
-            acc += f.values[gi, j] * omega ** (-j * level)
-        out[gi] = acc / m
-    return GroupAlgebraElement(ext, out, level)
+    characters = ext.tau.root() ** (-np.arange(ext.m) * level)
+    return GroupAlgebraElement(ext, f.values @ characters / ext.m, level)
 
 
 # ------------------------------------------------------------------ crossed
 
 
 class CrossedProductElement:
-    """Finitely supported function ``a : G x X -> C`` for a finite G-set X."""
+    """Finitely supported function ``a : G x X -> C`` for a finite G-set X.
+
+    ``act_table[g, x]`` is the point index of ``g.x``, derived once from the
+    ``action`` dict and shared by :meth:`with_values`.
+    """
 
     def __init__(self, group: FiniteAbelianGroup, points, action, values):
         self.group = group
@@ -369,12 +372,19 @@ class CrossedProductElement:
         if self.values.shape != (group.order, len(self.points)):
             raise ValueError("crossed product table shape mismatch")
         self._pt_index = {p: i for i, p in enumerate(self.points)}
+        try:
+            self.act_table = np.array(
+                [[self._pt_index[action[(g, x)]] for x in self.points]
+                 for g in group.elements], dtype=np.intp).reshape(self.values.shape)
+        except KeyError as exc:
+            raise ValueError(f"action does not map G x X into X at {exc}") from None
 
     @staticmethod
     def translation(group: FiniteAbelianGroup, values=None) -> "CrossedProductElement":
         """Element over the translation action of G on itself."""
         points = tuple(group.elements)
-        action = {(g, x): group.add(g, x) for g in points for x in points}
+        action = {(g, x): points[gx] for g, row in zip(points, group.add_table.tolist())
+                  for x, gx in zip(points, row)}
         if values is None:
             values = np.zeros((group.order, group.order), dtype=complex)
         return CrossedProductElement(group, points, action, values)
@@ -386,16 +396,16 @@ class CrossedProductElement:
         return self._pt_index[tuple(x)]
 
     def with_values(self, values) -> "CrossedProductElement":
-        return CrossedProductElement(self.group, self.points, self.action, values)
+        out = copy.copy(self)
+        out.values = np.asarray(values, dtype=complex)
+        if out.values.shape != self.values.shape:
+            raise ValueError("crossed product table shape mismatch")
+        return out
 
     def involution(self) -> "CrossedProductElement":
-        out = np.zeros_like(self.values)
-        for gi, g in enumerate(self.group.elements):
-            ginv = self.group.neg(g)
-            for xi, x in enumerate(self.points):
-                out[gi, xi] = np.conj(self.values[self.group.index(ginv),
-                                                  self.pt_index(self.act(ginv, x))])
-        return self.with_values(out)
+        """``a*(g, x) = conj(a(g^{-1}, g^{-1} x))``."""
+        neg = self.group.neg_table
+        return self.with_values(np.conj(self.values[neg[:, None], self.act_table[neg]]))
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -409,18 +419,12 @@ def _same_system(a: CrossedProductElement, b: CrossedProductElement):
 def crossed_convolve(a: CrossedProductElement, b: CrossedProductElement) -> CrossedProductElement:
     """``(a*b)(g, x) = sum_h a(h, x) b(h^{-1} g, h^{-1} x)``."""
     _same_system(a, b)
-    grp = a.group
-    out = np.zeros_like(a.values)
-    for gi, g in enumerate(grp.elements):
-        for xi, x in enumerate(a.points):
-            acc = 0.0 + 0.0j
-            for hi, h in enumerate(grp.elements):
-                if a.values[hi, xi] == 0:
-                    continue
-                hinv = grp.neg(h)
-                acc += a.values[hi, xi] * b.values[grp.index(grp.add(hinv, g)),
-                                                   a.pt_index(a.act(hinv, x))]
-            out[gi, xi] = acc
+    neg = a.group.neg_table
+    hg = a.group.add_table[neg]  # [h, g] -> h^{-1} g
+    hx = a.act_table[neg]        # [h, x] -> h^{-1} x
+    out = np.empty_like(a.values)
+    for x in range(len(a.points)):
+        out[:, x] = a.values[:, x] @ b.values[hg, hx[:, x, None]]
     return a.with_values(out)
 
 
@@ -430,34 +434,22 @@ def mishchenko(c, template: CrossedProductElement) -> CrossedProductElement:
     ``c`` maps points to nonnegative reals with ``sum_g c(g.x) = 1`` for
     every ``x``; failures are reported with the offending points.
     """
-    grp = template.group
     cvec = np.array([float(c[p] if isinstance(c, dict) else c(p)) for p in template.points])
     if np.any(cvec < 0):
         raise ValueError("cut-off must be nonnegative")
-    bad = []
-    for xi, x in enumerate(template.points):
-        total = sum(cvec[template.pt_index(template.act(g, x))] for g in grp.elements)
-        if abs(total - 1.0) > 1e-12:
-            bad.append((x, total))
+    totals = cvec[template.act_table].sum(axis=0)
+    bad = [(x, t) for x, t in zip(template.points, totals) if abs(t - 1.0) > 1e-12]
     if bad:
         raise ValueError(f"cut-off normalization fails at {bad}")
-    out = np.zeros((grp.order, len(template.points)), dtype=complex)
-    for gi, g in enumerate(grp.elements):
-        ginv = grp.neg(g)
-        for xi, x in enumerate(template.points):
-            out[gi, xi] = np.sqrt(cvec[xi] * cvec[template.pt_index(template.act(ginv, x))])
-    return template.with_values(out)
+    ginv_x = template.act_table[template.group.neg_table]
+    return template.with_values(np.sqrt(cvec[None, :] * cvec[ginv_x]))
 
 
 def regular_representation(a: CrossedProductElement) -> np.ndarray:
     """Matrix of ``phi -> sum_h a(h, .) phi(h^{-1} .)`` on functions on X."""
-    grp = a.group
     npts = len(a.points)
     mat = np.zeros((npts, npts), dtype=complex)
-    for xi, x in enumerate(a.points):
-        for hi, h in enumerate(grp.elements):
-            yi = a.pt_index(a.act(grp.neg(h), x))
-            mat[xi, yi] += a.values[hi, xi]
+    np.add.at(mat, (np.arange(npts)[None, :], a.act_table[a.group.neg_table]), a.values)
     return mat
 
 
@@ -469,12 +461,8 @@ def schatten_map(a: CrossedProductElement) -> SparseOperator:
     with the adjoint.
     """
     grp = a.group
-    if a.points != tuple(grp.elements):
-        raise ValueError("schatten map needs X = G with translation action")
-    for g in grp.elements:
-        for x in grp.elements:
-            if a.act(g, x) != grp.add(g, x):
-                raise ValueError("schatten map needs the translation action")
+    if a.points != tuple(grp.elements) or not np.array_equal(a.act_table, grp.add_table):
+        raise ValueError("schatten map needs X = G with the translation action")
     mat = regular_representation(a)
     basis = Basis(grp.elements, np.ones(grp.order), name=f"l2({grp!r})")
     return SparseOperator.from_dense(mat, basis, basis, "even")
@@ -521,15 +509,8 @@ def m_iso(phi1, phi2: GroupAlgebraElement) -> ModuleElement:
     ext = phi2.ext
     if phi2.level != 1 % ext.m:
         raise ValueError("second factor must be at level 1")
-    grp = ext.group
     phi1 = np.asarray(phi1, dtype=complex)
-    omega = ext.tau.root()
-    table = np.zeros((grp.order, grp.order), dtype=complex)
-    for gi, g in enumerate(grp.elements):
-        for yi, y in enumerate(grp.elements):
-            tgt, j = ext.mul(ext.inv((y, 0)), (g, 0))
-            table[gi, yi] = phi1[yi] * phi2.values[grp.index(tgt)] * omega ** j
-    return ModuleElement(ext, table)
+    return ModuleElement(ext, phi1[None, :] * ext.translates(phi2.values, 1).T)
 
 
 def module_right_action(e: ModuleElement, b: GroupAlgebraElement) -> ModuleElement:
@@ -538,38 +519,21 @@ def module_right_action(e: ModuleElement, b: GroupAlgebraElement) -> ModuleEleme
     ext = e.ext
     if b.level != 1 % ext.m:
         raise ValueError("right action needs a level-1 algebra element")
-    grp = ext.group
-    omega = ext.tau.root()
-    out = np.zeros_like(e.table)
-    for gi, g in enumerate(grp.elements):
-        for gpi, gp in enumerate(grp.elements):
-            tgt, j = ext.mul(ext.inv((gp, 0)), (g, 0))
-            out[gi, :] += e.table[gpi, :] * b.values[grp.index(tgt)] * omega ** j
-    return ModuleElement(ext, out)
+    return ModuleElement(ext, ext.translates(b.values, 1).T @ e.table)
 
 
 def module_left_action(a: CrossedProductElement, e: ModuleElement) -> ModuleElement:
     """Action of the crossed product (functions ``G -> C(G)``, level 0)
     through the level-1 twisted translation on the inner variable."""
     ext = e.ext
-    grp = ext.group
-    if a.points != tuple(grp.elements):
+    if a.points != tuple(ext.group.elements):
         raise ValueError("left action needs X = G")
-    omega = ext.tau.root()
-    out = np.zeros_like(e.table)
-    for gi, g in enumerate(grp.elements):
-        for yi, y in enumerate(grp.elements):
-            acc = 0.0 + 0.0j
-            for hi, h in enumerate(grp.elements):
-                val = a.values[hi, yi]
-                if val == 0:
-                    continue
-                # translate the module value, collecting both cocycle phases
-                tgt_g, jg = ext.mul(ext.inv((h, 0)), (g, 0))
-                tgt_y, jy = ext.mul(ext.inv((h, 0)), (y, 0))
-                acc += (val * e.table[grp.index(tgt_g), grp.index(tgt_y)]
-                        * omega ** (jg - jy))
-            out[gi, yi] = acc
+    tgt, twist = ext.tgt, ext.roots[ext.phase]
+    out = np.empty_like(e.table)
+    for y in range(len(a.points)):
+        # sum over h (rows) of e at (h,0)^{-1}(g,0), (h,0)^{-1}(y,0) with both phases
+        out[:, y] = ((a.values[:, y] * np.conj(twist[:, y]))
+                     @ (e.table[tgt, tgt[:, y, None]] * twist))
     return ModuleElement(ext, out)
 
 
@@ -577,55 +541,27 @@ def module_inner_product(e1: ModuleElement, e2: ModuleElement) -> GroupAlgebraEl
     """Algebra-valued pairing ``<e1, e2>(gamma) = (1/m) sum <e1(g'), e2(g' gamma)>``
     with the inner integral over the base group; lands at level 1."""
     ext = e1.ext
-    grp = ext.group
-    omega = ext.tau.root()
-    out = np.zeros(grp.order, dtype=complex)
-    for gi, g in enumerate(grp.elements):
-        acc = 0.0 + 0.0j
-        for gpi, gp in enumerate(grp.elements):
-            tgt, j = ext.mul((gp, 0), (g, 0))
-            acc += (np.vdot(e1.table[gpi, :], e2.table[grp.index(tgt), :])
-                    * omega ** j)
-        out[gi] = acc
-    return GroupAlgebraElement(ext, out, 1)
-
-
-def transpose_iso(mat: np.ndarray, gram=None) -> np.ndarray:
-    """Duality transpose of an operator matrix; ``v (x) f -> f (x) v`` on
-    rank-one elements and anti-multiplicative.  With a Gram it is the pairing
-    transpose of :func:`kkindex.opcore.gram_transpose`."""
-    mat = np.asarray(mat)
-    if gram is None:
-        return mat.T.copy()
-    from .opcore import gram_transpose
-    return gram_transpose(mat, gram)
+    n = ext.group.order
+    gram = e1.table.conj() @ e2.table.T  # [g', t] -> <e1(g'), e2(t)>
+    # (g', 0) (g, 0) = (g' g, K[g', g])
+    terms = gram[np.arange(n)[:, None], ext.group.add_table] * ext.roots[ext.tau.exponents]
+    return GroupAlgebraElement(ext, terms.sum(axis=0), 1)
 
 
 def decompose_twisted_algebra(group: FiniteAbelianGroup, tau: Cocycle):
     """Simple block dimensions of the twisted group algebra.
 
-    Solves the center equations ``z u_g = u_g z`` as a linear system; the
-    nullity is the number of blocks, and over an abelian base all blocks
-    share the dimension ``sqrt(|G| / #blocks)``.
+    The center is spanned by the ``u_g`` with ``tau(g, h) = tau(h, g)`` for
+    every ``h``, so the block count is the number of such central elements,
+    read off the exponent table; over an abelian base all blocks share the
+    dimension ``sqrt(|G| / #blocks)``.
     """
     if check_cocycle(tau):
         raise ValueError("invalid cocycle")
     n = group.order
-    rows = []
-    for gi, g in enumerate(group.elements):
-        for h in group.elements:
-            diff = tau.value(g, h) - tau.value(h, g)
-            if diff != 0:
-                row = np.zeros(n, dtype=complex)
-                row[gi] = diff
-                rows.append(row)
-    if rows:
-        a = np.vstack(rows)
-        svals = np.linalg.svd(a, compute_uv=False)
-        rank = int(np.sum(svals > 1e-10 * svals[0]))
-    else:
-        rank = 0
-    blocks = n - rank
+    K = tau.exponents
+    non_central = np.any((K - K.T) % tau.root_order, axis=1)
+    blocks = n - int(np.count_nonzero(non_central))
     d = math.isqrt(n // blocks)
     if blocks * d * d != n:
         raise ArithmeticError("block count does not divide the order into squares")

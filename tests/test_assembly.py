@@ -320,6 +320,47 @@ def test_level_vanishing_heisenberg():
     assert survivors == [1]
 
 
+def brute_level_pattern(group, tau, seed=3):
+    """Loop oracle: the pairing summed over every ``(h, i)`` of the
+    extension through the tuple API, with the same random legs."""
+    ext = tg.TwistedExtension(tau)
+    n, m = group.order, ext.m
+    omega = tau.root()
+    cut = tg.mishchenko({p: 1.0 / n for p in group.elements},
+                        tg.CrossedProductElement.translation(group))
+    rng = np.random.default_rng(seed)
+    rows = []
+    for level in range(m):
+        table = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        out = np.zeros((n, n), dtype=complex)
+        for gi, g in enumerate(group.elements):
+            for yi, y in enumerate(group.elements):
+                for hi, hh in enumerate(group.elements):
+                    for i in range(m):
+                        tgt_g, jg = ext.mul(ext.inv((hh, i)), (g, 0))
+                        tgt_y, jy = ext.mul(ext.inv((hh, i)), (y, 0))
+                        out[gi, yi] += (cut.values[hi, yi]
+                                        * table[group.index(tgt_g), group.index(tgt_y)]
+                                        * omega ** (jg * level) * omega ** (-jy))
+        rows.append((level, float(np.max(np.abs(out / m)))))
+    return rows
+
+
+@pytest.mark.parametrize("moduli, tau_fn", [
+    ((3,), lambda g: tg.trivial_cocycle(g, 3)),
+    ((2, 2), tg.heisenberg_cocycle),
+    ((4, 2), tg.heisenberg_cocycle),
+    ((3, 3), tg.heisenberg_cocycle)], ids=["Z3/mu3", "Z2xZ2", "Z4xZ2", "Z3xZ3"])
+def test_level_vanishing_pattern_matches_loop_oracle(moduli, tau_fn):
+    grp = tg.FiniteAbelianGroup(moduli)
+    tau = tau_fn(grp)
+    rows = asm.level_vanishing_pattern(grp, tau, seed=7)
+    oracle = brute_level_pattern(grp, tau, seed=7)
+    assert [r[0] for r in rows] == [r[0] for r in oracle]
+    for (_, value, _), (_, expected) in zip(rows, oracle):
+        assert abs(value - expected) < 1e-12 * max(1.0, expected)
+
+
 def test_commutator_with_identity_projector():
     # the truncation projector is the identity on the materialized space:
     # the commutator is pure boundary, zero here, trivially below |D|

@@ -95,6 +95,19 @@ def test_cli_bad_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, key", [("tolerance = abc", "tolerance"),
+                                       ("hermite_cut = x", "hermite_cut"),
+                                       ("sigma = bogus", "sigma"),
+                                       ("sigma = list:0,1", "sigma")])
+def test_cli_bad_value_is_config_error(tmp_path, capsys, line, key):
+    cfg = write(tmp_path, line + "\n")
+    with pytest.raises(ConfigError, match=key):
+        parse_config(cfg)
+    assert main(["run", "weitzenbock", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
 def test_cli_env_output_dir(tmp_path, capsys, monkeypatch):
     target = tmp_path / "env-out"
     monkeypatch.setenv("KKINDEX_OUT", str(target))

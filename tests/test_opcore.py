@@ -187,6 +187,17 @@ def test_gram_transpose_antimultiplicative():
     assert np.max(np.abs(gram_transpose(gram_transpose(a, g), g) - a)) < 1e-12
 
 
+def test_gram_transpose_rank_one_and_identity():
+    # on an orthonormal basis the pairing transpose is the plain transpose:
+    # v (x) f -> f (x) v on rank-one elements
+    rng = np.random.default_rng(12)
+    v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    ones = np.ones(3)
+    assert np.max(np.abs(gram_transpose(np.outer(v, f), ones) - np.outer(f, v))) < 1e-14
+    assert np.max(np.abs(gram_transpose(np.eye(3), ones) - np.eye(3))) < 1e-14
+
+
 def test_text_export_roundtrip():
     basis = fock.enumerate_basis(fock.TruncationSpec(2, 3), "boson")
     op = fock.boson_raise(basis, 1).scale(0.25 + 0.5j)

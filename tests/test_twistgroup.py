@@ -441,27 +441,6 @@ def test_module_element_expand_levels():
             assert abs(full[i, l] - base * omega ** j * omega ** (-iy)) < 1e-12
 
 
-# ---------------------------------------------------------------- transpose
-
-def test_transpose_iso_rank_one_and_identity():
-    rng = np.random.default_rng(12)
-    v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    rank_one = np.outer(v, f)
-    assert np.max(np.abs(tg.transpose_iso(rank_one) - np.outer(f, v))) < 1e-14
-    assert np.max(np.abs(tg.transpose_iso(np.eye(3)) - np.eye(3))) < 1e-14
-
-
-def test_transpose_iso_antimultiplicative():
-    rng = np.random.default_rng(13)
-    for _ in range(5):
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        lhs = tg.transpose_iso(a @ b)
-        rhs = tg.transpose_iso(b) @ tg.transpose_iso(a)
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
 # ---------------------------------------------------------------- blocks
 
 def test_decompose_z3_heisenberg_single_block():
@@ -529,3 +508,314 @@ def test_element_csv_header():
     assert lines[0] == "# kk-index-lab v1"
     assert lines[1] == "g0,phase,re,im"
     assert len(lines) == 2 + 4
+
+
+# ---------------------------------------------------------------- tables
+# The integer tables behind every kernel against the tuple API, and each
+# kernel against a loop oracle over residue tuples, at orders <= 9.
+
+def brute_check_cocycle(tau: tg.Cocycle):
+    grp, m = tau.group, tau.root_order
+    e = grp.identity
+    bad = [("normalization", g) for g in grp.elements
+           if tau.exponent(e, g) % m or tau.exponent(g, e) % m]
+    for g in grp.elements:
+        for h in grp.elements:
+            for k in grp.elements:
+                lhs = tau.exponent(g, h) + tau.exponent(grp.add(g, h), k)
+                rhs = tau.exponent(h, k) + tau.exponent(g, grp.add(h, k))
+                if (lhs - rhs) % m:
+                    bad.append(("identity", g, h, k))
+    return bad
+
+
+def coboundary(grp, b):
+    """``(db)(g, h) = b(g) + b(h) - b(g + h)`` through the tuple API."""
+    return np.array([[b[gi] + b[hi] - b[grp.index(grp.add(g, h))]
+                      for hi, h in enumerate(grp.elements)]
+                     for gi, g in enumerate(grp.elements)])
+
+
+def bilinear_plus_coboundary(moduli, form, m, seed):
+    """Non-Heisenberg cocycle: a bilinear form on the coordinates plus the
+    coboundary of a random normalized function."""
+    grp = tg.FiniteAbelianGroup(moduli)
+    form = np.asarray(form)
+    table = np.array([[np.asarray(g) @ form @ np.asarray(h) for h in grp.elements]
+                      for g in grp.elements])
+    b = np.random.default_rng(seed).integers(0, m, grp.order)
+    b[grp.index(grp.identity)] = 0
+    return tg.Cocycle(grp, table + coboundary(grp, b), m)
+
+
+def table_cases():
+    cases = {}
+    for moduli, m in (((2,), 2), ((4,), 4)):
+        grp = tg.FiniteAbelianGroup(moduli)
+        cases[f"{grp!r}/trivial"] = tg.trivial_cocycle(grp, m)
+    for moduli in ((2, 2), (4, 2), (3, 3)):
+        grp = tg.FiniteAbelianGroup(moduli)
+        cases[f"{grp!r}/heisenberg"] = tg.heisenberg_cocycle(grp)
+    cases["Z4/bilinear+db"] = bilinear_plus_coboundary((4,), [[1]], 4, 20)
+    cases["Z3xZ3/bilinear+db"] = bilinear_plus_coboundary((3, 3), [[1, 2], [0, 1]], 3, 21)
+    cases["Z4xZ2/bilinear+db"] = bilinear_plus_coboundary((4, 2), [[0, 1], [1, 1]], 2, 22)
+    return cases
+
+
+CASES = table_cases()
+
+
+@pytest.fixture(params=sorted(CASES))
+def tau(request):
+    return CASES[request.param]
+
+
+def test_group_tables_match_tuple_api(tau):
+    grp = tau.group
+    for gi, g in enumerate(grp.elements):
+        assert grp.neg_table[gi] == grp.index(grp.neg(g))
+        for hi, h in enumerate(grp.elements):
+            assert grp.add_table[gi, hi] == grp.index(grp.add(g, h))
+
+
+def test_extension_tables_match_mul_and_inv(tau):
+    ext = tg.TwistedExtension(tau)
+    grp, m = ext.group, ext.m
+    for gi, g in enumerate(grp.elements):
+        for i in range(m):
+            assert ext.inv((g, i)) == (grp.elements[grp.neg_table[gi]],
+                                       (ext.inv_phase[gi] - i) % m)
+            for xi, x in enumerate(grp.elements):
+                for j in range(m):
+                    assert ext.mul(ext.inv((g, i)), (x, j)) == (
+                        grp.elements[ext.tgt[gi, xi]], (ext.phase[gi, xi] + j - i) % m)
+                    assert ext.mul((g, i), (x, j)) == (
+                        grp.elements[grp.add_table[gi, xi]],
+                        (i + j + tau.exponents[gi, xi]) % m)
+
+
+def test_heisenberg_outer_product_matches_pairing():
+    grp = tg.FiniteAbelianGroup((4, 2))
+    tau = tg.heisenberg_cocycle(grp)
+    for g in grp.elements:
+        for h in grp.elements:
+            assert tau.exponent(g, h) == (g[1] * h[0]) % 2
+
+
+def test_check_cocycle_ordered_list_matches_oracle(tau):
+    grp, m = tau.group, tau.root_order
+    assert tg.check_cocycle(tau) == brute_check_cocycle(tau) == []
+    # one perturbed entry, inside the table (identity violations once the
+    # order exceeds 2) or on the unit row (normalization and identity)
+    for entry in ((grp.order - 1, 1), (1, 0)):
+        exps = tau.exponents.copy()
+        exps[entry] += 1
+        bad = tg.check_cocycle(tg.Cocycle(grp, exps, m))
+        assert bad == brute_check_cocycle(tg.Cocycle(grp, exps, m))
+        assert bad or (grp.order == 2 and entry == (1, 1))
+    # an unnormalized coboundary keeps the identity but breaks normalization
+    b = np.arange(grp.order) % m + 1
+    shifted = tg.Cocycle(grp, tau.exponents + coboundary(grp, b), m)
+    bad = tg.check_cocycle(shifted)
+    assert bad == brute_check_cocycle(shifted)
+    assert bad and all(kind == "normalization" for kind, *_ in bad)
+
+
+def brute_level_project(f, level):
+    ext = f.ext
+    omega = ext.tau.root()
+    return np.array([sum(f.values[gi, j] * omega ** (-j * level) for j in range(ext.m))
+                     / ext.m for gi in range(ext.group.order)])
+
+
+def brute_involution(f):
+    ext = f.ext
+    return np.array([[np.conj(f.at(ext.inv((g, j)))) for j in range(ext.m)]
+                     for g in ext.group.elements])
+
+
+def test_convolve_tagged_and_untagged_match_brute(tau):
+    ext = tg.TwistedExtension(tau)
+    rng = np.random.default_rng(30)
+    for level in range(ext.m):
+        f, h = (random_tagged(ext, level, rng) for _ in range(2))
+        oracle = brute_convolve(f, h)
+        tagged = tg.convolve(f, h)
+        assert tagged.level == level
+        assert np.max(np.abs(tagged.table() - oracle)) < 1e-12
+        untagged = tg.convolve(tg.GroupAlgebraElement(ext, f.table()),
+                               tg.GroupAlgebraElement(ext, h.table()))
+        assert untagged.level is None
+        assert np.max(np.abs(untagged.values - oracle)) < 1e-12
+    shape = (ext.group.order, ext.m)
+    f, h = (tg.GroupAlgebraElement(ext, rng.standard_normal(shape)
+                                   + 1j * rng.standard_normal(shape)) for _ in range(2))
+    assert np.max(np.abs(tg.convolve(f, h).values - brute_convolve(f, h))) < 1e-12
+
+
+def test_involution_and_level_project_match_brute(tau):
+    ext = tg.TwistedExtension(tau)
+    rng = np.random.default_rng(31)
+    shape = (ext.group.order, ext.m)
+    full = tg.GroupAlgebraElement(ext, rng.standard_normal(shape)
+                                  + 1j * rng.standard_normal(shape))
+    assert np.max(np.abs(full.involution().values - brute_involution(full))) < 1e-13
+    for level in range(ext.m):
+        f = random_tagged(ext, level, rng)
+        star = f.involution()
+        assert star.level == level
+        assert np.max(np.abs(star.table() - brute_involution(f))) < 1e-13
+        proj = tg.level_project(full, level).values
+        assert np.max(np.abs(proj - brute_level_project(full, level))) < 1e-13
+
+
+def test_decompose_matches_center_svd_oracle(tau):
+    """The closed-form count against the former route: the rank of the
+    center equations ``z u_g = u_g z`` by SVD."""
+    grp = tau.group
+    rows = []
+    for gi, g in enumerate(grp.elements):
+        for h in grp.elements:
+            diff = tau.value(g, h) - tau.value(h, g)
+            if diff != 0:
+                row = np.zeros(grp.order, dtype=complex)
+                row[gi] = diff
+                rows.append(row)
+    rank = 0
+    if rows:
+        svals = np.linalg.svd(np.vstack(rows), compute_uv=False)
+        rank = int(np.sum(svals > 1e-10 * svals[0]))
+    blocks = tg.decompose_twisted_algebra(grp, tau)
+    assert len(blocks) == grp.order - rank
+    assert sum(d * d for d in blocks) == grp.order
+
+
+# ------------------------------------------------------- crossed, G-set
+
+def z2z2_on_z4():
+    """``Z2 x Z2`` acting on ``Z4`` by ``(a, b).x = x + 2a``: neither free
+    nor transitive, and not the translation action."""
+    grp = tg.FiniteAbelianGroup((2, 2))
+    points = [(x,) for x in range(4)]
+    action = {(g, x): ((x[0] + 2 * g[0]) % 4,) for g in grp.elements for x in points}
+    return grp, points, action
+
+
+def test_crossed_kernels_match_brute_on_gset():
+    grp, points, action = z2z2_on_z4()
+    rng = np.random.default_rng(32)
+    shape = (grp.order, len(points))
+    a, b = (tg.CrossedProductElement(grp, points, action, rng.standard_normal(shape)
+                                     + 1j * rng.standard_normal(shape)) for _ in range(2))
+    assert np.array_equal(a.act_table, [[a.pt_index(a.act(g, x)) for x in points]
+                                        for g in grp.elements])
+    assert np.max(np.abs(tg.crossed_convolve(a, b).values - brute_crossed(a, b))) < 1e-13
+    star = np.array([[np.conj(a.values[grp.index(grp.neg(g)),
+                                       a.pt_index(a.act(grp.neg(g), x))])
+                      for x in points] for g in grp.elements])
+    assert np.array_equal(a.involution().values, star)
+    reg = np.zeros((4, 4), dtype=complex)
+    for xi, x in enumerate(points):
+        for hi, h in enumerate(grp.elements):
+            reg[xi, a.pt_index(a.act(grp.neg(h), x))] += a.values[hi, xi]
+    assert np.max(np.abs(tg.regular_representation(a) - reg)) < 1e-14
+    # each orbit {x, x+2} has stabilizer order 2: c(x) + c(x+2) = 1/2
+    c = {(0,): 0.1, (1,): 0.3, (2,): 0.4, (3,): 0.2}
+    cut = tg.mishchenko(c, a)
+    oracle = np.array([[np.sqrt(c[x] * c[a.act(grp.neg(g), x)]) for x in points]
+                       for g in grp.elements])
+    assert np.max(np.abs(cut.values - oracle)) < 1e-15
+    sq = tg.crossed_convolve(cut, cut)
+    assert np.max(np.abs(sq.values - cut.values)) < 1e-13
+    with pytest.raises(ValueError):
+        tg.schatten_map(a)
+
+
+def test_crossed_action_must_land_in_points():
+    grp, points, action = z2z2_on_z4()
+    action[((1, 0), (3,))] = (7,)
+    with pytest.raises(ValueError, match="action"):
+        tg.CrossedProductElement(grp, points, action, np.zeros((4, 4)))
+
+
+# ------------------------------------------------------- module oracles
+
+def brute_m_iso(phi1, phi2):
+    ext = phi2.ext
+    return np.array([[phi1[yi] * phi2.at(ext.mul(ext.inv((y, 0)), (g, 0)))
+                      for yi, y in enumerate(ext.group.elements)]
+                     for g in ext.group.elements])
+
+
+def brute_right_action(e, b):
+    ext = e.ext
+    grp = ext.group
+    out = np.zeros_like(e.table)
+    for gi, g in enumerate(grp.elements):
+        for gpi, gp in enumerate(grp.elements):
+            out[gi, :] += e.table[gpi, :] * b.at(ext.mul(ext.inv((gp, 0)), (g, 0)))
+    return out
+
+
+def brute_left_action(a, e):
+    ext = e.ext
+    grp = ext.group
+    out = np.zeros_like(e.table)
+    for gi, g in enumerate(grp.elements):
+        for yi, y in enumerate(grp.elements):
+            for hi, h in enumerate(grp.elements):
+                out[gi, yi] += a.values[hi, yi] * e.expand(
+                    ext.mul(ext.inv((h, 0)), (g, 0)), ext.mul(ext.inv((h, 0)), (y, 0)))
+    return out
+
+
+def brute_inner_product(e1, e2):
+    ext = e1.ext
+    grp = ext.group
+    omega = ext.tau.root()
+    out = np.zeros(grp.order, dtype=complex)
+    for gi, g in enumerate(grp.elements):
+        for gpi, gp in enumerate(grp.elements):
+            tgt, j = ext.mul((gp, 0), (g, 0))
+            out[gi] += np.vdot(e1.table[gpi, :], e2.table[grp.index(tgt), :]) * omega ** j
+    return out
+
+
+def test_module_kernels_match_brute(tau):
+    ext = tg.TwistedExtension(tau)
+    grp = ext.group
+    n = grp.order
+    rng = np.random.default_rng(33)
+
+    def cvec(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    phi1, phi2, b = cvec(n), random_tagged(ext, 1, rng), random_tagged(ext, 1, rng)
+    e = tg.m_iso(phi1, phi2)
+    assert np.max(np.abs(e.table - brute_m_iso(phi1, phi2))) < 1e-13
+    e2 = tg.ModuleElement(ext, cvec(n, n))
+    right = tg.module_right_action(e2, b).table
+    assert np.max(np.abs(right - brute_right_action(e2, b))) < 1e-12
+    a = tg.CrossedProductElement.translation(grp, cvec(n, n))
+    left = tg.module_left_action(a, e2).table
+    assert np.max(np.abs(left - brute_left_action(a, e2))) < 1e-12
+    inner = tg.module_inner_product(e, e2)
+    assert inner.level == 1 % ext.m
+    assert np.max(np.abs(inner.values - brute_inner_product(e, e2))) < 1e-12
+
+
+# ---------------------------------------------------------------- reach
+
+def test_reach_heisenberg_z16():
+    """Order 256 (m = 16), beyond what tuple loops reach in test time."""
+    grp = tg.FiniteAbelianGroup((16, 16))
+    tau = tg.heisenberg_cocycle(grp)
+    assert tg.check_cocycle(tau) == []
+    assert tg.decompose_twisted_algebra(grp, tau) == [16]
+    ext = tg.TwistedExtension(tau)
+    rng = np.random.default_rng(34)
+    f, h = (random_tagged(ext, 1, rng) for _ in range(2))
+    tagged = tg.convolve(f, h).table()
+    untagged = tg.convolve(tg.GroupAlgebraElement(ext, f.table()),
+                           tg.GroupAlgebraElement(ext, h.table())).values
+    assert np.max(np.abs(tagged - untagged)) / np.max(np.abs(tagged)) < 1e-10
