@@ -11,6 +11,7 @@ criterion margins, each against its analytic bound.
 import numpy as np
 
 from kkindex import assembly, fock, limitspace
+from kkindex.opcore import orthonormal_dense
 
 spec = fock.TruncationSpec(n_max=2, e_max=3)
 seq = limitspace.SigmaSequence("pow2")
@@ -19,7 +20,7 @@ mat = cycle.materialized
 print(f"materialized space: {mat.space.dim} basis states "
       f"(mode prefix {mat.mode_bases[0].dim}, per-mode quanta <= {mat.h_op})")
 
-op = assembly._on(mat.operator)
+op = orthonormal_dense(mat.operator)
 print(f"squared operator minimum eigenvalue: "
       f"{np.min(np.linalg.eigvalsh(op @ op)):.2e} (a sum of squares)")
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dirac, fock, limitspace, twistgroup
-from .opcore import SparseOperator, gram_transpose
+from .opcore import Basis, SparseOperator, gram_transpose, orthonormal_dense, spectrum
 
 __all__ = [
     "JCycle",
@@ -108,8 +108,6 @@ def build_j_cycle(spec: fock.TruncationSpec, m_active: int,
 
 
 def _materialize(spec: fock.TruncationSpec, m_active: int, h_op: int) -> MaterializedJCycle:
-    from .dirac import TripleSpace
-    from .opcore import Basis
     # prefix quanta are cut per mode only; the energy window applies jointly
     # to the fermion and dual legs, which keeps the mirror part an exact
     # (leak-free) compression with squared operator 2 (N_f + E_dual)
@@ -119,25 +117,9 @@ def _materialize(spec: fock.TruncationSpec, m_active: int, h_op: int) -> Materia
         mode_bases.append(Basis(raw.labels, raw.gram, name=raw.name))
     ferm = fock.enumerate_basis(spec, "fermion")
     dual = fock.enumerate_basis(spec, "dual_boson")
-    space = TripleSpace(mode_bases + [ferm, dual], e_max=spec.e_max,
-                        name="jcycle")
-    ferm_pos, dual_pos = m_active, m_active + 1
-    d_part = SparseOperator.zero(space.basis, space.basis, grade="odd")
-    for n in range(1, m_active + 1):
-        dz = space.embed_factor_op(limitspace.dRz_matrix(mode_bases[n - 1]), n - 1)
-        dzb = space.embed_factor_op(limitspace.dRzbar_matrix(mode_bases[n - 1]), n - 1)
-        wedge = space.embed_factor_op(fock.clifford(ferm, n, "antiholo"), ferm_pos)
-        contr = space.embed_factor_op(fock.clifford(ferm, n, "holo"), ferm_pos)
-        rt = np.sqrt(float(n))
-        d_part = d_part + (wedge @ dz).scale(rt) + (contr @ dzb).scale(rt)
-    l_part = SparseOperator.zero(space.basis, space.basis, grade="odd")
-    for n in range(1, spec.n_max + 1):
-        raise_n = space.embed_factor_op(fock.dual_raise(dual, n), dual_pos)
-        lower_n = space.embed_factor_op(fock.dual_lower(dual, n), dual_pos)
-        wedge = space.embed_factor_op(fock.clifford(ferm, n, "antiholo"), ferm_pos)
-        contr = space.embed_factor_op(fock.clifford(ferm, n, "holo"), ferm_pos)
-        rt = np.sqrt(float(n))
-        l_part = l_part + (raise_n @ contr).scale(rt) + (wedge @ lower_n).scale(rt)
+    space = dirac.TripleSpace(mode_bases + [ferm, dual], e_max=spec.e_max, name="jcycle")
+    d_part = dirac.dirac_sum(space, m_active, limitspace.translation_legs(space, m_active))
+    l_part = dirac.dirac_sum(space, m_active, dirac.dual_legs(space, m_active + 1, spec.n_max))
     return MaterializedJCycle(space, d_part + l_part, d_part, l_part,
                               mode_bases, h_op)
 
@@ -178,22 +160,15 @@ class IndexCycle:
         return {"mu": (2, 1, 0), "analytic": (0, 1, 2)}[self.kind]
 
 
-def _cycle_spaces(spec: fock.TruncationSpec, full_product: bool):
-    # the full product keeps every combination of individually truncated
-    # factors, so algebra actions never leave the space
-    e_cut = 3 * spec.e_max if full_product else spec.e_max
-    return e_cut
-
-
 def analytic_index(spec: fock.TruncationSpec, full_product: bool = False) -> IndexCycle:
     """Analytic-side cycle: matrix-algebra columns tensored with the spinor
     space, carrying ``dirac_R``."""
-    from .dirac import TripleSpace
-    boson = fock.enumerate_basis(spec, "boson")
-    dual = fock.enumerate_basis(spec, "dual_boson")
-    ferm = fock.enumerate_basis(spec, "fermion")
-    space = TripleSpace([boson, dual, ferm], _cycle_spaces(spec, full_product),
-                        name="analytic")
+    boson, dual, ferm = dirac.spec_bases(spec)
+    # the full product keeps every combination of individually truncated
+    # factors, so algebra actions never leave the space
+    space = dirac.TripleSpace([boson, dual, ferm],
+                              3 * spec.e_max if full_product else spec.e_max,
+                              name="analytic")
     op, _ = dirac.build_dirac_R(spec, space=space)
     return IndexCycle("analytic", space, op, spec, boson, dual, ferm)
 
@@ -201,12 +176,9 @@ def analytic_index(spec: fock.TruncationSpec, full_product: bool = False) -> Ind
 def mu_index(spec: fock.TruncationSpec, full_product: bool = False) -> IndexCycle:
     """Assembled-side cycle: spinor space tensored with matrix-algebra
     columns, carrying ``dirac_L``."""
-    from .dirac import TripleSpace
-    boson = fock.enumerate_basis(spec, "boson")
-    dual = fock.enumerate_basis(spec, "dual_boson")
-    ferm = fock.enumerate_basis(spec, "fermion")
-    space = TripleSpace([ferm, dual, boson], _cycle_spaces(spec, full_product),
-                        name="mu")
+    boson, dual, ferm = dirac.spec_bases(spec)
+    space = dirac.TripleSpace([ferm, dual, boson],
+                              3 * spec.e_max if full_product else spec.e_max, name="mu")
     op, _ = dirac.build_dirac_L(spec, space=space)
     return IndexCycle("mu", space, op, spec, boson, dual, ferm)
 
@@ -354,19 +326,21 @@ def compare_indices(analytic: IndexCycle, mu: IndexCycle, seed: int = 7,
     actions and algebra-valued inner products on seeded random elements
     (relative scale), and the bounded transforms keep matched spectra.
     """
-    from .opcore import spectrum
     perm = _flip_permutation(analytic, mu)
     s_a = spectrum(analytic.operator)
     s_m = spectrum(mu.operator)
     spectra_dev = float(np.max(np.abs(s_a - s_m)))
 
-    dim = analytic.space.dim
-    u = np.zeros((dim, dim))
-    u[perm, np.arange(dim)] = 1.0
     da = analytic.operator.to_dense()
     dm = mu.operator.to_dense()
-    intertwine_dev = float(np.max(np.abs(u @ da - dm @ u)))
+    intertwine_dev = float(np.max(np.abs(da - dm[np.ix_(perm, perm)])))
 
+    def flip(f):
+        out = np.empty_like(f)
+        out[perm] = f
+        return out
+
+    dim = analytic.space.dim
     rng = np.random.default_rng(seed)
     action_dev, inner_dev = 0.0, 0.0
     for _ in range(trials):
@@ -374,12 +348,12 @@ def compare_indices(analytic: IndexCycle, mu: IndexCycle, seed: int = 7,
         f2 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         b = (rng.standard_normal((analytic.dual.dim,) * 2)
              + 1j * rng.standard_normal((analytic.dual.dim,) * 2))
-        lhs = u @ right_action(analytic, f1, b)
-        rhs = right_action(mu, u @ f1, b)
+        lhs = flip(right_action(analytic, f1, b))
+        rhs = right_action(mu, flip(f1), b)
         scale = max(float(np.max(np.abs(lhs))), 1.0)
         action_dev = max(action_dev, float(np.max(np.abs(lhs - rhs))) / scale)
         ip_a = module_inner(analytic, f1, f2)
-        ip_m = module_inner(mu, u @ f1, u @ f2)
+        ip_m = module_inner(mu, flip(f1), flip(f2))
         scale = max(float(np.max(np.abs(ip_a))), 1.0)
         inner_dev = max(inner_dev, float(np.max(np.abs(ip_a - ip_m))) / scale)
 
@@ -401,16 +375,11 @@ def compare_indices(analytic: IndexCycle, mu: IndexCycle, seed: int = 7,
 # ------------------------------------------------------------ diagnostics
 
 
-def _on(op: SparseOperator) -> np.ndarray:
-    """Dense matrix in Gram-orthonormal coordinates; operator norms,
-    singular values and eigenvalues are metrically meaningful there."""
-    scale = np.sqrt(op.domain.gram)
-    return op.to_dense() * scale[:, None] / scale[None, :]
-
-
 def _xi_prefix_vectors(cycle: JCycle):
     """Per-mode truncated, renormalized Xi vectors on the materialized mode
-    bases, plus their measured ladder norms ``|dR_z xi|`` and ``|dR_zbar xi|``."""
+    bases, plus the commutator bound ``2 sqrt(sum_n 2 n r_n^2)`` of their
+    smearing, with ``r_n`` the larger measured ladder norm ``|dR_z xi_n|``
+    or ``|dR_zbar xi_n|``."""
     mat = cycle.materialized
     vecs, dr_norms = [], []
     for n in range(1, cycle.m_active + 1):
@@ -418,15 +387,16 @@ def _xi_prefix_vectors(cycle: JCycle):
         mode = limitspace.xi_coeffs(cycle.seq.sigma(n), h_max=mat.h_op)
         v = np.zeros(basis.dim, dtype=complex)
         for k in range(len(mode.coeffs)):
-            if (k, k) in basis:
-                v[basis.index((k, k))] = mode.coeffs[k]
+            v[basis.index((k, k))] = mode.coeffs[k]
         v /= np.linalg.norm(v)
         vecs.append(v)
         dz = limitspace.dRz_matrix(basis).to_dense()
         dzb = limitspace.dRzbar_matrix(basis).to_dense()
         dr_norms.append(max(float(np.linalg.norm(dz @ v)),
                             float(np.linalg.norm(dzb @ v))))
-    return vecs, dr_norms
+    bound = 2.0 * np.sqrt(sum(2.0 * n * dr_norms[n - 1] ** 2
+                              for n in range(1, cycle.m_active + 1)))
+    return vecs, float(bound)
 
 
 def _xi_smearing(cycle: JCycle, xi_vecs) -> np.ndarray:
@@ -467,20 +437,17 @@ def commutator_bound(cycle: JCycle) -> CommutatorReport:
     mat = cycle.materialized
     if mat is None:
         raise ValueError("commutator_bound needs a materialized cycle")
-    xi_vecs, dr_norms = _xi_prefix_vectors(cycle)
+    xi_vecs, bound = _xi_prefix_vectors(cycle)
     # the smearing is unchanged by orthonormalization: it is an identity
     # block on the graded legs and the mode bases are already orthonormal
     a_dense = _xi_smearing(cycle, xi_vecs)
-    op = _on(mat.operator)
+    op = orthonormal_dense(mat.operator)
     comm = op @ a_dense - a_dense @ op
     measured = float(np.linalg.norm(comm, 2))
-    bound = 2.0 * np.sqrt(sum(2.0 * n * dr_norms[n - 1] ** 2
-                              for n in range(1, cycle.m_active + 1)))
-    ideal = 2.0 * np.sqrt(sum(2.0 * n * (cycle.seq.sigma(n) / 2.0) ** 2
-                              for n in range(1, cycle.m_active + 1)))
+    ideal = 2.0 * limitspace.frozen_tail_dirac_norm(0, cycle.seq, n_cut=cycle.m_active)
     if cycle.seq.rule != "explicit":
         ideal += limitspace.tail_bound(cycle.m_active, cycle.seq)
-    return CommutatorReport(measured, float(bound), float(ideal))
+    return CommutatorReport(measured, bound, float(ideal))
 
 
 @dataclass
@@ -504,15 +471,15 @@ def resolvent_compactness(cycle: JCycle, ranks=(1, 4, 16, 64)) -> CompactnessRep
         raise ValueError("resolvent_compactness needs a materialized cycle")
     xi_vecs, _ = _xi_prefix_vectors(cycle)
     a_dense = _xi_smearing(cycle, xi_vecs)
-    op = _on(mat.operator)
+    op = orthonormal_dense(mat.operator)
     dim = op.shape[0]
     target = np.linalg.inv(np.eye(dim) + op @ op) @ a_dense
     svals = np.linalg.svd(target, compute_uv=False)
     rank_errors = [(r, float(svals[r]) if r < len(svals) else 0.0) for r in ranks]
     rank_errors.append((dim, 0.0))
 
-    d_dense = _on(mat.d_part)
-    l_dense = _on(mat.l_part)
+    d_dense = orthonormal_dense(mat.d_part)
+    l_dense = orthonormal_dense(mat.l_part)
     d1 = d_dense @ d_dense
     d3 = l_dense @ l_dense
     d2 = (op @ op) - d1 - d3
@@ -539,7 +506,7 @@ def resolvent_compactness(cycle: JCycle, ranks=(1, 4, 16, 64)) -> CompactnessRep
     for n in range(cycle.m_active + 1, cycle.spec.n_max + 1):
         sigma = cycle.seq.sigma(n)
         dr_norm = limitspace.dRz_norm_on_xi(sigma)
-        lift = _on(space.embed_factor_op(fock.dual_raise(dual, n), dual_pos))
+        lift = orthonormal_dense(space.embed_factor_op(fock.dual_raise(dual, n), dual_pos))
         weight = float(np.linalg.norm(lift @ res0, 2))
         per_mode_rows.append((n, 2.0 * np.sqrt(n) * dr_norm * weight,
                               2.0 * np.sqrt(n) * sigma * weight))
@@ -569,28 +536,23 @@ def kucerovsky_check(cycle: JCycle, n_generators: int = 3, seed: int = 5) -> Kuc
     if mat is None:
         raise ValueError("kucerovsky_check needs a materialized cycle")
     space = mat.space
-    from .dirac import TripleSpace
-    ferm = space.factors[cycle.m_active]
-    dual = space.factors[cycle.m_active + 1]
-    small = TripleSpace([ferm, dual], e_max=cycle.spec.e_max, name="compressed")
-    dl_small = _on(dirac._dirac_terms(small, dual_pos=1, ferm_pos=0,
-                                      n_max=cycle.spec.n_max))
+    small = dirac.TripleSpace(space.factors[cycle.m_active:], e_max=cycle.spec.e_max,
+                              name="compressed")
+    dl_small = orthonormal_dense(dirac.build_dirac_L(cycle.spec, space=small)[0])
 
-    xi_vecs, dr_norms = _xi_prefix_vectors(cycle)
+    xi_vecs, xi_bound = _xi_prefix_vectors(cycle)
     xi_full = xi_vecs[0]
     for v in xi_vecs[1:]:
         xi_full = np.kron(xi_full, v)
     prefix_dim = len(xi_full)
-    op = _on(mat.operator)
-    d_norm = float(np.linalg.norm(_on(mat.d_part), 2))
+    op = orthonormal_dense(mat.operator)
+    d_norm = float(np.linalg.norm(orthonormal_dense(mat.d_part), 2))
 
     rng = np.random.default_rng(seed)
     rows = [("zero", 0.0, 0.0)]
     for gen in range(n_generators):
         if gen == 0:
-            k_vec, name = xi_full, "xi"
-            bound = 2.0 * np.sqrt(sum(2.0 * n * dr_norms[n - 1] ** 2
-                                      for n in range(1, cycle.m_active + 1)))
+            k_vec, name, bound = xi_full, "xi", xi_bound
         else:
             k_vec = rng.standard_normal(prefix_dim) + 1j * rng.standard_normal(prefix_dim)
             k_vec /= np.linalg.norm(k_vec)

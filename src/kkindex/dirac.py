@@ -21,13 +21,16 @@ from itertools import product as _iterproduct
 import numpy as np
 
 from . import fock
-from .opcore import Basis, SparseOperator, Vector, eigh_gram
+from .opcore import (Basis, SparseOperator, Vector, eigh_gram, self_adjoint_dense,
+                     spectrum)
 
 __all__ = [
     "TripleSpace",
     "build_dirac_R",
     "build_dirac_L",
-    "dirac_two_leg",
+    "dirac_sum",
+    "dual_legs",
+    "spec_bases",
     "weitzenbock_residual",
     "kernel",
     "per_estimate",
@@ -117,30 +120,41 @@ class TripleSpace:
         return SparseOperator(self.basis, self.basis, entries, op.grade, lossy)
 
 
-def _spec_bases(spec: fock.TruncationSpec):
+def spec_bases(spec: fock.TruncationSpec):
+    """The truncated ``(boson, dual_boson, fermion)`` bases of ``spec``."""
     boson = fock.enumerate_basis(spec, "boson")
     dual = fock.enumerate_basis(spec, "dual_boson")
     ferm = fock.enumerate_basis(spec, "fermion")
     return boson, dual, ferm
 
 
-def _dirac_terms(space: TripleSpace, dual_pos: int, ferm_pos: int, n_max: int) -> SparseOperator:
-    """``sum_n sqrt(n) (raise_n x gamma_holo_n + lower_n x gamma_antiholo_n)``.
+def dirac_sum(space: TripleSpace, ferm_pos: int, legs) -> SparseOperator:
+    """``sum_n sqrt(n) (A_n contr_n + wedge_n B_n)`` on ``space``.
 
-    The lowering leg is composed first so intermediates stay inside the
-    energy cut; the composite conserves dual + fermion energy.
+    ``legs`` lists ``(pos, A_n, B_n)`` for ``n = 1, 2, ...``: two operators
+    on factor ``pos``; ``wedge_n`` / ``contr_n`` are the antiholomorphic /
+    holomorphic Clifford generators on factor ``ferm_pos``.  The summands
+    have disjoint supports.  ``contr_n`` and ``B_n`` act first, so with
+    lowering ``B_n`` the intermediates stay inside the energy cut.
     """
-    dual = space.factors[dual_pos]
     ferm = space.factors[ferm_pos]
     total = SparseOperator.zero(space.basis, space.basis, grade="odd")
-    for n in range(1, n_max + 1):
-        raise_n = space.embed_factor_op(fock.dual_raise(dual, n), dual_pos)
-        lower_n = space.embed_factor_op(fock.dual_lower(dual, n), dual_pos)
+    for n, (pos, a_op, b_op) in enumerate(legs, 1):
+        a_n = space.embed_factor_op(a_op, pos)
+        b_n = space.embed_factor_op(b_op, pos)
         wedge_n = space.embed_factor_op(fock.clifford(ferm, n, "antiholo"), ferm_pos)
         contr_n = space.embed_factor_op(fock.clifford(ferm, n, "holo"), ferm_pos)
         rt = np.sqrt(float(n))
-        total = total + (raise_n @ contr_n).scale(rt) + (wedge_n @ lower_n).scale(rt)
+        total = total + (a_n @ contr_n).scale(rt) + (wedge_n @ b_n).scale(rt)
     return total
+
+
+def dual_legs(space: TripleSpace, dual_pos: int, n_max: int) -> list:
+    """Mirror legs ``(dual_raise(n), dual_lower(n))`` for :func:`dirac_sum`;
+    the sum conserves dual + fermion energy."""
+    dual = space.factors[dual_pos]
+    return [(dual_pos, fock.dual_raise(dual, n), fock.dual_lower(dual, n))
+            for n in range(1, n_max + 1)]
 
 
 def build_dirac_R(spec: fock.TruncationSpec, space: TripleSpace = None):
@@ -149,25 +163,18 @@ def build_dirac_R(spec: fock.TruncationSpec, space: TripleSpace = None):
     Returns ``(operator, space)``.
     """
     if space is None:
-        boson, dual, ferm = _spec_bases(spec)
+        boson, dual, ferm = spec_bases(spec)
         space = TripleSpace([boson, dual, ferm], spec.e_max, name="R-triple")
-    return _dirac_terms(space, dual_pos=1, ferm_pos=2, n_max=spec.n_max), space
+    return dirac_sum(space, 2, dual_legs(space, 1, spec.n_max)), space
 
 
 def build_dirac_L(spec: fock.TruncationSpec, space: TripleSpace = None):
-    """Mirror Dirac on fermion x dual x boson (id on the boson column leg)."""
+    """Mirror Dirac on fermion x dual x boson (id on the boson column leg);
+    a given ``space`` may also be the fermion x dual core alone."""
     if space is None:
-        boson, dual, ferm = _spec_bases(spec)
+        boson, dual, ferm = spec_bases(spec)
         space = TripleSpace([ferm, dual, boson], spec.e_max, name="L-triple")
-    return _dirac_terms(space, dual_pos=1, ferm_pos=0, n_max=spec.n_max), space
-
-
-def dirac_two_leg(spec: fock.TruncationSpec):
-    """The fermion x dual core of the mirror Dirac, without the column leg."""
-    dual = fock.enumerate_basis(spec, "dual_boson")
-    ferm = fock.enumerate_basis(spec, "fermion")
-    space = TripleSpace([ferm, dual], spec.e_max, name="L-core")
-    return _dirac_terms(space, dual_pos=1, ferm_pos=0, n_max=spec.n_max), space
+    return dirac_sum(space, 0, dual_legs(space, 1, spec.n_max)), space
 
 
 def weitzenbock_residual(spec: fock.TruncationSpec) -> float:
@@ -259,7 +266,7 @@ def per_estimate(spec: fock.TruncationSpec, n: int, scan_energy: int = None) -> 
 def bounded_transform(a: SparseOperator, tol: float = 1e-10) -> SparseOperator:
     """Spectral calculus ``x -> x / sqrt(1 + x^2)``; contractive, same
     eigenvectors and grade as the input."""
-    sym_vals, u = _eigh_orthonormal(a, tol)
+    sym_vals, u = np.linalg.eigh(self_adjoint_dense(a, tol))
     f = sym_vals / np.sqrt(1.0 + sym_vals ** 2)
     dense_on = (u * f[None, :]) @ u.conj().T
     s = np.sqrt(a.domain.gram)
@@ -268,19 +275,12 @@ def bounded_transform(a: SparseOperator, tol: float = 1e-10) -> SparseOperator:
     return SparseOperator.from_dense(dense, a.domain, a.domain, a.grade, chop=chop)
 
 
-def _eigh_orthonormal(a: SparseOperator, tol: float):
-    from .opcore import _self_adjoint_dense
-    sym, _ = _self_adjoint_dense(a, tol)
-    return np.linalg.eigh(sym)
-
-
 def spectrum_with_prediction(spec: fock.TruncationSpec):
     """Rows ``(eigenvalue, multiplicity, predicted multiplicity, match)`` for
     ``dirac_R^2``, with multiplicities predicted by independent counting of
     ``2 (dual energy + fermion weight)`` shells under the energy cut."""
     dR, space = build_dirac_R(spec)
-    vals = np.linalg.eigvalsh(_sym(dR @ dR))
-    vals = np.round(vals, 8)
+    vals = np.round(spectrum(dR @ dR), 8)
     measured = {}
     for v in vals:
         measured[v] = measured.get(v, 0) + 1
@@ -312,9 +312,3 @@ def spectrum_csv(spec: fock.TruncationSpec) -> str:
     for value, mult, predicted, match in spectrum_with_prediction(spec):
         lines.append(f"{value:.17g},{mult},{predicted},{int(match)}")
     return "\n".join(lines) + "\n"
-
-
-def _sym(a: SparseOperator) -> np.ndarray:
-    g = np.sqrt(a.domain.gram)
-    d = a.to_dense() * g[:, None] / g[None, :]
-    return 0.5 * (d + d.conj().T)

@@ -9,13 +9,14 @@ and all orderings are fixed.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import assembly, dirac, fock, limitspace, twistgroup
-from .opcore import SparseOperator, adjoint, graded_commutator
+from .opcore import SparseOperator, adjoint, graded_commutator, orthonormal_dense
 
 __all__ = ["Config", "parse_config", "run_experiment", "EXPERIMENTS", "Lcg"]
 
@@ -83,6 +84,39 @@ class ConfigError(ValueError):
     pass
 
 
+# Largest state space a config may request: the (modes, energy_cut)
+# boson x dual x fermion triple space and the 2^modes fermion space of
+# ccr_car.  Admits modes = 6, energy_cut = 14 (dimension 25752).
+MAX_DIM = 1 << 15
+
+
+def triple_dim(modes: int, energy_cut: int) -> int:
+    """Exact dimension of the boson x dual x fermion space with total
+    weighted energy <= ``energy_cut``, counted without enumerating it."""
+    counts = [1] + [0] * energy_cut  # states by exact weighted energy
+    for n in range(1, modes + 1):
+        for _ in ("boson", "dual"):  # mode n taken any number of times
+            for e in range(n, energy_cut + 1):
+                counts[e] += counts[e - n]
+        for e in range(energy_cut, n - 1, -1):  # fermion mode n at most once
+            counts[e] += counts[e - n]
+    return sum(counts)
+
+
+def _check_size(cfg: Config):
+    # 2^modes > MAX_DIM exactly when modes reaches the cap's bit length
+    if cfg.modes >= MAX_DIM.bit_length():
+        raise ConfigError(f"key 'modes': the 2^{cfg.modes} fermion space exceeds "
+                          f"the size cap {MAX_DIM}")
+    # mode-1 boson and dual states alone give (e+1)(e+2)/2 triples at energy
+    # e, so counting past the first e above the cap cannot undercut it
+    e = min(cfg.energy_cut, math.isqrt(2 * MAX_DIM))
+    if triple_dim(cfg.modes, e) > MAX_DIM:
+        raise ConfigError(f"key 'energy_cut': the modes={cfg.modes}, "
+                          f"energy_cut={cfg.energy_cut} triple space exceeds the "
+                          f"size cap {MAX_DIM}")
+
+
 _INT_KEYS = {"modes", "energy_cut", "seed"}
 _KNOWN = {"modes", "energy_cut", "hermite_cut", "sigma", "tolerance",
           "experiments", "output_dir", "seed"}
@@ -90,7 +124,8 @@ _KNOWN = {"modes", "energy_cut", "hermite_cut", "sigma", "tolerance",
 
 def parse_config(path: str) -> Config:
     """Line-based ``key = value`` file with ``#`` comments; unknown keys are
-    rejected, numeric fields must be positive."""
+    rejected, numeric fields must be positive and the requested spaces must
+    stay within :data:`MAX_DIM`."""
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -145,6 +180,7 @@ def parse_config(path: str) -> Config:
             cfg = replace(cfg, experiments=names)
         elif key == "output_dir":
             cfg = replace(cfg, output_dir=val)
+    _check_size(cfg)
     return cfg
 
 
@@ -434,8 +470,9 @@ def _exp_jcycle_diag(cfg: Config, rng: Lcg) -> Report:
                              for i in range(basis.dim)}, "even")
     odd = ((mat.operator @ parity) + (parity @ mat.operator)).max_abs()
     rep.add("odd grading", "materialized", odd, 0.0, odd)
-    op = assembly._on(mat.operator)
-    min_eig = float(np.min(np.linalg.eigvalsh(op @ op)))
+    op = orthonormal_dense(mat.operator)
+    vals = np.linalg.eigvalsh(op @ op)
+    min_eig = float(np.min(vals))
     rep.add("squared operator psd", "materialized", max(-min_eig, 0.0), 0.0,
             max(-min_eig, 0.0))
     comp = assembly.resolvent_compactness(cycle)
@@ -457,7 +494,6 @@ def _exp_jcycle_diag(cfg: Config, rng: Lcg) -> Report:
     rep.notes.append(f"ideal (untruncated) commutator bound {comm.ideal_bound:.6g}")
     # reported, not asserted: how far the squared spectrum sits from the
     # mirror lattice 2(N_f + E_dual); the cross part shifts it at truncation
-    vals = np.linalg.eigvalsh(op @ op)
     lattice = np.arange(0.0, float(np.max(vals)) + 3.0, 2.0)
     drift = float(np.max(np.min(np.abs(vals[:, None] - lattice[None, :]), axis=1)))
     rep.notes.append(f"squared-spectrum drift from the even lattice: {drift:.6g} "

@@ -34,8 +34,6 @@ from .opcore import Basis, SparseOperator
 
 __all__ = [
     "TruncationSpec",
-    "OccupationState",
-    "SpinorState",
     "enumerate_basis",
     "boson_raise",
     "boson_lower",
@@ -64,56 +62,6 @@ class TruncationSpec:
             raise ValueError("n_max must be >= 1")
         if self.e_max < 0:
             raise ValueError("e_max must be >= 0")
-
-
-@dataclass(frozen=True)
-class OccupationState:
-    """Boson basis label: finitely many modes with multiplicity >= 1."""
-
-    occupations: tuple  # ((mode, multiplicity), ...) with modes increasing
-
-    @staticmethod
-    def from_tuple(tup) -> "OccupationState":
-        return OccupationState(tuple((n + 1, k) for n, k in enumerate(tup) if k))
-
-    def as_tuple(self, n_max: int) -> tuple:
-        out = [0] * n_max
-        for n, k in self.occupations:
-            out[n - 1] = k
-        return tuple(out)
-
-    @property
-    def energy(self) -> int:
-        return sum(n * k for n, k in self.occupations)
-
-    @property
-    def norm_sq(self) -> float:
-        return float(np.prod([math.factorial(k) for _, k in self.occupations] or [1.0]))
-
-
-@dataclass(frozen=True)
-class SpinorState:
-    """Fermion basis label: strictly increasing positive modes."""
-
-    indices: tuple
-
-    @staticmethod
-    def from_tuple(tup) -> "SpinorState":
-        return SpinorState(tuple(n + 1 for n, b in enumerate(tup) if b))
-
-    def as_tuple(self, n_max: int) -> tuple:
-        out = [0] * n_max
-        for n in self.indices:
-            out[n - 1] = 1
-        return tuple(out)
-
-    @property
-    def energy(self) -> int:
-        return sum(self.indices)
-
-    @property
-    def parity(self) -> int:
-        return len(self.indices) % 2
 
 
 def _occupation_labels(n_max: int, e_max: int):

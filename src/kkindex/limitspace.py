@@ -14,12 +14,13 @@ Laguerre overlap integrals:
 
     xi_k(sigma) = (1/sigma) * integral_0^{sigma^2} L_k(u) exp(-u/2) du.
 
-Those coefficients decay like ``k^(-3/4)`` (the disk indicator is
-discontinuous), so truncated tail masses shrink only like ``h_max^(-1/2)``;
-quantities with closed radial forms are therefore computed by quadrature,
-with the ladder-matrix route validated against its a-priori truncation
-error.  Frozen tail modes enter every computation only through the scalars
-``|Xi| = 1``, ``<Xi, dR_z Xi> = 0`` and ``|dR_z Xi_sigma| = sigma/2``.
+Those coefficients are exact integrals, evaluated by a Laguerre recurrence.
+They decay like ``k^(-3/4)`` (the disk indicator is discontinuous), so
+truncated tail masses shrink only like ``h_max^(-1/2)``; the ladder-matrix
+route is therefore validated against its a-priori truncation error, next to
+a quadrature of the closed radial form.  Frozen tail modes enter every
+computation only through the scalars ``|Xi| = 1``, ``<Xi, dR_z Xi> = 0``
+and ``|dR_z Xi_sigma| = sigma/2``.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fock
-from .opcore import Basis, SparseOperator
+from . import dirac, fock
+from .opcore import Basis, SparseOperator, Vector, inner_product
 
 __all__ = [
     "SigmaSequence",
@@ -46,6 +47,7 @@ __all__ = [
     "tail_bound",
     "frozen_tail_dirac_norm",
     "tail_table_csv",
+    "translation_legs",
     "build_D",
     "embed_crossed",
     "radial_quadrature",
@@ -187,27 +189,22 @@ def radial_quadrature(f, upper: float, rel_tol: float = 1e-12, max_splits: int =
 
 
 def _laguerre_integrals(sigma: float, kmax: int) -> np.ndarray:
-    """``(1/sigma) * integral_0^{sigma^2} L_k(u) e^{-u/2} du`` for k <= kmax."""
-    nodes, weights = np.polynomial.legendre.leggauss(2 * _QUAD_POINTS)
-    upper = sigma * sigma
-    # enough panels that the highest Laguerre oscillation is resolved:
-    # L_k oscillates with phase ~ 2 sqrt(k u), keep panels per oscillation
-    npanels = max(2, int(np.ceil(2.0 * sigma * np.sqrt(max(kmax, 1)) / np.pi)) + 1)
-    edges = np.linspace(0.0, upper, npanels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    u = (half[:, None] * nodes[None, :] + mids[:, None]).ravel()
-    w = (half[:, None] * weights[None, :]).ravel() * np.exp(-u / 2.0)
-    out = np.zeros(kmax + 1)
-    lk_prev = np.ones_like(u)
-    out[0] = float(w @ lk_prev)
-    if kmax >= 1:
-        lk = 1.0 - u
-        out[1] = float(w @ lk)
-        for k in range(1, kmax):
-            lk_prev, lk = lk, ((2 * k + 1 - u) * lk - k * lk_prev) / (k + 1)
-            out[k + 1] = float(w @ lk)
-    return out / sigma
+    """``(1/sigma) * integral_0^{sigma^2} L_k(u) e^{-u/2} du`` for k <= kmax.
+
+    With ``a = sigma^2`` the integrals ``I_k`` obey
+    ``I_k + I_(k-1) = -2 e^{-a/2} (L_k(a) - L_(k-1)(a))`` (differentiate
+    ``e^{-u/2} (L_k - L_(k-1))``), and ``L_k - L_(k-1) = -(a/k) L^(1)_(k-1)``
+    with the associated Laguerre polynomial ``L^(1)``; that form has no
+    cancellation at small ``a``.
+    """
+    a = sigma * sigma
+    damp = 2.0 * np.exp(-a / 2.0)
+    out = [-2.0 * np.expm1(-a / 2.0)]
+    l1_prev, l1 = 0.0, 1.0  # L^(1)_(k-2)(a), L^(1)_(k-1)(a)
+    for k in range(1, kmax + 1):
+        out.append(-out[-1] + damp * (a / k) * l1)
+        l1_prev, l1 = l1, ((2 * k - a) * l1 - k * l1_prev) / k
+    return np.array(out) / sigma
 
 
 def xi_coeffs(sigma: float, h_max: int = None, target_deficiency: float = 5e-3,
@@ -244,14 +241,10 @@ def xi_overlap_dRz(mode: ModeFunction, conjugate: bool = False) -> complex:
     the diagonal, so the overlaps are exact zeros; computing them through
     the matrices keeps the compression pipeline honest about that.
     """
-    h = mode.h_max + 2
-    basis = mode_basis(h)
-    v = np.zeros(basis.dim, dtype=complex)
-    for k in range(len(mode.coeffs)):
-        if (k, k) in basis:
-            v[basis.index((k, k))] = mode.coeffs[k]
+    basis = mode_basis(mode.h_max + 2)
+    v = Vector(basis, {basis.index((k, k)): c for k, c in enumerate(mode.coeffs)})
     op = dRzbar_matrix(basis) if conjugate else dRz_matrix(basis)
-    return complex(np.vdot(v, op.to_dense() @ v))
+    return inner_product(v, op.apply(v))
 
 
 def _dRz_norm_hermite(mode: ModeFunction) -> float:
@@ -339,23 +332,18 @@ def tail_bound(m: int, seq: SigmaSequence) -> float:
 
 
 def frozen_tail_dirac_norm(m: int, seq: SigmaSequence, n_cut: int = None) -> float:
-    """Measured norm of the Dirac sum beyond mode ``m`` on a fully frozen
-    vector ``Xi x vacuum-spinor``.
+    """Norm of the Dirac sum over modes ``m < n <= n_cut`` (default: all)
+    on a fully frozen vector ``Xi x vacuum-spinor``.
 
     Mode ``n`` contributes the orthogonal component
     ``sqrt(n) * dR_z Xi_(sigma_n) x sqrt(2) zbar_n``, so the norm is
-    ``sqrt( sum_n 2 n |dR_z Xi_n|^2 )`` with the per-mode norms measured by
-    quadrature; always below :func:`tail_bound`.
+    ``sqrt( sum_n 2 n |dR_z Xi_n|^2 )`` with the closed-form per-mode norms
+    ``sigma_n / 2`` (checked against quadrature by :func:`dRz_norm_details`);
+    always below :func:`tail_bound`.
     """
     total, n = 0.0, m + 1
-    while True:
-        if n_cut is not None and n > n_cut:
-            break
-        sigma = seq.sigma(n)
-        per_mode = np.sqrt(radial_quadrature(
-            lambda r: (r ** 2 / 2.0) * (1.0 / (np.pi * sigma ** 2)) * 2.0 * np.pi * r,
-            sigma))
-        term = 2.0 * n * per_mode ** 2
+    while n_cut is None or n <= n_cut:
+        term = 2.0 * n * (seq.sigma(n) / 2.0) ** 2
         total += term
         n += 1
         if n_cut is None and term < 1e-30:
@@ -376,22 +364,11 @@ def tail_table_csv(seq: SigmaSequence, m_range=range(0, 9)) -> str:
 # ------------------------------------------------------------ operators
 
 
-class PrefixSpace:
-    """Product of per-mode ladder spaces with a fermion factor appended."""
-
-    def __init__(self, spec: fock.TruncationSpec, m_active: int, h_op: int):
-        from .dirac import TripleSpace
-        self.m_active = m_active
-        self.h_op = h_op
-        self.mode_bases = [mode_basis(h_op) for _ in range(m_active)]
-        self.fermion = fock.enumerate_basis(spec, "fermion")
-        self.space = TripleSpace(self.mode_bases + [self.fermion],
-                                 e_max=m_active * h_op + spec.e_max,
-                                 name="prefix*fermion")
-
-    @property
-    def basis(self):
-        return self.space.basis
+def translation_legs(space, m_active: int) -> list:
+    """Legs ``(dR_zbar, dR_z)`` of the first ``m_active`` (mode) factors of
+    ``space`` for :func:`dirac.dirac_sum`."""
+    return [(n - 1, dRzbar_matrix(space.factors[n - 1]), dRz_matrix(space.factors[n - 1]))
+            for n in range(1, m_active + 1)]
 
 
 def build_D(spec: fock.TruncationSpec, m_active: int, seq: SigmaSequence,
@@ -399,24 +376,16 @@ def build_D(spec: fock.TruncationSpec, m_active: int, seq: SigmaSequence,
     """Active-mode Dirac ``sum_n sqrt(n) (dR_z x gamma_antiholo + dR_zbar x
     gamma_holo)`` on (mode spaces) x fermion; odd, self-adjoint compression.
 
-    Returns ``(operator, PrefixSpace)``.  The frozen modes beyond
+    Returns ``(operator, space)``.  The frozen modes beyond
     ``m_active`` are not materialized; their contribution on frozen vectors
     is controlled by :func:`tail_bound` / :func:`frozen_tail_dirac_norm`.
     """
     if m_active > spec.n_max:
         raise ValueError("m_active exceeds the mode window")
-    prefix = PrefixSpace(spec, m_active, h_op)
-    space = prefix.space
-    ferm_pos = m_active
-    total = SparseOperator.zero(space.basis, space.basis, grade="odd")
-    for n in range(1, m_active + 1):
-        dz = space.embed_factor_op(dRz_matrix(prefix.mode_bases[n - 1]), n - 1)
-        dzb = space.embed_factor_op(dRzbar_matrix(prefix.mode_bases[n - 1]), n - 1)
-        wedge = space.embed_factor_op(fock.clifford(prefix.fermion, n, "antiholo"), ferm_pos)
-        contr = space.embed_factor_op(fock.clifford(prefix.fermion, n, "holo"), ferm_pos)
-        rt = np.sqrt(float(n))
-        total = total + (wedge @ dz).scale(rt) + (contr @ dzb).scale(rt)
-    return total, prefix
+    space = dirac.TripleSpace([mode_basis(h_op) for _ in range(m_active)]
+                              + [fock.enumerate_basis(spec, "fermion")],
+                              e_max=m_active * h_op + spec.e_max, name="prefix*fermion")
+    return dirac.dirac_sum(space, m_active, translation_legs(space, m_active)), space
 
 
 @dataclass

@@ -3,8 +3,8 @@
 Every operator in this package lives on a :class:`Basis`: an ordered list of
 opaque labels together with a positive diagonal Gram (the squared norm of each
 label).  Bases are deliberately kept in unnormalized monomial form, so ladder
-coefficients stay integers; orthonormalization happens only inside
-:func:`spectrum` / :func:`eigh_gram`.
+coefficients stay integers; orthonormalization happens only in the dense
+view :func:`orthonormal_dense`, which the eigensolves use.
 
 Conventions
 -----------
@@ -35,6 +35,8 @@ __all__ = [
     "adjoint",
     "spectrum",
     "eigh_gram",
+    "orthonormal_dense",
+    "self_adjoint_dense",
     "gram_transpose",
 ]
 
@@ -185,10 +187,11 @@ class SparseOperator:
         self.grade = grade
         self.lossy_cols = frozenset(lossy_cols)
         cleaned = {}
+        rows, cols = codomain.dim, domain.dim
         for (i, j), z in entries.items():
             if z == 0:
                 continue
-            if not (0 <= i < codomain.dim and 0 <= j < domain.dim):
+            if not (0 <= i < rows and 0 <= j < cols):
                 raise IndexError(f"entry ({i},{j}) outside basis bounds")
             cleaned[(int(i), int(j))] = complex(z)
         self.entries = cleaned
@@ -288,11 +291,6 @@ class SparseOperator:
                     lossy.add(j)
         return SparseOperator(other.domain, self.codomain, entries, grade, lossy)
 
-    def chop(self, tol: float) -> "SparseOperator":
-        return SparseOperator(self.domain, self.codomain,
-                              {k: v for k, v in self.entries.items() if abs(v) > tol},
-                              self.grade, self.lossy_cols)
-
     # -- text export ----------------------------------------------------
 
     def to_text(self) -> str:
@@ -336,19 +334,25 @@ def graded_commutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     return (a @ b) - (b @ a).scale(sign)
 
 
-def _self_adjoint_dense(a: SparseOperator, tol: float):
+def orthonormal_dense(op: SparseOperator) -> np.ndarray:
+    """Dense matrix in Gram-orthonormal coordinates; operator norms,
+    singular values and eigenvalues are metrically meaningful there."""
+    return (op.to_dense() * np.sqrt(op.codomain.gram)[:, None]
+            / np.sqrt(op.domain.gram)[None, :])
+
+
+def self_adjoint_dense(a: SparseOperator, tol: float = 1e-10) -> np.ndarray:
+    """Hermitian part of :func:`orthonormal_dense`, after checking that the
+    anti-Hermitian part is below ``tol`` relative to the largest entry."""
     if a.domain != a.codomain:
         raise ShapeMismatchError("eigensolve needs square operators")
-    dense = a.to_dense()
-    g = a.domain.gram
-    s = np.sqrt(g)
-    sym = dense * s[:, None] / s[None, :]  # Gram-orthonormal coordinates
+    sym = orthonormal_dense(a)
     asym = np.max(np.abs(sym - sym.conj().T)) if sym.size else 0.0
     scale = max(np.max(np.abs(sym)) if sym.size else 0.0, 1.0)
     if asym > tol * scale:
         raise NotSelfAdjointError(
             f"max asymmetry {asym:.3e} above tolerance {tol:.1e} (scale {scale:.3e})")
-    return 0.5 * (sym + sym.conj().T), s
+    return 0.5 * (sym + sym.conj().T)
 
 
 def spectrum(a: SparseOperator, tol: float = 1e-10) -> np.ndarray:
@@ -357,7 +361,7 @@ def spectrum(a: SparseOperator, tol: float = 1e-10) -> np.ndarray:
     The operator must be self-adjoint with respect to the Gram, checked to
     ``tol`` after orthonormalization.
     """
-    sym, _ = _self_adjoint_dense(a, tol)
+    sym = self_adjoint_dense(a, tol)
     if sym.size == 0:
         return np.zeros(0)
     return np.linalg.eigvalsh(sym)
@@ -370,9 +374,8 @@ def eigh_gram(a: SparseOperator, tol: float = 1e-10):
     original (unnormalized) coordinates and the columns are orthonormal with
     respect to the Gram inner product.
     """
-    sym, s = _self_adjoint_dense(a, tol)
-    vals, u = np.linalg.eigh(sym)
-    return vals, u / s[:, None]
+    vals, u = np.linalg.eigh(self_adjoint_dense(a, tol))
+    return vals, u / np.sqrt(a.domain.gram)[:, None]
 
 
 def gram_transpose(mat: np.ndarray, gram: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@ import pytest
 
 from kkindex import assembly as asm
 from kkindex import dirac, fock, limitspace as ls, twistgroup as tg
-from kkindex.opcore import SparseOperator, adjoint
+from kkindex.opcore import SparseOperator, adjoint, orthonormal_dense
 
 
 SEQ = ls.SigmaSequence("pow2")
@@ -50,7 +50,7 @@ def test_jcycle_distinguished_vector():
 
 def test_jcycle_square_positive():
     cycle = small_cycle()
-    op = asm._on(cycle.materialized.operator)
+    op = orthonormal_dense(cycle.materialized.operator)
     vals = np.linalg.eigvalsh(op @ op)
     assert vals[0] > -1e-12
 
@@ -63,9 +63,9 @@ def test_jcycle_split_reports_cross_term():
     n1, n2, n3 = report.split_norms
     assert n1 > 0 and n3 > 0
     assert n2 > 1e-6  # genuinely present
-    op = asm._on(cycle.materialized.operator)
-    d1 = asm._on(cycle.materialized.d_part)
-    d3 = asm._on(cycle.materialized.l_part)
+    op = orthonormal_dense(cycle.materialized.operator)
+    d1 = orthonormal_dense(cycle.materialized.d_part)
+    d3 = orthonormal_dense(cycle.materialized.l_part)
     residual = op @ op - d1 @ d1 - d3 @ d3
     assert np.linalg.norm(residual, 2) == pytest.approx(n2, rel=1e-10)
 
@@ -365,8 +365,8 @@ def test_commutator_with_identity_projector():
     # the truncation projector is the identity on the materialized space:
     # the commutator is pure boundary, zero here, trivially below |D|
     cycle = small_cycle()
-    op = asm._on(cycle.materialized.operator)
+    op = orthonormal_dense(cycle.materialized.operator)
     ident = np.eye(op.shape[0])
     comm_norm = np.linalg.norm(op @ ident - ident @ op, 2)
-    d_norm = np.linalg.norm(asm._on(cycle.materialized.d_part), 2)
+    d_norm = np.linalg.norm(orthonormal_dense(cycle.materialized.d_part), 2)
     assert comm_norm == 0.0 <= d_norm

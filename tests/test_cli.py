@@ -3,9 +3,11 @@ import os
 
 import pytest
 
+from kkindex import TruncationSpec
 from kkindex.cli import main
-from kkindex.experiments import (Config, ConfigError, Lcg, parse_config,
-                                 run_experiment, EXPERIMENTS)
+from kkindex.dirac import TripleSpace, spec_bases
+from kkindex.experiments import (MAX_DIM, Config, ConfigError, Lcg, parse_config,
+                                 run_experiment, triple_dim, EXPERIMENTS)
 
 
 def write(tmp_path, text, name="cfg.txt"):
@@ -106,6 +108,29 @@ def test_cli_bad_value_is_config_error(tmp_path, capsys, line, key):
     assert main(["run", "weitzenbock", "--config", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and key in err
+
+
+@pytest.mark.parametrize("text, key", [("energy_cut = 1000000\nexperiments = ccr_car\n",
+                                        "energy_cut"),
+                                       ("modes = 16\nenergy_cut = 1\n", "modes")])
+def test_cli_refuses_oversized_truncation(tmp_path, capsys, text, key):
+    cfg = write(tmp_path, text)
+    assert main(["run", "all", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err and str(MAX_DIM) in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("modes, energy_cut", [(1, 7), (2, 4), (2, 9), (3, 6), (4, 5)])
+def test_triple_dim_matches_enumeration(modes, energy_cut):
+    spec = TruncationSpec(modes, energy_cut)
+    space = TripleSpace(spec_bases(spec), energy_cut)
+    assert triple_dim(modes, energy_cut) == space.dim
+
+
+def test_size_cap_admits_largest_documented_truncation(tmp_path):
+    cfg = parse_config(write(tmp_path, "modes = 6\nenergy_cut = 14\n"))
+    assert triple_dim(cfg.modes, cfg.energy_cut) == 25752 <= MAX_DIM
 
 
 def test_cli_env_output_dir(tmp_path, capsys, monkeypatch):

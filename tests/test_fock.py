@@ -60,17 +60,6 @@ def test_gram_values():
     assert np.all(ferm.gram == 1.0)
 
 
-def test_state_wrappers():
-    occ = fock.OccupationState.from_tuple((2, 0, 1))
-    assert occ.energy == 2 * 1 + 3 * 1
-    assert occ.norm_sq == 2.0
-    assert occ.as_tuple(3) == (2, 0, 1)
-    sp = fock.SpinorState.from_tuple((1, 0, 1))
-    assert sp.energy == 4
-    assert sp.parity == 0
-    assert sp.indices == (1, 3)
-
-
 # ---------------------------------------------------------------- ladders
 
 def test_boson_lower_coefficient():

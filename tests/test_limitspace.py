@@ -54,6 +54,21 @@ def test_xi_only_diagonal_sector():
             assert v[i] == 0.0
 
 
+@pytest.mark.parametrize("sigma", [2.0 ** -20, 2.0 ** -10, 0.125, 0.5, 1.0, 2.0])
+def test_laguerre_integrals_match_quadrature(sigma):
+    # the closed-form recurrence against an independent quadrature of
+    # L_k(u) e^{-u/2} on [0, sigma^2]; the naive L_k - L_(k-1) form loses
+    # accuracy to cancellation at sigma = 2^-10
+    ks = (0, 1, 2, 5, 17, 64, 200)
+    got = ls.xi_coeffs(sigma, h_max=2 * max(ks)).coeffs
+    oracle = np.array([
+        ls.radial_quadrature(
+            lambda u, k=k: np.polynomial.laguerre.lagval(u, np.eye(k + 1)[k])
+            * np.exp(-u / 2.0), sigma ** 2, rel_tol=1e-14) / sigma
+        for k in ks])
+    assert np.max(np.abs(got[list(ks)] - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
 def test_xi_overlap_dRz_exact_zero():
     mode = ls.xi_coeffs(0.5, h_max=32)
     assert ls.xi_overlap_dRz(mode) == 0.0
@@ -120,14 +135,14 @@ def test_frozen_tail_norm_below_bound():
 def test_build_d_self_adjoint_odd():
     spec = fock.TruncationSpec(2, 3)
     seq = ls.SigmaSequence("pow2")
-    op, prefix = ls.build_D(spec, 2, seq, h_op=3)
+    op, space = ls.build_D(spec, 2, seq, h_op=3)
     assert op.grade == "odd"
     assert (adjoint(op) - op).max_abs() < 1e-12
 
 
 def test_build_d_frozen_measurements():
     # with every mode frozen, the Dirac norm on Xi x vacuum-spinor is the
-    # per-mode quadrature aggregate, below the analytic tail bound
+    # closed-form per-mode aggregate, below the analytic tail bound
     seq = ls.SigmaSequence("pow2")
     assert ls.frozen_tail_dirac_norm(0, seq) <= ls.tail_bound(0, seq)
     # and the active-window deficit (D - D^M)(Xi x 1_f) measured through
