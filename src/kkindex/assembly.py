@@ -212,18 +212,6 @@ def assemble(cycle: JCycle, xi_check=None) -> IndexCycle:
 # ------------------------------------------------------------ module algebra
 
 
-def _leg_groups(cycle: IndexCycle):
-    """Group basis indices by the non-boson legs: lists of (boson index,
-    global index) per fixed (dual, fermion) pair."""
-    boson_pos = cycle.leg_positions()[0]
-    groups = {}
-    for i in range(cycle.space.dim):
-        ci = cycle.space.component_indices(i)
-        key = ci[:boson_pos] + ci[boson_pos + 1:]
-        groups.setdefault(key, []).append((ci[boson_pos], i))
-    return groups
-
-
 def right_action(cycle: IndexCycle, vec: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Right action of an algebra matrix ``b`` in dual-basis coordinates.
 
@@ -234,23 +222,16 @@ def right_action(cycle: IndexCycle, vec: np.ndarray, b: np.ndarray) -> np.ndarra
     Both land where the (possibly truncated) space supports them; on the
     full product nothing is lost and the module axioms are exact.
     """
-    g = cycle.boson.gram
     b = np.asarray(b, dtype=complex)
-    out = np.zeros_like(np.asarray(vec, dtype=complex))
+    f = cycle.space.to_tensor(np.asarray(vec, dtype=complex))
     if cycle.kind == "analytic":
-        tb = gram_transpose(b, cycle.dual.gram)
-        act = lambda wout, win: tb[wout, win]
+        # boson ket leg is axis 0
+        out = np.tensordot(gram_transpose(b, cycle.dual.gram), f, axes=(1, 0))
     else:
-        act = lambda wout, win: b[win, wout] * g[win] / g[wout]
-    for _, members in _leg_groups(cycle).items():
-        for w_in, i_in in members:
-            if vec[i_in] == 0:
-                continue
-            for w_out, i_out in members:
-                amp = act(w_out, w_in)
-                if amp != 0:
-                    out[i_out] += amp * vec[i_in]
-    return out
+        # boson column leg is axis 2
+        g = cycle.boson.gram
+        out = np.tensordot(f * g, b, axes=(2, 0)) / g
+    return cycle.space.from_tensor(out)
 
 
 def module_inner(cycle: IndexCycle, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
@@ -259,15 +240,12 @@ def module_inner(cycle: IndexCycle, v1: np.ndarray, v2: np.ndarray) -> np.ndarra
     analytic: ``<f1, f2> = t(f2 f1*)`` with the spinor legs paired;
     mu: ``<s1 (x) M1, s2 (x) M2> = <s1, s2> M1* M2``.
     """
-    boson_pos, dual_pos, ferm_pos = cycle.leg_positions()
-    nb, nd, nf = cycle.boson.dim, cycle.dual.dim, cycle.fermion.dim
+    nd, nf = cycle.dual.dim, cycle.fermion.dim
     gb, gd, gf = cycle.boson.gram, cycle.dual.gram, cycle.fermion.gram
-    f1 = np.zeros((nb, nd, nf), dtype=complex)
-    f2 = np.zeros_like(f1)
-    for i in range(cycle.space.dim):
-        ci = cycle.space.component_indices(i)
-        f1[ci[boson_pos], ci[dual_pos], ci[ferm_pos]] = v1[i]
-        f2[ci[boson_pos], ci[dual_pos], ci[ferm_pos]] = v2[i]
+    # coordinate tensors with axes (boson, dual, fermion)
+    legs = cycle.leg_positions()
+    f1 = cycle.space.to_tensor(np.asarray(v1, dtype=complex)).transpose(legs)
+    f2 = cycle.space.to_tensor(np.asarray(v2, dtype=complex)).transpose(legs)
     out = np.zeros((nd, nd), dtype=complex)
     for s in range(nf):
         if cycle.kind == "analytic":
@@ -308,13 +286,10 @@ class ComparisonReport:
 
 def _flip_permutation(analytic: IndexCycle, mu: IndexCycle) -> np.ndarray:
     """Index map of the transpose intertwiner ``(b, d, s) -> (s, d, b)``."""
-    if analytic.space.dim != mu.space.dim:
+    if (analytic.space.dim != mu.space.dim
+            or analytic.space.factors[::-1] != mu.space.factors):
         raise ValueError("dimension mismatch between index cycles")
-    perm = np.zeros(analytic.space.dim, dtype=int)
-    for i, lab in enumerate(analytic.space.basis.labels):
-        b, d, s = analytic.space.split_label(lab)
-        perm[i] = mu.space.basis.index(s + d + b)
-    return perm
+    return mu.space.index_of(analytic.space.components[:, ::-1])
 
 
 def compare_indices(analytic: IndexCycle, mu: IndexCycle, seed: int = 7,
@@ -401,21 +376,11 @@ def _xi_prefix_vectors(cycle: JCycle):
 
 def _xi_smearing(cycle: JCycle, xi_vecs) -> np.ndarray:
     """Dense ``theta_(Xi, Xi) (x) id`` on the materialized space."""
-    mat = cycle.materialized
-    space = mat.space
-    dim = space.dim
-    amps = np.zeros(dim, dtype=complex)
-    groups = {}
-    for i in range(dim):
-        ci = space.component_indices(i)
-        amps[i] = np.prod([xi_vecs[q][ci[q]] for q in range(cycle.m_active)])
-        groups.setdefault(ci[cycle.m_active:], []).append(i)
-    out = np.zeros((dim, dim), dtype=complex)
-    for members in groups.values():
-        idx = np.array(members)
-        block = np.outer(amps[idx], np.conj(amps[idx]))
-        out[np.ix_(idx, idx)] = block
-    return out
+    comps = cycle.materialized.space.components
+    m = cycle.m_active
+    amps = np.prod([xi_vecs[q][comps[:, q]] for q in range(m)], axis=0)
+    rest = np.unique(comps[:, m:], axis=0, return_inverse=True)[1].ravel()
+    return np.where(rest[:, None] == rest[None, :], np.outer(amps, np.conj(amps)), 0.0)
 
 
 @dataclass
@@ -488,16 +453,12 @@ def resolvent_compactness(cycle: JCycle, ranks=(1, 4, 16, 64)) -> CompactnessRep
     res0 = np.linalg.inv(np.eye(dim) + d3)
     space = mat.space
     ferm_pos, dual_pos = cycle.m_active, cycle.m_active + 1
-    shells = {}
-    for i in range(dim):
-        ci = space.component_indices(i)
-        shell = (space.factors[ferm_pos].energy[ci[ferm_pos]]
-                 + space.factors[dual_pos].energy[ci[dual_pos]])
-        shells.setdefault(shell, []).append(i)
+    shells = (space.factors[ferm_pos].energy[space.components[:, ferm_pos]]
+              + space.factors[dual_pos].energy[space.components[:, dual_pos]])
     t0 = res0 @ a_dense
     shell_rows = []
-    for shell in sorted(shells):
-        idx = shells[shell]
+    for shell in np.unique(shells):
+        idx = np.flatnonzero(shells == shell)
         norm = float(np.linalg.norm(t0[:, idx], 2))
         shell_rows.append((2.0 * shell, norm, 1.0 / (1.0 + 2.0 * shell)))
 
@@ -567,19 +528,14 @@ def kucerovsky_check(cycle: JCycle, n_generators: int = 3, seed: int = 5) -> Kuc
 
 def _t_map(cycle: JCycle, small, k_vec: np.ndarray) -> np.ndarray:
     """Matrix of ``f (x) s (x) v -> <k, f> s (x) v`` in basis coordinates."""
-    mat = cycle.materialized
-    space = mat.space
-    dims = [b.dim for b in mat.mode_bases]
+    space = cycle.materialized.space
+    m = cycle.m_active
+    # ``small`` is built on the fermion and dual factors of ``space`` itself
+    rows = small.index_of(space.components[:, m:])
+    flat = np.ravel_multi_index(tuple(space.components[:, :m].T), space.shape[:m])
+    cols = np.flatnonzero(rows >= 0)
     out = np.zeros((small.dim, space.dim), dtype=complex)
-    for j in range(space.dim):
-        cj = space.component_indices(j)
-        flat = 0
-        for q, d in enumerate(dims):
-            flat = flat * d + cj[q]
-        lab = (space.factors[cycle.m_active].labels[cj[cycle.m_active]]
-               + space.factors[cycle.m_active + 1].labels[cj[cycle.m_active + 1]])
-        if lab in small.basis:
-            out[small.basis.index(lab), j] = np.conj(k_vec[flat])
+    out[rows[cols], cols] = np.conj(k_vec[flat[cols]])
     return out
 
 

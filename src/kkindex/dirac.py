@@ -16,13 +16,12 @@ holds entrywise at every truncation, the spectrum is the even lattice
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as _iterproduct
 
 import numpy as np
 
 from . import fock
-from .opcore import (Basis, SparseOperator, Vector, eigh_gram, self_adjoint_dense,
-                     spectrum)
+from .opcore import (Basis, SparseOperator, Vector, eigh_gram, energy_product,
+                     self_adjoint_dense, spectrum)
 
 __all__ = [
     "TripleSpace",
@@ -43,45 +42,74 @@ __all__ = [
 class TripleSpace:
     """Energy-truncated product of labeled bases.
 
-    Labels are concatenations of the component labels; the product state is
-    kept when the sum of component energies is at most ``e_max``.  Gram and
+    A product state is a row of the integer table ``components``
+    (dim x factors): one index into each factor basis.  The state is kept
+    when the sum of its component energies is at most ``e_max``; labels are
+    the concatenated component labels, in lexicographic order.  Gram and
     parity multiply across factors, so the grading is the fermion parity.
+    States are found by :meth:`index_of`, vectors move to and from their
+    factor-shaped tensors by :meth:`to_tensor` and :meth:`from_tensor`.
     """
 
     def __init__(self, factors, e_max: float, name: str = "triple"):
         self.factors = tuple(factors)
         self.e_max = e_max
-        widths = [len(b.labels[0]) for b in self.factors]
-        self._slices = []
-        start = 0
-        for w in widths:
-            self._slices.append(slice(start, start + w))
-            start += w
-        labels, gram, energy, parity, comp_index = [], [], [], [], []
-        for combo in _iterproduct(*(range(b.dim) for b in self.factors)):
-            e = sum(b.energy[i] for b, i in zip(self.factors, combo))
-            if e > e_max:
-                continue
-            lab = tuple(x for b, i in zip(self.factors, combo) for x in b.labels[i])
-            labels.append(lab)
-            gram.append(np.prod([b.gram[i] for b, i in zip(self.factors, combo)]))
-            energy.append(e)
-            parity.append(sum(b.parity[i] for b, i in zip(self.factors, combo)) % 2)
-            comp_index.append(combo)
-        order = sorted(range(len(labels)), key=lambda t: labels[t])
-        self.basis = Basis([labels[t] for t in order],
-                           [gram[t] for t in order],
-                           energy=[energy[t] for t in order],
-                           parity=[parity[t] for t in order],
-                           name=name)
-        self._components = [comp_index[t] for t in order]
+        self.shape = tuple(b.dim for b in self.factors)
+        labels = [np.array(b.labels, dtype=np.int64).reshape(b.dim, -1) for b in self.factors]
+        ends = np.cumsum([0] + [lab.shape[1] for lab in labels])
+        self._slices = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
+        # rank of each factor label in that factor's label order: the basis
+        # order is the order of the mixed-radix key over these ranks
+        self._ranks = [np.argsort(np.lexsort(lab.T[::-1])) for lab in labels]
+        if np.prod(self.shape, dtype=float) >= 2.0 ** 63:
+            raise ValueError("product space too large for 64-bit state keys")
+        comps, energy = energy_product([b.energy for b in self.factors], e_max)
+        keys = self._keys(comps)
+        order = np.argsort(keys)
+        self.components = comps[order]
+        self._sorted_keys = keys[order]
+        energy = energy[order]
+        gram = np.ones(len(order))
+        parity = np.zeros(len(order), dtype=np.int64)
+        for q, b in enumerate(self.factors):
+            gram = gram * b.gram[self.components[:, q]]
+            parity += b.parity[self.components[:, q]]
+        flat = np.hstack([lab[self.components[:, q]] for q, lab in enumerate(labels)])
+        self.basis = Basis(map(tuple, flat.tolist()), gram, energy=energy,
+                           parity=parity % 2, name=name)
 
     @property
     def dim(self):
         return self.basis.dim
 
-    def component_indices(self, i: int):
-        return self._components[i]
+    def _keys(self, comps):
+        key = np.zeros(len(comps), dtype=np.int64)
+        for q, rank in enumerate(self._ranks):
+            key = key * len(rank) + rank[comps[:, q]]
+        return key
+
+    def index_of(self, comps) -> np.ndarray:
+        """Basis indices of component rows (``(..., factors)`` integers);
+        -1 for states outside the truncation."""
+        comps = np.asarray(comps, dtype=np.int64)
+        keys = self._keys(comps.reshape(-1, len(self.factors)))
+        pos = np.searchsorted(self._sorted_keys, keys)
+        found = pos < self.dim
+        found[found] = self._sorted_keys[pos[found]] == keys[found]
+        return np.where(found, pos, -1).reshape(comps.shape[:-1])
+
+    def to_tensor(self, vec) -> np.ndarray:
+        """Scatter coordinates into a factor-shaped tensor, zero on the
+        product states the truncation drops."""
+        vec = np.asarray(vec)
+        out = np.zeros(self.shape, dtype=vec.dtype)
+        out[tuple(self.components.T)] = vec
+        return out
+
+    def from_tensor(self, tensor) -> np.ndarray:
+        """Gather the coordinates of the kept states from a factor-shaped
+        tensor; inverse of :meth:`to_tensor` on the truncation."""
+        return tensor[tuple(self.components.T)]
 
     def split_label(self, label):
         return tuple(label[s] for s in self._slices)
@@ -91,33 +119,35 @@ class TripleSpace:
 
         Graded convention: an odd operator acting past earlier factors picks
         up the Koszul sign of their combined parity.  Images that leave the
-        truncation are projected out and the column recorded as lossy.
+        truncation are projected out.
         """
         factor = self.factors[pos]
         if op.domain != factor or op.codomain != factor:
             raise ValueError("factor operator basis mismatch")
-        by_col = {}
-        for (i, j), z in op.entries.items():
-            by_col.setdefault(j, []).append((i, z))
-        odd = op.grade == "odd"
-        entries, lossy = {}, set()
-        for col, combo in enumerate(self._components):
-            j = combo[pos]
-            sign = 1.0
-            if odd:
-                pre = sum(self.factors[q].parity[combo[q]] for q in range(pos)) % 2
-                sign = -1.0 if pre else 1.0
-            if j in op.lossy_cols:
-                lossy.add(col)
-            for i, z in by_col.get(j, ()):
-                target = combo[:pos] + (i,) + combo[pos + 1:]
-                lab = tuple(x for b, t in zip(self.factors, target) for x in b.labels[t])
-                if lab in self.basis:
-                    entries[(self.basis.index(lab), col)] = entries.get(
-                        (self.basis.index(lab), col), 0.0) + sign * z
-                else:
-                    lossy.add(col)
-        return SparseOperator(self.basis, self.basis, entries, op.grade, lossy)
+        f_rows, f_cols = np.array(list(op.entries), dtype=np.int64).reshape(-1, 2).T
+        vals = np.array(list(op.entries.values()), dtype=complex)
+        # one candidate per (factor entry, space column whose pos-component
+        # is the entry's column)
+        comp = self.components[:, pos]
+        by_comp = np.argsort(comp, kind="stable")
+        first = np.searchsorted(comp[by_comp], np.arange(factor.dim))
+        counts = np.bincount(comp, minlength=factor.dim)[f_cols]
+        entry = np.repeat(np.arange(len(vals)), counts)
+        offset = np.arange(len(entry)) - (np.cumsum(counts) - counts)[entry]
+        cols = by_comp[first[f_cols][entry] + offset]
+        targets = self.components[cols]
+        targets[:, pos] = f_rows[entry]
+        rows = self.index_of(targets)
+        z = vals[entry]
+        if op.grade == "odd":
+            pre = np.zeros(self.dim, dtype=np.int64)
+            for q in range(pos):
+                pre += self.factors[q].parity[self.components[:, q]]
+            z = z * np.where(pre % 2, -1.0, 1.0)[cols]
+        keep = np.lexsort((entry, cols))
+        keep = keep[rows[keep] >= 0]
+        entries = dict(zip(zip(rows[keep].tolist(), cols[keep].tolist()), z[keep].tolist()))
+        return SparseOperator(self.basis, self.basis, entries, op.grade)
 
 
 def spec_bases(spec: fock.TruncationSpec):
@@ -226,10 +256,9 @@ def per_estimate(spec: fock.TruncationSpec, n: int, scan_energy: int = None) -> 
     measured by applying the actual (rectangular) ladder matrices.
     """
     e_scan = spec.e_max if scan_energy is None else scan_energy
-    dual_spec = fock.TruncationSpec(spec.n_max, e_scan, tolerance=spec.tolerance)
+    dual_spec = fock.TruncationSpec(spec.n_max, e_scan)
     dual = fock.enumerate_basis(dual_spec, "dual_boson")
-    big = fock.enumerate_basis(
-        fock.TruncationSpec(spec.n_max, e_scan + n, tolerance=spec.tolerance), "dual_boson")
+    big = fock.enumerate_basis(fock.TruncationSpec(spec.n_max, e_scan + n), "dual_boson")
     ferm = fock.enumerate_basis(dual_spec, "fermion")
     lower = fock.dual_lower(dual, n, codomain=big)
     raise_ = fock.dual_raise(dual, n, codomain=big)

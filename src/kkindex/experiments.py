@@ -66,15 +66,13 @@ class Config:
     energy_cut: int = 8
     hermite_cut: object = "adaptive"      # "adaptive" | positive int
     sigma: str = "pow2"
-    tolerance: float = 1e-10
     experiments: tuple = ("all",)
     output_dir: str = "kkindex-out"
     seed: int = 20240817
 
     def spec(self, modes=None, energy=None) -> fock.TruncationSpec:
-        h = None if self.hermite_cut == "adaptive" else int(self.hermite_cut)
         return fock.TruncationSpec(modes or self.modes, energy if energy is not None
-                                   else self.energy_cut, h, self.tolerance)
+                                   else self.energy_cut)
 
     def sigma_seq(self) -> limitspace.SigmaSequence:
         return limitspace.SigmaSequence.parse(self.sigma)
@@ -118,8 +116,8 @@ def _check_size(cfg: Config):
 
 
 _INT_KEYS = {"modes", "energy_cut", "seed"}
-_KNOWN = {"modes", "energy_cut", "hermite_cut", "sigma", "tolerance",
-          "experiments", "output_dir", "seed"}
+_KNOWN = {"modes", "energy_cut", "hermite_cut", "sigma", "experiments",
+          "output_dir", "seed"}
 
 
 def parse_config(path: str) -> Config:
@@ -148,14 +146,6 @@ def parse_config(path: str) -> Config:
             if key != "seed" and ival <= 0:
                 raise ConfigError(f"key {key!r}: must be positive, got {ival}")
             cfg = replace(cfg, **{key: ival})
-        elif key == "tolerance":
-            try:
-                fval = float(val)
-            except ValueError:
-                raise ConfigError(f"key 'tolerance': malformed number {val!r}")
-            if not fval > 0:
-                raise ConfigError(f"key 'tolerance': must be positive, got {fval}")
-            cfg = replace(cfg, tolerance=fval)
         elif key == "hermite_cut":
             if val != "adaptive":
                 try:

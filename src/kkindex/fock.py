@@ -18,19 +18,19 @@ Ladder conventions (all matrix elements integral in this Gram):
 * ``clifford(n, 'holo')``:     ``-sqrt(2)``-weighted contraction,
 * ``number_op``:       diagonal ``sum of occupied modes``.
 
-Raising out of the energy window is projected to zero by default; the lossy
-columns are recorded so strict-mode application can refuse instead.
+Raising out of the energy window is projected to zero: every operator is a
+compression, and :func:`safe_indices` names the columns where that projection
+cannot bite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .opcore import Basis, SparseOperator
+from .opcore import Basis, SparseOperator, energy_product, shift_op
 
 __all__ = [
     "TruncationSpec",
@@ -49,13 +49,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TruncationSpec:
-    """Finite window: max mode ``n_max``, max weighted energy ``e_max``,
-    Hermite cutoff ``h_max`` (None = adaptive), comparison tolerance."""
+    """Finite window: max mode ``n_max``, max weighted energy ``e_max``."""
 
     n_max: int
     e_max: int
-    h_max: int | None = None
-    tolerance: float = 1e-10
 
     def __post_init__(self):
         if self.n_max < 1:
@@ -64,64 +61,44 @@ class TruncationSpec:
             raise ValueError("e_max must be >= 0")
 
 
-def _occupation_labels(n_max: int, e_max: int):
-    """All occupation tuples with weighted energy <= e_max, lex order."""
-    ranges = [range(e_max // n + 1) for n in range(1, n_max + 1)]
-    out = []
-    for tup in product(*ranges):
-        if sum(n * k for n, k in zip(range(1, n_max + 1), tup)) <= e_max:
-            out.append(tup)
-    out.sort()
-    return out
+def _lex_labels(energies, e_max):
+    """Occupation tuples whose weighted energy is at most ``e_max`` (entry
+    ``n`` ranging over the indices of ``energies[n]``), in lex order, with
+    their energies."""
+    occ, energy = energy_product(energies, e_max)
+    order = np.lexsort(occ.T[::-1])
+    return occ[order], energy[order]
 
 
 def enumerate_basis(spec: TruncationSpec, kind: str) -> Basis:
     """Deterministically ordered truncated basis of the requested kind."""
-    n_max, e_max = spec.n_max, spec.e_max
+    modes, e_max = range(1, spec.n_max + 1), spec.e_max
     if kind in ("boson", "dual_boson"):
-        labels = _occupation_labels(n_max, e_max)
-        gram = [np.prod([float(math.factorial(k)) for k in lab]) for lab in labels]
-        energy = [sum(n * k for n, k in zip(range(1, n_max + 1), lab)) for lab in labels]
-        return Basis(labels, gram, energy=energy, name=kind)
+        occ, energy = _lex_labels([n * np.arange(e_max // n + 1) for n in modes], e_max)
+        factorial = np.array([float(math.factorial(k)) for k in range(occ.max() + 1)])
+        gram = np.ones(len(occ))
+        for col in occ.T:
+            gram = gram * factorial[col]
+        return Basis(map(tuple, occ.tolist()), gram, energy=energy, name=kind)
     if kind == "fermion":
-        labels = [tup for tup in product((0, 1), repeat=n_max)
-                  if sum(n * b for n, b in zip(range(1, n_max + 1), tup)) <= e_max]
-        labels.sort()
-        energy = [sum(n * b for n, b in zip(range(1, n_max + 1), lab)) for lab in labels]
-        parity = [sum(lab) % 2 for lab in labels]
-        return Basis(labels, np.ones(len(labels)), energy=energy, parity=parity, name=kind)
+        occ, energy = _lex_labels([(0, n) for n in modes], e_max)
+        return Basis(map(tuple, occ.tolist()), np.ones(len(occ)), energy=energy,
+                     parity=occ.sum(axis=1) % 2, name=kind)
     raise ValueError(f"unknown basis kind {kind!r}")
 
 
-def _shift_op(domain: Basis, codomain: Basis, n: int, raise_mode: bool, lower_coeff) -> SparseOperator:
-    """Single-mode shift with per-column coefficients; records lossy columns."""
-    entries, lossy = {}, set()
-    pos = n - 1
-    for j, lab in enumerate(domain.labels):
-        k = lab[pos]
-        if raise_mode:
-            target = lab[:pos] + (k + 1,) + lab[pos + 1:]
-            coeff = 1.0
-        else:
-            if k == 0:
-                continue
-            target = lab[:pos] + (k - 1,) + lab[pos + 1:]
-            coeff = lower_coeff(k)
-        if target in codomain:
-            entries[(codomain.index(target), j)] = coeff
-        else:
-            lossy.add(j)
-    return SparseOperator(domain, codomain, entries, "even", lossy)
+def _occupations(basis: Basis, n: int) -> np.ndarray:
+    return np.array([lab[n - 1] for lab in basis.labels], dtype=float)
 
 
 def boson_raise(basis: Basis, n: int, codomain: Basis = None) -> SparseOperator:
     """Multiplication by the mode-``n`` generator: ``z^k -> z^(k+e_n)``."""
-    return _shift_op(basis, codomain or basis, n, True, None)
+    return shift_op(basis, codomain or basis, n - 1, 1, 1.0)
 
 
 def boson_lower(basis: Basis, n: int, codomain: Basis = None) -> SparseOperator:
     """Derivation against mode ``n``: ``z^k -> -k_n z^(k-e_n)``."""
-    return _shift_op(basis, codomain or basis, n, False, lambda k: -float(k))
+    return shift_op(basis, codomain or basis, n - 1, -1, -_occupations(basis, n))
 
 
 # the dual symmetric algebra uses the same integral coefficients; only the
@@ -147,26 +124,11 @@ def clifford(basis: Basis, n: int, kind: str) -> SparseOperator:
     """
     if kind not in ("holo", "antiholo"):
         raise ValueError("kind must be 'holo' or 'antiholo'")
-    entries, lossy = {}, set()
-    pos = n - 1
-    root2 = np.sqrt(2.0)
-    for j, lab in enumerate(basis.labels):
-        sign = -1.0 if sum(lab[:pos]) % 2 else 1.0
-        if kind == "antiholo":
-            if lab[pos]:
-                continue
-            target = lab[:pos] + (1,) + lab[pos + 1:]
-            coeff = root2 * sign
-        else:
-            if not lab[pos]:
-                continue
-            target = lab[:pos] + (0,) + lab[pos + 1:]
-            coeff = -root2 * sign
-        if target in basis:
-            entries[(basis.index(target), j)] = coeff
-        else:
-            lossy.add(j)
-    return SparseOperator(basis, basis, entries, "odd", lossy)
+    below = np.array([sum(lab[:n - 1]) for lab in basis.labels])
+    coeff = np.sqrt(2.0) * np.where(below % 2, -1.0, 1.0)
+    if kind == "antiholo":
+        return shift_op(basis, basis, n - 1, 1, coeff, "odd")
+    return shift_op(basis, basis, n - 1, -1, -coeff, "odd")
 
 
 def number_op(basis: Basis) -> SparseOperator:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dirac, fock
-from .opcore import Basis, SparseOperator, Vector, inner_product
+from .opcore import Basis, SparseOperator, Vector, inner_product, shift_op
 
 __all__ = [
     "SigmaSequence",
@@ -127,36 +127,25 @@ def mode_basis(h_max: int) -> Basis:
     return Basis(labels, np.ones(len(labels)), energy=energy, name=f"mode(h={h_max})")
 
 
+def _ladder(basis: Basis, pos: int, step: int) -> SparseOperator:
+    """Lowering (``step = -1``, coefficient ``sqrt(k)``) or raising
+    (``step = 1``, coefficient ``sqrt(k + 1)``) of ladder coordinate ``pos``."""
+    k = np.array([lab[pos] for lab in basis.labels], dtype=float)
+    return shift_op(basis, basis, pos, step, np.sqrt(k + 1.0) if step > 0 else np.sqrt(k))
+
+
 def ladder_matrices(basis: Basis):
     """``(a+, a-, a+dag, a-dag)`` on a truncated mode basis."""
-    def shift(dplus, dminus, coeff):
-        entries, lossy = {}, set()
-        for j, (p, q) in enumerate(basis.labels):
-            tp, tq = p + dplus, q + dminus
-            if tp < 0 or tq < 0:
-                continue
-            z = coeff(p, q)
-            if (tp, tq) in basis:
-                entries[(basis.index((tp, tq)), j)] = z
-            else:
-                lossy.add(j)
-        return SparseOperator(basis, basis, entries, "even", lossy)
-
-    aplus = shift(-1, 0, lambda p, q: np.sqrt(p))
-    aminus = shift(0, -1, lambda p, q: np.sqrt(q))
-    aplus_d = shift(1, 0, lambda p, q: np.sqrt(p + 1.0))
-    aminus_d = shift(0, 1, lambda p, q: np.sqrt(q + 1.0))
-    return aplus, aminus, aplus_d, aminus_d
+    return (_ladder(basis, 0, -1), _ladder(basis, 1, -1),
+            _ladder(basis, 0, 1), _ladder(basis, 1, 1))
 
 
 def dRz_matrix(basis: Basis) -> SparseOperator:
-    aplus, aminus, aplus_d, _ = ladder_matrices(basis)
-    return (aminus - aplus_d).scale(1.0 / np.sqrt(2.0))
+    return (_ladder(basis, 1, -1) - _ladder(basis, 0, 1)).scale(1.0 / np.sqrt(2.0))
 
 
 def dRzbar_matrix(basis: Basis) -> SparseOperator:
-    aplus, _, _, aminus_d = ladder_matrices(basis)
-    return (aplus - aminus_d).scale(1.0 / np.sqrt(2.0))
+    return (_ladder(basis, 0, -1) - _ladder(basis, 1, 1)).scale(1.0 / np.sqrt(2.0))
 
 
 # ------------------------------------------------------------ quadrature

@@ -28,7 +28,6 @@ __all__ = [
     "SparseOperator",
     "BasisMismatchError",
     "ShapeMismatchError",
-    "TruncationOverflowError",
     "NotSelfAdjointError",
     "inner_product",
     "graded_commutator",
@@ -38,6 +37,8 @@ __all__ = [
     "orthonormal_dense",
     "self_adjoint_dense",
     "gram_transpose",
+    "shift_op",
+    "energy_product",
 ]
 
 
@@ -47,10 +48,6 @@ class BasisMismatchError(ValueError):
 
 class ShapeMismatchError(ValueError):
     """Operator shapes are not composable."""
-
-
-class TruncationOverflowError(RuntimeError):
-    """A strict-mode operator was applied to a vector it truncates."""
 
 
 class NotSelfAdjointError(ValueError):
@@ -171,21 +168,16 @@ class SparseOperator:
     """Coordinate-triplet operator between labeled bases.
 
     ``entries`` maps ``(row, col) -> complex`` with at most one entry per
-    coordinate.  ``grade`` is ``"even"`` or ``"odd"``.  ``lossy_cols`` records
-    columns whose true image leaves the codomain truncation; applying the
-    operator in strict mode to a vector supported there raises
-    :class:`TruncationOverflowError`, while the default compressed mode simply
-    projects.
+    coordinate.  ``grade`` is ``"even"`` or ``"odd"``.  Images that leave a
+    truncated codomain are simply not there: operators are compressions.
     """
 
-    def __init__(self, domain: Basis, codomain: Basis, entries: dict, grade: str = "even",
-                 lossy_cols=frozenset()):
+    def __init__(self, domain: Basis, codomain: Basis, entries: dict, grade: str = "even"):
         if grade not in _GRADE:
             raise ValueError("grade must be 'even' or 'odd'")
         self.domain = domain
         self.codomain = codomain
         self.grade = grade
-        self.lossy_cols = frozenset(lossy_cols)
         cleaned = {}
         rows, cols = codomain.dim, domain.dim
         for (i, j), z in entries.items():
@@ -232,15 +224,9 @@ class SparseOperator:
     def max_abs(self) -> float:
         return max((abs(z) for z in self.entries.values()), default=0.0)
 
-    def apply(self, v: Vector, strict: bool = False) -> Vector:
+    def apply(self, v: Vector) -> Vector:
         if v.basis != self.domain:
             raise BasisMismatchError("operator domain does not match vector basis")
-        if strict and self.lossy_cols:
-            bad = self.lossy_cols.intersection(v.coeffs)
-            if bad:
-                labels = sorted(self.domain.labels[j] for j in bad)
-                raise TruncationOverflowError(
-                    f"strict mode: image leaves the truncation on columns {labels}")
         out = {}
         for (i, j), z in self.entries.items():
             if j in v.coeffs:
@@ -255,16 +241,14 @@ class SparseOperator:
         entries = dict(self.entries)
         for key, z in other.entries.items():
             entries[key] = entries.get(key, 0.0) + z
-        return SparseOperator(self.domain, self.codomain, entries, self.grade,
-                              self.lossy_cols | other.lossy_cols)
+        return SparseOperator(self.domain, self.codomain, entries, self.grade)
 
     def __sub__(self, other: "SparseOperator") -> "SparseOperator":
         return self + other.scale(-1.0)
 
     def scale(self, z) -> "SparseOperator":
         return SparseOperator(self.domain, self.codomain,
-                              {k: z * v for k, v in self.entries.items()},
-                              self.grade, self.lossy_cols)
+                              {k: z * v for k, v in self.entries.items()}, self.grade)
 
     def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
         if other.codomain != self.domain:
@@ -282,14 +266,7 @@ class SparseOperator:
                     key = (i, j)
                     entries[key] = entries.get(key, 0.0) + zi * zm
         grade = "odd" if (_GRADE[self.grade] + _GRADE[other.grade]) % 2 else "even"
-        # a column is lossy for the composite if it was lossy for the first
-        # factor or feeds a column the second factor truncates
-        lossy = set(other.lossy_cols)
-        if self.lossy_cols:
-            for (i, j), z in other.entries.items():
-                if i in self.lossy_cols:
-                    lossy.add(j)
-        return SparseOperator(other.domain, self.codomain, entries, grade, lossy)
+        return SparseOperator(other.domain, self.codomain, entries, grade)
 
     # -- text export ----------------------------------------------------
 
@@ -317,6 +294,43 @@ class SparseOperator:
     def __repr__(self):
         return (f"SparseOperator({self.codomain.dim}x{self.domain.dim}, "
                 f"nnz={self.nnz}, grade={self.grade})")
+
+
+def shift_op(domain: Basis, codomain: Basis, pos: int, step: int, coeff,
+             grade: str = "even") -> SparseOperator:
+    """Label shift: column ``j`` goes to the codomain label that is
+    ``domain.labels[j]`` with entry ``pos`` moved by ``step``, with
+    coefficient ``coeff[j]`` (or the scalar ``coeff``).  Columns with a zero
+    coefficient or a target outside the codomain have no entry."""
+    coeff = np.broadcast_to(np.asarray(coeff, dtype=float), (domain.dim,)).tolist()
+    entries = {}
+    for j, (lab, z) in enumerate(zip(domain.labels, coeff)):
+        target = lab[:pos] + (lab[pos] + step,) + lab[pos + 1:]
+        if z != 0 and target in codomain:
+            entries[(codomain.index(target), j)] = z
+    return SparseOperator(domain, codomain, entries, grade)
+
+
+def energy_product(energies, e_max):
+    """Index tuples ``(i_0, i_1, ...)`` with ``sum_q energies[q][i_q] <= e_max``
+    for nonnegative per-factor energies.
+
+    Returns ``(comps, total)``: an integer array with one tuple per row, in
+    no particular order, and the summed energies.  Factors are joined one at
+    a time and a partial tuple is extended only by the factor states that fit
+    under the remaining budget, so nothing above ``e_max`` is ever built.
+    """
+    comps = np.zeros((1, 0), dtype=np.int64)
+    total = np.zeros(1)
+    for e in energies:
+        e = np.asarray(e, dtype=float)
+        order = np.argsort(e, kind="stable")
+        counts = np.searchsorted(e[order], e_max - total, side="right")
+        run = np.repeat(np.arange(len(total)), counts)
+        new = order[np.arange(len(run)) - (np.cumsum(counts) - counts)[run]]
+        comps = np.column_stack([comps[run], new])
+        total = total[run] + e[new]
+    return comps, total
 
 
 def adjoint(a: SparseOperator) -> SparseOperator:

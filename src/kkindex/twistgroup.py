@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import copy
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -70,7 +69,7 @@ class FiniteAbelianGroup:
         self.moduli = tuple(int(n) for n in moduli)
         if any(n < 1 for n in self.moduli):
             raise ValueError("moduli must be >= 1")
-        self.elements = list(itertools.product(*(range(n) for n in self.moduli)))
+        self.elements = list(np.ndindex(*self.moduli))
         self._index = {g: i for i, g in enumerate(self.elements)}
         self.coords = np.array(self.elements, dtype=np.intp).reshape(self.order, -1)
         # lexicographic order: an element's index is its coordinates dotted

@@ -97,7 +97,7 @@ def test_cli_bad_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line, key", [("tolerance = abc", "tolerance"),
+@pytest.mark.parametrize("line, key", [("tolerance = abc", "unknown key 'tolerance'"),
                                        ("hermite_cut = x", "hermite_cut"),
                                        ("sigma = bogus", "sigma"),
                                        ("sigma = list:0,1", "sigma")])

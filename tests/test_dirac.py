@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from kkindex import dirac, fock
-from kkindex.opcore import SparseOperator, adjoint, spectrum
+from kkindex import dirac, fock, limitspace
+from kkindex.opcore import Basis, SparseOperator, adjoint, spectrum
 
 
 # ---------------------------------------------------------------- oracles
@@ -21,6 +21,40 @@ def weighted_partition_count(n_max, e_max):
 def dense_square(op):
     d = op.to_dense()
     return d @ d
+
+
+def product_space_oracle(factors, e_max):
+    """Full-product enumeration filtered by energy: (labels, gram, energy,
+    parity, components) in label order."""
+    rows = []
+    for combo in itertools.product(*(range(b.dim) for b in factors)):
+        e = sum(b.energy[i] for b, i in zip(factors, combo))
+        if e > e_max:
+            continue
+        lab = tuple(x for b, i in zip(factors, combo) for x in b.labels[i])
+        gram = np.prod([b.gram[i] for b, i in zip(factors, combo)])
+        parity = sum(b.parity[i] for b, i in zip(factors, combo)) % 2
+        rows.append((lab, gram, e, parity, combo))
+    rows.sort()
+    return [list(col) for col in zip(*rows)]
+
+
+def embed_oracle(factors, labels, components, op, pos):
+    """Entries of a factor operator lifted by label lookup, with the Koszul
+    sign of the earlier factors for odd operators."""
+    index = {lab: i for i, lab in enumerate(labels)}
+    entries = {}
+    for col, combo in enumerate(components):
+        pre = sum(factors[q].parity[combo[q]] for q in range(pos)) % 2
+        sign = -1.0 if op.grade == "odd" and pre else 1.0
+        for (i, j), z in op.entries.items():
+            if j != combo[pos]:
+                continue
+            target = combo[:pos] + (i,) + combo[pos + 1:]
+            lab = tuple(x for b, t in zip(factors, target) for x in b.labels[t])
+            if lab in index:
+                entries[(index[lab], col)] = sign * z
+    return entries
 
 
 # ---------------------------------------------------------------- dirac_R
@@ -226,3 +260,73 @@ def test_dirac_square_spectrum_nonnegative():
     dR, _ = dirac.build_dirac_R(spec)
     vals = spectrum(dR @ dR)
     assert vals[0] >= -1e-12
+
+
+# ---------------------------------------------------------------- product spaces
+
+def _mode_factors():
+    raw = limitspace.mode_basis(3)
+    return Basis(raw.labels, raw.gram, name=raw.name)
+
+
+def _space_cases():
+    b, d, f = dirac.spec_bases(fock.TruncationSpec(3, 4))
+    small = fock.TruncationSpec(2, 3)
+    sb, sd, sf = dirac.spec_bases(small)
+    # labels stored out of order, with a gram, an energy and a parity
+    unsorted = Basis([(2,), (0,), (3,), (1,)], [2.0, 1.0, 6.0, 1.0],
+                     energy=[2, 0, 3, 1], parity=[0, 1, 1, 0], name="unsorted")
+    return {
+        "R": ([b, d, f], 4),
+        "L": ([f, d, b], 4),
+        "full-product": ([sb, sd, sf], 9),
+        "jcycle": ([_mode_factors(), sf, sd], 3),
+        "build_D": ([limitspace.mode_basis(2), limitspace.mode_basis(2), sf], 2 * 2 + 3),
+        "compressed": ([sf, sd], 3),
+        "unsorted": ([unsorted, sf, sb], 4),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_space_cases()))
+def test_triple_space_matches_full_product_oracle(case):
+    factors, e_max = _space_cases()[case]
+    space = dirac.TripleSpace(factors, e_max)
+    labels, gram, energy, parity, comps = product_space_oracle(factors, e_max)
+    assert space.basis.labels == tuple(labels)
+    assert np.array_equal(space.basis.gram, gram)
+    assert np.array_equal(space.basis.energy, energy)
+    assert np.array_equal(space.basis.parity, parity)
+    assert np.array_equal(space.components, np.array(comps).reshape(-1, len(factors)))
+    assert np.array_equal(space.index_of(space.components), np.arange(space.dim))
+    kept = set(comps)
+    absent = [c for c in itertools.product(*(range(b.dim) for b in factors))
+              if c not in kept]
+    if absent:
+        assert np.all(space.index_of(absent) == -1)
+    assert space.index_of(comps[-1]) == space.dim - 1
+
+
+@pytest.mark.parametrize("case", sorted(_space_cases()))
+def test_embed_factor_op_matches_label_lookup_oracle(case):
+    factors, e_max = _space_cases()[case]
+    space = dirac.TripleSpace(factors, e_max)
+    labels, _, _, _, comps = product_space_oracle(factors, e_max)
+    rng = np.random.default_rng(3)
+    for pos, factor in enumerate(factors):
+        for grade in ("even", "odd"):
+            mask = rng.random((factor.dim, factor.dim)) < 0.3
+            vals = rng.standard_normal(mask.shape) + 1j * rng.standard_normal(mask.shape)
+            op = SparseOperator.from_dense(vals * mask, factor, factor, grade)
+            got = space.embed_factor_op(op, pos)
+            assert got.grade == grade
+            assert got.entries == embed_oracle(factors, labels, comps, op, pos)
+
+
+def test_to_tensor_round_trip():
+    factors, e_max = _space_cases()["unsorted"]
+    space = dirac.TripleSpace(factors, e_max)
+    vec = np.arange(1.0, space.dim + 1.0)
+    tensor = space.to_tensor(vec)
+    assert tensor.shape == tuple(b.dim for b in factors)
+    assert np.array_equal(space.from_tensor(tensor), vec)
+    assert tensor.sum() == vec.sum()  # zero off the truncation
