@@ -28,7 +28,7 @@ raise1 = fock.boson_raise(boson, 1)
 lower1 = fock.boson_lower(boson, 1)
 state = boson.vector((2, 0, 0))
 print("lowering z1^2 gives coefficient",
-      lower1.apply(state).coeffs[boson.index((1, 0, 0))], "on z1")
+      lower1.apply(state).coords[boson.index((1, 0, 0))], "on z1")
 
 comm = graded_commutator(raise1, lower1)
 devs = []

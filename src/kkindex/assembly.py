@@ -360,9 +360,7 @@ def _xi_prefix_vectors(cycle: JCycle):
     for n in range(1, cycle.m_active + 1):
         basis = mat.mode_bases[n - 1]
         mode = limitspace.xi_coeffs(cycle.seq.sigma(n), h_max=mat.h_op)
-        v = np.zeros(basis.dim, dtype=complex)
-        for k in range(len(mode.coeffs)):
-            v[basis.index((k, k))] = mode.coeffs[k]
+        v = mode.on_basis(basis)
         v /= np.linalg.norm(v)
         vecs.append(v)
         dz = limitspace.dRz_matrix(basis).to_dense()
@@ -387,7 +385,8 @@ def _xi_smearing(cycle: JCycle, xi_vecs) -> np.ndarray:
 class CommutatorReport:
     measured: float
     bound: float            # from the actual generator legs
-    ideal_bound: float      # sigma/2 scalars plus the frozen-tail bound
+    ideal_bound: float      # sigma/2 scalars plus the frozen-tail bound;
+                            # inf unless the sigma rule is convergent
 
 
 def commutator_bound(cycle: JCycle) -> CommutatorReport:
@@ -409,9 +408,10 @@ def commutator_bound(cycle: JCycle) -> CommutatorReport:
     op = orthonormal_dense(mat.operator)
     comm = op @ a_dense - a_dense @ op
     measured = float(np.linalg.norm(comm, 2))
-    ideal = 2.0 * limitspace.frozen_tail_dirac_norm(0, cycle.seq, n_cut=cycle.m_active)
-    if cycle.seq.rule != "explicit":
-        ideal += limitspace.tail_bound(cycle.m_active, cycle.seq)
+    ideal = np.inf
+    if limitspace.check_sigma_condition(cycle.seq).verdict == "convergent":
+        ideal = (2.0 * limitspace.frozen_tail_dirac_norm(0, cycle.seq, n_cut=cycle.m_active)
+                 + limitspace.tail_bound(cycle.m_active, cycle.seq))
     return CommutatorReport(measured, bound, float(ideal))
 
 

@@ -4,8 +4,8 @@
 registered experiments and writes deterministic CSV + text reports;
 ``kkindex list`` prints the registry.  The ``KKINDEX_OUT`` environment
 variable overrides the output directory.  Exit status is 0 iff every
-reported margin is within tolerance, 1 on a failed check, 2 on usage or
-component errors.
+reported margin is within tolerance, 1 on a failed check, 2 on usage,
+config, output-directory or component errors.
 """
 
 from __future__ import annotations
@@ -44,6 +44,12 @@ def main(argv=None) -> int:
         names = [n for n in cfg.experiments if n != "all"] or sorted(EXPERIMENTS)
     else:
         names = [args.experiment]
+
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
 
     all_ok = True
     for name in names:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fock
 from .opcore import (Basis, SparseOperator, Vector, eigh_gram, energy_product,
-                     self_adjoint_dense, spectrum)
+                     expand_runs, self_adjoint_dense, spectrum)
 
 __all__ = [
     "TripleSpace",
@@ -56,8 +56,6 @@ class TripleSpace:
         self.e_max = e_max
         self.shape = tuple(b.dim for b in self.factors)
         labels = [np.array(b.labels, dtype=np.int64).reshape(b.dim, -1) for b in self.factors]
-        ends = np.cumsum([0] + [lab.shape[1] for lab in labels])
-        self._slices = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
         # rank of each factor label in that factor's label order: the basis
         # order is the order of the mixed-radix key over these ranks
         self._ranks = [np.argsort(np.lexsort(lab.T[::-1])) for lab in labels]
@@ -111,9 +109,6 @@ class TripleSpace:
         tensor; inverse of :meth:`to_tensor` on the truncation."""
         return tensor[tuple(self.components.T)]
 
-    def split_label(self, label):
-        return tuple(label[s] for s in self._slices)
-
     def embed_factor_op(self, op: SparseOperator, pos: int) -> SparseOperator:
         """Lift a factor operator to the truncated product.
 
@@ -124,30 +119,24 @@ class TripleSpace:
         factor = self.factors[pos]
         if op.domain != factor or op.codomain != factor:
             raise ValueError("factor operator basis mismatch")
-        f_rows, f_cols = np.array(list(op.entries), dtype=np.int64).reshape(-1, 2).T
-        vals = np.array(list(op.entries.values()), dtype=complex)
         # one candidate per (factor entry, space column whose pos-component
         # is the entry's column)
         comp = self.components[:, pos]
         by_comp = np.argsort(comp, kind="stable")
         first = np.searchsorted(comp[by_comp], np.arange(factor.dim))
-        counts = np.bincount(comp, minlength=factor.dim)[f_cols]
-        entry = np.repeat(np.arange(len(vals)), counts)
-        offset = np.arange(len(entry)) - (np.cumsum(counts) - counts)[entry]
-        cols = by_comp[first[f_cols][entry] + offset]
+        entry, offset = expand_runs(np.bincount(comp, minlength=factor.dim)[op.cols])
+        cols = by_comp[first[op.cols][entry] + offset]
         targets = self.components[cols]
-        targets[:, pos] = f_rows[entry]
+        targets[:, pos] = op.rows[entry]
         rows = self.index_of(targets)
-        z = vals[entry]
+        z = op.vals[entry]
         if op.grade == "odd":
             pre = np.zeros(self.dim, dtype=np.int64)
             for q in range(pos):
                 pre += self.factors[q].parity[self.components[:, q]]
             z = z * np.where(pre % 2, -1.0, 1.0)[cols]
-        keep = np.lexsort((entry, cols))
-        keep = keep[rows[keep] >= 0]
-        entries = dict(zip(zip(rows[keep].tolist(), cols[keep].tolist()), z[keep].tolist()))
-        return SparseOperator(self.basis, self.basis, entries, op.grade)
+        keep = rows >= 0
+        return SparseOperator(self.basis, self.basis, rows[keep], cols[keep], z[keep], op.grade)
 
 
 def spec_bases(spec: fock.TruncationSpec):
@@ -227,12 +216,7 @@ def kernel(a: SparseOperator, rel_tol: float = 1e-9):
     if len(vals) == 0:
         return []
     cut = rel_tol * max(np.max(np.abs(vals)), 1e-300)
-    out = []
-    for k in range(len(vals)):
-        if abs(vals[k]) <= cut:
-            col = vecs[:, k]
-            out.append(Vector(a.domain, {i: col[i] for i in range(len(col)) if col[i] != 0}))
-    return out
+    return [Vector(a.domain, vecs[:, k]) for k in np.flatnonzero(np.abs(vals) <= cut)]
 
 
 @dataclass
@@ -253,43 +237,35 @@ def per_estimate(spec: fock.TruncationSpec, n: int, scan_energy: int = None) -> 
     ``phi`` runs over dual x fermion product states with
     ``lambda^2 = 2 (dual energy + fermion weight) <= 2 * scan_energy``.
     The raising bound with the ``+1`` slack is checked alongside.  Ratios are
-    measured by applying the actual (rectangular) ladder matrices.
+    the Gram column norms of the actual (rectangular) ladder matrices.
     """
     e_scan = spec.e_max if scan_energy is None else scan_energy
     dual_spec = fock.TruncationSpec(spec.n_max, e_scan)
     dual = fock.enumerate_basis(dual_spec, "dual_boson")
     big = fock.enumerate_basis(fock.TruncationSpec(spec.n_max, e_scan + n), "dual_boson")
     ferm = fock.enumerate_basis(dual_spec, "fermion")
-    lower = fock.dual_lower(dual, n, codomain=big)
-    raise_ = fock.dual_raise(dual, n, codomain=big)
 
-    shells = {}
-    equality = False
-    for j, lab in enumerate(dual.labels):
-        e_dual = dual.energy[j]
-        v = dual.vector(lab)
-        nv = np.sqrt(dual.gram[j])
-        low = lower.apply(v).norm() / nv
-        high = raise_.apply(v).norm() / nv
-        for fj, flab in enumerate(ferm.labels):
-            lam_sq = 2.0 * (e_dual + ferm.energy[fj])
-            if lam_sq > 2.0 * e_scan:
-                continue
-            lam = np.sqrt(lam_sq)
-            rec = shells.setdefault(lam_sq, [0.0, lam / np.sqrt(2.0 * n),
-                                             0.0, lam / np.sqrt(2.0 * n) + 1.0])
-            rec[0] = max(rec[0], low)
-            rec[2] = max(rec[2], high)
-            if abs(low - rec[1]) <= 1e-12 and low > 0:
-                equality = True
-    shell_rows, violations, max_ratio = [], [], 0.0
-    for lam_sq in sorted(shells):
-        lo, lob, hi, hib = shells[lam_sq]
-        shell_rows.append((lam_sq, lo, lob, hi, hib))
-        max_ratio = max(max_ratio, lo)
-        if lo > lob + 1e-12 or hi > hib + 1e-12:
-            violations.append(lam_sq)
-    return EstimateReport(n, shell_rows, violations, max_ratio, equality)
+    def state_ratios(op):
+        """``|op phi| / |phi|`` for every dual basis state ``phi``."""
+        col_sq = np.bincount(op.cols, big.gram[op.rows] * np.abs(op.vals) ** 2, dual.dim)
+        return np.sqrt(col_sq) / np.sqrt(dual.gram)
+
+    lam_sq = 2.0 * (dual.energy[:, None] + ferm.energy[None, :])
+    in_scan = lam_sq <= 2.0 * e_scan
+    pair_dual = np.nonzero(in_scan)[0]
+    shells, shell_of = np.unique(lam_sq[in_scan], return_inverse=True)
+    bound = np.sqrt(shells) / np.sqrt(2.0 * n)
+    low = state_ratios(fock.dual_lower(dual, n, codomain=big))[pair_dual]
+    high = state_ratios(fock.dual_raise(dual, n, codomain=big))[pair_dual]
+    lo, hi = np.zeros(len(shells)), np.zeros(len(shells))
+    np.maximum.at(lo, shell_of, low)
+    np.maximum.at(hi, shell_of, high)
+    equality = bool(np.any((np.abs(low - bound[shell_of]) <= 1e-12) & (low > 0)))
+    violations = shells[(lo > bound + 1e-12) | (hi > bound + 1.0 + 1e-12)].tolist()
+    shell_rows = list(zip(shells.tolist(), lo.tolist(), bound.tolist(), hi.tolist(),
+                          (bound + 1.0).tolist()))
+    return EstimateReport(n, shell_rows, violations, float(np.max(lo, initial=0.0)),
+                          equality)
 
 
 def bounded_transform(a: SparseOperator, tol: float = 1e-10) -> SparseOperator:
@@ -309,28 +285,19 @@ def spectrum_with_prediction(spec: fock.TruncationSpec):
     ``dirac_R^2``, with multiplicities predicted by independent counting of
     ``2 (dual energy + fermion weight)`` shells under the energy cut."""
     dR, space = build_dirac_R(spec)
-    vals = np.round(spectrum(dR @ dR), 8)
-    measured = {}
-    for v in vals:
-        measured[v] = measured.get(v, 0) + 1
-
+    shells, counts = np.unique(np.round(spectrum(dR @ dR), 8), return_counts=True)
+    measured = {s: c for s, c in zip(shells.tolist(), counts.tolist())}
+    # each (dual, fermion) state pair heads one state per boson state that
+    # fits under the remaining energy
     boson, dual, ferm = space.factors
-    boson_by_e, dual_by_e, ferm_by_e = {}, {}, {}
-    for b, table in ((boson, boson_by_e), (dual, dual_by_e), (ferm, ferm_by_e)):
-        for e in b.energy:
-            table[e] = table.get(e, 0) + 1
-    predicted = {}
-    for ed, nd in dual_by_e.items():
-        for ef, nf in ferm_by_e.items():
-            shell = 2.0 * (ed + ef)
-            room = spec.e_max - ed - ef
-            nb = sum(cnt for e, cnt in boson_by_e.items() if e <= room)
-            if nb:
-                predicted[shell] = predicted.get(shell, 0) + nd * nf * nb
+    pair_e = np.add.outer(dual.energy, ferm.energy).ravel()
+    fits = np.searchsorted(np.sort(boson.energy), spec.e_max - pair_e, side="right")
+    shells, pair_shell = np.unique(2.0 * pair_e, return_inverse=True)
+    counts = np.bincount(pair_shell, fits).astype(int)
+    predicted = {s: c for s, c in zip(shells.tolist(), counts.tolist()) if c}
     rows = []
     for shell in sorted(set(measured) | set(predicted)):
-        m = measured.get(shell, 0)
-        p = predicted.get(float(shell), 0)
+        m, p = measured.get(shell, 0), predicted.get(shell, 0)
         rows.append((float(shell), m, p, m == p))
     return rows
 

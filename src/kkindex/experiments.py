@@ -115,6 +115,21 @@ def _check_size(cfg: Config):
                           f"size cap {MAX_DIM}")
 
 
+# How many sigma values each experiment reads (the modes of its cycles).
+SIGMA_MODES = {"jcycle_diag": 2, "assembly_compare": 3, "kucerovsky": 1}
+
+
+def _check_sigma_modes(cfg: Config):
+    seq = cfg.sigma_seq()
+    if seq.rule != "explicit":
+        return
+    names = sorted(EXPERIMENTS) if "all" in cfg.experiments else cfg.experiments
+    need = max((SIGMA_MODES.get(name, 0) for name in names), default=0)
+    if len(seq.values) < need:
+        raise ConfigError(f"key 'sigma': the selected experiments read {need} sigma "
+                          f"values, the list has {len(seq.values)}")
+
+
 _INT_KEYS = {"modes", "energy_cut", "seed"}
 _KNOWN = {"modes", "energy_cut", "hermite_cut", "sigma", "experiments",
           "output_dir", "seed"}
@@ -155,6 +170,11 @@ def parse_config(path: str) -> Config:
                                       f"integer, got {val!r}")
                 if hval <= 0:
                     raise ConfigError(f"key 'hermite_cut': must be positive, got {hval}")
+                # two quanta per radial mode, at the adaptive route's mode cap
+                if hval > 2 * limitspace.XI_HARD_CAP:
+                    raise ConfigError(f"key 'hermite_cut': {hval} is above "
+                                      f"{2 * limitspace.XI_HARD_CAP}, the largest cut "
+                                      f"the adaptive route reaches")
                 cfg = replace(cfg, hermite_cut=hval)
         elif key == "sigma":
             try:
@@ -171,6 +191,7 @@ def parse_config(path: str) -> Config:
         elif key == "output_dir":
             cfg = replace(cfg, output_dir=val)
     _check_size(cfg)
+    _check_sigma_modes(cfg)
     return cfg
 
 
@@ -277,12 +298,11 @@ def _exp_kernel_count(cfg: Config, rng: Lcg) -> Report:
         boson = fock.enumerate_basis(spec, "boson")
         rep.add("dim ker(dirac_R)", f"N={n_max},E={e_max}",
                 len(vecs), boson.dim, abs(len(vecs) - boson.dim))
-        off_support = 0.0
-        for v in vecs:
-            for i in v.coeffs:
-                _, d, f = space.split_label(space.basis.labels[i])
-                if any(d) or any(f):
-                    off_support = max(off_support, abs(v.coeffs[i]))
+        # states off the vacuum column are those with dual or fermion energy
+        comps = space.components
+        off = space.factors[1].energy[comps[:, 1]] + space.factors[2].energy[comps[:, 2]] > 0
+        off_support = max((float(np.max(np.abs(v.coords[off]), initial=0.0)) for v in vecs),
+                          default=0.0)
         rep.add("kernel off vacuum-column support", f"N={n_max},E={e_max}",
                 off_support, 0.0, off_support)
     return rep
@@ -455,9 +475,8 @@ def _exp_jcycle_diag(cfg: Config, rng: Lcg) -> Report:
     sa = (adjoint(mat.operator) - mat.operator).max_abs()
     rep.add("self-adjointness", "materialized", sa, 0.0, sa)
     basis = mat.space.basis
-    parity = SparseOperator(basis, basis,
-                            {(i, i): (-1.0) ** basis.parity[i]
-                             for i in range(basis.dim)}, "even")
+    diag = np.arange(basis.dim)
+    parity = SparseOperator(basis, basis, diag, diag, np.where(basis.parity, -1.0, 1.0))
     odd = ((mat.operator @ parity) + (parity @ mat.operator)).max_abs()
     rep.add("odd grading", "materialized", odd, 0.0, odd)
     op = orthonormal_dense(mat.operator)

@@ -87,10 +87,6 @@ def enumerate_basis(spec: TruncationSpec, kind: str) -> Basis:
     raise ValueError(f"unknown basis kind {kind!r}")
 
 
-def _occupations(basis: Basis, n: int) -> np.ndarray:
-    return np.array([lab[n - 1] for lab in basis.labels], dtype=float)
-
-
 def boson_raise(basis: Basis, n: int, codomain: Basis = None) -> SparseOperator:
     """Multiplication by the mode-``n`` generator: ``z^k -> z^(k+e_n)``."""
     return shift_op(basis, codomain or basis, n - 1, 1, 1.0)
@@ -98,7 +94,8 @@ def boson_raise(basis: Basis, n: int, codomain: Basis = None) -> SparseOperator:
 
 def boson_lower(basis: Basis, n: int, codomain: Basis = None) -> SparseOperator:
     """Derivation against mode ``n``: ``z^k -> -k_n z^(k-e_n)``."""
-    return shift_op(basis, codomain or basis, n - 1, -1, -_occupations(basis, n))
+    occupations = np.array(basis.labels, dtype=float).reshape(basis.dim, -1)[:, n - 1]
+    return shift_op(basis, codomain or basis, n - 1, -1, -occupations)
 
 
 # the dual symmetric algebra uses the same integral coefficients; only the
@@ -109,10 +106,8 @@ dual_lower = boson_lower
 
 def energy_op(basis: Basis) -> SparseOperator:
     """Diagonal rotation generator ``i * (weighted energy)``."""
-    return SparseOperator(
-        basis, basis,
-        {(i, i): 1j * basis.energy[i] for i in range(basis.dim) if basis.energy[i]},
-        "even")
+    diag = np.arange(basis.dim)
+    return SparseOperator(basis, basis, diag, diag, 1j * basis.energy, "even")
 
 
 def clifford(basis: Basis, n: int, kind: str) -> SparseOperator:
@@ -133,10 +128,8 @@ def clifford(basis: Basis, n: int, kind: str) -> SparseOperator:
 
 def number_op(basis: Basis) -> SparseOperator:
     """Diagonal weighted count ``sum of occupied modes`` on the fermion basis."""
-    return SparseOperator(
-        basis, basis,
-        {(i, i): complex(basis.energy[i]) for i in range(basis.dim) if basis.energy[i]},
-        "even")
+    diag = np.arange(basis.dim)
+    return SparseOperator(basis, basis, diag, diag, basis.energy, "even")
 
 
 def basis_csv(basis: Basis) -> str:

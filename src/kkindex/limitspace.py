@@ -65,8 +65,8 @@ class SigmaSequence:
         self.rule = rule
         if rule == "explicit":
             self.values = tuple(float(v) for v in (values or ()))
-            if not self.values or any(v <= 0 for v in self.values):
-                raise ValueError("explicit sigma list must be positive and nonempty")
+            if not self.values or not all(0 < v < np.inf for v in self.values):
+                raise ValueError("explicit sigma list must be finite, positive and nonempty")
         else:
             self.values = None
 
@@ -114,6 +114,12 @@ class ModeFunction:
 
     def renormalized(self) -> "ModeFunction":
         return ModeFunction(self.coeffs / self.norm(), self.sigma, 0.0, self.is_xi)
+
+    def on_basis(self, basis: Basis) -> np.ndarray:
+        """Coordinates on a :func:`mode_basis` of at least ``h_max`` quanta."""
+        out = np.zeros(basis.dim, dtype=complex)
+        out[[basis.index((k, k)) for k in range(len(self.coeffs))]] = self.coeffs
+        return out
 
 
 # ------------------------------------------------------------ mode space
@@ -196,15 +202,21 @@ def _laguerre_integrals(sigma: float, kmax: int) -> np.ndarray:
     return np.array(out) / sigma
 
 
-def xi_coeffs(sigma: float, h_max: int = None, target_deficiency: float = 5e-3,
-              hard_cap: int = 20_000) -> ModeFunction:
+# the adaptive cutoff of :func:`xi_coeffs` stops at this norm deficiency or
+# at this many radial modes
+XI_TARGET_DEFICIENCY = 5e-3
+XI_HARD_CAP = 20_000
+
+
+def xi_coeffs(sigma: float, h_max: int = None) -> ModeFunction:
     """Diagonal-sector coefficients of the transformed disk indicator.
 
     With ``h_max`` given, uses radial modes ``k <= h_max // 2``; otherwise
     grows the cutoff until the norm deficiency drops below
-    ``target_deficiency`` or the hard cap is hit.  The coefficients decay
-    like ``k^(-3/4)`` (sharp disk edge), so the deficiency shrinks only like
-    ``k^(-1/2)``: the reachable deficiency is a few 1e-3, not machine zero.
+    :data:`XI_TARGET_DEFICIENCY` or the cutoff reaches :data:`XI_HARD_CAP`.
+    The coefficients decay like ``k^(-3/4)`` (sharp disk edge), so the
+    deficiency shrinks only like ``k^(-1/2)``: the reachable deficiency is a
+    few 1e-3, not machine zero.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -214,10 +226,10 @@ def xi_coeffs(sigma: float, h_max: int = None, target_deficiency: float = 5e-3,
         return ModeFunction(coeffs, sigma, max(1.0 - float(coeffs @ coeffs), 0.0), True)
     kmax = 256
     while True:
-        kmax = min(kmax, hard_cap)
+        kmax = min(kmax, XI_HARD_CAP)
         coeffs = _laguerre_integrals(sigma, kmax)
         deficiency = max(1.0 - float(coeffs @ coeffs), 0.0)
-        if deficiency < target_deficiency or kmax >= hard_cap:
+        if deficiency < XI_TARGET_DEFICIENCY or kmax >= XI_HARD_CAP:
             return ModeFunction(coeffs, sigma, deficiency, True)
         kmax *= 4
 
@@ -231,7 +243,7 @@ def xi_overlap_dRz(mode: ModeFunction, conjugate: bool = False) -> complex:
     the matrices keeps the compression pipeline honest about that.
     """
     basis = mode_basis(mode.h_max + 2)
-    v = Vector(basis, {basis.index((k, k)): c for k, c in enumerate(mode.coeffs)})
+    v = Vector(basis, mode.on_basis(basis))
     op = dRzbar_matrix(basis) if conjugate else dRz_matrix(basis)
     return inner_product(v, op.apply(v))
 

@@ -10,7 +10,8 @@ Conventions
 -----------
 * labels are fixed-width integer tuples, ordered lexicographically,
 * ``<v, w> = sum_i gram_i * conj(v_i) * w_i``,
-* operators are coordinate-triplet maps ``column -> rows`` with a parity grade,
+* operators are coordinate triplets ``(rows, cols, vals)`` with a parity grade,
+* vectors are dense coordinate arrays,
 * the adjoint is the Gram-weighted conjugate transpose,
   ``adjoint(A)[i, j] = conj(A[j, i]) * gram_cod[j] / gram_dom[i]``.
 
@@ -101,7 +102,7 @@ class Basis:
         return label in self._index
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Basis)
             and self.labels == other.labels
             and np.array_equal(self.gram, other.gram)
@@ -114,35 +115,27 @@ class Basis:
         return f"Basis({self.name or 'anon'}, dim={self.dim})"
 
     def vector(self, label, value=1.0) -> "Vector":
-        return Vector(self, {self.index(label): complex(value)})
+        coords = np.zeros(self.dim, dtype=complex)
+        coords[self.index(label)] = value
+        return Vector(self, coords)
 
 
 class Vector:
-    """Sparse complex vector over a :class:`Basis`."""
+    """Complex vector over a :class:`Basis`: one coordinate per label."""
 
-    def __init__(self, basis: Basis, coeffs: dict):
+    def __init__(self, basis: Basis, coords):
         self.basis = basis
-        self.coeffs = {int(i): complex(c) for i, c in coeffs.items() if c != 0}
-        for i in self.coeffs:
-            if not 0 <= i < basis.dim:
-                raise IndexError(f"coefficient index {i} outside basis")
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.basis.dim, dtype=complex)
-        for i, c in self.coeffs.items():
-            out[i] = c
-        return out
+        self.coords = np.asarray(coords, dtype=complex)
+        if self.coords.shape != (basis.dim,):
+            raise ValueError(f"{self.coords.shape} coordinates for a basis of dim {basis.dim}")
 
     def add(self, other: "Vector") -> "Vector":
         if self.basis != other.basis:
             raise BasisMismatchError("vector addition over different bases")
-        coeffs = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            coeffs[i] = coeffs.get(i, 0.0) + c
-        return Vector(self.basis, coeffs)
+        return Vector(self.basis, self.coords + other.coords)
 
     def scale(self, z) -> "Vector":
-        return Vector(self.basis, {i: z * c for i, c in self.coeffs.items()})
+        return Vector(self.basis, z * self.coords)
 
     def norm(self) -> float:
         return float(np.sqrt(inner_product(self, self).real))
@@ -152,13 +145,16 @@ def inner_product(v: Vector, w: Vector) -> complex:
     """Gram-weighted inner product, conjugate linear in the first slot."""
     if v.basis != w.basis:
         raise BasisMismatchError("inner product requires a shared basis")
-    g = v.basis.gram
-    total = 0.0 + 0.0j
-    small, big = (v.coeffs, w.coeffs) if len(v.coeffs) <= len(w.coeffs) else (w.coeffs, v.coeffs)
-    for i in small:
-        if i in big:
-            total += g[i] * np.conj(v.coeffs[i]) * w.coeffs[i]
-    return complex(total)
+    return complex(np.vdot(v.coords, v.basis.gram * w.coords))
+
+
+def expand_runs(counts):
+    """``(run, offset)`` with one element per member of consecutive runs of
+    the given lengths: the index of the member's run and its position in
+    that run."""
+    counts = np.asarray(counts, dtype=np.int64)
+    run = np.repeat(np.arange(len(counts)), counts)
+    return run, np.arange(len(run)) - (np.cumsum(counts) - counts)[run]
 
 
 _GRADE = {"even": 0, "odd": 1}
@@ -167,70 +163,78 @@ _GRADE = {"even": 0, "odd": 1}
 class SparseOperator:
     """Coordinate-triplet operator between labeled bases.
 
-    ``entries`` maps ``(row, col) -> complex`` with at most one entry per
-    coordinate.  ``grade`` is ``"even"`` or ``"odd"``.  Images that leave a
-    truncated codomain are simply not there: operators are compressions.
+    Entry ``k`` is ``vals[k]`` at ``(rows[k], cols[k])``.  The constructor
+    sums repeated coordinates, drops exact zeros and sorts the entries by
+    column, then row, so each coordinate occurs once and each column is one
+    contiguous run.  ``grade`` is ``"even"`` or ``"odd"``.  Images that
+    leave a truncated codomain are simply not there: operators are
+    compressions.
     """
 
-    def __init__(self, domain: Basis, codomain: Basis, entries: dict, grade: str = "even"):
+    def __init__(self, domain: Basis, codomain: Basis, rows, cols, vals,
+                 grade: str = "even"):
         if grade not in _GRADE:
             raise ValueError("grade must be 'even' or 'odd'")
         self.domain = domain
         self.codomain = codomain
         self.grade = grade
-        cleaned = {}
-        rows, cols = codomain.dim, domain.dim
-        for (i, j), z in entries.items():
-            if z == 0:
-                continue
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise IndexError(f"entry ({i},{j}) outside basis bounds")
-            cleaned[(int(i), int(j))] = complex(z)
-        self.entries = cleaned
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        vals = np.asarray(vals, dtype=complex)
+        if not (vals.ndim == 1 and rows.shape == cols.shape == vals.shape):
+            raise ValueError("rows, cols and vals must be equal-length sequences")
+        bad = (rows < 0) | (rows >= codomain.dim) | (cols < 0) | (cols >= domain.dim)
+        if bad.any():
+            k = np.argmax(bad)
+            raise IndexError(f"entry ({rows[k]},{cols[k]}) outside basis bounds")
+        order = np.lexsort((rows, cols))
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        first = np.ones(len(vals), dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        if not first.all():
+            summed = np.zeros(np.count_nonzero(first), dtype=complex)
+            np.add.at(summed, np.cumsum(first) - 1, vals)  # in entry order
+            rows, cols, vals = rows[first], cols[first], summed
+        keep = vals != 0
+        self.rows, self.cols, self.vals = rows[keep], cols[keep], vals[keep]
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def identity(basis: Basis) -> "SparseOperator":
-        return SparseOperator(basis, basis, {(i, i): 1.0 for i in range(basis.dim)}, "even")
+        diag = np.arange(basis.dim)
+        return SparseOperator(basis, basis, diag, diag, np.ones(basis.dim), "even")
 
     @staticmethod
     def zero(domain: Basis, codomain: Basis = None, grade: str = "even") -> "SparseOperator":
-        return SparseOperator(domain, codomain or domain, {}, grade)
+        return SparseOperator(domain, codomain or domain, [], [], [], grade)
 
     @staticmethod
     def from_dense(mat, domain: Basis, codomain: Basis = None, grade: str = "even",
                    chop: float = 0.0) -> "SparseOperator":
-        codomain = codomain or domain
         mat = np.asarray(mat)
-        entries = {}
         rows, cols = np.nonzero(np.abs(mat) > chop)
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            entries[(i, j)] = mat[i, j]
-        return SparseOperator(domain, codomain, entries, grade)
+        return SparseOperator(domain, codomain or domain, rows, cols, mat[rows, cols], grade)
 
     # -- basic algebra ------------------------------------------------
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
+        return len(self.vals)
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.codomain.dim, self.domain.dim), dtype=complex)
-        for (i, j), z in self.entries.items():
-            out[i, j] = z
+        out[self.rows, self.cols] = self.vals
         return out
 
     def max_abs(self) -> float:
-        return max((abs(z) for z in self.entries.values()), default=0.0)
+        return float(np.max(np.abs(self.vals), initial=0.0))
 
     def apply(self, v: Vector) -> Vector:
         if v.basis != self.domain:
             raise BasisMismatchError("operator domain does not match vector basis")
-        out = {}
-        for (i, j), z in self.entries.items():
-            if j in v.coeffs:
-                out[i] = out.get(i, 0.0) + z * v.coeffs[j]
+        out = np.zeros(self.codomain.dim, dtype=complex)
+        np.add.at(out, self.rows, self.vals * v.coords[self.cols])
         return Vector(self.codomain, out)
 
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
@@ -238,44 +242,40 @@ class SparseOperator:
             raise ShapeMismatchError("operator sum over mismatched bases")
         if self.grade != other.grade:
             raise ShapeMismatchError("operator sum of mixed grades")
-        entries = dict(self.entries)
-        for key, z in other.entries.items():
-            entries[key] = entries.get(key, 0.0) + z
-        return SparseOperator(self.domain, self.codomain, entries, self.grade)
+        return SparseOperator(self.domain, self.codomain,
+                              np.concatenate([self.rows, other.rows]),
+                              np.concatenate([self.cols, other.cols]),
+                              np.concatenate([self.vals, other.vals]), self.grade)
 
     def __sub__(self, other: "SparseOperator") -> "SparseOperator":
         return self + other.scale(-1.0)
 
     def scale(self, z) -> "SparseOperator":
-        return SparseOperator(self.domain, self.codomain,
-                              {k: z * v for k, v in self.entries.items()}, self.grade)
+        return SparseOperator(self.domain, self.codomain, self.rows, self.cols,
+                              z * self.vals, self.grade)
 
     def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
         if other.codomain != self.domain:
             raise ShapeMismatchError("operator composition shape mismatch")
-        other_cols = {}
-        for (i, j), z in other.entries.items():
-            other_cols.setdefault(j, []).append((i, z))
-        self_cols = {}
-        for (i, j), z in self.entries.items():
-            self_cols.setdefault(j, []).append((i, z))
-        entries = {}
-        for j, mid in other_cols.items():
-            for m, zm in mid:
-                for i, zi in self_cols.get(m, ()):
-                    key = (i, j)
-                    entries[key] = entries.get(key, 0.0) + zi * zm
+        # entry (m, j) of ``other`` meets the column-m run of ``self``
+        counts = np.bincount(self.cols, minlength=self.domain.dim)
+        starts = np.cumsum(counts) - counts
+        theirs, offset = expand_runs(counts[other.rows])
+        left = starts[other.rows][theirs] + offset
         grade = "odd" if (_GRADE[self.grade] + _GRADE[other.grade]) % 2 else "even"
-        return SparseOperator(other.domain, self.codomain, entries, grade)
+        return SparseOperator(other.domain, self.codomain, self.rows[left],
+                              other.cols[theirs], self.vals[left] * other.vals[theirs], grade)
 
     # -- text export ----------------------------------------------------
 
     def to_text(self) -> str:
-        """Plain-text coordinate triplets, one per line, 17 significant digits."""
+        """Plain-text coordinate triplets, one per line, sorted by row then
+        column, 17 significant digits."""
+        order = np.lexsort((self.cols, self.rows))
         lines = [f"{self.codomain.dim} {self.domain.dim} {self.grade}"]
-        for (i, j) in sorted(self.entries):
-            z = self.entries[(i, j)]
-            lines.append(f"{i} {j} {z.real:.17g} {z.imag:.17g}")
+        lines += [f"{i} {j} {z.real:.17g} {z.imag:.17g}"
+                  for i, j, z in zip(self.rows[order].tolist(), self.cols[order].tolist(),
+                                     self.vals[order].tolist())]
         return "\n".join(lines) + "\n"
 
     @staticmethod
@@ -285,11 +285,10 @@ class SparseOperator:
         rows, cols, grade = lines[0].split()
         if int(rows) != codomain.dim or int(cols) != domain.dim:
             raise ShapeMismatchError("text header does not match bases")
-        entries = {}
-        for ln in lines[1:]:
-            i, j, re_, im_ = ln.split()
-            entries[(int(i), int(j))] = complex(float(re_), float(im_))
-        return SparseOperator(domain, codomain, entries, grade)
+        fields = np.array([ln.split() for ln in lines[1:]], dtype=float).reshape(-1, 4)
+        vals = np.ascontiguousarray(fields[:, 2:]).view(complex)[:, 0]  # (re, im) pairs
+        return SparseOperator(domain, codomain, fields[:, 0].astype(np.int64),
+                              fields[:, 1].astype(np.int64), vals, grade)
 
     def __repr__(self):
         return (f"SparseOperator({self.codomain.dim}x{self.domain.dim}, "
@@ -302,13 +301,13 @@ def shift_op(domain: Basis, codomain: Basis, pos: int, step: int, coeff,
     ``domain.labels[j]`` with entry ``pos`` moved by ``step``, with
     coefficient ``coeff[j]`` (or the scalar ``coeff``).  Columns with a zero
     coefficient or a target outside the codomain have no entry."""
-    coeff = np.broadcast_to(np.asarray(coeff, dtype=float), (domain.dim,)).tolist()
-    entries = {}
-    for j, (lab, z) in enumerate(zip(domain.labels, coeff)):
-        target = lab[:pos] + (lab[pos] + step,) + lab[pos + 1:]
-        if z != 0 and target in codomain:
-            entries[(codomain.index(target), j)] = z
-    return SparseOperator(domain, codomain, entries, grade)
+    coeff = np.broadcast_to(np.asarray(coeff, dtype=float), (domain.dim,))
+    targets = np.array(domain.labels, dtype=np.int64).reshape(domain.dim, -1)
+    targets[:, pos] += step
+    rows = np.array([codomain._index.get(t, -1) for t in map(tuple, targets.tolist())],
+                    dtype=np.int64)
+    cols = np.flatnonzero(rows >= 0)
+    return SparseOperator(domain, codomain, rows[cols], cols, coeff[cols], grade)
 
 
 def energy_product(energies, e_max):
@@ -325,9 +324,8 @@ def energy_product(energies, e_max):
     for e in energies:
         e = np.asarray(e, dtype=float)
         order = np.argsort(e, kind="stable")
-        counts = np.searchsorted(e[order], e_max - total, side="right")
-        run = np.repeat(np.arange(len(total)), counts)
-        new = order[np.arange(len(run)) - (np.cumsum(counts) - counts)[run]]
+        run, offset = expand_runs(np.searchsorted(e[order], e_max - total, side="right"))
+        new = order[offset]
         comps = np.column_stack([comps[run], new])
         total = total[run] + e[new]
     return comps, total
@@ -335,11 +333,8 @@ def energy_product(energies, e_max):
 
 def adjoint(a: SparseOperator) -> SparseOperator:
     """Gram-weighted conjugate transpose: ``<adjoint(a) v, w> = <v, a w>``."""
-    gd, gc = a.domain.gram, a.codomain.gram
-    entries = {}
-    for (i, j), z in a.entries.items():
-        entries[(j, i)] = np.conj(z) * gc[i] / gd[j]
-    return SparseOperator(a.codomain, a.domain, entries, a.grade)
+    vals = np.conj(a.vals) * a.codomain.gram[a.rows] / a.domain.gram[a.cols]
+    return SparseOperator(a.codomain, a.domain, a.cols, a.rows, vals, a.grade)
 
 
 def graded_commutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:

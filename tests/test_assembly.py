@@ -22,9 +22,8 @@ def test_jcycle_operator_odd_self_adjoint():
     assert mat.operator.grade == "odd"
     assert (adjoint(mat.operator) - mat.operator).max_abs() < 1e-12
     basis = mat.space.basis
-    parity = SparseOperator(basis, basis,
-                            {(i, i): (-1.0) ** basis.parity[i]
-                             for i in range(basis.dim)}, "even")
+    diag = np.arange(basis.dim)
+    parity = SparseOperator(basis, basis, diag, diag, (-1.0) ** basis.parity, "even")
     assert ((mat.operator @ parity) + (parity @ mat.operator)).max_abs() < 1e-13
 
 

@@ -1,5 +1,6 @@
 import filecmp
 import os
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +26,7 @@ def test_parse_config_defaults(tmp_path):
 
 
 def test_parse_config_sigma_list(tmp_path):
-    cfg = parse_config(write(tmp_path, "sigma = list:0.5,0.25\n"))
+    cfg = parse_config(write(tmp_path, "sigma = list:0.5,0.25\nexperiments = jcycle_diag\n"))
     seq = cfg.sigma_seq()
     assert seq.rule == "explicit"
     assert seq.values == (0.5, 0.25)
@@ -99,8 +100,12 @@ def test_cli_bad_config(tmp_path, capsys):
 
 @pytest.mark.parametrize("line, key", [("tolerance = abc", "unknown key 'tolerance'"),
                                        ("hermite_cut = x", "hermite_cut"),
+                                       ("hermite_cut = 1000000000", "hermite_cut"),
                                        ("sigma = bogus", "sigma"),
-                                       ("sigma = list:0,1", "sigma")])
+                                       ("sigma = list:0,1", "sigma"),
+                                       ("sigma = list:nan,0.5,0.25", "sigma"),
+                                       ("sigma = list:0.5,0.25,inf", "sigma"),
+                                       ("sigma = list:0.5,0.25", "sigma")])
 def test_cli_bad_value_is_config_error(tmp_path, capsys, line, key):
     cfg = write(tmp_path, line + "\n")
     with pytest.raises(ConfigError, match=key):
@@ -131,6 +136,62 @@ def test_triple_dim_matches_enumeration(modes, energy_cut):
 def test_size_cap_admits_largest_documented_truncation(tmp_path):
     cfg = parse_config(write(tmp_path, "modes = 6\nenergy_cut = 14\n"))
     assert triple_dim(cfg.modes, cfg.energy_cut) == 25752 <= MAX_DIM
+
+
+def test_sigma_list_length_follows_the_selected_experiments(tmp_path):
+    # assembly_compare reads sigma_1..3, jcycle_diag sigma_1..2, kucerovsky sigma_1
+    for need, names in ((3, "all"), (3, "assembly_compare"), (2, "jcycle_diag, kucerovsky"),
+                        (1, "kucerovsky"), (0, "sigma_tails")):
+        values = ",".join(["0.5"] * need) or "0.5"
+        parse_config(write(tmp_path, f"sigma = list:{values}\nexperiments = {names}\n"))
+        if need > 1:
+            with pytest.raises(ConfigError, match="sigma"):
+                parse_config(write(tmp_path, f"sigma = list:{values[4:]}\n"
+                                             f"experiments = {names}\n"))
+
+
+def test_hermite_cut_limit_is_the_adaptive_cap(tmp_path):
+    assert parse_config(write(tmp_path, "hermite_cut = 40000\n")).hermite_cut == 40000
+    with pytest.raises(ConfigError, match="40000"):
+        parse_config(write(tmp_path, "hermite_cut = 40001\n"))
+
+
+def test_cli_harmonic_sigma_runs(tmp_path, capsys):
+    cfg = write(tmp_path, "sigma = harmonic\nexperiments = jcycle_diag, kucerovsky, "
+                          "assembly_compare, sigma_tails\n")
+    assert main(["run", "all", "--config", cfg, "--out", str(tmp_path)]) == 0
+    # the harmonic rule is divergent, so no untruncated bound exists
+    assert "commutator bound inf" in (tmp_path / "jcycle_diag.txt").read_text()
+
+
+def test_readme_config_block_parses(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(write(tmp_path, block))
+    assert cfg == Config()
+    # every sigma value the block documents is accepted as well
+    sigma_line = next(ln for ln in block.splitlines() if ln.startswith("sigma"))
+    alternatives = [alt.strip() for alt in sigma_line.split("# or", 1)[1].split(", or")]
+    assert alternatives == ["harmonic", "list:0.5,0.25,0.125"]
+    for alt in alternatives:
+        parse_config(write(tmp_path, block.replace(sigma_line, f"sigma = {alt}")))
+
+
+@pytest.mark.parametrize("via", ["--out", "KKINDEX_OUT"])
+def test_cli_uncreatable_output_dir(tmp_path, capsys, monkeypatch, via):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    target = str(blocker / "reports")
+    argv = ["run", "all"]
+    if via == "--out":
+        argv += ["--out", target]
+    else:
+        monkeypatch.setenv("KKINDEX_OUT", target)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("output error:") and len(captured.err.splitlines()) == 1
+    assert captured.out == "" and not list(tmp_path.rglob("*.csv"))
 
 
 def test_cli_env_output_dir(tmp_path, capsys, monkeypatch):

@@ -47,7 +47,7 @@ def embed_oracle(factors, labels, components, op, pos):
     for col, combo in enumerate(components):
         pre = sum(factors[q].parity[combo[q]] for q in range(pos)) % 2
         sign = -1.0 if op.grade == "odd" and pre else 1.0
-        for (i, j), z in op.entries.items():
+        for i, j, z in zip(op.rows.tolist(), op.cols.tolist(), op.vals.tolist()):
             if j != combo[pos]:
                 continue
             target = combo[:pos] + (i,) + combo[pos + 1:]
@@ -57,16 +57,31 @@ def embed_oracle(factors, labels, components, op, pos):
     return entries
 
 
+def entries(op):
+    """An operator's triplets as ``{(row, col): value}``."""
+    return dict(zip(zip(op.rows.tolist(), op.cols.tolist()), op.vals.tolist()))
+
+
+def support(vec):
+    """Nonzero coordinates of a vector as ``{index: value}``."""
+    return {int(i): vec.coords[i] for i in np.flatnonzero(vec.coords)}
+
+
+def label_parts(space, i):
+    """Factor labels of basis state ``i`` of a product space."""
+    return tuple(b.labels[c] for b, c in zip(space.factors, space.components[i]))
+
+
 # ---------------------------------------------------------------- dirac_R
 
 def test_dirac_r_kills_dual_and_fermion_vacuum():
     spec = fock.TruncationSpec(3, 4)
     dR, space = dirac.build_dirac_R(spec)
-    for lab in space.basis.labels:
-        b, d, f = space.split_label(lab)
+    for i, lab in enumerate(space.basis.labels):
+        b, d, f = label_parts(space, i)
         if d == (0, 0, 0) and f == (0, 0, 0):
             out = dR.apply(space.basis.vector(lab))
-            assert out.coeffs == {}
+            assert support(out) == {}
 
 
 def test_dirac_r_square_on_state():
@@ -88,9 +103,9 @@ def test_dirac_r_self_adjoint_and_odd():
     assert (adjoint(dR) - dR).max_abs() < 1e-12
     assert dR.grade == "odd"
     # anticommutes with the parity grading
-    parity = SparseOperator(space.basis, space.basis,
-                            {(i, i): (-1.0) ** space.basis.parity[i]
-                             for i in range(space.dim)}, "even")
+    diag = np.arange(space.dim)
+    parity = SparseOperator(space.basis, space.basis, diag, diag,
+                            (-1.0) ** space.basis.parity, "even")
     anti = (dR @ parity) + (parity @ dR)
     assert anti.max_abs() < 1e-14
 
@@ -112,8 +127,8 @@ def test_weitzenbock_tiny_case_hand_oracle():
     out = dR.apply(space.basis.vector(lab))
     # wedge(lower zbar1) = -1 * sqrt(2) zbar... : lower gives -1*vac, wedge sqrt(2)
     expect_lab = (0,) + (0,) + (1,)
-    assert set(out.coeffs) == {space.basis.index(expect_lab)}
-    assert out.coeffs[space.basis.index(expect_lab)] == pytest.approx(-np.sqrt(2.0))
+    assert set(support(out)) == {space.basis.index(expect_lab)}
+    assert out.coords[space.basis.index(expect_lab)] == pytest.approx(-np.sqrt(2.0))
 
 
 def test_weitzenbock_never_indexes_outside():
@@ -121,7 +136,7 @@ def test_weitzenbock_never_indexes_outside():
     # which SparseOperator construction itself enforces
     spec = fock.TruncationSpec(2, 3)
     dR, space = dirac.build_dirac_R(spec)
-    for (i, j) in dR.entries:
+    for (i, j) in entries(dR):
         assert 0 <= i < space.dim and 0 <= j < space.dim
 
 
@@ -130,10 +145,10 @@ def test_weitzenbock_never_indexes_outside():
 def test_dirac_l_kills_mirror_vacuum():
     spec = fock.TruncationSpec(3, 4)
     dL, space = dirac.build_dirac_L(spec)
-    for lab in space.basis.labels:
-        f, d, b = space.split_label(lab)
+    for i, lab in enumerate(space.basis.labels):
+        f, d, b = label_parts(space, i)
         if f == (0, 0, 0) and d == (0, 0, 0):
-            assert dL.apply(space.basis.vector(lab)).coeffs == {}
+            assert support(dL.apply(space.basis.vector(lab))) == {}
 
 
 def test_dirac_l_matches_dirac_r_spectrum():
@@ -149,9 +164,9 @@ def test_dirac_l_matches_dirac_r_spectrum():
 def test_dirac_l_odd():
     spec = fock.TruncationSpec(2, 4)
     dL, space = dirac.build_dirac_L(spec)
-    parity = SparseOperator(space.basis, space.basis,
-                            {(i, i): (-1.0) ** space.basis.parity[i]
-                             for i in range(space.dim)}, "even")
+    diag = np.arange(space.dim)
+    parity = SparseOperator(space.basis, space.basis, diag, diag,
+                            (-1.0) ** space.basis.parity, "even")
     assert ((dL @ parity) + (parity @ dL)).max_abs() < 1e-14
 
 
@@ -164,8 +179,8 @@ def test_kernel_dimension_is_boson_count():
     assert len(vecs) == 11 == weighted_partition_count(3, 4)
     # every kernel vector is supported on v x vacuum x 1_f
     for v in vecs:
-        for i in v.coeffs:
-            b, d, f = space.split_label(space.basis.labels[i])
+        for i in support(v):
+            b, d, f = label_parts(space, i)
             assert d == (0, 0, 0) and f == (0, 0, 0)
 
 
@@ -234,10 +249,11 @@ def test_bounded_transform_zero_and_eigvecs():
     # random diagonal: same eigenvectors, mapped eigenvalues
     rng = np.random.default_rng(2)
     d = rng.standard_normal(basis.dim)
-    op = SparseOperator(basis, basis, {(i, i): d[i] for i in range(basis.dim)}, "even")
+    diag = np.arange(basis.dim)
+    op = SparseOperator(basis, basis, diag, diag, d, "even")
     bt = dirac.bounded_transform(op)
-    expect = {(i, i): d[i] / np.sqrt(1 + d[i] ** 2) for i in range(basis.dim)}
-    assert (bt - SparseOperator(basis, basis, expect, "even")).max_abs() < 1e-12
+    expect = SparseOperator(basis, basis, diag, diag, d / np.sqrt(1 + d ** 2), "even")
+    assert (bt - expect).max_abs() < 1e-12
     assert ((bt @ op) - (op @ bt)).max_abs() < 1e-12
 
 
@@ -319,7 +335,7 @@ def test_embed_factor_op_matches_label_lookup_oracle(case):
             op = SparseOperator.from_dense(vals * mask, factor, factor, grade)
             got = space.embed_factor_op(op, pos)
             assert got.grade == grade
-            assert got.entries == embed_oracle(factors, labels, comps, op, pos)
+            assert entries(got) == embed_oracle(factors, labels, comps, op, pos)
 
 
 def test_to_tensor_round_trip():

@@ -8,6 +8,11 @@ from kkindex import fock
 from kkindex.opcore import SparseOperator, adjoint, graded_commutator, spectrum
 
 
+def support(vec):
+    """Nonzero coordinates of a vector as ``{index: value}``."""
+    return {int(i): vec.coords[i] for i in np.flatnonzero(vec.coords)}
+
+
 # ---------------------------------------------------------------- oracles
 
 def brute_force_occupations(n_max, e_max):
@@ -66,15 +71,15 @@ def test_boson_lower_coefficient():
     lower = fock.boson_lower(basis, 1)
     out = lower.apply(basis.vector((2,)))
     # z1^2 -> -2 z1
-    assert out.coeffs == {basis.index((1,)): -2.0}
+    assert support(out) == {basis.index((1,)): -2.0}
 
 
 def test_boson_raise_vacuum():
     basis = fock.enumerate_basis(fock.TruncationSpec(3, 4), "boson")
     out = fock.boson_raise(basis, 2).apply(basis.vector((0, 0, 0)))
-    assert out.coeffs == {basis.index((0, 1, 0)): 1.0}
+    assert support(out) == {basis.index((0, 1, 0)): 1.0}
     # raising out of the energy window projects to zero
-    assert fock.boson_raise(basis, 1).apply(basis.vector((4, 0, 0))).coeffs == {}
+    assert support(fock.boson_raise(basis, 1).apply(basis.vector((4, 0, 0)))) == {}
 
 
 def test_ccr_on_state():
@@ -120,7 +125,7 @@ def test_dual_norm_identity():
 def test_dual_lower_kills_vacuum():
     basis = fock.enumerate_basis(fock.TruncationSpec(3, 4), "dual_boson")
     out = fock.dual_lower(basis, 3).apply(basis.vector((0, 0, 0)))
-    assert out.coeffs == {}
+    assert support(out) == {}
 
 
 def test_dual_ccr_sign():
@@ -138,8 +143,8 @@ def test_energy_op_values():
     en = fock.energy_op(basis)
     v = basis.vector((1, 0, 1))  # z1 z3 at energy 4
     out = en.apply(v)
-    assert out.coeffs == {basis.index((1, 0, 1)): 4.0j}
-    assert en.apply(basis.vector((0, 0, 0))).coeffs == {}
+    assert support(out) == {basis.index((1, 0, 1)): 4.0j}
+    assert support(en.apply(basis.vector((0, 0, 0)))) == {}
 
 
 def test_energy_identity_raise_lower_sum():
@@ -166,17 +171,17 @@ def test_energy_positive_with_vacuum_kernel():
 def test_clifford_wedge_vacuum():
     basis = fock.enumerate_basis(fock.TruncationSpec(3, 6), "fermion")
     out = fock.clifford(basis, 2, "antiholo").apply(basis.vector((0, 0, 0)))
-    assert out.coeffs == {basis.index((0, 1, 0)): pytest.approx(np.sqrt(2.0))}
+    assert support(out) == {basis.index((0, 1, 0)): pytest.approx(np.sqrt(2.0))}
 
 
 def test_clifford_contraction_sign():
     # gamma(z2) (zbar2 ^ zbar5) = -sqrt(2) zbar5: no occupied mode below 2
     basis = fock.enumerate_basis(fock.TruncationSpec(5, 15), "fermion")
     out = fock.clifford(basis, 2, "holo").apply(basis.vector((0, 1, 0, 0, 1)))
-    assert out.coeffs == {basis.index((0, 0, 0, 0, 1)): pytest.approx(-np.sqrt(2.0))}
+    assert support(out) == {basis.index((0, 0, 0, 0, 1)): pytest.approx(-np.sqrt(2.0))}
     # koszul sign with mode 1 occupied
     out2 = fock.clifford(basis, 2, "holo").apply(basis.vector((1, 1, 0, 0, 0)))
-    assert out2.coeffs == {basis.index((1, 0, 0, 0, 0)): pytest.approx(np.sqrt(2.0))}
+    assert support(out2) == {basis.index((1, 0, 0, 0, 0)): pytest.approx(np.sqrt(2.0))}
 
 
 def test_contraction_squares_to_zero():
@@ -215,8 +220,8 @@ def test_number_identity():
 def test_number_values():
     basis = fock.enumerate_basis(fock.TruncationSpec(4, 8), "fermion")
     out = fock.number_op(basis).apply(basis.vector((1, 0, 0, 1)))
-    assert out.coeffs == {basis.index((1, 0, 0, 1)): 5.0}
-    assert fock.number_op(basis).apply(basis.vector((0, 0, 0, 0))).coeffs == {}
+    assert support(out) == {basis.index((1, 0, 0, 1)): 5.0}
+    assert support(fock.number_op(basis).apply(basis.vector((0, 0, 0, 0)))) == {}
 
 
 # ---------------------------------------------------------------- adjoints, modes

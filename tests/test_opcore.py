@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from kkindex import fock
+from kkindex import dirac, fock, limitspace
 from kkindex.opcore import (Basis, SparseOperator, Vector, adjoint,
                             graded_commutator, inner_product, spectrum,
                             gram_transpose, BasisMismatchError,
@@ -11,12 +13,14 @@ SPEC = fock.TruncationSpec(n_max=3, e_max=6)
 
 
 def random_operator(rng, basis, grade="even", density=0.3):
-    entries = {}
+    rows, cols, vals = [], [], []
     for i in range(basis.dim):
         for j in range(basis.dim):
             if rng.random() < density:
-                entries[(i, j)] = complex(rng.standard_normal(), rng.standard_normal())
-    return SparseOperator(basis, basis, entries, grade)
+                rows.append(i)
+                cols.append(j)
+                vals.append(complex(rng.standard_normal(), rng.standard_normal()))
+    return SparseOperator(basis, basis, rows, cols, vals, grade)
 
 
 def test_inner_product_monomial_norms():
@@ -35,7 +39,7 @@ def test_inner_product_fermion_norm_one():
 def test_inner_product_zero_vector():
     basis = fock.enumerate_basis(SPEC, "boson")
     v = basis.vector((1, 0, 0))
-    zero = Vector(basis, {})
+    zero = Vector(basis, np.zeros(basis.dim))
     assert inner_product(v, zero) == 0.0
 
 
@@ -46,8 +50,8 @@ def test_inner_product_positive_hermitian_random():
     for _ in range(20):
         cv = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         cw = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        v = Vector(basis, dict(enumerate(cv)))
-        w = Vector(basis, dict(enumerate(cw)))
+        v = Vector(basis, cv)
+        w = Vector(basis, cw)
         assert abs(inner_product(v, w) - np.conj(inner_product(w, v))) < 1e-12
         assert inner_product(v, v).real > 0
         assert abs(inner_product(v, v).imag) < 1e-12
@@ -149,8 +153,8 @@ def test_adjoint_reverses_products_conjugate_linear():
     for _ in range(5):
         cv = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
         cw = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
-        v = Vector(basis, dict(enumerate(cv)))
-        w = Vector(basis, dict(enumerate(cw)))
+        v = Vector(basis, cv)
+        w = Vector(basis, cw)
         assert abs(inner_product(adjoint(a).apply(v), w)
                    - inner_product(v, a.apply(w))) < 1e-10
 
@@ -205,3 +209,273 @@ def test_text_export_roundtrip():
     assert text.splitlines()[0] == f"{basis.dim} {basis.dim} even"
     back = SparseOperator.from_text(text, basis)
     assert (back - op).max_abs() == 0.0
+
+
+# ---------------------------------------------------------------- dict oracle
+
+class DictOperator:
+    """The dict-of-coordinates operator: ``entries`` maps ``(row, col)`` to a
+    complex value, one entry per coordinate.  The reference the coordinate
+    arrays of :class:`SparseOperator` are compared against."""
+
+    def __init__(self, domain, codomain, entries, grade="even"):
+        self.domain, self.codomain, self.grade = domain, codomain, grade
+        cleaned = {}
+        for (i, j), z in entries.items():
+            if z == 0:
+                continue
+            if not (0 <= i < codomain.dim and 0 <= j < domain.dim):
+                raise IndexError(f"entry ({i},{j}) outside basis bounds")
+            cleaned[(int(i), int(j))] = complex(z)
+        self.entries = cleaned
+
+    @staticmethod
+    def of(op):
+        return DictOperator(op.domain, op.codomain, entries(op), op.grade)
+
+    def __add__(self, other):
+        entries = dict(self.entries)
+        for key, z in other.entries.items():
+            entries[key] = entries.get(key, 0.0) + z
+        return DictOperator(self.domain, self.codomain, entries, self.grade)
+
+    def scale(self, z):
+        return DictOperator(self.domain, self.codomain,
+                            {k: z * v for k, v in self.entries.items()}, self.grade)
+
+    def __matmul__(self, other):
+        other_cols, self_cols = {}, {}
+        for (i, j), z in other.entries.items():
+            other_cols.setdefault(j, []).append((i, z))
+        for (i, j), z in self.entries.items():
+            self_cols.setdefault(j, []).append((i, z))
+        entries = {}
+        for j, mid in other_cols.items():
+            for m, zm in mid:
+                for i, zi in self_cols.get(m, ()):
+                    entries[(i, j)] = entries.get((i, j), 0.0) + zi * zm
+        grade = "odd" if (self.grade == "odd") != (other.grade == "odd") else "even"
+        return DictOperator(other.domain, self.codomain, entries, grade)
+
+    def adjoint(self):
+        gd, gc = self.domain.gram, self.codomain.gram
+        return DictOperator(self.codomain, self.domain,
+                            {(j, i): np.conj(z) * gc[i] / gd[j]
+                             for (i, j), z in self.entries.items()}, self.grade)
+
+    def apply(self, coeffs):
+        out = {}
+        for (i, j), z in self.entries.items():
+            if j in coeffs:
+                out[i] = out.get(i, 0.0) + z * coeffs[j]
+        return {i: c for i, c in out.items() if c != 0}
+
+    def to_text(self):
+        lines = [f"{self.codomain.dim} {self.domain.dim} {self.grade}"]
+        for (i, j) in sorted(self.entries):
+            z = self.entries[(i, j)]
+            lines.append(f"{i} {j} {z.real:.17g} {z.imag:.17g}")
+        return "\n".join(lines) + "\n"
+
+
+def entries(op):
+    """An operator's triplets as ``{(row, col): value}``."""
+    return dict(zip(zip(op.rows.tolist(), op.cols.tolist()), op.vals.tolist()))
+
+
+def accumulate(rows, cols, vals):
+    """Triplets summed per coordinate, in the order given."""
+    acc = {}
+    for i, j, z in zip(rows, cols, vals):
+        acc[(i, j)] = acc.get((i, j), 0.0) + z
+    return acc
+
+
+def assert_same(op, ref):
+    assert (op.domain, op.codomain, op.grade) == (ref.domain, ref.codomain, ref.grade)
+    assert entries(op) == ref.entries
+
+
+def power_of_two_basis(rng, dim, name):
+    """Grams that are powers of two keep Gram-weighted arithmetic exact."""
+    return Basis([(i,) for i in range(dim)], 2.0 ** rng.integers(-2, 4, dim), name=name)
+
+
+def dyadic(rng, n):
+    """Complex values on the quarter-integer grid: sums and products of a
+    few of them are exact, whatever the order of the arithmetic."""
+    return (rng.integers(-4, 5, n) + 1j * rng.integers(-4, 5, n)) / 4.0
+
+
+def random_triplets(rng, domain, codomain, n):
+    """``n`` random triplets with repeated coordinates, plus one coordinate
+    whose two entries cancel to an exact zero."""
+    if n == 0 or domain.dim == 0 or codomain.dim == 0:
+        return [], [], []
+    rows = rng.integers(0, codomain.dim, n).tolist()
+    cols = rng.integers(0, domain.dim, n).tolist()
+    vals = dyadic(rng, n).tolist()
+    total = sum(z for i, j, z in zip(rows, cols, vals) if (i, j) == (rows[0], cols[0]))
+    return rows + [rows[0]], cols + [cols[0]], vals + [-total]
+
+
+SHAPES = {"square": (4, 4, 4), "rectangular": (5, 3, 2), "empty": (3, 2, 4),
+          "zero-dim": (0, 0, 0), "zero-dim middle": (3, 0, 2)}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("grades", [("even", "even"), ("even", "odd"), ("odd", "odd")])
+def test_array_operators_match_dict_oracle(shape, grades):
+    rng = np.random.default_rng(list(SHAPES).index(shape) * 3 + ("odd" in grades) + 11)
+    # a, b: mid -> out; c: inp -> mid
+    d_mid, d_out, d_inp = SHAPES[shape]
+    mid, out, inp = (power_of_two_basis(rng, d, name)
+                     for d, name in ((d_mid, "mid"), (d_out, "out"), (d_inp, "inp")))
+    count = 0 if shape == "empty" else 12
+    trips = [random_triplets(rng, dom, cod, count)
+             for dom, cod in ((mid, out), (mid, out), (inp, mid))]
+    ops = [SparseOperator(dom, cod, *t, grade) for (dom, cod, grade), t in
+           zip(((mid, out, grades[0]), (mid, out, grades[0]), (inp, mid, grades[1])), trips)]
+    a, b, c = ops
+    ra, rb, rc = (DictOperator(op.domain, op.codomain, accumulate(*t), op.grade)
+                  for op, t in zip(ops, trips))
+    for op, ref in zip(ops, (ra, rb, rc)):
+        assert_same(op, ref)
+    rows, cols, _ = trips[0]
+    if rows:
+        # the cancelling coordinate is gone and repeated ones are summed
+        assert (rows[0], cols[0]) not in entries(a) and a.nnz < count
+    assert_same(a + b, ra + rb)
+    assert_same(a - b, ra + rb.scale(-1.0))
+    assert_same(a.scale(0.75 - 0.5j), ra.scale(0.75 - 0.5j))
+    assert_same(a @ c, ra @ rc)
+    assert_same(adjoint(a), ra.adjoint())
+    assert a.to_text() == ra.to_text()
+    coords = dyadic(rng, d_mid)
+    got = a.apply(Vector(mid, coords)).coords
+    ref = ra.apply(dict(enumerate(coords.tolist())))
+    assert {i: z for i, z in enumerate(got.tolist()) if z != 0} == ref
+
+
+def test_constructor_sums_repeated_coordinates_in_entry_order():
+    # general floats: repeated coordinates add up in the order given, as the
+    # dict accumulation does, so the sums agree bit for bit
+    rng = np.random.default_rng(21)
+    basis = Basis([(i,) for i in range(3)], np.ones(3))
+    rows, cols = rng.integers(0, 3, 40), rng.integers(0, 3, 40)
+    vals = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    acc = accumulate(rows.tolist(), cols.tolist(), vals.tolist())
+    op = SparseOperator(basis, basis, rows, cols, vals)
+    assert entries(op) == DictOperator(basis, basis, acc).entries
+    assert op.nnz == len(acc) < 40
+    assert np.array_equal(op.to_dense(), sum(
+        np.eye(3)[:, [i]] * z * np.eye(3)[[j], :] for (i, j), z in acc.items()))
+
+
+# to_text digests (sha256, first 16 hex digits) of the dict operators'
+# exports, so the plain-text format stays byte for byte what it was
+DICT_TEXT_DIGESTS = {
+    "boson_lower": "f7bda91f24aaef21",
+    "dual_raise": "19fc6ca1a7a9e856",
+    "energy": "498dd099c6842e1f",
+    "clifford_holo": "4c4d9d49978278cd",
+    "clifford_antiholo": "5ccfa333f3c701a4",
+    "dRz": "673a48368331205b",
+    "dirac_R": "39943e3850340dd5",
+    "dirac_L": "52e65a169c812ccd",
+}
+
+
+def _text_cases():
+    boson = fock.enumerate_basis(fock.TruncationSpec(3, 6), "boson")
+    ferm = fock.enumerate_basis(fock.TruncationSpec(4, 10), "fermion")
+    return {
+        "boson_lower": fock.boson_lower(boson, 2),
+        "dual_raise": fock.dual_raise(boson, 1),
+        "energy": fock.energy_op(boson),
+        "clifford_holo": fock.clifford(ferm, 3, "holo"),
+        "clifford_antiholo": fock.clifford(ferm, 3, "antiholo"),
+        "dRz": limitspace.dRz_matrix(limitspace.mode_basis(6)),
+        "dirac_R": dirac.build_dirac_R(fock.TruncationSpec(3, 5))[0],
+        "dirac_L": dirac.build_dirac_L(fock.TruncationSpec(2, 4))[0],
+    }
+
+
+def test_to_text_keeps_the_dict_operator_bytes():
+    for name, op in _text_cases().items():
+        text = op.to_text()
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == DICT_TEXT_DIGESTS[name], name
+        assert text == DictOperator.of(op).to_text()
+
+
+def test_from_text_round_trips_exactly():
+    rng = np.random.default_rng(17)
+    dom, cod = Basis([(i,) for i in range(5)], np.ones(5)), Basis([(0,), (1,)], [1.0, 2.0])
+    for grade in ("even", "odd"):
+        rows, cols = rng.integers(0, 2, 6), rng.integers(0, 5, 6)
+        vals = (rng.standard_normal(6) * 10.0 ** rng.integers(-20, 20, 6)
+                + 1j * rng.standard_normal(6))
+        op = SparseOperator(dom, cod, rows, cols, vals, grade)
+        back = SparseOperator.from_text(op.to_text(), dom, cod)
+        assert back.grade == grade and entries(back) == entries(op)
+    for op in _text_cases().values():
+        back = SparseOperator.from_text(op.to_text(), op.domain, op.codomain)
+        assert back.grade == op.grade and entries(back) == entries(op)
+
+
+@pytest.mark.parametrize("row, col", [(-1, 0), (3, 0), (0, -1), (0, 2)])
+def test_out_of_range_indices_raise(row, col):
+    dom, cod = Basis([(0,), (1,)], np.ones(2)), Basis([(0,), (1,), (2,)], np.ones(3))
+    with pytest.raises(IndexError, match="outside basis bounds"):
+        SparseOperator(dom, cod, [0, row], [1, col], [1.0, 2.0])
+    with pytest.raises(IndexError, match="outside basis bounds"):
+        DictOperator(dom, cod, {(0, 1): 1.0, (row, col): 2.0})
+
+
+# ---------------------------------------------------------------- properties
+
+def _property_strategies():
+    st = pytest.importorskip("hypothesis.strategies")
+    dim = 4
+    grams = st.lists(st.integers(-2, 3), min_size=dim, max_size=dim).map(
+        lambda ks: Basis([(i,) for i in range(dim)], [2.0 ** k for k in ks]))
+    quarter = st.integers(-4, 4).map(lambda k: k / 4.0)
+    triplet = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1),
+                        st.builds(complex, quarter, quarter))
+    return st, grams, st.lists(triplet, max_size=10), st.sampled_from(["even", "odd"])
+
+
+def _operator(basis, triplets, grade):
+    rows, cols, vals = zip(*triplets) if triplets else ((), (), ())
+    return SparseOperator(basis, basis, list(rows), list(cols), list(vals), grade)
+
+
+def test_property_adjoint_is_an_involution():
+    hypothesis = pytest.importorskip("hypothesis")
+    st, grams, triplets, grades = _property_strategies()
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(grams, triplets, grades)
+    def check(basis, trip, grade):
+        a = _operator(basis, trip, grade)
+        assert_same(adjoint(adjoint(a)), DictOperator.of(a))
+
+    check()
+
+
+def test_property_graded_jacobi_identity():
+    hypothesis = pytest.importorskip("hypothesis")
+    st, grams, triplets, grades = _property_strategies()
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(grams, triplets, triplets, triplets, grades, grades, grades)
+    def check(basis, ta, tb, tc, ga, gb, gc):
+        a, b, c = (_operator(basis, t, g) for t, g in ((ta, ga), (tb, gb), (tc, gc)))
+        sign = -1.0 if ga == gb == "odd" else 1.0
+        lhs = graded_commutator(a, graded_commutator(b, c))
+        rhs = (graded_commutator(graded_commutator(a, b), c)
+               + graded_commutator(b, graded_commutator(a, c)).scale(sign))
+        # quarter-integer entries keep every product and sum exact
+        assert (lhs - rhs).max_abs() == 0.0
+
+    check()
