@@ -306,9 +306,15 @@ def compare_indices(analytic: IndexCycle, mu: IndexCycle, seed: int = 7,
     s_m = spectrum(mu.operator)
     spectra_dev = float(np.max(np.abs(s_a - s_m)))
 
-    da = analytic.operator.to_dense()
-    dm = mu.operator.to_dense()
-    intertwine_dev = float(np.max(np.abs(da - dm[np.ix_(perm, perm)])))
+    # entry (i, j) of the analytic operator against entry (perm i, perm j)
+    # of the mu operator, on the union of both supports
+    back = np.empty_like(perm)
+    back[perm] = np.arange(len(perm))
+    da, dm = analytic.operator, mu.operator
+    intertwine_dev = SparseOperator(
+        da.domain, da.codomain, np.concatenate([da.rows, back[dm.rows]]),
+        np.concatenate([da.cols, back[dm.cols]]),
+        np.concatenate([da.vals, -dm.vals])).max_abs()
 
     def flip(f):
         out = np.empty_like(f)
@@ -522,7 +528,7 @@ def kucerovsky_check(cycle: JCycle, n_generators: int = 3, seed: int = 5) -> Kuc
         t_map = _t_map(cycle, small, k_vec)
         defect = dl_small @ t_map - t_map @ op
         rows.append((name, float(np.linalg.norm(defect, 2)), float(bound)))
-    positivity = float(np.min(np.linalg.eigvalsh(op @ op)))
+    positivity = float(np.min(spectrum(mat.operator @ mat.operator)))
     return KucerovskyReport(rows, positivity)
 
 

@@ -14,7 +14,8 @@ import argparse
 import os
 import sys
 
-from .experiments import EXPERIMENTS, Config, ConfigError, parse_config, run_experiment
+from .experiments import (EXPERIMENTS, Config, ConfigError, parse_config, run_experiment,
+                          selected_experiments)
 
 
 def main(argv=None) -> int:
@@ -35,15 +36,12 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(args.config) if args.config else Config()
+        names = selected_experiments(cfg, args.experiment)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     out_dir = args.out or os.environ.get("KKINDEX_OUT") or cfg.output_dir
-    if args.experiment == "all":
-        names = [n for n in cfg.experiments if n != "all"] or sorted(EXPERIMENTS)
-    else:
-        names = [args.experiment]
 
     try:
         os.makedirs(out_dir, exist_ok=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fock
 from .opcore import (Basis, SparseOperator, Vector, eigh_gram, energy_product,
-                     expand_runs, self_adjoint_dense, spectrum)
+                     expand_runs, spectrum)
 
 __all__ = [
     "TripleSpace",
@@ -55,7 +55,7 @@ class TripleSpace:
         self.factors = tuple(factors)
         self.e_max = e_max
         self.shape = tuple(b.dim for b in self.factors)
-        labels = [np.array(b.labels, dtype=np.int64).reshape(b.dim, -1) for b in self.factors]
+        labels = [b.label_array for b in self.factors]
         # rank of each factor label in that factor's label order: the basis
         # order is the order of the mixed-radix key over these ranks
         self._ranks = [np.argsort(np.lexsort(lab.T[::-1])) for lab in labels]
@@ -212,11 +212,16 @@ def kernel(a: SparseOperator, rel_tol: float = 1e-9):
     Keeps eigenvectors with ``|lambda| <= rel_tol * max |lambda|`` (spectra
     here are scaled integers, so the scale-relative cut is unambiguous).
     """
-    vals, vecs = eigh_gram(a)
-    if len(vals) == 0:
-        return []
-    cut = rel_tol * max(np.max(np.abs(vals)), 1e-300)
-    return [Vector(a.domain, vecs[:, k]) for k in np.flatnonzero(np.abs(vals) <= cut)]
+    blocks = eigh_gram(a)
+    top = max((float(np.max(np.abs(vals))) for _, vals, _ in blocks), default=0.0)
+    cut = rel_tol * max(top, 1e-300)
+    out = []
+    for states, vals, vecs in blocks:
+        for b, m in zip(*np.nonzero(np.abs(vals) <= cut)):
+            coords = np.zeros(a.domain.dim, dtype=complex)
+            coords[states[b]] = vecs[b, :, m]
+            out.append(Vector(a.domain, coords))
+    return out
 
 
 @dataclass
@@ -270,14 +275,24 @@ def per_estimate(spec: fock.TruncationSpec, n: int, scan_energy: int = None) -> 
 
 def bounded_transform(a: SparseOperator, tol: float = 1e-10) -> SparseOperator:
     """Spectral calculus ``x -> x / sqrt(1 + x^2)``; contractive, same
-    eigenvectors and grade as the input."""
-    sym_vals, u = np.linalg.eigh(self_adjoint_dense(a, tol))
-    f = sym_vals / np.sqrt(1.0 + sym_vals ** 2)
-    dense_on = (u * f[None, :]) @ u.conj().T
-    s = np.sqrt(a.domain.gram)
-    dense = dense_on / s[:, None] * s[None, :]
-    chop = 1e-15 * max(np.max(np.abs(dense)), 1.0)
-    return SparseOperator.from_dense(dense, a.domain, a.domain, a.grade, chop=chop)
+    eigenvectors and grade as the input.
+
+    Recomposed block by block, ``sum_m f(lambda_m) v_m v_m^* G`` in Gram
+    coordinates, and chopped below ``1e-15`` of the largest entry (or of 1).
+    """
+    parts = []
+    for states, lam, vecs in eigh_gram(a, tol):
+        f = lam / np.sqrt(1.0 + lam ** 2)
+        gram = a.domain.gram[states]
+        blocks = (vecs * f[:, None, :]) @ (vecs.conj().swapaxes(1, 2) * gram[:, None, :])
+        width = states.shape[1]
+        parts.append((np.repeat(states, width, axis=1).ravel(),
+                      np.tile(states, width).ravel(), blocks.ravel()))
+    if not parts:
+        return SparseOperator.zero(a.domain, grade=a.grade)
+    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+    keep = np.abs(vals) > 1e-15 * max(float(np.max(np.abs(vals))), 1.0)
+    return SparseOperator(a.domain, a.domain, rows[keep], cols[keep], vals[keep], a.grade)
 
 
 def spectrum_with_prediction(spec: fock.TruncationSpec):

@@ -16,9 +16,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import assembly, dirac, fock, limitspace, twistgroup
-from .opcore import SparseOperator, adjoint, graded_commutator, orthonormal_dense
+from .opcore import SparseOperator, adjoint, graded_commutator, spectrum
 
-__all__ = ["Config", "parse_config", "run_experiment", "EXPERIMENTS", "Lcg"]
+__all__ = ["Config", "parse_config", "selected_experiments", "run_experiment",
+           "EXPERIMENTS", "Lcg"]
 
 
 class Lcg:
@@ -119,15 +120,21 @@ def _check_size(cfg: Config):
 SIGMA_MODES = {"jcycle_diag": 2, "assembly_compare": 3, "kucerovsky": 1}
 
 
-def _check_sigma_modes(cfg: Config):
+def selected_experiments(cfg: Config, target: str) -> list:
+    """Names that ``kkindex run <target>`` executes: the config's
+    ``experiments`` for ``all`` (every registered one if it lists none), else
+    ``[target]``.  Raises :class:`ConfigError` when an explicit sigma list is
+    too short for them, before anything runs."""
+    if target == "all":
+        names = [n for n in cfg.experiments if n != "all"] or sorted(EXPERIMENTS)
+    else:
+        names = [target]
     seq = cfg.sigma_seq()
-    if seq.rule != "explicit":
-        return
-    names = sorted(EXPERIMENTS) if "all" in cfg.experiments else cfg.experiments
     need = max((SIGMA_MODES.get(name, 0) for name in names), default=0)
-    if len(seq.values) < need:
+    if seq.rule == "explicit" and len(seq.values) < need:
         raise ConfigError(f"key 'sigma': the selected experiments read {need} sigma "
                           f"values, the list has {len(seq.values)}")
+    return names
 
 
 _INT_KEYS = {"modes", "energy_cut", "seed"}
@@ -191,7 +198,7 @@ def parse_config(path: str) -> Config:
         elif key == "output_dir":
             cfg = replace(cfg, output_dir=val)
     _check_size(cfg)
-    _check_sigma_modes(cfg)
+    selected_experiments(cfg, "all")
     return cfg
 
 
@@ -290,7 +297,7 @@ def _exp_weitzenbock(cfg: Config, rng: Lcg) -> Report:
 
 def _exp_kernel_count(cfg: Config, rng: Lcg) -> Report:
     rep = Report("kernel_count", tolerance=0.5)  # integer counts
-    cases = [(3, 4), (2, 4), (min(cfg.modes, 3), min(cfg.energy_cut, 6))]
+    cases = [(3, 4), (2, 4), (cfg.modes, cfg.energy_cut)]
     for n_max, e_max in cases:
         spec = cfg.spec(modes=n_max, energy=e_max)
         dR, space = dirac.build_dirac_R(spec)
@@ -479,8 +486,7 @@ def _exp_jcycle_diag(cfg: Config, rng: Lcg) -> Report:
     parity = SparseOperator(basis, basis, diag, diag, np.where(basis.parity, -1.0, 1.0))
     odd = ((mat.operator @ parity) + (parity @ mat.operator)).max_abs()
     rep.add("odd grading", "materialized", odd, 0.0, odd)
-    op = orthonormal_dense(mat.operator)
-    vals = np.linalg.eigvalsh(op @ op)
+    vals = spectrum(mat.operator @ mat.operator)
     min_eig = float(np.min(vals))
     rep.add("squared operator psd", "materialized", max(-min_eig, 0.0), 0.0,
             max(-min_eig, 0.0))
@@ -533,7 +539,10 @@ def _exp_assembly_compare(cfg: Config, rng: Lcg) -> Report:
 
 def _exp_index_compare(cfg: Config, rng: Lcg) -> Report:
     rep = Report("index_compare", tolerance=1e-10)
-    for n_max, e_max in ((2, 4), (3, 6), (3, 8)):
+    cases = [(2, 4), (3, 6), (3, 8)]
+    if (cfg.modes, cfg.energy_cut) not in cases:
+        cases.append((cfg.modes, cfg.energy_cut))
+    for n_max, e_max in cases:
         spec = cfg.spec(modes=n_max, energy=e_max)
         report = assembly.compare_indices(assembly.analytic_index(spec),
                                           assembly.mu_index(spec),

@@ -94,7 +94,7 @@ def boson_raise(basis: Basis, n: int, codomain: Basis = None) -> SparseOperator:
 
 def boson_lower(basis: Basis, n: int, codomain: Basis = None) -> SparseOperator:
     """Derivation against mode ``n``: ``z^k -> -k_n z^(k-e_n)``."""
-    occupations = np.array(basis.labels, dtype=float).reshape(basis.dim, -1)[:, n - 1]
+    occupations = basis.label_array[:, n - 1].astype(float)
     return shift_op(basis, codomain or basis, n - 1, -1, -occupations)
 
 
@@ -119,7 +119,7 @@ def clifford(basis: Basis, n: int, kind: str) -> SparseOperator:
     """
     if kind not in ("holo", "antiholo"):
         raise ValueError("kind must be 'holo' or 'antiholo'")
-    below = np.array([sum(lab[:n - 1]) for lab in basis.labels])
+    below = basis.label_array[:, :n - 1].sum(axis=1)
     coeff = np.sqrt(2.0) * np.where(below % 2, -1.0, 1.0)
     if kind == "antiholo":
         return shift_op(basis, basis, n - 1, 1, coeff, "odd")

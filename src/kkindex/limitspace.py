@@ -136,7 +136,7 @@ def mode_basis(h_max: int) -> Basis:
 def _ladder(basis: Basis, pos: int, step: int) -> SparseOperator:
     """Lowering (``step = -1``, coefficient ``sqrt(k)``) or raising
     (``step = 1``, coefficient ``sqrt(k + 1)``) of ladder coordinate ``pos``."""
-    k = np.array([lab[pos] for lab in basis.labels], dtype=float)
+    k = basis.label_array[:, pos].astype(float)
     return shift_op(basis, basis, pos, step, np.sqrt(k + 1.0) if step > 0 else np.sqrt(k))
 
 

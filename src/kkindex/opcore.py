@@ -4,7 +4,8 @@ Every operator in this package lives on a :class:`Basis`: an ordered list of
 opaque labels together with a positive diagonal Gram (the squared norm of each
 label).  Bases are deliberately kept in unnormalized monomial form, so ladder
 coefficients stay integers; orthonormalization happens only in the dense
-view :func:`orthonormal_dense`, which the eigensolves use.
+view :func:`orthonormal_dense` and in the Gram-orthonormal blocks the
+eigensolves work on.
 
 Conventions
 -----------
@@ -21,6 +22,8 @@ function, so concurrent use is safe.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 __all__ = [
@@ -35,8 +38,8 @@ __all__ = [
     "adjoint",
     "spectrum",
     "eigh_gram",
+    "block_components",
     "orthonormal_dense",
-    "self_adjoint_dense",
     "gram_transpose",
     "shift_op",
     "energy_product",
@@ -94,6 +97,13 @@ class Basis:
     @property
     def dim(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def label_array(self) -> np.ndarray:
+        """The labels as one read-only ``(dim, width)`` integer array."""
+        out = np.array(self.labels, dtype=np.int64).reshape(self.dim, -1 if self.dim else 0)
+        out.flags.writeable = False
+        return out
 
     def index(self, label) -> int:
         return self._index[label]
@@ -302,12 +312,20 @@ def shift_op(domain: Basis, codomain: Basis, pos: int, step: int, coeff,
     coefficient ``coeff[j]`` (or the scalar ``coeff``).  Columns with a zero
     coefficient or a target outside the codomain have no entry."""
     coeff = np.broadcast_to(np.asarray(coeff, dtype=float), (domain.dim,))
-    targets = np.array(domain.labels, dtype=np.int64).reshape(domain.dim, -1)
+    targets = domain.label_array.copy()
     targets[:, pos] += step
-    rows = np.array([codomain._index.get(t, -1) for t in map(tuple, targets.tolist())],
-                    dtype=np.int64)
-    cols = np.flatnonzero(rows >= 0)
-    return SparseOperator(domain, codomain, rows[cols], cols, coeff[cols], grade)
+    # labels as mixed-radix keys over the codomain's per-entry value range,
+    # looked up by a binary search over the sorted codomain keys
+    labels = codomain.label_array
+    lo, hi = labels.min(axis=0), labels.max(axis=0)
+    inside = np.flatnonzero(np.all((targets >= lo) & (targets <= hi), axis=1))
+    keys = np.ravel_multi_index(tuple((labels - lo).T), hi - lo + 1)
+    by_key = np.argsort(keys)
+    wanted = np.ravel_multi_index(tuple((targets[inside] - lo).T), hi - lo + 1)
+    at = np.minimum(np.searchsorted(keys[by_key], wanted), codomain.dim - 1)
+    found = keys[by_key[at]] == wanted
+    cols = inside[found]
+    return SparseOperator(domain, codomain, by_key[at[found]], cols, coeff[cols], grade)
 
 
 def energy_product(energies, e_max):
@@ -350,41 +368,98 @@ def orthonormal_dense(op: SparseOperator) -> np.ndarray:
             / np.sqrt(op.domain.gram)[None, :])
 
 
-def self_adjoint_dense(a: SparseOperator, tol: float = 1e-10) -> np.ndarray:
-    """Hermitian part of :func:`orthonormal_dense`, after checking that the
-    anti-Hermitian part is below ``tol`` relative to the largest entry."""
+def block_components(op: SparseOperator) -> np.ndarray:
+    """Connected components of the symmetric sparsity graph of a square
+    operator: entry ``i`` is the smallest state index in the component of
+    state ``i``, so states with no entries are singletons.
+
+    Min-label propagation along both directions of every entry, with
+    pointer jumping after each round, until no label changes.
+    """
+    label = np.arange(op.domain.dim)
+    while True:
+        new = label.copy()
+        np.minimum.at(new, op.rows, label[op.cols])
+        np.minimum.at(new, op.cols, label[op.rows])
+        while True:  # pointer jumping: labels are states of the same component
+            jumped = new[new]
+            if np.array_equal(jumped, new):
+                break
+            new = jumped
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def _hermitian_blocks(a: SparseOperator, tol: float):
+    """Gram-orthonormal Hermitian part of ``a``, one stacked array per block
+    size: a list of ``(states, blocks)`` with ``states`` of shape ``(k, s)``
+    (each row one component, ascending) and ``blocks`` of shape
+    ``(k, s, s)``.
+
+    ``a`` must be self-adjoint: ``max |A_on - A_on^H|`` may not exceed
+    ``tol * max(max |A_on|, 1)``, both taken over the orthonormal triplets.
+    """
     if a.domain != a.codomain:
         raise ShapeMismatchError("eigensolve needs square operators")
-    sym = orthonormal_dense(a)
-    asym = np.max(np.abs(sym - sym.conj().T)) if sym.size else 0.0
-    scale = max(np.max(np.abs(sym)) if sym.size else 0.0, 1.0)
+    s = np.sqrt(a.domain.gram)
+    vals = a.vals * s[a.rows] / s[a.cols]
+    # A_on - A_on^H on the union of both supports, one sum per coordinate
+    asym = SparseOperator(a.domain, a.domain, np.concatenate([a.rows, a.cols]),
+                          np.concatenate([a.cols, a.rows]),
+                          np.concatenate([vals, -np.conj(vals)])).max_abs()
+    scale = max(float(np.max(np.abs(vals), initial=0.0)), 1.0)
     if asym > tol * scale:
         raise NotSelfAdjointError(
             f"max asymmetry {asym:.3e} above tolerance {tol:.1e} (scale {scale:.3e})")
-    return 0.5 * (sym + sym.conj().T)
+    label = block_components(a)
+    order = np.argsort(label, kind="stable")
+    _, start, size = np.unique(label[order], return_index=True, return_counts=True)
+    # every state's block size, block (within its size class) and position
+    # in the block
+    width_of = np.empty(a.domain.dim, dtype=np.int64)
+    width_of[order] = np.repeat(size, size)
+    block, pos = np.empty_like(width_of), np.empty_like(width_of)
+    out = []
+    for width in np.unique(size):
+        states = order[start[size == width][:, None] + np.arange(width)]
+        block[states] = np.arange(len(states))[:, None]
+        pos[states] = np.arange(width)
+        # entries never cross components, so the row fixes the block
+        mine = np.flatnonzero(width_of[a.rows] == width)
+        stack = np.zeros((len(states), width, width), dtype=complex)
+        stack[block[a.rows[mine]], pos[a.rows[mine]], pos[a.cols[mine]]] = vals[mine]
+        out.append((states, 0.5 * (stack + stack.conj().swapaxes(1, 2))))
+    return out
 
 
 def spectrum(a: SparseOperator, tol: float = 1e-10) -> np.ndarray:
     """Real eigenvalues with multiplicity, ascending.
 
     The operator must be self-adjoint with respect to the Gram, checked to
-    ``tol`` after orthonormalization.
+    ``tol`` after orthonormalization.  Each connected component of its
+    sparsity graph is one block; the blocks are solved in one stacked call
+    per block size.
     """
-    sym = self_adjoint_dense(a, tol)
-    if sym.size == 0:
-        return np.zeros(0)
-    return np.linalg.eigvalsh(sym)
+    vals = [np.linalg.eigvalsh(blocks).ravel() for _, blocks in _hermitian_blocks(a, tol)]
+    return np.sort(np.concatenate(vals + [np.zeros(0)]))
 
 
 def eigh_gram(a: SparseOperator, tol: float = 1e-10):
-    """Eigenvalues and eigenvectors of a Gram-self-adjoint operator.
+    """Eigendecomposition of a Gram-self-adjoint operator, block by block.
 
-    Returns ``(vals, vecs)`` where column ``vecs[:, k]`` is expressed in the
-    original (unnormalized) coordinates and the columns are orthonormal with
-    respect to the Gram inner product.
+    Returns a list with one ``(states, vals, vecs)`` per block size ``s``:
+    ``states`` (``(k, s)`` integers) lists the states of ``k`` blocks,
+    ``vals[b]`` their eigenvalues, ascending, and ``vecs[b][:, m]`` the
+    eigenvector of ``vals[b, m]`` on the states ``states[b]``, in the
+    original (unnormalized) coordinates and orthonormal with respect to the
+    Gram inner product.
     """
-    vals, u = np.linalg.eigh(self_adjoint_dense(a, tol))
-    return vals, u / np.sqrt(a.domain.gram)[:, None]
+    out = []
+    for states, blocks in _hermitian_blocks(a, tol):
+        vals, u = np.linalg.eigh(blocks)
+        out.append((states, vals, u / np.sqrt(a.domain.gram)[states][:, :, None]))
+    return out
 
 
 def gram_transpose(mat: np.ndarray, gram: np.ndarray) -> np.ndarray:

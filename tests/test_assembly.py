@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,24 @@ def test_compare_indices_full_product():
     report = asm.compare_indices(*(c for c in (
         asm.analytic_index(spec, full_product=True),
         asm.mu_index(spec, full_product=True))))
+    assert report.ok
+
+
+def test_compare_indices_reach_without_dense_arrays():
+    # (5,12) has dim 9057: one dense dim x dim complex array is 1.3 GB, so a
+    # traced peak below a real dim x dim array shows none is ever formed
+    spec = fock.TruncationSpec(5, 12)
+    analytic, mu = asm.analytic_index(spec), asm.mu_index(spec)
+    dim = analytic.space.dim
+    assert dim == 9057
+    tracemalloc.start()
+    try:
+        report = asm.compare_indices(analytic, mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * dim * dim
+    assert all(value <= tol for _, value, tol in report.rows)
     assert report.ok
 
 

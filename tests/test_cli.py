@@ -150,6 +150,17 @@ def test_sigma_list_length_follows_the_selected_experiments(tmp_path):
                                              f"experiments = {names}\n"))
 
 
+def test_sigma_list_is_checked_against_the_experiment_run(tmp_path, capsys):
+    # the config's experiments need one sigma value, the named one needs three
+    cfg = write(tmp_path, "sigma = list:0.5\nexperiments = kucerovsky\n")
+    out = tmp_path / "out"
+    assert main(["run", "assembly_compare", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "sigma" in err
+    assert not out.exists() or not list(out.iterdir())
+    assert main(["run", "kucerovsky", "--config", cfg, "--out", str(out)]) == 0
+
+
 def test_hermite_cut_limit_is_the_adaptive_cap(tmp_path):
     assert parse_config(write(tmp_path, "hermite_cut = 40000\n")).hermite_cut == 40000
     with pytest.raises(ConfigError, match="40000"):

@@ -1,13 +1,14 @@
+import functools
 import hashlib
 
 import numpy as np
 import pytest
 
-from kkindex import dirac, fock, limitspace
-from kkindex.opcore import (Basis, SparseOperator, Vector, adjoint,
-                            graded_commutator, inner_product, spectrum,
-                            gram_transpose, BasisMismatchError,
-                            NotSelfAdjointError)
+from kkindex import assembly, dirac, fock, limitspace
+from kkindex.opcore import (Basis, SparseOperator, Vector, adjoint, block_components,
+                            eigh_gram, graded_commutator, inner_product, shift_op, spectrum,
+                            gram_transpose, orthonormal_dense, BasisMismatchError,
+                            NotSelfAdjointError, ShapeMismatchError)
 
 SPEC = fock.TruncationSpec(n_max=3, e_max=6)
 
@@ -423,6 +424,27 @@ def test_from_text_round_trips_exactly():
         assert back.grade == op.grade and entries(back) == entries(op)
 
 
+def test_shift_op_matches_label_lookup():
+    # the label-by-label dict lookup is the oracle; codomains in shuffled
+    # order, with negative entries and targets outside every label range
+    rng = np.random.default_rng(19)
+    for width in (1, 2, 4):
+        labels = {tuple(rng.integers(-2, 4, width).tolist()) for _ in range(40)}
+        domain = Basis(sorted(labels), np.ones(len(labels)))
+        kept = [domain.labels[i] for i in rng.permutation(len(labels))[:(3 * len(labels)) // 4]]
+        codomain = Basis(kept, np.ones(len(kept)))
+        coeff = rng.integers(-2, 3, domain.dim).astype(float)
+        for pos in range(width):
+            for step in (-3, -1, 1, 2):
+                got = shift_op(domain, codomain, pos, step, coeff, "odd")
+                ref = {}
+                for j, lab in enumerate(domain.labels):
+                    target = lab[:pos] + (lab[pos] + step,) + lab[pos + 1:]
+                    if target in codomain and coeff[j]:
+                        ref[(codomain.index(target), j)] = complex(coeff[j])
+                assert got.grade == "odd" and entries(got) == ref
+
+
 @pytest.mark.parametrize("row, col", [(-1, 0), (3, 0), (0, -1), (0, 2)])
 def test_out_of_range_indices_raise(row, col):
     dom, cod = Basis([(0,), (1,)], np.ones(2)), Basis([(0,), (1,), (2,)], np.ones(3))
@@ -477,5 +499,204 @@ def test_property_graded_jacobi_identity():
                + graded_commutator(b, graded_commutator(a, c)).scale(sign))
         # quarter-integer entries keep every product and sum exact
         assert (lhs - rhs).max_abs() == 0.0
+
+    check()
+
+
+# ---------------------------------------------------------------- block spectra
+
+def dense_hermitian(a, tol=1e-10):
+    """The dense route the block layer replaced: the Hermitian part of the
+    orthonormal view, after the same self-adjointness check."""
+    sym = orthonormal_dense(a)
+    asym = np.max(np.abs(sym - sym.conj().T), initial=0.0)
+    if asym > tol * max(np.max(np.abs(sym), initial=0.0), 1.0):
+        raise NotSelfAdjointError(f"max asymmetry {asym:.3e}")
+    return 0.5 * (sym + sym.conj().T)
+
+
+def bfs_components(op):
+    """Component labels (smallest member) by breadth-first search."""
+    neighbours = {i: set() for i in range(op.domain.dim)}
+    for i, j in zip(op.rows.tolist(), op.cols.tolist()):
+        neighbours[i].add(j)
+        neighbours[j].add(i)
+    label = [-1] * op.domain.dim
+    for root in range(op.domain.dim):  # ascending, so each root is its minimum
+        if label[root] >= 0:
+            continue
+        label[root], queue = root, [root]
+        while queue:
+            for j in neighbours[queue.pop()]:
+                if label[j] < 0:
+                    label[j] = root
+                    queue.append(j)
+    return np.array(label, dtype=np.int64)
+
+
+def shuffled_blocks(rng, sizes, free, gram_exponents=(-2, 4), null=0):
+    """Gram-self-adjoint operator with one random Hermitian block per size
+    (orthonormal coordinates), placed on shuffled states, plus ``free``
+    states with no entries.  The ``null`` lowest eigenvalues of each block
+    are set to zero."""
+    dim = sum(sizes) + free
+    basis = Basis([(i,) for i in range(dim)], 2.0 ** rng.integers(*gram_exponents, dim))
+    s = np.sqrt(basis.gram)
+    perm = rng.permutation(dim)
+    rows, cols, vals, start = [], [], [], 0
+    for size in sizes:
+        h = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        lam, u = np.linalg.eigh(h + h.conj().T)
+        lam[:null] = 0.0
+        h = (u * lam) @ u.conj().T
+        h = 0.5 * (h + h.conj().T)  # exactly Hermitian
+        states = perm[start:start + size]
+        start += size
+        i, j = np.meshgrid(states, states, indexing="ij")
+        rows += i.ravel().tolist()
+        cols += j.ravel().tolist()
+        vals += (h * s[j] / s[i]).ravel().tolist()
+    return SparseOperator(basis, basis, rows, cols, vals)
+
+
+@functools.cache
+def block_cases():
+    """Operators the block layer is checked on, built once on first use."""
+    rng = np.random.default_rng(31)
+    spec = fock.TruncationSpec(2, 3)
+    jcycle = assembly.build_j_cycle(spec, 1, limitspace.SigmaSequence("pow2"), h_op=4)
+    d = jcycle.materialized.operator
+    return {
+        "dirac_R (3,8)": dirac.build_dirac_R(fock.TruncationSpec(3, 8))[0],
+        "dirac_L (3,8)": dirac.build_dirac_L(fock.TruncationSpec(3, 8))[0],
+        "analytic full (2,3)": assembly.analytic_index(spec, full_product=True).operator,
+        "mu full (2,3)": assembly.mu_index(spec, full_product=True).operator,
+        "j-cycle D": d,
+        "j-cycle D^2": d @ d,
+        "shuffled blocks": shuffled_blocks(rng, [3, 1, 5, 3, 2, 5, 1], free=4),
+        "zero-dim": SparseOperator.zero(Basis([], [])),
+    }
+
+
+BLOCK_CASES = ["dirac_R (3,8)", "dirac_L (3,8)", "analytic full (2,3)", "mu full (2,3)",
+               "j-cycle D", "j-cycle D^2", "shuffled blocks", "zero-dim"]
+
+
+@pytest.mark.parametrize("name", BLOCK_CASES)
+def test_block_spectra_equal_dense_spectra(name):
+    op = block_cases()[name]
+    assert op.domain.dim <= 800
+    dense = np.linalg.eigvalsh(dense_hermitian(op))
+    blocks = spectrum(op)
+    assert blocks.shape == dense.shape and np.all(np.diff(blocks) >= 0)
+    assert np.max(np.abs(blocks - dense), initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("name", BLOCK_CASES)
+def test_eigh_gram_blocks_diagonalize_the_operator(name):
+    op = block_cases()[name]
+    g = op.domain.gram
+    dense = op.to_dense()
+    seen = []
+    for states, vals, vecs in eigh_gram(op):
+        k, s = states.shape
+        assert vals.shape == (k, s) and vecs.shape == (k, s, s)
+        for b in range(k):
+            v = np.zeros((op.domain.dim, s), dtype=complex)
+            v[states[b]] = vecs[b]
+            # eigenvectors in original coordinates, Gram-orthonormal
+            assert np.max(np.abs(dense @ v - v * vals[b])) <= 1e-11 * max(1, np.max(np.abs(vals)))
+            assert np.max(np.abs(v.conj().T @ (g[:, None] * v) - np.eye(s))) <= 1e-12
+        seen += states.ravel().tolist()
+    assert sorted(seen) == list(range(op.domain.dim))
+
+
+@pytest.mark.parametrize("name", BLOCK_CASES)
+def test_block_components_match_breadth_first_search(name):
+    op = block_cases()[name]
+    assert np.array_equal(block_components(op), bfs_components(op))
+
+
+def test_block_components_match_scipy():
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    sparse = pytest.importorskip("scipy.sparse")
+    for op in block_cases().values():
+        n = op.domain.dim
+        graph = sparse.coo_matrix((np.ones(op.nnz), (op.rows, op.cols)), shape=(n, n))
+        count, theirs = csgraph.connected_components(graph, directed=False)
+        ours = block_components(op)
+        # same partition: the two labelings determine each other
+        pairs = set(zip(ours.tolist(), theirs.tolist()))
+        assert len(pairs) == count == len(set(ours.tolist()))
+
+
+def test_block_components_singletons_and_chains():
+    basis = Basis([(i,) for i in range(7)], np.ones(7))
+    # one chain 0-2-4-6 with entries in both orientations, one pair 3-5, one
+    # free state 1
+    op = SparseOperator(basis, basis, [0, 4, 4, 3], [2, 2, 6, 5], [1.0, 1.0, 1.0, 1.0])
+    assert block_components(op).tolist() == [0, 1, 0, 3, 0, 3, 0]
+
+
+@pytest.mark.parametrize("name", BLOCK_CASES)
+def test_bounded_transform_matches_dense_recomposition(name):
+    op = block_cases()[name]
+    vals, u = np.linalg.eigh(dense_hermitian(op))
+    dense_on = (u * (vals / np.sqrt(1.0 + vals ** 2))[None, :]) @ u.conj().T
+    bt = dirac.bounded_transform(op)
+    assert bt.grade == op.grade
+    assert np.max(np.abs(orthonormal_dense(bt) - dense_on), initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["dirac_R", "null blocks"])
+def test_kernel_vectors_are_gram_orthonormal(case):
+    if case == "dirac_R":
+        op = block_cases()["dirac_R (3,8)"]
+        count = fock.enumerate_basis(fock.TruncationSpec(3, 8), "boson").dim
+    else:
+        # one null vector in each of three blocks, and two free states
+        op = shuffled_blocks(np.random.default_rng(8), [3, 4, 2], free=2, null=1)
+        count = 5
+    vecs = dirac.kernel(op)
+    assert len(vecs) == count
+    gram = np.array([[inner_product(v, w) for w in vecs] for v in vecs])
+    assert np.max(np.abs(gram - np.eye(len(vecs)))) <= 1e-12
+    assert max(op.apply(v).norm() for v in vecs) <= 1e-12
+
+
+def test_block_routes_reject_non_self_adjoint():
+    basis = fock.enumerate_basis(fock.TruncationSpec(2, 3), "boson")
+    skew = fock.energy_op(basis)  # i * diagonal
+    for route in (spectrum, eigh_gram, dirac.bounded_transform):
+        with pytest.raises(NotSelfAdjointError):
+            route(skew)
+    # an off-diagonal asymmetry inside one block, in Gram scaling
+    block = shuffled_blocks(np.random.default_rng(4), [4], free=1)
+    k = np.flatnonzero(block.rows != block.cols)[0]
+    tilted = block + SparseOperator(block.domain, block.domain, [block.rows[k]],
+                                    [block.cols[k]], [1e-6])
+    for route in (spectrum, eigh_gram, dirac.bounded_transform):
+        route(block)
+        with pytest.raises(NotSelfAdjointError):
+            route(tilted)
+    ferm = fock.enumerate_basis(fock.TruncationSpec(2, 3), "fermion")
+    with pytest.raises(ShapeMismatchError):
+        spectrum(SparseOperator.zero(basis, ferm))
+
+
+def test_property_block_spectra_equal_dense_spectra():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.lists(st.integers(1, 6), max_size=6), st.integers(0, 4),
+                      st.integers(0, 2 ** 32 - 1))
+    def check(sizes, free, seed):
+        op = shuffled_blocks(np.random.default_rng(seed), sizes, free)
+        dense = np.linalg.eigvalsh(dense_hermitian(op))
+        got = spectrum(op)
+        assert got.shape == dense.shape
+        assert np.max(np.abs(got - dense), initial=0.0) <= 1e-12 * max(
+            1.0, np.max(np.abs(dense), initial=0.0))
 
     check()
