@@ -556,6 +556,46 @@ class FiniteAssemblyReport:
     compressed_cross: float
 
 
+# columns of ``iso`` pushed through the finite model at once: a chunk holds
+# a few (chunk, n, n) arrays, 16 MB each at order 256
+FINITE_CHUNK = 16
+
+
+def _finite_model(group: twistgroup.FiniteAbelianGroup, tau: twistgroup.Cocycle,
+                  seed: int):
+    """Matrices of the finite model on ``l2(G)``: left convolution ``conv``
+    by the seeded self-adjoint ``h``, the uniform cut-off projection
+    ``p_cut``, its complement ``d_op`` and the cut-off root ``sqrt(c)``."""
+    n = group.order
+    ext = twistgroup.TwistedExtension(tau)
+    rng = np.random.default_rng(seed)
+    u_slice = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    u = twistgroup.GroupAlgebraElement(ext, u_slice, 1)
+    h = u.add(u.involution())
+    conv = np.column_stack([
+        twistgroup.convolve(h, twistgroup.GroupAlgebraElement(ext, e_j, 1)).values
+        for e_j in np.eye(n)])
+    c = {p: 1.0 / n for p in group.elements}
+    template = twistgroup.CrossedProductElement.translation(group)
+    p_cut = twistgroup.regular_representation(twistgroup.mishchenko(c, template))
+    d_op = np.eye(n) - p_cut
+    return conv, p_cut, d_op, np.full(n, 1.0 / np.sqrt(n))
+
+
+def _finite_apply(p_cut: np.ndarray, d_op: np.ndarray, conv: np.ndarray,
+                  x: np.ndarray):
+    """``C (D (x) id) C`` and ``C (D (x) id + id (x) L_h) C`` with
+    ``C = p_cut (x) id`` on a stack ``x`` of n x n arrays.
+
+    A vector of ``l2(G) (x) l2(G)`` is the n x n array of its row-major
+    coordinates, so ``(A (x) B) vec(X) = vec(A X B^T)``: the first leg is
+    acted on from the left, the second from the right.
+    """
+    px = p_cut @ x
+    cross = p_cut @ (d_op @ px)
+    return cross, cross + p_cut @ (px @ conv.T)
+
+
 def finite_group_assembly(group: twistgroup.FiniteAbelianGroup,
                           tau: twistgroup.Cocycle, seed: int = 11) -> FiniteAssemblyReport:
     """Zero-dimensional model of the compression identity.
@@ -566,33 +606,29 @@ def finite_group_assembly(group: twistgroup.FiniteAbelianGroup,
     by a self-adjoint twisted-algebra element.  Compressing by the cut-off
     projection must kill the first part exactly and reproduce the spectrum
     of ``L_h``.
+
+    The operator and the compressor are applied to n x n arrays, never as
+    n^2 x n^2 matrices: the compressed operator is read off on the columns
+    ``sqrt(c) (x) e_j`` of the isometry ``iso`` onto the compressor's range,
+    a chunk of columns at a time.
     """
-    grp = group
-    n = grp.order
-    ext = twistgroup.TwistedExtension(tau)
-    rng = np.random.default_rng(seed)
-    u_slice = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    u = twistgroup.GroupAlgebraElement(ext, u_slice, 1)
-    h = u.add(u.involution())
-
-    conv = np.column_stack([
-        twistgroup.convolve(h, twistgroup.GroupAlgebraElement(ext, e_j, 1)).values
-        for e_j in np.eye(n)])
-
-    c = {p: 1.0 / n for p in grp.elements}
-    template = twistgroup.CrossedProductElement.translation(grp)
-    p_cut = twistgroup.regular_representation(twistgroup.mishchenko(c, template))
-    d_op = np.eye(n) - p_cut
-
-    big = np.kron(d_op, np.eye(n)) + np.kron(np.eye(n), conv)
-    compressor = np.kron(p_cut, np.eye(n))
-    compressed = compressor @ big @ compressor
-    compressed_cross = float(np.linalg.norm(
-        compressor @ np.kron(d_op, np.eye(n)) @ compressor, 2))
-
-    sqrt_c = np.full(n, 1.0 / np.sqrt(n))
-    iso = np.kron(sqrt_c[:, None], np.eye(n))
-    comp_small = iso.conj().T @ compressed @ iso
+    n = group.order
+    conv, p_cut, d_op, sqrt_c = _finite_model(group, tau, seed)
+    # the compressor is iso iso^H only if p_cut is the rank-one projection
+    # onto sqrt(c); then |C (D (x) id) C| = |iso^H C (D (x) id) C iso|
+    if np.max(np.abs(p_cut - np.outer(sqrt_c, sqrt_c.conj()))) > 1e-14:
+        raise ValueError("cut-off projection is not the rank-one projection onto sqrt(c)")
+    comp_small = np.empty((n, n), dtype=complex)
+    cross_small = np.empty((n, n), dtype=complex)
+    for start in range(0, n, FINITE_CHUNK):
+        cols = np.arange(start, min(start + FINITE_CHUNK, n))
+        x = np.zeros((len(cols), n, n), dtype=complex)
+        x[np.arange(len(cols)), :, cols] = sqrt_c
+        cross, full = _finite_apply(p_cut, d_op, conv, x)
+        # iso^H Y = sqrt(c)^H Y: contract the first leg against sqrt(c)
+        cross_small[:, cols] = (sqrt_c.conj() @ cross).T
+        comp_small[:, cols] = (sqrt_c.conj() @ full).T
+    compressed_cross = float(np.linalg.norm(cross_small, 2))
     s_comp = np.linalg.eigvalsh(0.5 * (comp_small + comp_small.conj().T))
     s_direct = np.linalg.eigvalsh(0.5 * (conv + conv.conj().T))
     return FiniteAssemblyReport(

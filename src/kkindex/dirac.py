@@ -35,7 +35,6 @@ __all__ = [
     "per_estimate",
     "bounded_transform",
     "spectrum_with_prediction",
-    "spectrum_csv",
 ]
 
 
@@ -315,11 +314,3 @@ def spectrum_with_prediction(spec: fock.TruncationSpec):
         m, p = measured.get(shell, 0), predicted.get(shell, 0)
         rows.append((float(shell), m, p, m == p))
     return rows
-
-
-def spectrum_csv(spec: fock.TruncationSpec) -> str:
-    """CSV spectrum report: eigenvalue, multiplicity, predicted, match."""
-    lines = ["# kk-index-lab v1", "eigenvalue,multiplicity,predicted,match"]
-    for value, mult, predicted, match in spectrum_with_prediction(spec):
-        lines.append(f"{value:.17g},{mult},{predicted},{int(match)}")
-    return "\n".join(lines) + "\n"

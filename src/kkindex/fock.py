@@ -42,7 +42,6 @@ __all__ = [
     "energy_op",
     "clifford",
     "number_op",
-    "basis_csv",
     "safe_indices",
 ]
 
@@ -130,15 +129,6 @@ def number_op(basis: Basis) -> SparseOperator:
     """Diagonal weighted count ``sum of occupied modes`` on the fermion basis."""
     diag = np.arange(basis.dim)
     return SparseOperator(basis, basis, diag, diag, basis.energy, "even")
-
-
-def basis_csv(basis: Basis) -> str:
-    """CSV dump: state encoding, weighted energy, Gram weight."""
-    lines = ["# kk-index-lab v1", "state,energy,gram"]
-    for i, lab in enumerate(basis.labels):
-        enc = "".join(str(int(x)) for x in lab)
-        lines.append(f"{enc},{basis.energy[i]:g},{basis.gram[i]:.17g}")
-    return "\n".join(lines) + "\n"
 
 
 def safe_indices(basis: Basis, margin: int, cap: float = None):

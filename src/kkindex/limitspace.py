@@ -25,6 +25,7 @@ and ``|dR_z Xi_sigma| = sigma/2``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,8 +184,9 @@ def radial_quadrature(f, upper: float, rel_tol: float = 1e-12, max_splits: int =
     raise RuntimeError(f"quadrature did not converge to {rel_tol} on [0, {upper}]")
 
 
-def _laguerre_integrals(sigma: float, kmax: int) -> np.ndarray:
-    """``(1/sigma) * integral_0^{sigma^2} L_k(u) e^{-u/2} du`` for k <= kmax.
+def _laguerre_terms(sigma: float):
+    """Yield ``integral_0^{sigma^2} L_k(u) e^{-u/2} du`` for ``k = 0, 1,
+    2, ...`` without end, as Python floats.
 
     With ``a = sigma^2`` the integrals ``I_k`` obey
     ``I_k + I_(k-1) = -2 e^{-a/2} (L_k(a) - L_(k-1)(a))`` (differentiate
@@ -192,14 +194,17 @@ def _laguerre_integrals(sigma: float, kmax: int) -> np.ndarray:
     with the associated Laguerre polynomial ``L^(1)``; that form has no
     cancellation at small ``a``.
     """
-    a = sigma * sigma
-    damp = 2.0 * np.exp(-a / 2.0)
-    out = [-2.0 * np.expm1(-a / 2.0)]
+    a = float(sigma) * float(sigma)
+    damp = float(2.0 * np.exp(-a / 2.0))
+    term = float(-2.0 * np.expm1(-a / 2.0))
+    yield term
     l1_prev, l1 = 0.0, 1.0  # L^(1)_(k-2)(a), L^(1)_(k-1)(a)
-    for k in range(1, kmax + 1):
-        out.append(-out[-1] + damp * (a / k) * l1)
+    k = 0
+    while True:
+        k += 1
+        term = -term + damp * (a / k) * l1
+        yield term
         l1_prev, l1 = l1, ((2 * k - a) * l1 - k * l1_prev) / k
-    return np.array(out) / sigma
 
 
 # the adaptive cutoff of :func:`xi_coeffs` stops at this norm deficiency or
@@ -209,29 +214,29 @@ XI_HARD_CAP = 20_000
 
 
 def xi_coeffs(sigma: float, h_max: int = None) -> ModeFunction:
-    """Diagonal-sector coefficients of the transformed disk indicator.
+    """Diagonal-sector coefficients of the transformed disk indicator,
+    ``xi_k = (1/sigma) integral_0^{sigma^2} L_k(u) e^{-u/2} du``.
 
     With ``h_max`` given, uses radial modes ``k <= h_max // 2``; otherwise
     grows the cutoff until the norm deficiency drops below
-    :data:`XI_TARGET_DEFICIENCY` or the cutoff reaches :data:`XI_HARD_CAP`.
+    :data:`XI_TARGET_DEFICIENCY` or the cutoff reaches :data:`XI_HARD_CAP`,
+    continuing the recurrence where the last cutoff stopped.
     The coefficients decay like ``k^(-3/4)`` (sharp disk edge), so the
     deficiency shrinks only like ``k^(-1/2)``: the reachable deficiency is a
     few 1e-3, not machine zero.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    if h_max is not None:
-        kmax = max(h_max // 2, 0)
-        coeffs = _laguerre_integrals(sigma, kmax)
-        return ModeFunction(coeffs, sigma, max(1.0 - float(coeffs @ coeffs), 0.0), True)
-    kmax = 256
+    terms, integrals = _laguerre_terms(sigma), []
+    kmax = 256 if h_max is None else max(h_max // 2, 0)
     while True:
-        kmax = min(kmax, XI_HARD_CAP)
-        coeffs = _laguerre_integrals(sigma, kmax)
+        integrals.extend(itertools.islice(terms, kmax + 1 - len(integrals)))
+        coeffs = np.array(integrals) / sigma
         deficiency = max(1.0 - float(coeffs @ coeffs), 0.0)
-        if deficiency < XI_TARGET_DEFICIENCY or kmax >= XI_HARD_CAP:
+        if (h_max is not None or deficiency < XI_TARGET_DEFICIENCY
+                or kmax >= XI_HARD_CAP):
             return ModeFunction(coeffs, sigma, deficiency, True)
-        kmax *= 4
+        kmax = min(4 * kmax, XI_HARD_CAP)
 
 
 def xi_overlap_dRz(mode: ModeFunction, conjugate: bool = False) -> complex:

@@ -53,7 +53,6 @@ __all__ = [
     "module_inner_product",
     "decompose_twisted_algebra",
     "parse_group_spec",
-    "element_table_csv",
 ]
 
 
@@ -597,17 +596,3 @@ def parse_group_spec(text: str):
     else:
         raise ValueError(f"unknown cocycle {kind!r}")
     return group, tau
-
-
-def element_table_csv(f: GroupAlgebraElement) -> str:
-    """CSV rows ``component..., phase index, re, im`` over the extension."""
-    lines = ["# kk-index-lab v1"]
-    ncomp = len(f.ext.group.moduli)
-    lines.append(",".join(f"g{i}" for i in range(ncomp)) + ",phase,re,im")
-    tab = f.table()
-    for gi, g in enumerate(f.ext.group.elements):
-        for j in range(f.ext.m):
-            z = tab[gi, j]
-            lines.append(",".join(str(comp) for comp in g)
-                         + f",{j},{z.real:.17g},{z.imag:.17g}")
-    return "\n".join(lines) + "\n"

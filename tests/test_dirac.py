@@ -264,13 +264,6 @@ def test_spectrum_multiplicities_match_counting():
     assert rows[0][0] == 0.0 and rows[0][1] == weighted_partition_count(3, 5)
 
 
-def test_spectrum_csv_report():
-    lines = dirac.spectrum_csv(fock.TruncationSpec(2, 3)).splitlines()
-    assert lines[0] == "# kk-index-lab v1"
-    assert lines[1] == "eigenvalue,multiplicity,predicted,match"
-    assert all(row.endswith(",1") for row in lines[2:])
-
-
 def test_dirac_square_spectrum_nonnegative():
     spec = fock.TruncationSpec(2, 4)
     dR, _ = dirac.build_dirac_R(spec)

@@ -243,12 +243,3 @@ def test_adjoint_skew_pairs():
         for j in fock.safe_indices(ferm, n):
             diff = (adjoint(wedge) + holo).to_dense()
             assert np.max(np.abs(diff[:, j])) < 1e-13
-
-
-def test_basis_csv_dump():
-    basis = fock.enumerate_basis(fock.TruncationSpec(2, 3), "boson")
-    lines = fock.basis_csv(basis).splitlines()
-    assert lines[0] == "# kk-index-lab v1"
-    assert lines[1] == "state,energy,gram"
-    assert lines[2] == "00,0,1"
-    assert len(lines) == 2 + basis.dim

@@ -69,6 +69,41 @@ def test_laguerre_integrals_match_quadrature(sigma):
     assert np.max(np.abs(got[list(ks)] - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
+def restart_laguerre_integrals(sigma, kmax):
+    """The recurrence from k = 0 on numpy scalars, restarted per cutoff."""
+    a = sigma * sigma
+    damp = 2.0 * np.exp(-a / 2.0)
+    out = [-2.0 * np.expm1(-a / 2.0)]
+    l1_prev, l1 = 0.0, 1.0
+    for k in range(1, kmax + 1):
+        out.append(-out[-1] + damp * (a / k) * l1)
+        l1_prev, l1 = l1, ((2 * k - a) * l1 - k * l1_prev) / k
+    return np.array(out) / sigma
+
+
+def restart_xi_coeffs(sigma):
+    kmax = 256
+    while True:
+        kmax = min(kmax, ls.XI_HARD_CAP)
+        coeffs = restart_laguerre_integrals(sigma, kmax)
+        deficiency = max(1.0 - float(coeffs @ coeffs), 0.0)
+        if deficiency < ls.XI_TARGET_DEFICIENCY or kmax >= ls.XI_HARD_CAP:
+            return coeffs, deficiency
+        kmax *= 4
+
+
+@pytest.mark.parametrize("sigma,kmax", [(8.0, 256), (4.0, 1024), (1.0, 4096),
+                                        (0.5, 16384), (0.25, 20000)])
+def test_continued_xi_recurrence_is_bit_identical_to_restarts(sigma, kmax):
+    # one sigma per cutoff step the adaptive loop can stop at
+    mode = ls.xi_coeffs(sigma)
+    coeffs, deficiency = restart_xi_coeffs(sigma)
+    assert len(mode.coeffs) == kmax + 1
+    assert np.array_equal(mode.coeffs, coeffs)
+    assert mode.deficiency == deficiency
+    assert np.array_equal(ls.xi_coeffs(sigma, h_max=2 * kmax).coeffs, coeffs)
+
+
 def test_xi_overlap_dRz_exact_zero():
     mode = ls.xi_coeffs(0.5, h_max=32)
     assert ls.xi_overlap_dRz(mode) == 0.0

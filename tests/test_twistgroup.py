@@ -499,17 +499,6 @@ def test_parse_group_spec_errors():
         tg.parse_group_spec("group = 2\ncocycle = exotic")
 
 
-def test_element_csv_header():
-    grp = tg.FiniteAbelianGroup((2,))
-    ext = tg.TwistedExtension(tg.trivial_cocycle(grp, 2))
-    f = tg.GroupAlgebraElement.unit(ext, 1)
-    text = tg.element_table_csv(f)
-    lines = text.splitlines()
-    assert lines[0] == "# kk-index-lab v1"
-    assert lines[1] == "g0,phase,re,im"
-    assert len(lines) == 2 + 4
-
-
 # ---------------------------------------------------------------- tables
 # The integer tables behind every kernel against the tuple API, and each
 # kernel against a loop oracle over residue tuples, at orders <= 9.
@@ -619,6 +608,46 @@ def test_check_cocycle_ordered_list_matches_oracle(tau):
     bad = tg.check_cocycle(shifted)
     assert bad == brute_check_cocycle(shifted)
     assert bad and all(kind == "normalization" for kind, *_ in bad)
+
+
+def test_property_cocycle_identity_on_random_finite_abelian_groups():
+    # a bilinear form that is well defined on the group plus a normalized
+    # coboundary is a cocycle; one shifted entry is caught exactly as the
+    # triple loop catches it
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    moduli = st.lists(st.integers(1, 6), min_size=1, max_size=3).filter(
+        lambda ms: int(np.prod(ms)) <= 12)
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(moduli, st.integers(1, 6), st.data())
+    def check(ms, m, data):
+        grp = tg.FiniteAbelianGroup(ms)
+        r = len(ms)
+        # g_i F_ij h_j mod m must not see the representative of g_i or h_j
+        step = [[np.lcm(m // np.gcd(m, ms[i]), m // np.gcd(m, ms[j])) for j in range(r)]
+                for i in range(r)]
+        form = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=r * r,
+                                           max_size=r * r))).reshape(r, r) * step
+        b = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=grp.order,
+                                        max_size=grp.order)))
+        b[grp.index(grp.identity)] = 0
+        table = grp.coords @ form @ grp.coords.T + coboundary(grp, b)
+        tau = tg.Cocycle(grp, table, m)
+        assert tg.check_cocycle(tau) == brute_check_cocycle(tau) == []
+        if m == 1:
+            return
+        entry = data.draw(st.tuples(st.integers(0, grp.order - 1),
+                                    st.integers(0, grp.order - 1)))
+        exps = tau.exponents.copy()
+        exps[entry] += data.draw(st.integers(1, m - 1))
+        shifted = tg.Cocycle(grp, exps, m)
+        bad = tg.check_cocycle(shifted)
+        assert bad == brute_check_cocycle(shifted)
+        # below order 3 a shifted (g, g) entry can cancel in every triple
+        assert bad or grp.order <= 2
+
+    check()
 
 
 def brute_level_project(f, level):
