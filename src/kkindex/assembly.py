@@ -36,7 +36,6 @@ __all__ = [
     "JCycle",
     "IndexCycle",
     "build_j_cycle",
-    "mishchenko_xi",
     "assemble",
     "analytic_index",
     "mu_index",
@@ -124,17 +123,6 @@ def _materialize(spec: fock.TruncationSpec, m_active: int, h_op: int) -> Materia
                               mode_bases, h_op)
 
 
-def mishchenko_xi(seq: limitspace.SigmaSequence, m_active: int,
-                  xi_h_max: int = 64):
-    """Rank-one projections onto the renormalized ``Xi`` prefix vectors, one
-    per active mode; idempotent, self-adjoint, trace one."""
-    projs = []
-    for n in range(1, m_active + 1):
-        mode = limitspace.xi_coeffs(seq.sigma(n), h_max=xi_h_max).renormalized()
-        projs.append(np.outer(mode.coeffs, mode.coeffs))
-    return projs
-
-
 # ------------------------------------------------------------ index cycles
 
 
@@ -183,7 +171,7 @@ def mu_index(spec: fock.TruncationSpec, full_product: bool = False) -> IndexCycl
     return IndexCycle("mu", space, op, spec, boson, dual, ferm)
 
 
-def assemble(cycle: JCycle, xi_check=None) -> IndexCycle:
+def assemble(cycle: JCycle) -> IndexCycle:
     """Compress the descended cycle by the ``Xi`` projection.
 
     The compressed operator is the cycle's mirror Dirac plus
@@ -191,11 +179,6 @@ def assemble(cycle: JCycle, xi_check=None) -> IndexCycle:
     gamma_holo(n))``; the scalars vanish by rotation invariance, so the
     result equals an independently built ``dirac_L`` entrywise.
     """
-    if xi_check is not None:
-        for mine, given in zip(cycle.xi_modes, xi_check):
-            k = min(len(mine.coeffs), len(given.coeffs))
-            if np.max(np.abs(mine.coeffs[:k] - given.coeffs[:k])) > 1e-12:
-                raise ValueError("Xi mismatch between projection and cycle")
     out = cycle.dirac_L
     space = cycle.dirac_L_space
     ferm = space.factors[0]
@@ -273,15 +256,11 @@ class ComparisonReport:
     action_deviation: float
     inner_deviation: float
     bounded_spectra_deviation: float
-    rows: list = field(default_factory=list)
+    rows: list = field(default_factory=list)    # (quantity, deviation, tolerance)
 
     @property
     def ok(self) -> bool:
-        return (self.spectra_deviation <= 1e-10
-                and self.intertwine_deviation <= 1e-10
-                and self.action_deviation <= 1e-12
-                and self.inner_deviation <= 1e-12
-                and self.bounded_spectra_deviation <= 1e-10)
+        return all(value <= tol for _, value, tol in self.rows)
 
 
 def _flip_permutation(analytic: IndexCycle, mu: IndexCycle) -> np.ndarray:

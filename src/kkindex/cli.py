@@ -1,11 +1,12 @@
 """Command line entry point.
 
 ``kkindex run <experiment|all> --config <path> --out <dir>`` executes
-registered experiments and writes deterministic CSV + text reports;
-``kkindex list`` prints the registry.  The ``KKINDEX_OUT`` environment
-variable overrides the output directory.  Exit status is 0 iff every
-reported margin is within tolerance, 1 on a failed check, 2 on usage,
-config, output-directory or component errors.
+registered experiments and writes deterministic CSV + text reports, and
+prints one line per experiment naming its worst row and that row's
+headroom; ``kkindex list`` prints the registry.  The ``KKINDEX_OUT``
+environment variable overrides the output directory.  Exit status is 0
+iff every report row is within its own tolerance, 1 on a failed check, 2
+on usage, config, output-directory or component errors.
 """
 
 from __future__ import annotations
@@ -61,9 +62,8 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         status = "ok" if report.ok else "FAIL"
-        worst = max((margin for *_, margin in report.rows), default=0.0)
         print(f"{name:18s} {status:4s} checks={len(report.rows):3d} "
-              f"worst margin={worst:.3e}")
+              f"worst: {report.worst()}")
         all_ok = all_ok and report.ok
     return 0 if all_ok else 1
 

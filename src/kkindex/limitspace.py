@@ -36,7 +36,6 @@ from .opcore import Basis, SparseOperator, Vector, inner_product, shift_op
 __all__ = [
     "SigmaSequence",
     "ModeFunction",
-    "LimitVector",
     "mode_basis",
     "ladder_matrices",
     "dRz_matrix",
@@ -392,23 +391,6 @@ def build_D(spec: fock.TruncationSpec, m_active: int, seq: SigmaSequence,
                               + [fock.enumerate_basis(spec, "fermion")],
                               e_max=m_active * h_op + spec.e_max, name="prefix*fermion")
     return dirac.dirac_sum(space, m_active, translation_legs(space, m_active)), space
-
-
-@dataclass
-class LimitVector:
-    """Pure tensor with an active prefix of per-mode states and a frozen
-    ``Xi`` tail from mode ``frozen_from`` on; the tail enters norms only
-    through closed-form scalars."""
-
-    modes: list          # ModeFunction per active mode (1-based order)
-    frozen_from: int     # first frozen mode index
-    seq: SigmaSequence
-
-    def norm(self) -> float:
-        total = 1.0
-        for mode in self.modes:
-            total *= mode.norm() ** 2
-        return float(np.sqrt(total))  # frozen factors are unit vectors
 
 
 def embed_crossed(k_matrix: np.ndarray, n: int, seq: SigmaSequence,

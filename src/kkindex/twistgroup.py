@@ -369,10 +369,10 @@ class CrossedProductElement:
         self.values = np.asarray(values, dtype=complex)
         if self.values.shape != (group.order, len(self.points)):
             raise ValueError("crossed product table shape mismatch")
-        self._pt_index = {p: i for i, p in enumerate(self.points)}
+        index = {p: i for i, p in enumerate(self.points)}
         try:
             self.act_table = np.array(
-                [[self._pt_index[action[(g, x)]] for x in self.points]
+                [[index[action[(g, x)]] for x in self.points]
                  for g in group.elements], dtype=np.intp).reshape(self.values.shape)
         except KeyError as exc:
             raise ValueError(f"action does not map G x X into X at {exc}") from None
@@ -389,9 +389,6 @@ class CrossedProductElement:
 
     def act(self, g, x):
         return self.action[(tuple(g), tuple(x))]
-
-    def pt_index(self, x) -> int:
-        return self._pt_index[tuple(x)]
 
     def with_values(self, values) -> "CrossedProductElement":
         out = copy.copy(self)
@@ -480,13 +477,6 @@ class ModuleElement:
         n = ext.group.order
         if self.table.shape != (n, n):
             raise ValueError("module element needs a G x G table")
-
-    def expand(self, gamma, x) -> complex:
-        """Value at outer point ``gamma = (g, j)`` and inner ``x = (y, i)``."""
-        (g, j), (y, i) = gamma, x
-        omega = self.ext.tau.root()
-        return complex(self.table[self.ext.group.index(g), self.ext.group.index(y)]
-                       * omega ** j * omega ** (-i))
 
     def add(self, other):
         return ModuleElement(self.ext, self.table + other.table)

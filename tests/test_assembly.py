@@ -79,14 +79,6 @@ def test_jcycle_rejects_mode_overflow():
 
 # ---------------------------------------------------------------- mishchenko
 
-def test_mishchenko_xi_projection():
-    projs = asm.mishchenko_xi(SEQ, 2, xi_h_max=32)
-    for p in projs:
-        assert np.max(np.abs(p @ p - p)) < 1e-12
-        assert np.max(np.abs(p - p.conj().T)) < 1e-12
-        assert np.trace(p).real == pytest.approx(1.0)
-
-
 def test_mishchenko_finite_group_analogue():
     # constant cut-off on a finite group maps to the rank-one projection
     # onto the constant unit vector
@@ -107,13 +99,6 @@ def test_assemble_equals_mirror_dirac_entrywise():
     dl, _ = dirac.build_dirac_L(spec)
     assert (compressed.operator - dl).max_abs() <= 1e-10
     assert compressed.space.dim == dl.domain.dim
-
-
-def test_assemble_xi_mismatch_detected():
-    cycle = small_cycle()
-    other = [ls.xi_coeffs(0.9, h_max=16).renormalized()]
-    with pytest.raises(ValueError, match="Xi mismatch"):
-        asm.assemble(cycle, xi_check=other)
 
 
 def test_assemble_compressed_dimension():

@@ -1,14 +1,18 @@
+import csv
 import filecmp
+import io
+import math
 import os
 from pathlib import Path
 
 import pytest
 
 from kkindex import TruncationSpec
+from kkindex import dirac
 from kkindex.cli import main
 from kkindex.dirac import TripleSpace, spec_bases
-from kkindex.experiments import (MAX_DIM, Config, ConfigError, Lcg, parse_config,
-                                 run_experiment, triple_dim, EXPERIMENTS)
+from kkindex.experiments import (MAX_DIM, Config, ConfigError, Lcg, Report, parse_config,
+                                 run_experiment, sigma_modes, triple_dim, EXPERIMENTS)
 
 
 def write(tmp_path, text, name="cfg.txt"):
@@ -65,9 +69,79 @@ def test_run_experiment_writes_versioned_csv(tmp_path):
     report = run_experiment("weitzenbock", cfg, str(tmp_path))
     assert report.ok
     lines = (tmp_path / "weitzenbock.csv").read_text().splitlines()
-    assert lines[0] == "# kk-index-lab v1"
-    assert lines[1].startswith("quantity,truncation,measured")
+    assert lines[0] == "# kk-index-lab v2"
+    assert lines[1] == "quantity,truncation,measured,expected,tolerance,kind,headroom,ok"
     assert (tmp_path / "weitzenbock.txt").exists()
+
+
+def test_equals_row_is_held_to_its_own_tolerance():
+    rep = Report("t")
+    # one report-level tolerance of 1e-10 used to pass this row
+    rep.equals("deviation", "N=1", 5e-11, 0.0, 1e-12)
+    assert not rep.ok
+    assert rep.rows[0].headroom == pytest.approx(50.0)
+    out = io.StringIO()
+    rep.write_csv(out)
+    assert out.getvalue().splitlines()[-1] == ("deviation,N=1,5.0000000000000002e-11,0,"
+                                               "9.9999999999999998e-13,equals,50,0")
+
+
+def test_at_most_row_equal_to_its_bound_is_ok():
+    rep = Report("t")
+    rep.at_most("norm", "N=1", 0.25, 0.25, 0.0)
+    assert rep.ok and rep.rows[0].headroom == 1.0
+    rep.at_most("norm", "N=2", math.nextafter(0.25, 1.0), 0.25, 0.0)
+    assert not rep.ok and rep.rows[1].headroom > 1.0
+
+
+def test_exact_zero_tolerance_row_has_zero_headroom():
+    rep = Report("t")
+    rep.equals("count", "N=1", 11, 11, 0.0)
+    assert rep.ok and rep.rows[0].headroom == 0.0
+    rep.equals("count", "N=2", 10, 11, 0.0)
+    assert not rep.ok and rep.rows[1].headroom == math.inf
+
+
+def test_nan_row_fails():
+    for add in (Report.equals, Report.at_most):
+        rep = Report("t")
+        add(rep, "value", "N=1", math.nan, 0.0, 1.0)
+        assert not rep.ok and rep.rows[0].headroom == math.inf
+
+
+def test_worst_row_is_named():
+    rep = Report("t")
+    assert rep.worst() == "none" and "worst: none\n" in rep.summary()
+    rep.equals("small", "A", 1e-13, 0.0, 1e-12)
+    rep.at_most("tight", "B,C", 0.9, 1.0, 0.0)
+    rep.equals("exact", "D", 0.0, 0.0, 0.0)
+    assert rep.worst() == "tight [B,C] headroom 9.000e-01"
+    assert "worst: tight [B,C] headroom 9.000e-01\n" in rep.summary()
+
+
+def test_cli_exits_1_when_one_row_fails(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(dirac, "weitzenbock_residual", lambda spec: 1e-9)
+    assert main(["run", "weitzenbock", "--out", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL" in out and "headroom 1.000e+03" in out
+    rows = list(csv.reader((tmp_path / "weitzenbock.csv").read_text().splitlines()[2:]))
+    assert [row[-1] for row in rows] == ["0", "0", "0"]
+
+
+def test_run_all_csv_rows_parse_to_the_header(tmp_path):
+    # what perfbench's lab_checks reads: column 4 a number, ok last as 0 or 1
+    cfg = write(tmp_path, "modes = 3\nenergy_cut = 6\n")
+    out = tmp_path / "out"
+    assert main(["run", "all", "--config", cfg, "--out", str(out)]) == 0
+    for name in sorted(EXPERIMENTS):
+        lines = (out / f"{name}.csv").read_text().splitlines()
+        assert lines[0] == "# kk-index-lab v2"
+        header, *rows = list(csv.reader(lines[1:]))
+        assert rows, name
+        for row in rows:
+            assert len(row) == len(header), (name, row)
+            float(row[4])
+            assert row[-1] in ("0", "1"), (name, row)
 
 
 def test_run_experiment_unregistered():
@@ -159,6 +233,24 @@ def test_sigma_list_is_checked_against_the_experiment_run(tmp_path, capsys):
     assert "config error" in err and "sigma" in err
     assert not out.exists() or not list(out.iterdir())
     assert main(["run", "kucerovsky", "--config", cfg, "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("name, need", [("jcycle_diag", 2), ("assembly_compare", 3),
+                                        ("kucerovsky", 1)])
+def test_each_experiment_runs_on_exactly_the_sigma_values_it_declares(tmp_path, capsys,
+                                                                       name, need):
+    assert sigma_modes(name) == need
+    values = ["0.5", "0.25", "0.125"][:need]
+    cfg = write(tmp_path, f"sigma = list:{','.join(values)}\nexperiments = {name}\n")
+    assert main(["run", name, "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
+    # the config's own experiment reads no sigma, the named one reads need
+    cfg = write(tmp_path, f"sigma = list:{','.join(values[:-1])}\n"
+                          f"experiments = sigma_tails\n", name="short.txt")
+    out = tmp_path / "short"
+    assert main(["run", name, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "sigma" in err
+    assert not out.exists()
 
 
 def test_hermite_cut_limit_is_the_adaptive_cap(tmp_path):

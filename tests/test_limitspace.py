@@ -193,13 +193,6 @@ def test_build_d_rejects_too_many_modes():
         ls.build_D(spec, 3, ls.SigmaSequence("pow2"), h_op=2)
 
 
-def test_limit_vector_norm():
-    seq = ls.SigmaSequence("pow2")
-    modes = [ls.xi_coeffs(seq.sigma(n), h_max=16).renormalized() for n in (1, 2)]
-    vec = ls.LimitVector(modes, frozen_from=3, seq=seq)
-    assert vec.norm() == pytest.approx(1.0)
-
-
 # ---------------------------------------------------------------- embedding
 
 def test_embed_crossed_rank_one():
