@@ -32,13 +32,6 @@ print("level-1 * level-0 convolution:", tg.convolve(f1, f0).max_abs(),
 print("level-1 * level-1 stays level", tg.convolve(f1, f1).level)
 print()
 
-# the loop-group cocycle itself, evaluated exactly on trig polynomials
-val = tg.loop_cocycle(([1.0], [0.0]), ([0.0], [1.0]))
-print(f"loop cocycle of (cos, sin): exp(i pi) = {val:.1f}")
-print(f"with a torus component (t2=i, n1=3, k=1): "
-      f"{tg.loop_cocycle(([], []), ([], []), k=1, torus=(1j, 3)):.1f}")
-print()
-
 # Mishchenko cut-off and the Schatten picture
 template = tg.CrossedProductElement.translation(grp)
 cut = tg.mishchenko({p: 1.0 / grp.order for p in grp.elements}, template)

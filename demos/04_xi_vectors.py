@@ -8,8 +8,6 @@ Freezing all modes beyond a window M leaves a Dirac tail whose norm is
 dominated by the analytic bound sum_(n>M) 2 sqrt(2n) sigma_n.
 """
 
-import numpy as np
-
 from kkindex import limitspace as ls
 
 seq = ls.SigmaSequence("pow2")
@@ -32,16 +30,10 @@ for sigma in (1.0, 0.5, 2.0 ** -3):
 print()
 
 print("tail table (window M, analytic bound, measured frozen Dirac norm):")
-print(ls.tail_table_csv(seq, m_range=range(3, 9)))
+for m in range(3, 9):
+    print(f"  M={m}  {ls.tail_bound(m, seq):.6f}  {ls.frozen_tail_dirac_norm(m, seq):.6f}")
+print()
 
 mode = ls.xi_coeffs(0.5, h_max=64)
 print("overlap <Xi, dR_z Xi> =", ls.xi_overlap_dRz(mode),
       "(rotation invariance, exact)")
-
-# one inductive-limit step of the function algebra
-rng = np.random.default_rng(0)
-k = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-embedded = ls.embed_crossed(k, n=1, seq=seq, h_max=32)
-print(f"embedding step k -> k (x) P_Xi: norm {np.linalg.norm(k, 2):.6f} -> "
-      f"{np.linalg.norm(embedded, 2):.6f}, trace {np.trace(k):.3f} -> "
-      f"{np.trace(embedded):.3f}")

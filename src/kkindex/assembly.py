@@ -25,6 +25,7 @@ energy-truncated space, which both Diracs preserve without leakage.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +35,10 @@ from .opcore import Basis, SparseOperator, gram_transpose, orthonormal_dense, sp
 
 __all__ = [
     "JCycle",
+    "MaterializedJCycle",
     "IndexCycle",
     "build_j_cycle",
+    "materialize_j_cycle",
     "assemble",
     "analytic_index",
     "mu_index",
@@ -53,10 +56,14 @@ __all__ = [
 # ------------------------------------------------------------ j-cycle
 
 
+# per-mode quanta cutoff of the Xi vectors on the compression path
+XI_H_MAX = 64
+
+
 @dataclass
 class JCycle:
-    """Descended cycle data: per-mode compression scalars, the mirror Dirac
-    on its triple space, and optionally a materialized small model."""
+    """Descended cycle data: per-mode compression scalars and the mirror
+    Dirac on its triple space."""
 
     spec: fock.TruncationSpec
     m_active: int
@@ -66,34 +73,14 @@ class JCycle:
     dRbar_overlaps: list                # <Xi, dR_zbar Xi>
     dirac_L: SparseOperator             # on fermion x dual x boson
     dirac_L_space: object
-    materialized: object = None
-
-
-@dataclass
-class MaterializedJCycle:
-    """Dense-scale model of ``D (x)_2 id + id (x)_1 dirac_L`` on
-    prefix x fermion x dual, the boson column leg factored out (compactness
-    over the matrix algebra is exactly 'scalar-compact tensor identity')."""
-
-    space: object
-    operator: SparseOperator
-    d_part: SparseOperator
-    l_part: SparseOperator
-    mode_bases: list
-    h_op: int
 
 
 def build_j_cycle(spec: fock.TruncationSpec, m_active: int,
-                  seq: limitspace.SigmaSequence, h_op: int = None,
-                  xi_h_max: int = 64) -> JCycle:
-    """Assemble the descended cycle at the given truncation.
-
-    ``h_op`` requests a materialized small model (per-mode quanta cutoff)
-    for norm diagnostics; the headline compression path never needs it.
-    """
+                  seq: limitspace.SigmaSequence) -> JCycle:
+    """Assemble the descended cycle at the given truncation."""
     if m_active > spec.n_max:
         raise ValueError("component truncation mismatch: m_active > n_max")
-    xi_modes = [limitspace.xi_coeffs(seq.sigma(n), h_max=xi_h_max).renormalized()
+    xi_modes = [limitspace.xi_coeffs(seq.sigma(n), h_max=XI_H_MAX).renormalized()
                 for n in range(1, m_active + 1)]
     # rotation invariance: dR Xi lives in the angular sector next to the
     # diagonal, so every compression scalar vanishes identically
@@ -101,12 +88,51 @@ def build_j_cycle(spec: fock.TruncationSpec, m_active: int,
     overlaps_bar = [limitspace.xi_overlap_dRz(mode, conjugate=True)
                     for mode in xi_modes]
     dL, l_space = dirac.build_dirac_L(spec)
-    materialized = _materialize(spec, m_active, h_op) if h_op is not None else None
-    return JCycle(spec, m_active, seq, xi_modes, overlaps, overlaps_bar,
-                  dL, l_space, materialized)
+    return JCycle(spec, m_active, seq, xi_modes, overlaps, overlaps_bar, dL, l_space)
 
 
-def _materialize(spec: fock.TruncationSpec, m_active: int, h_op: int) -> MaterializedJCycle:
+@dataclass
+class MaterializedJCycle:
+    """Dense-scale model of ``D (x)_2 id + id (x)_1 dirac_L`` on
+    prefix x fermion x dual, the boson column leg factored out (compactness
+    over the matrix algebra is exactly 'scalar-compact tensor identity').
+    The dense views are formed on first use."""
+
+    spec: fock.TruncationSpec
+    m_active: int
+    seq: limitspace.SigmaSequence
+    space: object
+    operator: SparseOperator
+    d_part: SparseOperator
+    l_part: SparseOperator
+    mode_bases: list
+    h_op: int
+    xi_vecs: list            # truncated, renormalized Xi per mode basis
+    xi_bound: float          # commutator bound of their smearing
+
+    @functools.cached_property
+    def dense(self) -> np.ndarray:
+        """The operator in orthonormal coordinates."""
+        return orthonormal_dense(self.operator)
+
+    @functools.cached_property
+    def smearing(self) -> np.ndarray:
+        """Dense ``theta_(Xi, Xi) (x) id``; orthonormalization leaves it
+        unchanged (an identity block on the graded legs, orthonormal mode
+        bases)."""
+        comps, m = self.space.components, self.m_active
+        amps = np.prod([self.xi_vecs[q][comps[:, q]] for q in range(m)], axis=0)
+        rest = np.unique(comps[:, m:], axis=0, return_inverse=True)[1].ravel()
+        return np.where(rest[:, None] == rest[None, :], np.outer(amps, np.conj(amps)), 0.0)
+
+
+def materialize_j_cycle(spec: fock.TruncationSpec, m_active: int,
+                        seq: limitspace.SigmaSequence, h_op: int) -> MaterializedJCycle:
+    """Build the descended cycle as an operator on ``m_active`` mode bases
+    of at most ``h_op`` quanta each, times fermion x dual, for the norm
+    diagnostics."""
+    if m_active > spec.n_max:
+        raise ValueError("component truncation mismatch: m_active > n_max")
     # prefix quanta are cut per mode only; the energy window applies jointly
     # to the fermion and dual legs, which keeps the mirror part an exact
     # (leak-free) compression with squared operator 2 (N_f + E_dual)
@@ -119,8 +145,18 @@ def _materialize(spec: fock.TruncationSpec, m_active: int, h_op: int) -> Materia
     space = dirac.TripleSpace(mode_bases + [ferm, dual], e_max=spec.e_max, name="jcycle")
     d_part = dirac.dirac_sum(space, m_active, limitspace.translation_legs(space, m_active))
     l_part = dirac.dirac_sum(space, m_active, dirac.dual_legs(space, m_active + 1, spec.n_max))
-    return MaterializedJCycle(space, d_part + l_part, d_part, l_part,
-                              mode_bases, h_op)
+    # the smearing's commutator bound is 2 sqrt(sum_n 2 n r_n^2), with r_n
+    # the larger measured ladder norm |dR_z xi_n| or |dR_zbar xi_n|
+    xi_vecs, weighted = [], 0.0
+    for n, basis in enumerate(mode_bases, 1):
+        v = limitspace.xi_coeffs(seq.sigma(n), h_max=h_op).on_basis(basis)
+        v /= np.linalg.norm(v)
+        xi_vecs.append(v)
+        r_n = max(float(np.linalg.norm(limitspace.dRz_matrix(basis).to_dense() @ v)),
+                  float(np.linalg.norm(limitspace.dRzbar_matrix(basis).to_dense() @ v)))
+        weighted += 2.0 * n * r_n ** 2
+    return MaterializedJCycle(spec, m_active, seq, space, d_part + l_part, d_part, l_part,
+                              mode_bases, h_op, xi_vecs, float(2.0 * np.sqrt(weighted)))
 
 
 # ------------------------------------------------------------ index cycles
@@ -335,37 +371,6 @@ def compare_indices(analytic: IndexCycle, mu: IndexCycle, seed: int = 7,
 # ------------------------------------------------------------ diagnostics
 
 
-def _xi_prefix_vectors(cycle: JCycle):
-    """Per-mode truncated, renormalized Xi vectors on the materialized mode
-    bases, plus the commutator bound ``2 sqrt(sum_n 2 n r_n^2)`` of their
-    smearing, with ``r_n`` the larger measured ladder norm ``|dR_z xi_n|``
-    or ``|dR_zbar xi_n|``."""
-    mat = cycle.materialized
-    vecs, dr_norms = [], []
-    for n in range(1, cycle.m_active + 1):
-        basis = mat.mode_bases[n - 1]
-        mode = limitspace.xi_coeffs(cycle.seq.sigma(n), h_max=mat.h_op)
-        v = mode.on_basis(basis)
-        v /= np.linalg.norm(v)
-        vecs.append(v)
-        dz = limitspace.dRz_matrix(basis).to_dense()
-        dzb = limitspace.dRzbar_matrix(basis).to_dense()
-        dr_norms.append(max(float(np.linalg.norm(dz @ v)),
-                            float(np.linalg.norm(dzb @ v))))
-    bound = 2.0 * np.sqrt(sum(2.0 * n * dr_norms[n - 1] ** 2
-                              for n in range(1, cycle.m_active + 1)))
-    return vecs, float(bound)
-
-
-def _xi_smearing(cycle: JCycle, xi_vecs) -> np.ndarray:
-    """Dense ``theta_(Xi, Xi) (x) id`` on the materialized space."""
-    comps = cycle.materialized.space.components
-    m = cycle.m_active
-    amps = np.prod([xi_vecs[q][comps[:, q]] for q in range(m)], axis=0)
-    rest = np.unique(comps[:, m:], axis=0, return_inverse=True)[1].ravel()
-    return np.where(rest[:, None] == rest[None, :], np.outer(amps, np.conj(amps)), 0.0)
-
-
 @dataclass
 class CommutatorReport:
     measured: float
@@ -374,7 +379,7 @@ class CommutatorReport:
                             # inf unless the sigma rule is convergent
 
 
-def commutator_bound(cycle: JCycle) -> CommutatorReport:
+def commutator_bound(cycle: MaterializedJCycle) -> CommutatorReport:
     """Norm of ``[operator, a (x) id]`` for ``a = theta_(Xi, Xi)`` on the
     materialized model.
 
@@ -383,21 +388,14 @@ def commutator_bound(cycle: JCycle) -> CommutatorReport:
     assembled from the measured per-mode ladder norms of the truncated
     ``Xi`` legs.  The untruncated scalars give the ideal bound.
     """
-    mat = cycle.materialized
-    if mat is None:
-        raise ValueError("commutator_bound needs a materialized cycle")
-    xi_vecs, bound = _xi_prefix_vectors(cycle)
-    # the smearing is unchanged by orthonormalization: it is an identity
-    # block on the graded legs and the mode bases are already orthonormal
-    a_dense = _xi_smearing(cycle, xi_vecs)
-    op = orthonormal_dense(mat.operator)
+    op, a_dense = cycle.dense, cycle.smearing
     comm = op @ a_dense - a_dense @ op
     measured = float(np.linalg.norm(comm, 2))
     ideal = np.inf
     if limitspace.check_sigma_condition(cycle.seq).verdict == "convergent":
         ideal = (2.0 * limitspace.frozen_tail_dirac_norm(0, cycle.seq, n_cut=cycle.m_active)
                  + limitspace.tail_bound(cycle.m_active, cycle.seq))
-    return CommutatorReport(measured, bound, float(ideal))
+    return CommutatorReport(measured, cycle.xi_bound, float(ideal))
 
 
 @dataclass
@@ -408,7 +406,8 @@ class CompactnessReport:
     per_mode_rows: list      # (mode, measured, bound) for frozen modes
 
 
-def resolvent_compactness(cycle: JCycle, ranks=(1, 4, 16, 64)) -> CompactnessReport:
+def resolvent_compactness(cycle: MaterializedJCycle,
+                          ranks=(1, 4, 16, 64)) -> CompactnessReport:
     """Finite-rank approximability of ``(1 + op^2)^(-1) (a (x) id)``.
 
     Reports singular-value truncation errors (decreasing, zero at full
@@ -416,27 +415,22 @@ def resolvent_compactness(cycle: JCycle, ranks=(1, 4, 16, 64)) -> CompactnessRep
     shell-wise ``1/(1 + shell)`` bounds for the mirror-part resolvent, and
     the per-frozen-mode cross norms against their summable bounds.
     """
-    mat = cycle.materialized
-    if mat is None:
-        raise ValueError("resolvent_compactness needs a materialized cycle")
-    xi_vecs, _ = _xi_prefix_vectors(cycle)
-    a_dense = _xi_smearing(cycle, xi_vecs)
-    op = orthonormal_dense(mat.operator)
+    op, a_dense = cycle.dense, cycle.smearing
     dim = op.shape[0]
     target = np.linalg.inv(np.eye(dim) + op @ op) @ a_dense
     svals = np.linalg.svd(target, compute_uv=False)
     rank_errors = [(r, float(svals[r]) if r < len(svals) else 0.0) for r in ranks]
     rank_errors.append((dim, 0.0))
 
-    d_dense = orthonormal_dense(mat.d_part)
-    l_dense = orthonormal_dense(mat.l_part)
+    d_dense = orthonormal_dense(cycle.d_part)
+    l_dense = orthonormal_dense(cycle.l_part)
     d1 = d_dense @ d_dense
     d3 = l_dense @ l_dense
     d2 = (op @ op) - d1 - d3
     split = tuple(float(np.linalg.norm(x, 2)) for x in (d1, d2, d3))
 
     res0 = np.linalg.inv(np.eye(dim) + d3)
-    space = mat.space
+    space = cycle.space
     ferm_pos, dual_pos = cycle.m_active, cycle.m_active + 1
     shells = (space.factors[ferm_pos].energy[space.components[:, ferm_pos]]
               + space.factors[dual_pos].energy[space.components[:, dual_pos]])
@@ -465,7 +459,8 @@ class KucerovskyReport:
     positivity_margin: float
 
 
-def kucerovsky_check(cycle: JCycle, n_generators: int = 3, seed: int = 5) -> KucerovskyReport:
+def kucerovsky_check(cycle: MaterializedJCycle, n_generators: int = 3,
+                     seed: int = 5) -> KucerovskyReport:
     """Product-criterion diagnostics for the compression.
 
     A generator ``e = P_Xi k`` of the cut-off module induces
@@ -478,27 +473,23 @@ def kucerovsky_check(cycle: JCycle, n_generators: int = 3, seed: int = 5) -> Kuc
     pairing is identically zero; the margin reported is the minimum
     eigenvalue of the squared cycle operator (a sum of squares).
     """
-    mat = cycle.materialized
-    if mat is None:
-        raise ValueError("kucerovsky_check needs a materialized cycle")
-    space = mat.space
+    space = cycle.space
     small = dirac.TripleSpace(space.factors[cycle.m_active:], e_max=cycle.spec.e_max,
                               name="compressed")
     dl_small = orthonormal_dense(dirac.build_dirac_L(cycle.spec, space=small)[0])
 
-    xi_vecs, xi_bound = _xi_prefix_vectors(cycle)
-    xi_full = xi_vecs[0]
-    for v in xi_vecs[1:]:
+    xi_full = cycle.xi_vecs[0]
+    for v in cycle.xi_vecs[1:]:
         xi_full = np.kron(xi_full, v)
     prefix_dim = len(xi_full)
-    op = orthonormal_dense(mat.operator)
-    d_norm = float(np.linalg.norm(orthonormal_dense(mat.d_part), 2))
+    op = cycle.dense
+    d_norm = float(np.linalg.norm(orthonormal_dense(cycle.d_part), 2))
 
     rng = np.random.default_rng(seed)
     rows = [("zero", 0.0, 0.0)]
     for gen in range(n_generators):
         if gen == 0:
-            k_vec, name, bound = xi_full, "xi", xi_bound
+            k_vec, name, bound = xi_full, "xi", cycle.xi_bound
         else:
             k_vec = rng.standard_normal(prefix_dim) + 1j * rng.standard_normal(prefix_dim)
             k_vec /= np.linalg.norm(k_vec)
@@ -507,13 +498,13 @@ def kucerovsky_check(cycle: JCycle, n_generators: int = 3, seed: int = 5) -> Kuc
         t_map = _t_map(cycle, small, k_vec)
         defect = dl_small @ t_map - t_map @ op
         rows.append((name, float(np.linalg.norm(defect, 2)), float(bound)))
-    positivity = float(np.min(spectrum(mat.operator @ mat.operator)))
+    positivity = float(np.min(spectrum(cycle.operator @ cycle.operator)))
     return KucerovskyReport(rows, positivity)
 
 
-def _t_map(cycle: JCycle, small, k_vec: np.ndarray) -> np.ndarray:
+def _t_map(cycle: MaterializedJCycle, small, k_vec: np.ndarray) -> np.ndarray:
     """Matrix of ``f (x) s (x) v -> <k, f> s (x) v`` in basis coordinates."""
-    space = cycle.materialized.space
+    space = cycle.space
     m = cycle.m_active
     # ``small`` is built on the fermion and dual factors of ``space`` itself
     rows = small.index_of(space.components[:, m:])
@@ -551,9 +542,10 @@ def _finite_model(group: twistgroup.FiniteAbelianGroup, tau: twistgroup.Cocycle,
     u_slice = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     u = twistgroup.GroupAlgebraElement(ext, u_slice, 1)
     h = u.add(u.involution())
-    conv = np.column_stack([
-        twistgroup.convolve(h, twistgroup.GroupAlgebraElement(ext, e_j, 1)).values
-        for e_j in np.eye(n)])
+    # conv[x, y] = (h * e_y)(x) = h(g) omega^phase[g, x] for the one g
+    # with (g, 0)^{-1} (x, 0) = (y, .)
+    conv = np.zeros((n, n), dtype=complex)
+    conv[np.arange(n)[None, :], ext.tgt] = h.values[:, None] * ext.roots[ext.phase]
     c = {p: 1.0 / n for p in group.elements}
     template = twistgroup.CrossedProductElement.translation(group)
     p_cut = twistgroup.regular_representation(twistgroup.mishchenko(c, template))

@@ -362,6 +362,11 @@ def _exp_kernel_count(cfg: Config, rng: Lcg) -> Report:
                           default=0.0)
         rep.equals("kernel off vacuum-column support", f"N={n_max},E={e_max}",
                    off_support, 0.0, 0.0)
+    # dirac_R^2 multiplicities against independent shell counting
+    spec = cfg.spec()
+    misses = sum(not match for *_, match in dirac.spectrum_with_prediction(spec))
+    rep.equals("dirac_R^2 shells off the counted multiplicity",
+               f"N={spec.n_max},E={spec.e_max}", misses, 0.0, 0.0)
     return rep
 
 
@@ -465,7 +470,7 @@ def _exp_fingroup_suite(cfg: Config, rng: Lcg) -> Report:
     # seeded random m-iso trials on Z3 with the mu_3 pairing extension
     grp, tau = twistgroup.parse_group_spec("group = 3x3\ncocycle = heisenberg")
     ext = twistgroup.TwistedExtension(tau)
-    worst = 0.0
+    worst, pairs = 0.0, []
     for _ in range(100):
         phi1 = rng.complex_vector(grp.order)
         psi1 = rng.complex_vector(grp.order)
@@ -479,8 +484,18 @@ def _exp_fingroup_suite(cfg: Config, rng: Lcg) -> Report:
         left = twistgroup.m_iso(phi1, twistgroup.convolve(phi2, b))
         right = twistgroup.module_right_action(twistgroup.m_iso(phi1, phi2), b)
         worst = max(worst, float(np.max(np.abs(left.table - right.table))))
+        pairs.append((phi1, phi2))
     rep.equals("m-iso isometry and right-module identities (100 trials)",
                "Z3xZ3/mu3", worst, 0.0, 1e-10)
+    # a acts on phi1 through its Schatten matrix: m(a phi1 (x) phi2) = a m(phi1 (x) phi2)
+    a = twistgroup.CrossedProductElement.translation(grp, rng.complex_matrix(grp.order))
+    schatten = twistgroup.regular_representation(a)
+    worst = 0.0
+    for phi1, phi2 in pairs:
+        lhs = twistgroup.m_iso(schatten @ phi1, phi2)
+        rhs = twistgroup.module_left_action(a, twistgroup.m_iso(phi1, phi2))
+        worst = max(worst, float(np.max(np.abs(lhs.table - rhs.table))))
+    rep.equals("m-iso left-module identity (100 trials)", "Z3xZ3/mu3", worst, 0.0, 1e-10)
     return rep
 
 
@@ -521,16 +536,15 @@ def _exp_jcycle_diag(cfg: Config, rng: Lcg, sigma_modes: int) -> Report:
     rep = Report("jcycle_diag")
     # resolvent_compactness reads sigma for every mode of the spec
     spec = cfg.spec(modes=sigma_modes, energy=3)
-    cycle = assembly.build_j_cycle(spec, 1, cfg.sigma_seq(), h_op=4)
-    mat = cycle.materialized
-    sa = (adjoint(mat.operator) - mat.operator).max_abs()
+    cycle = assembly.materialize_j_cycle(spec, 1, cfg.sigma_seq(), h_op=4)
+    sa = (adjoint(cycle.operator) - cycle.operator).max_abs()
     rep.equals("self-adjointness", "materialized", sa, 0.0, 1e-10)
-    basis = mat.space.basis
+    basis = cycle.space.basis
     diag = np.arange(basis.dim)
     parity = SparseOperator(basis, basis, diag, diag, np.where(basis.parity, -1.0, 1.0))
-    odd = ((mat.operator @ parity) + (parity @ mat.operator)).max_abs()
+    odd = ((cycle.operator @ parity) + (parity @ cycle.operator)).max_abs()
     rep.equals("odd grading", "materialized", odd, 0.0, 1e-10)
-    vals = spectrum(mat.operator @ mat.operator)
+    vals = spectrum(cycle.operator @ cycle.operator)
     rep.at_most("squared operator psd", "materialized",
                 -float(np.min(vals)), 0.0, 1e-10)
     comp = assembly.resolvent_compactness(cycle)
@@ -598,7 +612,7 @@ def _exp_index_compare(cfg: Config, rng: Lcg) -> Report:
 def _exp_kucerovsky(cfg: Config, rng: Lcg, sigma_modes: int) -> Report:
     rep = Report("kucerovsky")
     spec = cfg.spec(modes=2, energy=3)
-    cycle = assembly.build_j_cycle(spec, sigma_modes, cfg.sigma_seq(), h_op=4)
+    cycle = assembly.materialize_j_cycle(spec, sigma_modes, cfg.sigma_seq(), h_op=4)
     report = assembly.kucerovsky_check(cycle, seed=cfg.seed & 0xFFFF)
     for name, measured, bound in report.rows:
         rep.at_most(f"commutator bounded ({name})", "materialized", measured, bound, 1e-8)

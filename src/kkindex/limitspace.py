@@ -30,14 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dirac, fock
 from .opcore import Basis, SparseOperator, Vector, inner_product, shift_op
 
 __all__ = [
     "SigmaSequence",
     "ModeFunction",
     "mode_basis",
-    "ladder_matrices",
     "dRz_matrix",
     "dRzbar_matrix",
     "xi_coeffs",
@@ -46,10 +44,7 @@ __all__ = [
     "check_sigma_condition",
     "tail_bound",
     "frozen_tail_dirac_norm",
-    "tail_table_csv",
     "translation_legs",
-    "build_D",
-    "embed_crossed",
     "radial_quadrature",
 ]
 
@@ -138,12 +133,6 @@ def _ladder(basis: Basis, pos: int, step: int) -> SparseOperator:
     (``step = 1``, coefficient ``sqrt(k + 1)``) of ladder coordinate ``pos``."""
     k = basis.label_array[:, pos].astype(float)
     return shift_op(basis, basis, pos, step, np.sqrt(k + 1.0) if step > 0 else np.sqrt(k))
-
-
-def ladder_matrices(basis: Basis):
-    """``(a+, a-, a+dag, a-dag)`` on a truncated mode basis."""
-    return (_ladder(basis, 0, -1), _ladder(basis, 1, -1),
-            _ladder(basis, 0, 1), _ladder(basis, 1, 1))
 
 
 def dRz_matrix(basis: Basis) -> SparseOperator:
@@ -356,16 +345,6 @@ def frozen_tail_dirac_norm(m: int, seq: SigmaSequence, n_cut: int = None) -> flo
     return float(np.sqrt(total))
 
 
-def tail_table_csv(seq: SigmaSequence, m_range=range(0, 9)) -> str:
-    """CSV table: window M, analytic tail bound, measured frozen norm."""
-    lines = ["# kk-index-lab v1", "M,analytic_bound,measured_norm"]
-    for m in m_range:
-        bound = tail_bound(m, seq)
-        measured = frozen_tail_dirac_norm(m, seq)
-        lines.append(f"{m},{bound:.17g},{measured:.17g}")
-    return "\n".join(lines) + "\n"
-
-
 # ------------------------------------------------------------ operators
 
 
@@ -374,34 +353,3 @@ def translation_legs(space, m_active: int) -> list:
     ``space`` for :func:`dirac.dirac_sum`."""
     return [(n - 1, dRzbar_matrix(space.factors[n - 1]), dRz_matrix(space.factors[n - 1]))
             for n in range(1, m_active + 1)]
-
-
-def build_D(spec: fock.TruncationSpec, m_active: int, seq: SigmaSequence,
-            h_op: int = 4):
-    """Active-mode Dirac ``sum_n sqrt(n) (dR_z x gamma_antiholo + dR_zbar x
-    gamma_holo)`` on (mode spaces) x fermion; odd, self-adjoint compression.
-
-    Returns ``(operator, space)``.  The frozen modes beyond
-    ``m_active`` are not materialized; their contribution on frozen vectors
-    is controlled by :func:`tail_bound` / :func:`frozen_tail_dirac_norm`.
-    """
-    if m_active > spec.n_max:
-        raise ValueError("m_active exceeds the mode window")
-    space = dirac.TripleSpace([mode_basis(h_op) for _ in range(m_active)]
-                              + [fock.enumerate_basis(spec, "fermion")],
-                              e_max=m_active * h_op + spec.e_max, name="prefix*fermion")
-    return dirac.dirac_sum(space, m_active, translation_legs(space, m_active)), space
-
-
-def embed_crossed(k_matrix: np.ndarray, n: int, seq: SigmaSequence,
-                  h_max: int = None) -> np.ndarray:
-    """One inductive-limit step ``k -> k (x) P_Xi(sigma_(n+1))``.
-
-    ``k`` is a dense matrix on the mode-prefix space; the result acts on the
-    prefix extended by mode ``n+1``, with the renormalized truncated ``Xi``
-    as the new rank-one leg.  Operator norm and trace are preserved.
-    """
-    xi = xi_coeffs(seq.sigma(n + 1), h_max=h_max).renormalized()
-    v = xi.coeffs
-    proj = np.outer(v, v)
-    return np.kron(np.asarray(k_matrix, dtype=complex), proj)

@@ -36,7 +36,6 @@ __all__ = [
     "trivial_cocycle",
     "heisenberg_cocycle",
     "check_cocycle",
-    "loop_cocycle",
     "TwistedExtension",
     "GroupAlgebraElement",
     "convolve",
@@ -159,36 +158,6 @@ def check_cocycle(tau: Cocycle):
         if slab.any():
             bad.extend(("identity", g, elts[h], elts[k]) for h, k in zip(*np.nonzero(slab)))
     return bad
-
-
-def loop_cocycle(l1, l2, k: int = 1, torus=None) -> complex:
-    """Central-extension phase of two trigonometric-polynomial loops.
-
-    Loops are ``(cos_coeffs, sin_coeffs)`` pairs indexed by frequency
-    ``1..J``; the winding integral is the finite Fourier pairing
-
-        integral l1 dl2 = pi * sum_j j (a_j d_j - b_j c_j),
-
-    evaluated exactly, and an optional torus component ``(t2, n1)``
-    contributes the factor ``t2^(k n1)``.
-    """
-    a, b = (np.asarray(x, dtype=float) for x in l1)
-    c, d = (np.asarray(x, dtype=float) for x in l2)
-    size = max(len(a), len(b), len(c), len(d), 0)
-
-    def pad(x):
-        out = np.zeros(size)
-        out[:len(x)] = x
-        return out
-
-    a, b, c, d = pad(a), pad(b), pad(c), pad(d)
-    j = np.arange(1, size + 1, dtype=float)
-    integral = np.pi * float(np.sum(j * (a * d - b * c)))
-    phase = np.exp(1j * integral)
-    if torus is not None:
-        t2, n1 = torus
-        phase *= complex(t2) ** (k * int(n1))
-    return complex(phase)
 
 
 class TwistedExtension:

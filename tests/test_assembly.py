@@ -13,14 +13,13 @@ SEQ = ls.SigmaSequence("pow2")
 
 def small_cycle(h_op=4):
     spec = fock.TruncationSpec(2, 3)
-    return asm.build_j_cycle(spec, 1, SEQ, h_op=h_op)
+    return asm.materialize_j_cycle(spec, 1, SEQ, h_op=h_op)
 
 
 # ---------------------------------------------------------------- j-cycle
 
 def test_jcycle_operator_odd_self_adjoint():
-    cycle = small_cycle()
-    mat = cycle.materialized
+    mat = small_cycle()
     assert mat.operator.grade == "odd"
     assert (adjoint(mat.operator) - mat.operator).max_abs() < 1e-12
     basis = mat.space.basis
@@ -32,8 +31,7 @@ def test_jcycle_operator_odd_self_adjoint():
 def test_jcycle_distinguished_vector():
     # on Xi x 1_f x dual-vacuum the mirror part vanishes exactly and the
     # free part has zero overlap with every Xi-tailed vector
-    cycle = small_cycle()
-    mat = cycle.materialized
+    mat = small_cycle()
     space = mat.space
     xi = ls.xi_coeffs(SEQ.sigma(1), h_max=mat.h_op).renormalized()
     vec = np.zeros(space.dim, dtype=complex)
@@ -51,7 +49,7 @@ def test_jcycle_distinguished_vector():
 
 def test_jcycle_square_positive():
     cycle = small_cycle()
-    op = orthonormal_dense(cycle.materialized.operator)
+    op = orthonormal_dense(cycle.operator)
     vals = np.linalg.eigvalsh(op @ op)
     assert vals[0] > -1e-12
 
@@ -64,9 +62,9 @@ def test_jcycle_split_reports_cross_term():
     n1, n2, n3 = report.split_norms
     assert n1 > 0 and n3 > 0
     assert n2 > 1e-6  # genuinely present
-    op = orthonormal_dense(cycle.materialized.operator)
-    d1 = orthonormal_dense(cycle.materialized.d_part)
-    d3 = orthonormal_dense(cycle.materialized.l_part)
+    op = orthonormal_dense(cycle.operator)
+    d1 = orthonormal_dense(cycle.d_part)
+    d3 = orthonormal_dense(cycle.l_part)
     residual = op @ op - d1 @ d1 - d3 @ d3
     assert np.linalg.norm(residual, 2) == pytest.approx(n2, rel=1e-10)
 
@@ -75,6 +73,41 @@ def test_jcycle_rejects_mode_overflow():
     spec = fock.TruncationSpec(2, 3)
     with pytest.raises(ValueError, match="truncation mismatch"):
         asm.build_j_cycle(spec, 3, SEQ)
+    with pytest.raises(ValueError, match="truncation mismatch"):
+        asm.materialize_j_cycle(spec, 3, SEQ, h_op=4)
+
+
+def test_jcycle_smearing_is_the_xi_projection_commuting_with_the_mirror_part():
+    # theta_(Xi, Xi) (x) id: one unit-trace rank-one block per distinct
+    # (fermion, dual) rest state, and [dirac_L part, smearing] = 0
+    cycle = small_cycle()
+    p = cycle.smearing
+    assert np.max(np.abs(p - p.conj().T)) == 0.0
+    assert np.max(np.abs(p @ p - p)) <= 1e-14
+    rest = np.unique(cycle.space.components[:, cycle.m_active:], axis=0)
+    assert np.trace(p).real == pytest.approx(len(rest), abs=1e-12)
+    assert abs(np.trace(p).imag) <= 1e-14
+    l_dense = orthonormal_dense(cycle.l_part)
+    assert np.max(np.abs(l_dense @ p - p @ l_dense)) <= 1e-14
+
+
+def test_diagnostics_reuse_the_cycle_xi_vectors_and_dense_view(monkeypatch):
+    cycle = small_cycle()
+    densified = []
+    dense = asm.orthonormal_dense
+    monkeypatch.setattr(asm, "orthonormal_dense",
+                        lambda op: densified.append(op) or dense(op))
+
+    xi_cuts = []
+    xi_coeffs = ls.xi_coeffs
+    monkeypatch.setattr(ls, "xi_coeffs", lambda sigma, h_max=None:
+                        xi_cuts.append(h_max) or xi_coeffs(sigma, h_max))
+    asm.commutator_bound(cycle)
+    asm.resolvent_compactness(cycle)
+    asm.kucerovsky_check(cycle)
+    assert sum(op is cycle.operator for op in densified) == 1
+    # the frozen-mode rows read adaptive Xi norms; no Xi on the mode bases
+    assert cycle.h_op not in xi_cuts
 
 
 # ---------------------------------------------------------------- mishchenko
@@ -114,18 +147,25 @@ def test_assemble_compressed_dimension():
 # The n^2 x n^2 Kronecker route, the oracle of the matrix-free one at
 # orders <= 25.
 
-def kron_finite_assembly(group, tau, seed=11):
-    """Finite model with the operator, the compressor and the isometry as
-    dense n^2 x n^2 (and n^2 x n) matrices; returns the report and the
-    operator and compressor matrices."""
+def column_conv(group, tau, seed=11):
+    """Left convolution by the model's seeded self-adjoint ``h``, one
+    ``convolve`` per unit vector."""
     n = group.order
     ext = tg.TwistedExtension(tau)
     rng = np.random.default_rng(seed)
     u_slice = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     u = tg.GroupAlgebraElement(ext, u_slice, 1)
     h = u.add(u.involution())
-    conv = np.column_stack([
+    return np.column_stack([
         tg.convolve(h, tg.GroupAlgebraElement(ext, e_j, 1)).values for e_j in np.eye(n)])
+
+
+def kron_finite_assembly(group, tau, seed=11):
+    """Finite model with the operator, the compressor and the isometry as
+    dense n^2 x n^2 (and n^2 x n) matrices; returns the report and the
+    operator and compressor matrices."""
+    n = group.order
+    conv = column_conv(group, tau, seed)
     c = {p: 1.0 / n for p in group.elements}
     template = tg.CrossedProductElement.translation(group)
     p_cut = tg.regular_representation(tg.mishchenko(c, template))
@@ -177,7 +217,7 @@ def test_finite_group_assembly_spectra_match():
         oracle, _, _ = kron_finite_assembly(grp, tau)
         assert np.max(np.abs(report.compressed_spectrum
                              - oracle.compressed_spectrum)) <= 1e-12
-        assert np.array_equal(report.direct_spectrum, oracle.direct_spectrum)
+        assert np.max(np.abs(report.direct_spectrum - oracle.direct_spectrum)) <= 1e-12
         assert report.compressed_cross <= 1e-12 and oracle.compressed_cross <= 1e-12
         assert report.deviation <= 1e-12
 
@@ -189,6 +229,7 @@ def test_finite_model_application_matches_kron_matrices(case):
     grp, tau = FINITE_CASES[case]
     n = grp.order
     conv, p_cut, d_op, _ = asm._finite_model(grp, tau, 11)
+    assert np.max(np.abs(conv - column_conv(grp, tau, 11))) <= 1e-14
     _, big, compressor = kron_finite_assembly(grp, tau)
     x = random_stack(np.random.default_rng(n), 3, n)
     _, uncompressed = asm._finite_apply(np.eye(n), d_op, conv, x)
@@ -414,7 +455,7 @@ def test_commutator_bound_holds():
 
 def test_commutator_zero_smearing():
     cycle = small_cycle()
-    op = cycle.materialized.operator.to_dense()
+    op = cycle.operator.to_dense()
     zero = np.zeros_like(op)
     assert np.linalg.norm(op @ zero - zero @ op, 2) == 0.0
 
@@ -512,8 +553,8 @@ def test_commutator_with_identity_projector():
     # the truncation projector is the identity on the materialized space:
     # the commutator is pure boundary, zero here, trivially below |D|
     cycle = small_cycle()
-    op = orthonormal_dense(cycle.materialized.operator)
+    op = orthonormal_dense(cycle.operator)
     ident = np.eye(op.shape[0])
     comm_norm = np.linalg.norm(op @ ident - ident @ op, 2)
-    d_norm = np.linalg.norm(orthonormal_dense(cycle.materialized.d_part), 2)
+    d_norm = np.linalg.norm(orthonormal_dense(cycle.d_part), 2)
     assert comm_norm == 0.0 <= d_norm

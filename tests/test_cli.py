@@ -1,12 +1,17 @@
 import csv
 import filecmp
+import importlib
+import inspect
 import io
 import math
 import os
+import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
 
+import kkindex
 from kkindex import TruncationSpec
 from kkindex import dirac
 from kkindex.cli import main
@@ -142,6 +147,33 @@ def test_run_all_csv_rows_parse_to_the_header(tmp_path):
             assert len(row) == len(header), (name, row)
             float(row[4])
             assert row[-1] in ("0", "1"), (name, row)
+
+
+def test_run_all_calls_every_exported_function(tmp_path):
+    # every module-level function a module lists in __all__ is reached by
+    # `kkindex run all`; class methods are exempt
+    exported = {}
+    for info in pkgutil.iter_modules(kkindex.__path__):
+        mod = importlib.import_module(f"kkindex.{info.name}")
+        for name in getattr(mod, "__all__", ()):
+            fn = inspect.unwrap(getattr(mod, name))
+            if inspect.isfunction(fn):
+                exported[fn.__code__] = f"{info.name}.{name}"
+    called = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    cfg = write(tmp_path, "modes = 3\nenergy_cut = 6\n")
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        status = main(["run", "all", "--config", cfg, "--out", str(tmp_path / "out")])
+    finally:
+        sys.setprofile(previous)
+    assert status == 0
+    assert sorted(name for code, name in exported.items() if code not in called) == []
 
 
 def test_run_experiment_unregistered():

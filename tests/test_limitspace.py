@@ -16,7 +16,16 @@ def partial_sum_oracle(m, terms=400):
 
 def test_mode_ladder_relations():
     basis = ls.mode_basis(8)
-    aplus, aminus, aplus_d, aminus_d = ls.ladder_matrices(basis)
+    aplus, aminus, aplus_d, aminus_d = (ls._ladder(basis, pos, step).to_dense()
+                                        for step in (-1, 1) for pos in (0, 1))
+    # canonical commutation away from the truncation edge: [a_s, a_t^dag] = delta_st
+    ident = np.eye(basis.dim)
+    for a, same, other in ((aplus, aplus_d, aminus_d), (aminus, aminus_d, aplus_d)):
+        ccr = a @ same - same @ a
+        cross = a @ other - other @ a
+        for j in fock.safe_indices(basis, 1):
+            assert np.max(np.abs(ccr[:, j] - ident[:, j])) < 1e-13
+            assert np.max(np.abs(cross[:, j])) < 1e-13
     dz = ls.dRz_matrix(basis).to_dense()
     dzb = ls.dRzbar_matrix(basis).to_dense()
     # skew pair: dRz* = -dRzbar, away from the truncation edge
@@ -165,15 +174,7 @@ def test_frozen_tail_norm_below_bound():
         assert 0 < measured <= ls.tail_bound(m, seq)
 
 
-# ---------------------------------------------------------------- build_D
-
-def test_build_d_self_adjoint_odd():
-    spec = fock.TruncationSpec(2, 3)
-    seq = ls.SigmaSequence("pow2")
-    op, space = ls.build_D(spec, 2, seq, h_op=3)
-    assert op.grade == "odd"
-    assert (adjoint(op) - op).max_abs() < 1e-12
-
+# ---------------------------------------------------------------- frozen tails
 
 def test_build_d_frozen_measurements():
     # with every mode frozen, the Dirac norm on Xi x vacuum-spinor is the
@@ -187,54 +188,6 @@ def test_build_d_frozen_measurements():
         assert measured <= ls.tail_bound(m, seq)
 
 
-def test_build_d_rejects_too_many_modes():
-    spec = fock.TruncationSpec(2, 3)
-    with pytest.raises(ValueError):
-        ls.build_D(spec, 3, ls.SigmaSequence("pow2"), h_op=2)
-
-
-# ---------------------------------------------------------------- embedding
-
-def test_embed_crossed_rank_one():
-    seq = ls.SigmaSequence("pow2")
-    rng = np.random.default_rng(0)
-    u = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    k = np.outer(u, np.conj(v))
-    out = ls.embed_crossed(k, 1, seq, h_max=16)
-    xi = ls.xi_coeffs(seq.sigma(2), h_max=16).renormalized().coeffs
-    expected = np.outer(np.kron(u, xi), np.conj(np.kron(v, xi)))
-    assert np.max(np.abs(out - expected)) < 1e-12
-
-
-def test_embed_crossed_norm_and_trace():
-    seq = ls.SigmaSequence("pow2")
-    rng = np.random.default_rng(1)
-    k = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    out = ls.embed_crossed(k, 2, seq, h_max=32)
-    assert np.linalg.norm(out, 2) == pytest.approx(np.linalg.norm(k, 2), abs=1e-12)
-    assert np.trace(out) == pytest.approx(np.trace(k), abs=1e-12)
-
-
-def test_embed_crossed_associative_star_homomorphism():
-    seq = ls.SigmaSequence("pow2")
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    # *-homomorphism on random pairs
-    lhs = ls.embed_crossed(a @ b, 1, seq, h_max=16)
-    rhs = ls.embed_crossed(a, 1, seq, h_max=16) @ ls.embed_crossed(b, 1, seq, h_max=16)
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
-    star = ls.embed_crossed(a.conj().T, 1, seq, h_max=16)
-    assert np.max(np.abs(star - ls.embed_crossed(a, 1, seq, h_max=16).conj().T)) < 1e-12
-    # iterated embedding is the projection onto both new legs
-    two = ls.embed_crossed(ls.embed_crossed(a, 1, seq, h_max=16), 2, seq, h_max=16)
-    xi2 = ls.xi_coeffs(seq.sigma(2), h_max=16).renormalized().coeffs
-    xi3 = ls.xi_coeffs(seq.sigma(3), h_max=16).renormalized().coeffs
-    expected = np.kron(a, np.kron(np.outer(xi2, xi2), np.outer(xi3, xi3)))
-    assert np.max(np.abs(two - expected)) < 1e-12
-
-
 def test_quadrature_validates_first_moment():
     # adaptive quadrature against the closed form sigma^2/4
     for sigma in (0.7, 0.33):
@@ -242,16 +195,6 @@ def test_quadrature_validates_first_moment():
             lambda r: (r ** 2 / 2.0) * (1.0 / (np.pi * sigma ** 2)) * 2.0 * np.pi * r,
             sigma)
         assert val == pytest.approx(sigma ** 2 / 4.0, rel=1e-12)
-
-
-def test_tail_table_csv():
-    lines = ls.tail_table_csv(ls.SigmaSequence("pow2"), m_range=range(4, 7)).splitlines()
-    assert lines[0] == "# kk-index-lab v1"
-    assert lines[1] == "M,analytic_bound,measured_norm"
-    m5 = lines[3].split(",")
-    assert m5[0] == "5"
-    assert float(m5[1]) == pytest.approx(0.233, abs=5e-4)
-    assert float(m5[2]) <= float(m5[1])
 
 
 def test_chi_unit_norm_by_quadrature():

@@ -564,8 +564,8 @@ def block_cases():
     """Operators the block layer is checked on, built once on first use."""
     rng = np.random.default_rng(31)
     spec = fock.TruncationSpec(2, 3)
-    jcycle = assembly.build_j_cycle(spec, 1, limitspace.SigmaSequence("pow2"), h_op=4)
-    d = jcycle.materialized.operator
+    jcycle = assembly.materialize_j_cycle(spec, 1, limitspace.SigmaSequence("pow2"), h_op=4)
+    d = jcycle.operator
     return {
         "dirac_R (3,8)": dirac.build_dirac_R(fock.TruncationSpec(3, 8))[0],
         "dirac_L (3,8)": dirac.build_dirac_L(fock.TruncationSpec(3, 8))[0],

@@ -89,25 +89,6 @@ def test_perturbed_cocycle_reports_touching_identities():
     assert len(bad) > 0
 
 
-def test_loop_cocycle_values():
-    # l1 = cos, l2 = sin: integral cos^2 = pi, phase exp(i pi) = -1
-    cos_loop = ([1.0], [0.0])
-    sin_loop = ([0.0], [1.0])
-    assert tg.loop_cocycle(cos_loop, sin_loop) == pytest.approx(-1.0)
-    # quadrature oracle for the pairing integral
-    theta = np.linspace(0, 2 * np.pi, 20001)
-    l1 = np.cos(theta)
-    dl2 = np.cos(theta)  # d/dtheta sin
-    integral = np.trapezoid(l1 * dl2, theta)
-    assert integral == pytest.approx(np.pi, abs=1e-6)
-    # equal loops: exact derivative of l^2 / 2 integrates to zero
-    loop = ([0.5, -0.25], [1.5, 0.75])
-    assert tg.loop_cocycle(loop, loop) == pytest.approx(1.0)
-    # torus block: t2^(k n1)
-    assert tg.loop_cocycle(([], []), ([], []), k=1,
-                           torus=(1j, 3)) == pytest.approx(-1j)
-
-
 # ---------------------------------------------------------------- algebra
 
 def test_convolve_level_orthogonality_exact():
