@@ -21,7 +21,7 @@ print(f"dirac^2 - 2(number + energy/i): max entry {residual:.2e}")
 print()
 
 print("spectrum of dirac^2 against shell counting:")
-for value, mult, predicted, match in dirac.spectrum_with_prediction(spec):
+for value, mult, predicted, match in dirac.spectrum_with_prediction(dR, space):
     flag = "ok" if match else "MISMATCH"
     print(f"  eigenvalue {value:5.1f}  multiplicity {mult:4d}  predicted {predicted:4d}  {flag}")
 

@@ -11,14 +11,16 @@ criterion margins, each against its analytic bound.
 import numpy as np
 
 from kkindex import assembly, fock, limitspace
+from kkindex.opcore import orthonormal_dense
 
 spec = fock.TruncationSpec(n_max=2, e_max=3)
 seq = limitspace.SigmaSequence("pow2")
 cycle = assembly.materialize_j_cycle(spec, m_active=1, seq=seq, h_op=4)
 print(f"materialized space: {cycle.space.dim} basis states "
-      f"(mode prefix {cycle.mode_bases[0].dim}, per-mode quanta <= {cycle.h_op})")
+      f"(mode prefix {cycle.mode_bases[0].dim}, per-mode quanta <= {cycle.h_op}); "
+      f"the diagnostics work on the {cycle.isometry.shape} Xi isometry")
 
-op = cycle.dense
+op = orthonormal_dense(cycle.operator)  # dim x dim: fine at this size
 print(f"squared operator minimum eigenvalue: "
       f"{np.min(np.linalg.eigvalsh(op @ op)):.2e} (a sum of squares)")
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fock
 from .opcore import (Basis, SparseOperator, Vector, eigh_gram, energy_product,
-                     expand_runs, spectrum)
+                     expand_runs, spectral_function, spectrum)
 
 __all__ = [
     "TripleSpace",
@@ -274,38 +274,24 @@ def per_estimate(spec: fock.TruncationSpec, n: int, scan_energy: int = None) -> 
 
 def bounded_transform(a: SparseOperator, tol: float = 1e-10) -> SparseOperator:
     """Spectral calculus ``x -> x / sqrt(1 + x^2)``; contractive, same
-    eigenvectors and grade as the input.
-
-    Recomposed block by block, ``sum_m f(lambda_m) v_m v_m^* G`` in Gram
-    coordinates, and chopped below ``1e-15`` of the largest entry (or of 1).
-    """
-    parts = []
-    for states, lam, vecs in eigh_gram(a, tol):
-        f = lam / np.sqrt(1.0 + lam ** 2)
-        gram = a.domain.gram[states]
-        blocks = (vecs * f[:, None, :]) @ (vecs.conj().swapaxes(1, 2) * gram[:, None, :])
-        width = states.shape[1]
-        parts.append((np.repeat(states, width, axis=1).ravel(),
-                      np.tile(states, width).ravel(), blocks.ravel()))
-    if not parts:
-        return SparseOperator.zero(a.domain, grade=a.grade)
-    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
-    keep = np.abs(vals) > 1e-15 * max(float(np.max(np.abs(vals))), 1.0)
-    return SparseOperator(a.domain, a.domain, rows[keep], cols[keep], vals[keep], a.grade)
+    eigenvectors and grade as the input, chopped below ``1e-15`` of the
+    largest entry (or of 1)."""
+    return spectral_function(a, lambda lam: lam / np.sqrt(1.0 + lam ** 2), a.grade,
+                             chop=1e-15, tol=tol)
 
 
-def spectrum_with_prediction(spec: fock.TruncationSpec):
+def spectrum_with_prediction(dR: SparseOperator, space: TripleSpace):
     """Rows ``(eigenvalue, multiplicity, predicted multiplicity, match)`` for
-    ``dirac_R^2``, with multiplicities predicted by independent counting of
-    ``2 (dual energy + fermion weight)`` shells under the energy cut."""
-    dR, space = build_dirac_R(spec)
+    ``dR^2``, with ``dR`` the ``dirac_R`` built on the boson x dual x fermion
+    ``space``, and multiplicities predicted by independent counting of
+    ``2 (dual energy + fermion weight)`` shells under the space's cut."""
     shells, counts = np.unique(np.round(spectrum(dR @ dR), 8), return_counts=True)
     measured = {s: c for s, c in zip(shells.tolist(), counts.tolist())}
     # each (dual, fermion) state pair heads one state per boson state that
     # fits under the remaining energy
     boson, dual, ferm = space.factors
     pair_e = np.add.outer(dual.energy, ferm.energy).ravel()
-    fits = np.searchsorted(np.sort(boson.energy), spec.e_max - pair_e, side="right")
+    fits = np.searchsorted(np.sort(boson.energy), space.e_max - pair_e, side="right")
     shells, pair_shell = np.unique(2.0 * pair_e, return_inverse=True)
     counts = np.bincount(pair_shell, fits).astype(int)
     predicted = {s: c for s, c in zip(shells.tolist(), counts.tolist()) if c}

@@ -20,7 +20,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from . import assembly, dirac, fock, limitspace, twistgroup
-from .opcore import SparseOperator, adjoint, graded_commutator, spectrum
+from .opcore import SparseOperator, adjoint, block_components, graded_commutator, spectrum
 
 __all__ = ["Config", "parse_config", "selected_experiments", "run_experiment",
            "EXPERIMENTS", "Lcg"]
@@ -96,14 +96,8 @@ MAX_DIM = 1 << 15
 def triple_dim(modes: int, energy_cut: int) -> int:
     """Exact dimension of the boson x dual x fermion space with total
     weighted energy <= ``energy_cut``, counted without enumerating it."""
-    counts = [1] + [0] * energy_cut  # states by exact weighted energy
-    for n in range(1, modes + 1):
-        for _ in ("boson", "dual"):  # mode n taken any number of times
-            for e in range(n, energy_cut + 1):
-                counts[e] += counts[e - n]
-        for e in range(energy_cut, n - 1, -1):  # fermion mode n at most once
-            counts[e] += counts[e - n]
-    return sum(counts)
+    return fock.window_dim(fock.TruncationSpec(modes, energy_cut),
+                           ("boson", "dual_boson", "fermion"))
 
 
 def _check_size(cfg: Config):
@@ -362,11 +356,11 @@ def _exp_kernel_count(cfg: Config, rng: Lcg) -> Report:
                           default=0.0)
         rep.equals("kernel off vacuum-column support", f"N={n_max},E={e_max}",
                    off_support, 0.0, 0.0)
-    # dirac_R^2 multiplicities against independent shell counting
-    spec = cfg.spec()
-    misses = sum(not match for *_, match in dirac.spectrum_with_prediction(spec))
+    # dirac_R^2 multiplicities against independent shell counting, on the
+    # last case's operator: the config's truncation
+    misses = sum(not match for *_, match in dirac.spectrum_with_prediction(dR, space))
     rep.equals("dirac_R^2 shells off the counted multiplicity",
-               f"N={spec.n_max},E={spec.e_max}", misses, 0.0, 0.0)
+               f"N={n_max},E={e_max}", misses, 0.0, 0.0)
     return rep
 
 
@@ -532,11 +526,19 @@ def _exp_level_suite(cfg: Config, rng: Lcg) -> Report:
     return rep
 
 
+def _size_note(cycle: assembly.MaterializedJCycle) -> str:
+    """Deterministic size facts of a materialized cycle."""
+    sizes = np.unique(block_components(cycle.operator), return_counts=True)[1]
+    return (f"materialized dim {cycle.space.dim}, rest states {cycle.isometry.shape[1]}, "
+            f"operator blocks {len(sizes)}, largest block {int(sizes.max())}")
+
+
 def _exp_jcycle_diag(cfg: Config, rng: Lcg, sigma_modes: int) -> Report:
     rep = Report("jcycle_diag")
     # resolvent_compactness reads sigma for every mode of the spec
     spec = cfg.spec(modes=sigma_modes, energy=3)
     cycle = assembly.materialize_j_cycle(spec, 1, cfg.sigma_seq(), h_op=4)
+    rep.notes.append(_size_note(cycle))
     sa = (adjoint(cycle.operator) - cycle.operator).max_abs()
     rep.equals("self-adjointness", "materialized", sa, 0.0, 1e-10)
     basis = cycle.space.basis
@@ -613,6 +615,7 @@ def _exp_kucerovsky(cfg: Config, rng: Lcg, sigma_modes: int) -> Report:
     rep = Report("kucerovsky")
     spec = cfg.spec(modes=2, energy=3)
     cycle = assembly.materialize_j_cycle(spec, sigma_modes, cfg.sigma_seq(), h_op=4)
+    rep.notes.append(_size_note(cycle))
     report = assembly.kucerovsky_check(cycle, seed=cfg.seed & 0xFFFF)
     for name, measured, bound in report.rows:
         rep.at_most(f"commutator bounded ({name})", "materialized", measured, bound, 1e-8)

@@ -35,6 +35,7 @@ from .opcore import Basis, SparseOperator, energy_product, shift_op
 __all__ = [
     "TruncationSpec",
     "enumerate_basis",
+    "window_dim",
     "boson_raise",
     "boson_lower",
     "dual_raise",
@@ -84,6 +85,22 @@ def enumerate_basis(spec: TruncationSpec, kind: str) -> Basis:
         return Basis(map(tuple, occ.tolist()), np.ones(len(occ)), energy=energy,
                      parity=occ.sum(axis=1) % 2, name=kind)
     raise ValueError(f"unknown basis kind {kind!r}")
+
+
+def window_dim(spec: TruncationSpec, kinds) -> int:
+    """Exact dimension of the product of the ``kinds`` bases of ``spec``
+    with total weighted energy at most ``e_max``, counted without
+    enumerating it."""
+    counts = [1] + [0] * spec.e_max  # states by exact weighted energy
+    for n in range(1, spec.n_max + 1):
+        for kind in kinds:
+            if kind == "fermion":  # mode n at most once
+                for e in range(spec.e_max, n - 1, -1):
+                    counts[e] += counts[e - n]
+            else:  # mode n any number of times
+                for e in range(n, spec.e_max + 1):
+                    counts[e] += counts[e - n]
+    return sum(counts)
 
 
 def boson_raise(basis: Basis, n: int, codomain: Basis = None) -> SparseOperator:

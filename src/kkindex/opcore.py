@@ -4,8 +4,9 @@ Every operator in this package lives on a :class:`Basis`: an ordered list of
 opaque labels together with a positive diagonal Gram (the squared norm of each
 label).  Bases are deliberately kept in unnormalized monomial form, so ladder
 coefficients stay integers; orthonormalization happens only in the dense
-view :func:`orthonormal_dense` and in the Gram-orthonormal blocks the
-eigensolves work on.
+view :func:`orthonormal_dense`, in its matrix-free product
+:func:`orthonormal_apply` and in the Gram-orthonormal blocks the eigensolves
+work on.
 
 Conventions
 -----------
@@ -38,6 +39,9 @@ __all__ = [
     "adjoint",
     "spectrum",
     "eigh_gram",
+    "spectral_function",
+    "spectral_apply",
+    "orthonormal_apply",
     "block_components",
     "orthonormal_dense",
     "gram_transpose",
@@ -393,7 +397,8 @@ def block_components(op: SparseOperator) -> np.ndarray:
 
 def _hermitian_blocks(a: SparseOperator, tol: float):
     """Gram-orthonormal Hermitian part of ``a``, one stacked array per block
-    size: a list of ``(states, blocks)`` with ``states`` of shape ``(k, s)``
+    size, generated one size at a time: ``(states, blocks)`` with ``states``
+    of shape ``(k, s)``
     (each row one component, ascending) and ``blocks`` of shape
     ``(k, s, s)``.
 
@@ -420,7 +425,6 @@ def _hermitian_blocks(a: SparseOperator, tol: float):
     width_of = np.empty(a.domain.dim, dtype=np.int64)
     width_of[order] = np.repeat(size, size)
     block, pos = np.empty_like(width_of), np.empty_like(width_of)
-    out = []
     for width in np.unique(size):
         states = order[start[size == width][:, None] + np.arange(width)]
         block[states] = np.arange(len(states))[:, None]
@@ -429,8 +433,7 @@ def _hermitian_blocks(a: SparseOperator, tol: float):
         mine = np.flatnonzero(width_of[a.rows] == width)
         stack = np.zeros((len(states), width, width), dtype=complex)
         stack[block[a.rows[mine]], pos[a.rows[mine]], pos[a.cols[mine]]] = vals[mine]
-        out.append((states, 0.5 * (stack + stack.conj().swapaxes(1, 2))))
-    return out
+        yield states, 0.5 * (stack + stack.conj().swapaxes(1, 2))
 
 
 def spectrum(a: SparseOperator, tol: float = 1e-10) -> np.ndarray:
@@ -459,6 +462,59 @@ def eigh_gram(a: SparseOperator, tol: float = 1e-10):
     for states, blocks in _hermitian_blocks(a, tol):
         vals, u = np.linalg.eigh(blocks)
         out.append((states, vals, u / np.sqrt(a.domain.gram)[states][:, :, None]))
+    return out
+
+
+def spectral_function(a: SparseOperator, f, grade: str = "even", chop: float = 0.0,
+                      tol: float = 1e-10) -> SparseOperator:
+    """``f(a)`` for a Gram-self-adjoint ``a`` and a real function ``f`` of
+    the eigenvalues, with the given grade.
+
+    Recomposed block by block, ``sum_m f(lambda_m) v_m v_m^* G`` in Gram
+    coordinates; entries at most ``chop`` times the largest (or 1) are
+    dropped.
+    """
+    parts = []
+    for states, lam, vecs in eigh_gram(a, tol):
+        gram = a.domain.gram[states]
+        blocks = (vecs * f(lam)[:, None, :]) @ (vecs.conj().swapaxes(1, 2) * gram[:, None, :])
+        width = states.shape[1]
+        parts.append((np.repeat(states, width, axis=1).ravel(),
+                      np.tile(states, width).ravel(), blocks.ravel()))
+    if not parts:
+        return SparseOperator.zero(a.domain, grade=grade)
+    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+    keep = np.abs(vals) > chop * max(float(np.max(np.abs(vals))), 1.0)
+    return SparseOperator(a.domain, a.domain, rows[keep], cols[keep], vals[keep], grade)
+
+
+def spectral_apply(a: SparseOperator, f, x: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """``f(A) x`` in Gram-orthonormal coordinates for a Gram-self-adjoint
+    ``a`` and a ``(dim, k)`` array ``x``, one stacked eigensolve per block
+    size; nothing larger than a block or than ``x`` is formed."""
+    out = np.zeros(x.shape, dtype=complex)
+    for states, blocks in _hermitian_blocks(a, tol):
+        lam, u = np.linalg.eigh(blocks)
+        out[states] = u @ (f(lam)[:, :, None] * (u.conj().swapaxes(1, 2) @ x[states]))
+    return out
+
+
+def orthonormal_apply(op: SparseOperator, x: np.ndarray) -> np.ndarray:
+    """``orthonormal_dense(op) @ x`` for a ``(domain.dim, k)`` array ``x``,
+    without the dense matrix: one gather-and-add pass per entry slot of the
+    fullest row, so no intermediate is larger than the result."""
+    s = np.sqrt(op.codomain.gram)[op.rows] / np.sqrt(op.domain.gram)[op.cols]
+    order = np.argsort(op.rows, kind="stable")
+    rows, cols = op.rows[order], op.cols[order]
+    vals = (op.vals * s)[order]
+    _, slot = expand_runs(np.bincount(rows, minlength=op.codomain.dim))
+    out = np.zeros((op.codomain.dim, x.shape[1]), dtype=complex)
+    for k in range(int(slot.max(initial=-1)) + 1):
+        at = slot == k  # at most one entry per row
+        part = x[cols[at]]
+        part *= vals[at, None]
+        part += out[rows[at]]
+        out[rows[at]] = part
     return out
 
 

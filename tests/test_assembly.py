@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,9 @@ from kkindex.opcore import SparseOperator, adjoint, orthonormal_dense
 
 
 SEQ = ls.SigmaSequence("pow2")
+# bounds of the rest-space diagnostics at dim 15975, set from a measured run
+REACH_SECONDS = 10.0
+REACH_PEAK_BYTES = 300e6
 
 
 def small_cycle(h_op=4):
@@ -78,26 +82,173 @@ def test_jcycle_rejects_mode_overflow():
 
 
 def test_jcycle_smearing_is_the_xi_projection_commuting_with_the_mirror_part():
-    # theta_(Xi, Xi) (x) id: one unit-trace rank-one block per distinct
-    # (fermion, dual) rest state, and [dirac_L part, smearing] = 0
+    # V V^H = theta_(Xi, Xi) (x) id: one unit-trace rank-one block per
+    # distinct (fermion, dual) rest state, and [dirac_L part, smearing] = 0
     cycle = small_cycle()
-    p = cycle.smearing
+    v = cycle.isometry
+    rest = np.unique(cycle.space.components[:, cycle.m_active:], axis=0)
+    assert v.shape == (cycle.space.dim, len(rest))
+    assert np.max(np.abs(v.conj().T @ v - np.eye(len(rest)))) <= 1e-15
+    p = v @ v.conj().T
+    assert np.max(np.abs(p - dense_smearing(cycle))) <= 1e-16
     assert np.max(np.abs(p - p.conj().T)) == 0.0
     assert np.max(np.abs(p @ p - p)) <= 1e-14
-    rest = np.unique(cycle.space.components[:, cycle.m_active:], axis=0)
     assert np.trace(p).real == pytest.approx(len(rest), abs=1e-12)
     assert abs(np.trace(p).imag) <= 1e-14
     l_dense = orthonormal_dense(cycle.l_part)
     assert np.max(np.abs(l_dense @ p - p @ l_dense)) <= 1e-14
 
 
-def test_diagnostics_reuse_the_cycle_xi_vectors_and_dense_view(monkeypatch):
-    cycle = small_cycle()
-    densified = []
-    dense = asm.orthonormal_dense
-    monkeypatch.setattr(asm, "orthonormal_dense",
-                        lambda op: densified.append(op) or dense(op))
+# ---------------------------------------------------------------- diagnostics
+# The dense dim x dim routes, the oracles of the rest-space ones at
+# dim <= 600.
 
+def dense_smearing(cycle):
+    """``theta_(Xi, Xi) (x) id`` as a dense matrix, entry by entry."""
+    comps, m = cycle.space.components, cycle.m_active
+    amps = np.prod([cycle.xi_vecs[q][comps[:, q]] for q in range(m)], axis=0)
+    rest = np.unique(comps[:, m:], axis=0, return_inverse=True)[1].ravel()
+    return np.where(rest[:, None] == rest[None, :], np.outer(amps, np.conj(amps)), 0.0)
+
+
+def dense_commutator_bound(cycle):
+    op, a_dense = orthonormal_dense(cycle.operator), dense_smearing(cycle)
+    report = asm.commutator_bound(cycle)
+    return asm.CommutatorReport(float(np.linalg.norm(op @ a_dense - a_dense @ op, 2)),
+                                report.bound, report.ideal_bound)
+
+
+def dense_resolvent_compactness(cycle, ranks=(1, 4, 16, 64)):
+    op, a_dense = orthonormal_dense(cycle.operator), dense_smearing(cycle)
+    dim = op.shape[0]
+    target = np.linalg.inv(np.eye(dim) + op @ op) @ a_dense
+    svals = np.linalg.svd(target, compute_uv=False)
+    rank_errors = [(r, float(svals[r]) if r < len(svals) else 0.0) for r in ranks]
+    rank_errors.append((dim, 0.0))
+
+    d_dense = orthonormal_dense(cycle.d_part)
+    l_dense = orthonormal_dense(cycle.l_part)
+    d1 = d_dense @ d_dense
+    d3 = l_dense @ l_dense
+    d2 = (op @ op) - d1 - d3
+    split = tuple(float(np.linalg.norm(x, 2)) for x in (d1, d2, d3))
+
+    res0 = np.linalg.inv(np.eye(dim) + d3)
+    space = cycle.space
+    ferm_pos, dual_pos = cycle.m_active, cycle.m_active + 1
+    shells = (space.factors[ferm_pos].energy[space.components[:, ferm_pos]]
+              + space.factors[dual_pos].energy[space.components[:, dual_pos]])
+    t0 = res0 @ a_dense
+    shell_rows = []
+    for shell in np.unique(shells):
+        idx = np.flatnonzero(shells == shell)
+        norm = float(np.linalg.norm(t0[:, idx], 2))
+        shell_rows.append((2.0 * shell, norm, 1.0 / (1.0 + 2.0 * shell)))
+
+    per_mode_rows = []
+    dual = space.factors[dual_pos]
+    for n in range(cycle.m_active + 1, cycle.spec.n_max + 1):
+        sigma = cycle.seq.sigma(n)
+        dr_norm = ls.dRz_norm_on_xi(sigma)
+        lift = orthonormal_dense(space.embed_factor_op(fock.dual_raise(dual, n), dual_pos))
+        weight = float(np.linalg.norm(lift @ res0, 2))
+        per_mode_rows.append((n, 2.0 * np.sqrt(n) * dr_norm * weight,
+                              2.0 * np.sqrt(n) * sigma * weight))
+    return asm.CompactnessReport(rank_errors, split, shell_rows, per_mode_rows)
+
+
+def dense_t_map(cycle, small, k_vec):
+    """Matrix of ``f (x) s (x) v -> <k, f> s (x) v`` in basis coordinates."""
+    space, m = cycle.space, cycle.m_active
+    rows = small.index_of(space.components[:, m:])
+    flat = np.ravel_multi_index(tuple(space.components[:, :m].T), space.shape[:m])
+    cols = np.flatnonzero(rows >= 0)
+    out = np.zeros((small.dim, space.dim), dtype=complex)
+    out[rows[cols], cols] = np.conj(k_vec[flat[cols]])
+    return out
+
+
+def dense_kucerovsky_check(cycle, n_generators=3, seed=5):
+    space = cycle.space
+    small = dirac.TripleSpace(space.factors[cycle.m_active:], e_max=cycle.spec.e_max,
+                              name="compressed")
+    dl_small = orthonormal_dense(dirac.build_dirac_L(cycle.spec, space=small)[0])
+    xi_full = cycle.xi_vecs[0]
+    for v in cycle.xi_vecs[1:]:
+        xi_full = np.kron(xi_full, v)
+    prefix_dim = len(xi_full)
+    op = orthonormal_dense(cycle.operator)
+    d_norm = float(np.linalg.norm(orthonormal_dense(cycle.d_part), 2))
+    rng = np.random.default_rng(seed)
+    rows = [("zero", 0.0, 0.0)]
+    for gen in range(n_generators):
+        if gen == 0:
+            k_vec, name, bound = xi_full, "xi", cycle.xi_bound
+        else:
+            k_vec = rng.standard_normal(prefix_dim) + 1j * rng.standard_normal(prefix_dim)
+            k_vec /= np.linalg.norm(k_vec)
+            name = f"random-{gen}"
+            bound = 2.0 * d_norm
+        t_map = dense_t_map(cycle, small, k_vec)
+        defect = dl_small @ t_map - t_map @ op
+        rows.append((name, float(np.linalg.norm(defect, 2)), float(bound)))
+    positivity = float(np.min(np.linalg.eigvalsh(op @ op)))
+    return asm.KucerovskyReport(rows, positivity)
+
+
+def report_fields(report):
+    """Every field of a diagnostics report as (path, value) pairs, numbers
+    as floats and names as they are."""
+    def walk(path, value):
+        if isinstance(value, (list, tuple)):
+            for i, item in enumerate(value):
+                yield from walk(f"{path}[{i}]", item)
+        elif isinstance(value, str):
+            yield path, value
+        else:
+            yield path, float(value)
+    for name in report.__dataclass_fields__:
+        yield from walk(name, getattr(report, name))
+
+
+PARITY_CASES = {"N=2,E=3,M=1,h=4": (2, 3, 1, 4), "N=2,E=4,M=1,h=4": (2, 4, 1, 4),
+                "N=2,E=3,M=2,h=2": (2, 3, 2, 2)}
+
+
+@pytest.mark.parametrize("case", list(PARITY_CASES.values()), ids=list(PARITY_CASES))
+def test_diagnostics_match_the_dense_oracles(case):
+    n_max, e_max, m_active, h_op = case
+    cycle = asm.materialize_j_cycle(fock.TruncationSpec(n_max, e_max), m_active, SEQ, h_op)
+    assert cycle.space.dim <= 600
+    pairs = [(asm.commutator_bound(cycle), dense_commutator_bound(cycle)),
+             (asm.resolvent_compactness(cycle), dense_resolvent_compactness(cycle)),
+             (asm.kucerovsky_check(cycle, seed=9), dense_kucerovsky_check(cycle, seed=9))]
+    for fast, oracle in pairs:
+        fast_fields, oracle_fields = list(report_fields(fast)), list(report_fields(oracle))
+        assert [path for path, _ in fast_fields] == [path for path, _ in oracle_fields]
+        for (path, got), (_, want) in zip(fast_fields, oracle_fields):
+            if isinstance(want, str) or not np.isfinite(want):
+                assert got == want, path
+            else:
+                assert abs(got - want) <= 1e-12, (path, got, want)
+
+
+def test_diagnostics_form_no_dim_by_dim_array(monkeypatch):
+    # the rest-space routes never densify an operator on the cycle's full
+    # space; the frozen-mode rows read adaptive Xi norms, not Xi on the
+    # mode bases
+    cycle = small_cycle()
+    full = cycle.space.basis
+
+    def guarded(route):
+        def call(op, *args):
+            if full in (op.domain, op.codomain):
+                raise AssertionError(f"dense view of {op!r} on the full space")
+            return route(op, *args)
+        return call
+
+    monkeypatch.setattr(asm, "orthonormal_dense", guarded(asm.orthonormal_dense))
+    monkeypatch.setattr(SparseOperator, "to_dense", guarded(SparseOperator.to_dense))
     xi_cuts = []
     xi_coeffs = ls.xi_coeffs
     monkeypatch.setattr(ls, "xi_coeffs", lambda sigma, h_max=None:
@@ -105,9 +256,63 @@ def test_diagnostics_reuse_the_cycle_xi_vectors_and_dense_view(monkeypatch):
     asm.commutator_bound(cycle)
     asm.resolvent_compactness(cycle)
     asm.kucerovsky_check(cycle)
-    assert sum(op is cycle.operator for op in densified) == 1
-    # the frozen-mode rows read adaptive Xi norms; no Xi on the mode bases
     assert cycle.h_op not in xi_cuts
+
+
+def test_diagnostics_reach_without_dense_arrays():
+    # (3,6), two active modes, h_op = 4: dim 15975, where one dense complex
+    # dim x dim matrix is 4 GB
+    cycle = asm.materialize_j_cycle(fock.TruncationSpec(3, 6), 2, SEQ, h_op=4)
+    assert cycle.space.dim == 15975
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        comm = asm.commutator_bound(cycle)
+        comp = asm.resolvent_compactness(cycle)
+        kuc = asm.kucerovsky_check(cycle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    elapsed = time.perf_counter() - start
+    assert elapsed < REACH_SECONDS
+    assert peak < REACH_PEAK_BYTES
+    assert comm.measured <= comm.bound + 1e-10
+    by_name = {name: (measured, bound) for name, measured, bound in kuc.rows}
+    assert abs(by_name["xi"][0] - comm.measured) <= 1e-15
+    assert all(measured <= bound + 1e-8 for measured, bound in by_name.values())
+    assert kuc.positivity_margin >= -1e-8
+    assert comp.rank_errors[-1] == (cycle.space.dim, 0.0)
+    assert all(measured <= bound + 1e-10 for _, measured, bound in comp.shell_rows)
+    assert all(measured <= bound + 1e-10 for _, measured, bound in comp.per_mode_rows)
+
+
+def test_materialized_dimension_is_counted_before_the_build(monkeypatch):
+    cap = asm.MAX_JCYCLE_DIM
+    for n_max, e_max, m_active, h_op in PARITY_CASES.values():
+        spec = fock.TruncationSpec(n_max, e_max)
+        monkeypatch.setattr(asm, "MAX_JCYCLE_DIM", cap)
+        dim = asm.materialize_j_cycle(spec, m_active, SEQ, h_op).space.dim
+        monkeypatch.setattr(asm, "MAX_JCYCLE_DIM", dim)
+        asm.materialize_j_cycle(spec, m_active, SEQ, h_op)
+        monkeypatch.setattr(asm, "MAX_JCYCLE_DIM", dim - 1)
+        with pytest.raises(ValueError, match=f"dimension {dim} exceeds the cap"):
+            asm.materialize_j_cycle(spec, m_active, SEQ, h_op)
+
+
+def test_materialized_dimension_cap_refuses_before_allocating():
+    # the smallest h_op above the cap at (2,3), one active mode: 13 rest
+    # states times (h + 1)(h + 2)/2 prefix states
+    spec = fock.TruncationSpec(2, 3)
+    h_op = next(h for h in range(1000) if 13 * (h + 1) * (h + 2) // 2 > asm.MAX_JCYCLE_DIM)
+    assert 13 * h_op * (h_op + 1) // 2 <= asm.MAX_JCYCLE_DIM
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            asm.materialize_j_cycle(spec, 1, SEQ, h_op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 # ---------------------------------------------------------------- mishchenko

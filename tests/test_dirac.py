@@ -259,7 +259,8 @@ def test_bounded_transform_zero_and_eigvecs():
 
 def test_spectrum_multiplicities_match_counting():
     spec = fock.TruncationSpec(3, 5)
-    rows = dirac.spectrum_with_prediction(spec)
+    dR, space = dirac.build_dirac_R(spec)
+    rows = dirac.spectrum_with_prediction(dR, space)
     assert all(match for (_, _, _, match) in rows)
     assert rows[0][0] == 0.0 and rows[0][1] == weighted_partition_count(3, 5)
 

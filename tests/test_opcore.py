@@ -7,7 +7,8 @@ import pytest
 from kkindex import assembly, dirac, fock, limitspace
 from kkindex.opcore import (Basis, SparseOperator, Vector, adjoint, block_components,
                             eigh_gram, graded_commutator, inner_product, shift_op, spectrum,
-                            gram_transpose, orthonormal_dense, BasisMismatchError,
+                            gram_transpose, orthonormal_apply, orthonormal_dense,
+                            spectral_apply, spectral_function, BasisMismatchError,
                             NotSelfAdjointError, ShapeMismatchError)
 
 SPEC = fock.TruncationSpec(n_max=3, e_max=6)
@@ -646,6 +647,41 @@ def test_bounded_transform_matches_dense_recomposition(name):
     bt = dirac.bounded_transform(op)
     assert bt.grade == op.grade
     assert np.max(np.abs(orthonormal_dense(bt) - dense_on), initial=0.0) <= 1e-12
+
+
+def _resolvent(lam):
+    return 1.0 / (1.0 + lam ** 2)
+
+
+@pytest.mark.parametrize("name", BLOCK_CASES)
+def test_spectral_routes_match_the_dense_resolvent(name):
+    op = block_cases()[name]
+    vals, u = np.linalg.eigh(dense_hermitian(op))
+    dense_res = (u * _resolvent(vals)[None, :]) @ u.conj().T
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((op.domain.dim, 5)) + 1j * rng.standard_normal((op.domain.dim, 5))
+    assert np.max(np.abs(spectral_apply(op, _resolvent, x) - dense_res @ x),
+                  initial=0.0) <= 1e-12
+    res = spectral_function(op, _resolvent)
+    assert res.grade == "even"
+    assert np.max(np.abs(orthonormal_dense(res) - dense_res), initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("name", BLOCK_CASES + ["dual_lower (3,6) -> (3,7)"])
+def test_orthonormal_apply_matches_the_dense_view(name):
+    if name in BLOCK_CASES:
+        op = block_cases()[name]
+    else:  # rectangular, with empty rows
+        dual = fock.enumerate_basis(fock.TruncationSpec(3, 6), "dual_boson")
+        big = fock.enumerate_basis(fock.TruncationSpec(3, 7), "dual_boson")
+        op = fock.dual_lower(dual, 2, codomain=big)
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((op.domain.dim, 3)) + 1j * rng.standard_normal((op.domain.dim, 3))
+    want = orthonormal_dense(op) @ x
+    got = orthonormal_apply(op, x)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * max(
+        1.0, np.max(np.abs(want), initial=0.0))
 
 
 @pytest.mark.parametrize("case", ["dirac_R", "null blocks"])
