@@ -200,6 +200,45 @@ class IndexCycle:
         """Positions of (boson, dual, fermion) in the label tuples."""
         return {"mu": (2, 1, 0), "analytic": (0, 1, 2)}[self.kind]
 
+    @functools.cached_property
+    def boson_order(self) -> np.ndarray:
+        """The boson basis sorted by energy (stable)."""
+        return np.argsort(self.boson.energy, kind="stable")
+
+    @functools.cached_property
+    def blocks(self) -> list:
+        """The kept states grouped by energy, for the module algebra.
+
+        A kept state ``(b, d, s)`` has ``E_b <= e_max - E_d - E_s``, so the
+        kept bosons of each (dual, fermion) pair are the first ``n`` of
+        :attr:`boson_order`.  Pairs with the same ``n`` form one block
+        ``(n, dual, fermion, states)``: the ``k`` pairs' dual and fermion
+        indices and the ``(k, n)`` space indices of pair ``p`` and boson
+        ``boson_order[i]``.  Every kept state is in exactly one block; there
+        are at most ``space.e_max + 1`` (``3 * spec.e_max + 1`` for a full
+        product).
+        """
+        b_pos, d_pos, f_pos = self.leg_positions()
+        comps = self.space.components
+        rank = np.empty_like(self.boson_order)
+        rank[self.boson_order] = np.arange(len(rank))
+        pairs, pair_of, width = np.unique(comps[:, d_pos] * self.fermion.dim + comps[:, f_pos],
+                                          return_inverse=True, return_counts=True)
+        boson_rank = rank[comps[:, b_pos]]
+        if np.any(boson_rank >= width[pair_of]):
+            raise ValueError("kept bosons of a (dual, fermion) pair are not an energy prefix")
+        out = []
+        for n in np.unique(width):
+            mine = np.flatnonzero(width == n)
+            local = np.empty(len(pairs), dtype=np.int64)
+            local[mine] = np.arange(len(mine))
+            at = np.flatnonzero(width[pair_of] == n)
+            states = np.empty((len(mine), n), dtype=np.int64)
+            states[local[pair_of[at]], boson_rank[at]] = at
+            dual, ferm = np.divmod(pairs[mine], self.fermion.dim)
+            out.append((n, dual, ferm, states))
+        return out
+
 
 def analytic_index(spec: fock.TruncationSpec, full_product: bool = False) -> IndexCycle:
     """Analytic-side cycle: matrix-algebra columns tensored with the spinor
@@ -256,18 +295,24 @@ def right_action(cycle: IndexCycle, vec: np.ndarray, b: np.ndarray) -> np.ndarra
     mu: right matrix multiplication through the boson column leg,
     ``out[w] = sum_w' f[w'] b[w', w] g_w' / g_w``.
     Both land where the (possibly truncated) space supports them; on the
-    full product nothing is lost and the module axioms are exact.
+    full product nothing is lost and the module axioms are exact.  Worked
+    one energy block at a time (:attr:`IndexCycle.blocks`): with the bosons
+    in energy order, a block's kept bosons are the first ``n``, so only the
+    leading ``n x n`` corner of ``b`` enters.
     """
-    b = np.asarray(b, dtype=complex)
-    f = cycle.space.to_tensor(np.asarray(vec, dtype=complex))
+    vec = np.asarray(vec, dtype=complex)
+    by_energy = np.ix_(cycle.boson_order, cycle.boson_order)
+    out = np.empty_like(vec)
     if cycle.kind == "analytic":
-        # boson ket leg is axis 0
-        out = np.tensordot(gram_transpose(b, cycle.dual.gram), f, axes=(1, 0))
+        tb = gram_transpose(np.asarray(b, dtype=complex), cycle.dual.gram)[by_energy]
+        for n, _, _, states in cycle.blocks:
+            out[states] = vec[states] @ tb[:n, :n].T
     else:
-        # boson column leg is axis 2
-        g = cycle.boson.gram
-        out = np.tensordot(f * g, b, axes=(2, 0)) / g
-    return cycle.space.from_tensor(out)
+        b = np.asarray(b, dtype=complex)[by_energy]
+        g = cycle.boson.gram[cycle.boson_order]
+        for n, _, _, states in cycle.blocks:
+            out[states] = ((vec[states] * g[:n]) @ b[:n, :n]) / g[:n]
+    return out
 
 
 def module_inner(cycle: IndexCycle, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
@@ -275,28 +320,31 @@ def module_inner(cycle: IndexCycle, v1: np.ndarray, v2: np.ndarray) -> np.ndarra
 
     analytic: ``<f1, f2> = t(f2 f1*)`` with the spinor legs paired;
     mu: ``<s1 (x) M1, s2 (x) M2> = <s1, s2> M1* M2``.
+    Each energy block (:attr:`IndexCycle.blocks`) adds its pairs' products
+    into the leading ``n x n`` corner, bosons in energy order; each pair is
+    one column of the boson-leg matrices ``M``, weighted by its fermion Gram.
     """
-    nd, nf = cycle.dual.dim, cycle.fermion.dim
     gb, gd, gf = cycle.boson.gram, cycle.dual.gram, cycle.fermion.gram
-    # coordinate tensors with axes (boson, dual, fermion)
-    legs = cycle.leg_positions()
-    f1 = cycle.space.to_tensor(np.asarray(v1, dtype=complex)).transpose(legs)
-    f2 = cycle.space.to_tensor(np.asarray(v2, dtype=complex)).transpose(legs)
-    out = np.zeros((nd, nd), dtype=complex)
-    for s in range(nf):
+    gb_e, gd_e = gb[cycle.boson_order], gd[cycle.boson_order]
+    v1 = np.asarray(v1, dtype=complex)
+    v2 = np.asarray(v2, dtype=complex)
+    acc = np.zeros((cycle.dual.dim,) * 2, dtype=complex)
+    for n, dual, ferm, states in cycle.blocks:
         if cycle.kind == "analytic":
             # operator coordinates on the boson basis: M[b, b'] = F[b, d=b'] g_b'
-            m1 = f1[:, :, s] * gd[None, :]
-            m2 = f2[:, :, s] * gd[None, :]
-            m1star = np.conj(m1.T) * (gb[None, :] / gb[:, None])
-            out += gram_transpose(m2 @ m1star, gb) * gf[s]
+            m1 = v1[states].T * gd[dual]
+            m2 = v2[states].T * gd[dual]
+            m1star = np.conj(m1.T) * (gb_e[None, :n] / gb[dual][:, None])
+            acc[:n, :n] += (m2 * gf[ferm]) @ m1star
         else:
             # matrix coordinates on the dual basis: M[d, d'] = G[d, w=d'] g_d'
-            m1 = f1[:, :, s].T * gb[None, :]
-            m2 = f2[:, :, s].T * gb[None, :]
-            m1star = np.conj(m1.T) * (gd[None, :] / gd[:, None])
-            out += (m1star @ m2) * gf[s]
-    return out
+            m1 = v1[states] * gb_e[:n]
+            m2 = v2[states] * gb_e[:n]
+            m1star = np.conj(m1.T) * (gd[dual][None, :] / gd_e[:n, None])
+            acc[:n, :n] += m1star @ (m2 * gf[ferm][:, None])
+    out = np.empty_like(acc)
+    out[np.ix_(cycle.boson_order, cycle.boson_order)] = acc
+    return gram_transpose(out, gb) if cycle.kind == "analytic" else out
 
 
 # ------------------------------------------------------------ comparisons

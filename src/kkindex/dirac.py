@@ -46,8 +46,8 @@ class TripleSpace:
     when the sum of its component energies is at most ``e_max``; labels are
     the concatenated component labels, in lexicographic order.  Gram and
     parity multiply across factors, so the grading is the fermion parity.
-    States are found by :meth:`index_of`, vectors move to and from their
-    factor-shaped tensors by :meth:`to_tensor` and :meth:`from_tensor`.
+    States are found by :meth:`index_of` and factor operators lifted by
+    :meth:`lift` and :meth:`embed_factor_op`.
     """
 
     def __init__(self, factors, e_max: float, name: str = "triple"):
@@ -95,47 +95,40 @@ class TripleSpace:
         found[found] = self._sorted_keys[pos[found]] == keys[found]
         return np.where(found, pos, -1).reshape(comps.shape[:-1])
 
-    def to_tensor(self, vec) -> np.ndarray:
-        """Scatter coordinates into a factor-shaped tensor, zero on the
-        product states the truncation drops."""
-        vec = np.asarray(vec)
-        out = np.zeros(self.shape, dtype=vec.dtype)
-        out[tuple(self.components.T)] = vec
-        return out
-
-    def from_tensor(self, tensor) -> np.ndarray:
-        """Gather the coordinates of the kept states from a factor-shaped
-        tensor; inverse of :meth:`to_tensor` on the truncation."""
-        return tensor[tuple(self.components.T)]
-
-    def embed_factor_op(self, op: SparseOperator, pos: int) -> SparseOperator:
-        """Lift a factor operator to the truncated product.
-
-        Graded convention: an odd operator acting past earlier factors picks
-        up the Koszul sign of their combined parity.  Images that leave the
-        truncation are projected out.
+    def lift(self, op: SparseOperator, pos: int, cols):
+        """Entries of the lift of factor operator ``op`` on factor ``pos`` in
+        the space columns ``cols``: ``(rows, at, vals)``, one per factor
+        entry in the column's ``pos`` component, with ``at`` indexing
+        ``cols``.  Graded convention: an odd ``op`` acting past earlier
+        factors picks up the Koszul sign of their combined parity.  Images
+        that leave the truncation are dropped.
         """
         factor = self.factors[pos]
         if op.domain != factor or op.codomain != factor:
             raise ValueError("factor operator basis mismatch")
-        # one candidate per (factor entry, space column whose pos-component
-        # is the entry's column)
-        comp = self.components[:, pos]
-        by_comp = np.argsort(comp, kind="stable")
-        first = np.searchsorted(comp[by_comp], np.arange(factor.dim))
-        entry, offset = expand_runs(np.bincount(comp, minlength=factor.dim)[op.cols])
-        cols = by_comp[first[op.cols][entry] + offset]
-        targets = self.components[cols]
+        # the factor entries of a column are one run of ``op``, which is
+        # sorted by column
+        counts = np.bincount(op.cols, minlength=factor.dim)
+        comp = self.components[cols, pos]
+        at, offset = expand_runs(counts[comp])
+        entry = (np.cumsum(counts) - counts)[comp[at]] + offset
+        targets = self.components[cols[at]]
         targets[:, pos] = op.rows[entry]
         rows = self.index_of(targets)
         z = op.vals[entry]
         if op.grade == "odd":
-            pre = np.zeros(self.dim, dtype=np.int64)
+            pre = np.zeros(len(at), dtype=np.int64)
             for q in range(pos):
-                pre += self.factors[q].parity[self.components[:, q]]
-            z = z * np.where(pre % 2, -1.0, 1.0)[cols]
+                pre += self.factors[q].parity[targets[:, q]]
+            z = z * np.where(pre % 2, -1.0, 1.0)
         keep = rows >= 0
-        return SparseOperator(self.basis, self.basis, rows[keep], cols[keep], z[keep], op.grade)
+        return rows[keep], at[keep], z[keep]
+
+    def embed_factor_op(self, op: SparseOperator, pos: int) -> SparseOperator:
+        """Lift a factor operator to the truncated product (:meth:`lift` on
+        every column)."""
+        rows, cols, z = self.lift(op, pos, np.arange(self.dim))
+        return SparseOperator(self.basis, self.basis, rows, cols, z, op.grade)
 
 
 def spec_bases(spec: fock.TruncationSpec):
@@ -153,18 +146,27 @@ def dirac_sum(space: TripleSpace, ferm_pos: int, legs) -> SparseOperator:
     on factor ``pos``; ``wedge_n`` / ``contr_n`` are the antiholomorphic /
     holomorphic Clifford generators on factor ``ferm_pos``.  The summands
     have disjoint supports.  ``contr_n`` and ``B_n`` act first, so with
-    lowering ``B_n`` the intermediates stay inside the energy cut.
+    lowering ``B_n`` the intermediates stay inside the energy cut; an
+    intermediate outside it is projected out, as in the product of the
+    lifted operators.  Each product is composed as triplets, entry
+    ``sqrt(n) (a c)`` for the entries ``c`` of the first factor and ``a`` of
+    the second, and the sum is one :class:`SparseOperator`.
     """
     ferm = space.factors[ferm_pos]
-    total = SparseOperator.zero(space.basis, space.basis, grade="odd")
+    everything = np.arange(space.dim)
+    parts = []
     for n, (pos, a_op, b_op) in enumerate(legs, 1):
-        a_n = space.embed_factor_op(a_op, pos)
-        b_n = space.embed_factor_op(b_op, pos)
-        wedge_n = space.embed_factor_op(fock.clifford(ferm, n, "antiholo"), ferm_pos)
-        contr_n = space.embed_factor_op(fock.clifford(ferm, n, "holo"), ferm_pos)
         rt = np.sqrt(float(n))
-        total = total + (a_n @ contr_n).scale(rt) + (wedge_n @ b_n).scale(rt)
-    return total
+        contr = (fock.clifford(ferm, n, "holo"), ferm_pos)
+        wedge = (fock.clifford(ferm, n, "antiholo"), ferm_pos)
+        for (op1, p1), (op2, p2) in ((contr, (a_op, pos)), ((b_op, pos), wedge)):
+            mid, src, c = space.lift(op1, p1, everything)
+            rows, at, a = space.lift(op2, p2, mid)
+            parts.append((rows, src[at], rt * (a * c[at])))
+    if not parts:
+        return SparseOperator.zero(space.basis, grade="odd")
+    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+    return SparseOperator(space.basis, space.basis, rows, cols, vals, "odd")
 
 
 def dual_legs(space: TripleSpace, dual_pos: int, n_max: int) -> list:

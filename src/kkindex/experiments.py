@@ -28,8 +28,16 @@ __all__ = ["Config", "parse_config", "selected_experiments", "run_experiment",
 
 class Lcg:
     """64-bit linear congruential generator, x -> 6364136223846793005 x +
-    1442695040888963407 mod 2^64; uniforms take the top 53 bits.  Documented
-    so any implementation can reproduce the streams exactly."""
+    1442695040888963407 mod 2^64; uniforms take the top 53 bits.  A complex
+    normal is two Box-Muller normals, real part first, each from the next
+    two uniforms ``u1, u2`` (``u1`` floored at 1e-300); matrices are drawn
+    row by row.  Documented so any implementation can reproduce the
+    streams exactly.
+
+    Draws are taken a block at a time by jumping ahead on ``uint64`` arrays,
+    which wrap mod 2^64: ``x_j = MULT^j x_0 + INC (1 + MULT + ... +
+    MULT^(j-1))``.
+    """
 
     MULT = 6364136223846793005
     INC = 1442695040888963407
@@ -38,29 +46,24 @@ class Lcg:
     def __init__(self, seed: int):
         self.state = seed & self.MASK
 
-    def next_u64(self) -> int:
-        self.state = (self.MULT * self.state + self.INC) & self.MASK
-        return self.state
-
-    def uniform(self) -> float:
-        return (self.next_u64() >> 11) / float(1 << 53)
-
-    def standard_normal(self):
-        # Box-Muller on two uniforms, deterministic across platforms
-        u1 = max(self.uniform(), 1e-300)
-        u2 = self.uniform()
-        return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-
-    def complex_normal(self) -> complex:
-        return complex(self.standard_normal(), self.standard_normal())
-
-    def complex_vector(self, n: int) -> np.ndarray:
-        return np.array([self.complex_normal() for _ in range(n)])
+    def uniforms(self, n: int) -> np.ndarray:
+        """The next ``n`` uniforms of the stream."""
+        powers = np.multiply.accumulate(np.full(n, self.MULT, dtype=np.uint64))
+        sums = np.cumsum(np.concatenate([np.ones(1, dtype=np.uint64), powers[:-1]]))
+        states = powers * np.uint64(self.state) + sums * np.uint64(self.INC)
+        if n:
+            self.state = int(states[-1])
+        return (states >> np.uint64(11)).astype(float) / float(1 << 53)
 
     def complex_matrix(self, n: int, m: int = None) -> np.ndarray:
         m = n if m is None else m
-        return np.array([[self.complex_normal() for _ in range(m)]
-                         for _ in range(n)])
+        u = self.uniforms(4 * n * m).reshape(-1, 2)
+        normals = np.sqrt(-2.0 * np.log(np.maximum(u[:, 0], 1e-300))) * np.cos(
+            2.0 * np.pi * u[:, 1])
+        return normals.view(complex).reshape(n, m)
+
+    def complex_vector(self, n: int) -> np.ndarray:
+        return self.complex_matrix(1, n)[0]
 
 
 @dataclass(frozen=True)
@@ -498,8 +501,7 @@ def _exp_level_suite(cfg: Config, rng: Lcg) -> Report:
     grp = twistgroup.FiniteAbelianGroup((3,))
     tau = twistgroup.trivial_cocycle(grp, 3)
     ext = twistgroup.TwistedExtension(tau)
-    table = np.array([[rng.complex_normal() for _ in range(ext.m)]
-                      for _ in range(grp.order)])
+    table = rng.complex_matrix(grp.order, ext.m)
     f = twistgroup.GroupAlgebraElement(ext, table)
     resum = sum((twistgroup.level_project(f, l).table() for l in range(ext.m)),
                 np.zeros_like(table))
@@ -603,9 +605,13 @@ def _exp_index_compare(cfg: Config, rng: Lcg) -> Report:
         cases.append((cfg.modes, cfg.energy_cut))
     for n_max, e_max in cases:
         spec = cfg.spec(modes=n_max, energy=e_max)
-        report = assembly.compare_indices(assembly.analytic_index(spec),
-                                          assembly.mu_index(spec),
-                                          seed=cfg.seed & 0xFFFF)
+        analytic, mu = assembly.analytic_index(spec), assembly.mu_index(spec)
+        report = assembly.compare_indices(analytic, mu, seed=cfg.seed & 0xFFFF)
+        rep.notes.append(
+            f"N={n_max},E={e_max}: dim {analytic.space.dim}, nb/nd/nf "
+            f"{'/'.join(str(b.dim) for b in (analytic.boson, analytic.dual, analytic.fermion))}, "
+            f"nnz analytic {analytic.operator.nnz} mu {mu.operator.nnz}, "
+            f"energy groups {len(analytic.blocks)}")
         for quantity, value, tol in report.rows:
             rep.equals(quantity, f"N={n_max},E={e_max}", value, 0.0, tol)
     return rep

@@ -6,13 +6,16 @@ import pytest
 
 from kkindex import assembly as asm
 from kkindex import dirac, fock, limitspace as ls, twistgroup as tg
-from kkindex.opcore import SparseOperator, adjoint, orthonormal_dense
+from kkindex.opcore import SparseOperator, adjoint, gram_transpose, orthonormal_dense
 
 
 SEQ = ls.SigmaSequence("pow2")
 # bounds of the rest-space diagnostics at dim 15975, set from a measured run
 REACH_SECONDS = 10.0
 REACH_PEAK_BYTES = 300e6
+# bound of both (6,14) index cycles' build and comparison, four module trials
+# included: measured 1.2 s with a 49 MB traced peak (2-core Xeon)
+COMPARE_REACH_SECONDS = 6.0
 
 
 def small_cycle(h_op=4):
@@ -516,6 +519,79 @@ def full_cycles(spec):
             asm.mu_index(spec, full_product=True))
 
 
+def to_tensor(space, vec):
+    """Coordinates scattered into a factor-shaped tensor, zero on the
+    product states the truncation drops."""
+    out = np.zeros(space.shape, dtype=complex)
+    out[tuple(space.components.T)] = vec
+    return out
+
+
+def dense_right_action(cycle, vec, b):
+    """Oracle of ``right_action`` on dense factor-shaped tensors."""
+    f = to_tensor(cycle.space, np.asarray(vec, dtype=complex))
+    if cycle.kind == "analytic":
+        # boson ket leg is axis 0
+        out = np.tensordot(gram_transpose(b, cycle.dual.gram), f, axes=(1, 0))
+    else:
+        # boson column leg is axis 2
+        g = cycle.boson.gram
+        out = np.tensordot(f * g, b, axes=(2, 0)) / g
+    return out[tuple(cycle.space.components.T)]
+
+
+def dense_module_inner(cycle, v1, v2):
+    """Oracle of ``module_inner``: one fermion slice of dense tensors at a
+    time."""
+    nd, nf = cycle.dual.dim, cycle.fermion.dim
+    gb, gd, gf = cycle.boson.gram, cycle.dual.gram, cycle.fermion.gram
+    # coordinate tensors with axes (boson, dual, fermion)
+    legs = cycle.leg_positions()
+    f1 = to_tensor(cycle.space, v1).transpose(legs)
+    f2 = to_tensor(cycle.space, v2).transpose(legs)
+    out = np.zeros((nd, nd), dtype=complex)
+    for s in range(nf):
+        if cycle.kind == "analytic":
+            m1 = f1[:, :, s] * gd[None, :]
+            m2 = f2[:, :, s] * gd[None, :]
+            m1star = np.conj(m1.T) * (gb[None, :] / gb[:, None])
+            out += gram_transpose(m2 @ m1star, gb) * gf[s]
+        else:
+            m1 = f1[:, :, s].T * gb[None, :]
+            m2 = f2[:, :, s].T * gb[None, :]
+            m1star = np.conj(m1.T) * (gd[None, :] / gd[:, None])
+            out += (m1star @ m2) * gf[s]
+    return out
+
+
+# truncations of dim <= 800, the index comparison's (2,4), (3,6) and (3,8)
+# among them, and full products of that size
+MODULE_CASES = ([(n, e, False) for n, e in ((2, 3), (2, 4), (3, 4), (3, 6), (3, 8))]
+                + [(n, e, True) for n, e in ((2, 2), (2, 3), (2, 4), (3, 3))])
+
+
+@pytest.mark.parametrize("kind", ["analytic", "mu"])
+@pytest.mark.parametrize("n_max,e_max,full", MODULE_CASES)
+def test_graded_module_algebra_matches_dense_tensors(kind, n_max, e_max, full):
+    spec = fock.TruncationSpec(n_max, e_max)
+    build = asm.analytic_index if kind == "analytic" else asm.mu_index
+    cycle = build(spec, full_product=full)
+    dim, nd = cycle.space.dim, cycle.dual.dim
+    assert dim <= 800
+    # the blocks hold every kept state once, at most e_max + 1 of them
+    states = np.concatenate([blk[3].ravel() for blk in cycle.blocks])
+    assert np.array_equal(np.sort(states), np.arange(dim))
+    assert len(cycle.blocks) <= (3 * e_max if full else e_max) + 1
+    rng = np.random.default_rng(n_max * 100 + e_max)
+    for _ in range(2):
+        f1 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        f2 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        b = rng.standard_normal((nd, nd)) + 1j * rng.standard_normal((nd, nd))
+        for got, want in ((asm.right_action(cycle, f1, b), dense_right_action(cycle, f1, b)),
+                          (asm.module_inner(cycle, f1, f2), dense_module_inner(cycle, f1, f2))):
+            assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1.0)
+
+
 def test_analytic_inner_product_positive():
     spec = fock.TruncationSpec(2, 3)
     cycle = asm.analytic_index(spec, full_product=True)
@@ -546,7 +622,6 @@ def test_analytic_action_associative():
     assert np.max(np.abs(lhs - rhs)) / scale < 1e-12
     # dense transpose oracle: t(b2) t(b1) = t(b1 b2)
     gd = cycle.dual.gram
-    from kkindex.opcore import gram_transpose
     assert np.max(np.abs(gram_transpose(b1 @ b2, gd)
                          - gram_transpose(b2, gd) @ gram_transpose(b1, gd))) < 1e-10
 
@@ -610,19 +685,24 @@ def test_compare_indices_full_product():
 
 
 def test_compare_indices_reach_without_dense_arrays():
-    # (5,12) has dim 9057: one dense dim x dim complex array is 1.3 GB, so a
-    # traced peak below a real dim x dim array shows none is ever formed
-    spec = fock.TruncationSpec(5, 12)
-    analytic, mu = asm.analytic_index(spec), asm.mu_index(spec)
-    dim = analytic.space.dim
-    assert dim == 9057
+    # (6,14) has dim 25752 over 388 x 388 x 50 factor states: one dense
+    # factor-shaped complex tensor is 120 MB, so a traced peak below that
+    # shows the module trials work on the energy blocks only
+    spec = fock.TruncationSpec(6, 14)
+    tensor_bytes = 16 * 388 * 388 * 50
     tracemalloc.start()
+    start = time.perf_counter()
     try:
-        report = asm.compare_indices(analytic, mu)
+        analytic, mu = asm.analytic_index(spec), asm.mu_index(spec)
+        report = asm.compare_indices(analytic, mu, trials=4)
+        seconds = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * dim * dim
+    assert analytic.space.dim == 25752
+    assert analytic.space.shape == (388, 388, 50)
+    assert seconds < COMPARE_REACH_SECONDS
+    assert peak < tensor_bytes
     assert all(value <= tol for _, value, tol in report.rows)
     assert report.ok
 

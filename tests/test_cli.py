@@ -9,6 +9,7 @@ import pkgutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kkindex
@@ -61,12 +62,62 @@ def test_parse_config_unregistered_experiment(tmp_path):
         parse_config(write(tmp_path, "experiments = weitzenbock, nonsense\n"))
 
 
+class ScalarLcg:
+    """The documented stream one draw at a time: the oracle of ``Lcg``."""
+
+    def __init__(self, seed):
+        self.state = seed & Lcg.MASK
+
+    def next_u64(self):
+        self.state = (Lcg.MULT * self.state + Lcg.INC) & Lcg.MASK
+        return self.state
+
+    def uniform(self):
+        return (self.next_u64() >> 11) / float(1 << 53)
+
+    def standard_normal(self):
+        u1 = max(self.uniform(), 1e-300)
+        u2 = self.uniform()
+        return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+    def complex_normal(self):
+        return complex(self.standard_normal(), self.standard_normal())
+
+    def complex_vector(self, n):
+        return np.array([self.complex_normal() for _ in range(n)], dtype=complex)
+
+    def complex_matrix(self, n, m=None):
+        m = n if m is None else m
+        return np.array([[self.complex_normal() for _ in range(m)] for _ in range(n)],
+                        dtype=complex).reshape(n, m)
+
+
 def test_lcg_documented_stream():
-    rng = Lcg(1)
+    rng = ScalarLcg(1)
     first = rng.next_u64()
     assert first == (6364136223846793005 * 1 + 1442695040888963407) % 2 ** 64
-    u = Lcg(1).uniform()
+    u = ScalarLcg(1).uniform()
     assert u == (first >> 11) / float(1 << 53)
+    fast = Lcg(1)
+    assert fast.uniforms(1)[0] == u
+    assert fast.state == first
+
+
+@pytest.mark.parametrize("seed", [0, 1, 20240817 * 1000003 + 6, 2 ** 64 - 1, 2 ** 70 + 5])
+def test_lcg_block_draws_match_the_scalar_stream_bit_for_bit(seed):
+    fast, slow = Lcg(seed), ScalarLcg(seed)
+    assert fast.state == slow.state
+    for n in range(1, 65):
+        got, want = fast.complex_vector(n), slow.complex_vector(n)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert fast.state == slow.state
+    for shape in ((1, 1), (3, 3), (9, 9), (3, 5), (81, 81)):
+        got, want = fast.complex_matrix(*shape), slow.complex_matrix(*shape)
+        assert got.shape == want.shape == shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert fast.state == slow.state
+    assert np.array_equal(fast.complex_matrix(4), slow.complex_matrix(4))
 
 
 def test_run_experiment_writes_versioned_csv(tmp_path):

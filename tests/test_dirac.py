@@ -332,11 +332,60 @@ def test_embed_factor_op_matches_label_lookup_oracle(case):
             assert entries(got) == embed_oracle(factors, labels, comps, op, pos)
 
 
-def test_to_tensor_round_trip():
-    factors, e_max = _space_cases()["unsorted"]
-    space = dirac.TripleSpace(factors, e_max)
-    vec = np.arange(1.0, space.dim + 1.0)
-    tensor = space.to_tensor(vec)
-    assert tensor.shape == tuple(b.dim for b in factors)
-    assert np.array_equal(space.from_tensor(tensor), vec)
-    assert tensor.sum() == vec.sum()  # zero off the truncation
+def compose_and_add_dirac_sum(space, ferm_pos, legs):
+    """``dirac_sum`` as a sum of products of lifted factor operators."""
+    ferm = space.factors[ferm_pos]
+    total = SparseOperator.zero(space.basis, space.basis, grade="odd")
+    for n, (pos, a_op, b_op) in enumerate(legs, 1):
+        a_n = space.embed_factor_op(a_op, pos)
+        b_n = space.embed_factor_op(b_op, pos)
+        wedge_n = space.embed_factor_op(fock.clifford(ferm, n, "antiholo"), ferm_pos)
+        contr_n = space.embed_factor_op(fock.clifford(ferm, n, "holo"), ferm_pos)
+        rt = np.sqrt(float(n))
+        total = total + (a_n @ contr_n).scale(rt) + (wedge_n @ b_n).scale(rt)
+    return total
+
+
+def _dirac_sum_cases():
+    spec = fock.TruncationSpec(3, 6)
+    b, d, f = dirac.spec_bases(spec)
+    r_space = dirac.TripleSpace([b, d, f], spec.e_max)
+    l_space = dirac.TripleSpace([f, d, b], spec.e_max)
+    small = fock.TruncationSpec(2, 3)
+    sb, sd, sf = dirac.spec_bases(small)
+    j_space = dirac.TripleSpace([_mode_factors(), _mode_factors(), sf, sd], small.e_max)
+    return {
+        "dirac_R": (r_space, 2, dirac.dual_legs(r_space, 1, spec.n_max)),
+        "dirac_L": (l_space, 0, dirac.dual_legs(l_space, 1, spec.n_max)),
+        "translation": (j_space, 2, limitspace.translation_legs(j_space, 2)),
+        "jcycle-dual": (j_space, 2, dirac.dual_legs(j_space, 3, small.n_max)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_dirac_sum_cases()))
+def test_dirac_sum_matches_compose_and_add_bit_for_bit(case):
+    space, ferm_pos, legs = _dirac_sum_cases()[case]
+    got = dirac.dirac_sum(space, ferm_pos, legs)
+    want = compose_and_add_dirac_sum(space, ferm_pos, legs)
+    assert got.nnz > 0
+    assert got.grade == want.grade == "odd"
+    assert np.array_equal(got.rows, want.rows)
+    assert np.array_equal(got.cols, want.cols)
+    assert np.array_equal(got.vals, want.vals)
+    if case == "translation":  # two mode-leg entries per column
+        assert np.bincount(got.cols).max() >= 2
+
+
+def test_dirac_sum_builds_one_product_space_operator(monkeypatch):
+    space, ferm_pos, legs = _dirac_sum_cases()["dirac_R"]
+    built = []
+    init = SparseOperator.__init__
+
+    def counting(self, domain, codomain, *args, **kwargs):
+        if domain is space.basis or codomain is space.basis:
+            built.append(self)
+        init(self, domain, codomain, *args, **kwargs)
+
+    monkeypatch.setattr(SparseOperator, "__init__", counting)
+    result = dirac.dirac_sum(space, ferm_pos, legs)
+    assert built == [result]
