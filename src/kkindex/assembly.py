@@ -156,7 +156,7 @@ def materialize_j_cycle(spec: fock.TruncationSpec, m_active: int,
     mode_bases = []
     for _ in range(m_active):
         raw = limitspace.mode_basis(h_op)
-        mode_bases.append(Basis(raw.labels, raw.gram, name=raw.name))
+        mode_bases.append(Basis(raw.label_array, raw.gram, name=raw.name))
     ferm = fock.enumerate_basis(spec, "fermion")
     dual = fock.enumerate_basis(spec, "dual_boson")
     space = dirac.TripleSpace(mode_bases + [ferm, dual], e_max=spec.e_max, name="jcycle")

@@ -72,7 +72,7 @@ class TripleSpace:
             gram = gram * b.gram[self.components[:, q]]
             parity += b.parity[self.components[:, q]]
         flat = np.hstack([lab[self.components[:, q]] for q, lab in enumerate(labels)])
-        self.basis = Basis(map(tuple, flat.tolist()), gram, energy=energy,
+        self.basis = Basis(flat, gram, energy=energy,
                            parity=parity % 2, name=name)
 
     @property

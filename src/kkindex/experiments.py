@@ -468,12 +468,9 @@ def _exp_fingroup_suite(cfg: Config, rng: Lcg) -> Report:
     grp, tau = twistgroup.parse_group_spec("group = 3x3\ncocycle = heisenberg")
     ext = twistgroup.TwistedExtension(tau)
     worst, pairs = 0.0, []
-    for _ in range(100):
-        phi1 = rng.complex_vector(grp.order)
-        psi1 = rng.complex_vector(grp.order)
-        phi2 = twistgroup.GroupAlgebraElement(ext, rng.complex_vector(grp.order), 1)
-        psi2 = twistgroup.GroupAlgebraElement(ext, rng.complex_vector(grp.order), 1)
-        b = twistgroup.GroupAlgebraElement(ext, rng.complex_vector(grp.order), 1)
+    # five vectors per trial, drawn in trial order: one block of the stream
+    for phi1, psi1, phi2, psi2, b in rng.complex_matrix(500, grp.order).reshape(100, 5, -1):
+        phi2, psi2, b = (twistgroup.GroupAlgebraElement(ext, v, 1) for v in (phi2, psi2, b))
         lhs = twistgroup.module_inner_product(twistgroup.m_iso(phi1, phi2),
                                               twistgroup.m_iso(psi1, psi2))
         rhs = twistgroup.convolve(phi2.involution(), psi2).scale(np.vdot(phi1, psi1))

@@ -21,10 +21,15 @@ Ladder conventions (all matrix elements integral in this Gram):
 Raising out of the energy window is projected to zero: every operator is a
 compression, and :func:`safe_indices` names the columns where that projection
 cannot bite.
+
+:func:`enumerate_basis`, the ladders and :func:`clifford` are built once
+per process (``functools.cache``; bases are keyed by label and
+Gram equality) and the same read-only values are handed to every caller.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -70,8 +75,10 @@ def _lex_labels(energies, e_max):
     return occ[order], energy[order]
 
 
+@functools.cache
 def enumerate_basis(spec: TruncationSpec, kind: str) -> Basis:
-    """Deterministically ordered truncated basis of the requested kind."""
+    """Deterministically ordered truncated basis of the requested kind,
+    built once per process."""
     modes, e_max = range(1, spec.n_max + 1), spec.e_max
     if kind in ("boson", "dual_boson"):
         occ, energy = _lex_labels([n * np.arange(e_max // n + 1) for n in modes], e_max)
@@ -79,10 +86,10 @@ def enumerate_basis(spec: TruncationSpec, kind: str) -> Basis:
         gram = np.ones(len(occ))
         for col in occ.T:
             gram = gram * factorial[col]
-        return Basis(map(tuple, occ.tolist()), gram, energy=energy, name=kind)
+        return Basis(occ, gram, energy=energy, name=kind)
     if kind == "fermion":
         occ, energy = _lex_labels([(0, n) for n in modes], e_max)
-        return Basis(map(tuple, occ.tolist()), np.ones(len(occ)), energy=energy,
+        return Basis(occ, np.ones(len(occ)), energy=energy,
                      parity=occ.sum(axis=1) % 2, name=kind)
     raise ValueError(f"unknown basis kind {kind!r}")
 
@@ -103,11 +110,13 @@ def window_dim(spec: TruncationSpec, kinds) -> int:
     return sum(counts)
 
 
+@functools.cache
 def boson_raise(basis: Basis, n: int, codomain: Basis = None) -> SparseOperator:
     """Multiplication by the mode-``n`` generator: ``z^k -> z^(k+e_n)``."""
     return shift_op(basis, codomain or basis, n - 1, 1, 1.0)
 
 
+@functools.cache
 def boson_lower(basis: Basis, n: int, codomain: Basis = None) -> SparseOperator:
     """Derivation against mode ``n``: ``z^k -> -k_n z^(k-e_n)``."""
     occupations = basis.label_array[:, n - 1].astype(float)
@@ -126,6 +135,7 @@ def energy_op(basis: Basis) -> SparseOperator:
     return SparseOperator(basis, basis, diag, diag, 1j * basis.energy, "even")
 
 
+@functools.cache
 def clifford(basis: Basis, n: int, kind: str) -> SparseOperator:
     """Clifford generator on the fermion basis.
 

@@ -21,10 +21,14 @@ route is therefore validated against its a-priori truncation error, next to
 a quadrature of the closed radial form.  Frozen tail modes enter every
 computation only through the scalars ``|Xi| = 1``, ``<Xi, dR_z Xi> = 0``
 and ``|dR_z Xi_sigma| = sigma/2``.
+
+:func:`mode_basis`, the two translation generators and the Gauss-Legendre
+rule are built once per process (``functools.cache``) and shared read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -112,20 +116,27 @@ class ModeFunction:
 
     def on_basis(self, basis: Basis) -> np.ndarray:
         """Coordinates on a :func:`mode_basis` of at least ``h_max`` quanta."""
+        p, q = basis.label_array.T
+        diagonal = np.flatnonzero((p == q) & (p < len(self.coeffs)))
+        if len(diagonal) < len(self.coeffs):
+            raise ValueError(f"basis lacks some of the diagonal states (k, k), "
+                             f"k < {len(self.coeffs)}")
         out = np.zeros(basis.dim, dtype=complex)
-        out[[basis.index((k, k)) for k in range(len(self.coeffs))]] = self.coeffs
+        out[diagonal] = self.coeffs[p[diagonal]]
         return out
 
 
 # ------------------------------------------------------------ mode space
 
 
+@functools.cache
 def mode_basis(h_max: int) -> Basis:
-    """Ladder basis ``(q+, q-)`` with total quanta at most ``h_max``."""
-    labels = sorted((p, q) for p in range(h_max + 1) for q in range(h_max + 1)
-                    if p + q <= h_max)
-    energy = [p + q for (p, q) in labels]
-    return Basis(labels, np.ones(len(labels)), energy=energy, name=f"mode(h={h_max})")
+    """Ladder basis ``(q+, q-)`` with total quanta at most ``h_max``, in
+    lex order; built once per process."""
+    p, t = np.triu_indices(h_max + 1)  # p <= t, row-major
+    labels = np.column_stack([p, t - p])  # q = t - p, so p + q <= h_max
+    return Basis(labels, np.ones(len(labels)), energy=labels.sum(axis=1),
+                 name=f"mode(h={h_max})")
 
 
 def _ladder(basis: Basis, pos: int, step: int) -> SparseOperator:
@@ -135,15 +146,27 @@ def _ladder(basis: Basis, pos: int, step: int) -> SparseOperator:
     return shift_op(basis, basis, pos, step, np.sqrt(k + 1.0) if step > 0 else np.sqrt(k))
 
 
+@functools.cache
 def dRz_matrix(basis: Basis) -> SparseOperator:
     return (_ladder(basis, 1, -1) - _ladder(basis, 0, 1)).scale(1.0 / np.sqrt(2.0))
 
 
+@functools.cache
 def dRzbar_matrix(basis: Basis) -> SparseOperator:
     return (_ladder(basis, 0, -1) - _ladder(basis, 1, 1)).scale(1.0 / np.sqrt(2.0))
 
 
 # ------------------------------------------------------------ quadrature
+
+
+@functools.cache
+def _gauss_legendre():
+    """The :data:`_QUAD_POINTS`-point Gauss-Legendre rule on [-1, 1],
+    read-only, built once per process."""
+    rule = np.polynomial.legendre.leggauss(_QUAD_POINTS)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
 
 
 def radial_quadrature(f, upper: float, rel_tol: float = 1e-12, max_splits: int = 24):
@@ -152,7 +175,7 @@ def radial_quadrature(f, upper: float, rel_tol: float = 1e-12, max_splits: int =
     The panel count doubles until two refinements agree to ``rel_tol``;
     raises if that never happens.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(_QUAD_POINTS)
+    nodes, weights = _gauss_legendre()
 
     def on_panels(npanels):
         edges = np.linspace(0.0, upper, npanels + 1)

@@ -1,24 +1,26 @@
 """Labeled-basis sparse linear algebra.
 
 Every operator in this package lives on a :class:`Basis`: an ordered list of
-opaque labels together with a positive diagonal Gram (the squared norm of each
-label).  Bases are deliberately kept in unnormalized monomial form, so ladder
-coefficients stay integers; orthonormalization happens only in the dense
-view :func:`orthonormal_dense`, in its matrix-free product
+integer labels together with a positive diagonal Gram (the squared norm of
+each label).  Bases are deliberately kept in unnormalized monomial form, so
+ladder coefficients stay integers; orthonormalization happens only in the
+dense view :func:`orthonormal_dense`, in its matrix-free product
 :func:`orthonormal_apply` and in the Gram-orthonormal blocks the eigensolves
 work on.
 
 Conventions
 -----------
-* labels are fixed-width integer tuples, ordered lexicographically,
+* labels are the rows of one ``(dim, width)`` integer array (as tuples on
+  demand), ordered lexicographically,
 * ``<v, w> = sum_i gram_i * conj(v_i) * w_i``,
 * operators are coordinate triplets ``(rows, cols, vals)`` with a parity grade,
 * vectors are dense coordinate arrays,
 * the adjoint is the Gram-weighted conjugate transpose,
   ``adjoint(A)[i, j] = conj(A[j, i]) * gram_cod[j] / gram_dom[i]``.
 
-All values are immutable after construction and every operation is a pure
-function, so concurrent use is safe.
+All values are immutable after construction (their arrays are read-only)
+and every operation is a pure function, so values can be shared, memoized
+and used concurrently.
 """
 
 from __future__ import annotations
@@ -68,7 +70,9 @@ class Basis:
     Parameters
     ----------
     labels:
-        sequence of distinct hashable labels (canonically int tuples).
+        the distinct labels as one ``(dim, width)`` integer array (or a
+        sequence of equal-width int tuples); an int64 array is taken over,
+        not copied, and made read-only.
     gram:
         positive weight per label, ``gram[i] = <label_i, label_i>``.
     energy:
@@ -79,35 +83,49 @@ class Basis:
     """
 
     def __init__(self, labels, gram, energy=None, parity=None, name=""):
-        self.labels = tuple(labels)
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.ndim != 2:
+            if labels.size:
+                raise ValueError("basis labels must be a (dim, width) integer array")
+            labels = labels.reshape(0, 0)
+        self.label_array = labels
         self.gram = np.asarray(gram, dtype=float)
-        if len(self.labels) != len(set(self.labels)):
-            raise ValueError("basis labels must be distinct")
-        if self.gram.shape != (len(self.labels),):
+        if self.dim > 1:  # distinct iff no two neighbours agree in lex order
+            ordered = labels[np.lexsort(labels.T[::-1])] if labels.shape[1] else labels
+            if np.all(ordered[1:] == ordered[:-1], axis=1).any():
+                raise ValueError("basis labels must be distinct")
+        if self.gram.shape != (self.dim,):
             raise ValueError("gram shape does not match label count")
         if np.any(self.gram <= 0):
             raise ValueError("gram entries must be positive")
         self.energy = (
-            np.zeros(len(self.labels)) if energy is None else np.asarray(energy, dtype=float)
+            np.zeros(self.dim) if energy is None else np.asarray(energy, dtype=float)
         )
         self.parity = (
-            np.zeros(len(self.labels), dtype=int)
-            if parity is None
-            else np.asarray(parity, dtype=int)
+            np.zeros(self.dim, dtype=int) if parity is None else np.asarray(parity, dtype=int)
         )
         self.name = name
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
+        for arr in (self.label_array, self.gram, self.energy, self.parity):
+            arr.flags.writeable = False
 
     @property
     def dim(self) -> int:
-        return len(self.labels)
+        return len(self.label_array)
 
     @cached_property
-    def label_array(self) -> np.ndarray:
-        """The labels as one read-only ``(dim, width)`` integer array."""
-        out = np.array(self.labels, dtype=np.int64).reshape(self.dim, -1 if self.dim else 0)
-        out.flags.writeable = False
-        return out
+    def labels(self) -> tuple:
+        """The labels as int tuples."""
+        return tuple(map(tuple, self.label_array.tolist()))
+
+    @cached_property
+    def _index(self) -> dict:
+        return {lab: i for i, lab in enumerate(self.labels)}
+
+    @cached_property
+    def _hash(self) -> int:
+        if not self.dim:
+            return hash(())
+        return hash((self.label_array.shape, self.label_array.tobytes()))
 
     def index(self, label) -> int:
         return self._index[label]
@@ -118,12 +136,13 @@ class Basis:
     def __eq__(self, other) -> bool:
         return self is other or (
             isinstance(other, Basis)
-            and self.labels == other.labels
+            and self.dim == other.dim
+            and (not self.dim or np.array_equal(self.label_array, other.label_array))
             and np.array_equal(self.gram, other.gram)
         )
 
     def __hash__(self):
-        return hash(self.labels)
+        return self._hash
 
     def __repr__(self):
         return f"Basis({self.name or 'anon'}, dim={self.dim})"
@@ -211,6 +230,8 @@ class SparseOperator:
             rows, cols, vals = rows[first], cols[first], summed
         keep = vals != 0
         self.rows, self.cols, self.vals = rows[keep], cols[keep], vals[keep]
+        for arr in (self.rows, self.cols, self.vals):
+            arr.flags.writeable = False
 
     # -- constructors -------------------------------------------------
 
@@ -280,6 +301,28 @@ class SparseOperator:
         return SparseOperator(other.domain, self.codomain, self.rows[left],
                               other.cols[theirs], self.vals[left] * other.vals[theirs], grade)
 
+    @cached_property
+    def _components(self) -> np.ndarray:
+        """:func:`block_components`, read-only.
+
+        Min-label propagation along both directions of every entry, with
+        pointer jumping after each round, until no label changes.
+        """
+        label = np.arange(self.domain.dim)
+        while True:
+            new = label.copy()
+            np.minimum.at(new, self.rows, label[self.cols])
+            np.minimum.at(new, self.cols, label[self.rows])
+            while True:  # pointer jumping: labels are states of the same component
+                jumped = new[new]
+                if np.array_equal(jumped, new):
+                    break
+                new = jumped
+            if np.array_equal(new, label):
+                label.flags.writeable = False
+                return label
+            label = new
+
     # -- text export ----------------------------------------------------
 
     def to_text(self) -> str:
@@ -312,7 +355,7 @@ class SparseOperator:
 def shift_op(domain: Basis, codomain: Basis, pos: int, step: int, coeff,
              grade: str = "even") -> SparseOperator:
     """Label shift: column ``j`` goes to the codomain label that is
-    ``domain.labels[j]`` with entry ``pos`` moved by ``step``, with
+    ``domain.label_array[j]`` with entry ``pos`` moved by ``step``, with
     coefficient ``coeff[j]`` (or the scalar ``coeff``).  Columns with a zero
     coefficient or a target outside the codomain have no entry."""
     coeff = np.broadcast_to(np.asarray(coeff, dtype=float), (domain.dim,))
@@ -375,24 +418,9 @@ def orthonormal_dense(op: SparseOperator) -> np.ndarray:
 def block_components(op: SparseOperator) -> np.ndarray:
     """Connected components of the symmetric sparsity graph of a square
     operator: entry ``i`` is the smallest state index in the component of
-    state ``i``, so states with no entries are singletons.
-
-    Min-label propagation along both directions of every entry, with
-    pointer jumping after each round, until no label changes.
-    """
-    label = np.arange(op.domain.dim)
-    while True:
-        new = label.copy()
-        np.minimum.at(new, op.rows, label[op.cols])
-        np.minimum.at(new, op.cols, label[op.rows])
-        while True:  # pointer jumping: labels are states of the same component
-            jumped = new[new]
-            if np.array_equal(jumped, new):
-                break
-            new = jumped
-        if np.array_equal(new, label):
-            return label
-        label = new
+    state ``i``, so states with no entries are singletons.  Computed once
+    per operator and kept on it, read-only."""
+    return op._components
 
 
 def _hermitian_blocks(a: SparseOperator, tol: float):

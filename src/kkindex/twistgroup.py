@@ -428,7 +428,7 @@ def schatten_map(a: CrossedProductElement) -> SparseOperator:
     if a.points != tuple(grp.elements) or not np.array_equal(a.act_table, grp.add_table):
         raise ValueError("schatten map needs X = G with the translation action")
     mat = regular_representation(a)
-    basis = Basis(grp.elements, np.ones(grp.order), name=f"l2({grp!r})")
+    basis = Basis(grp.coords, np.ones(grp.order), name=f"l2({grp!r})")
     return SparseOperator.from_dense(mat, basis, basis, "even")
 
 

@@ -14,7 +14,7 @@ import pytest
 
 import kkindex
 from kkindex import TruncationSpec
-from kkindex import dirac
+from kkindex import dirac, limitspace
 from kkindex.cli import main
 from kkindex.dirac import TripleSpace, spec_bases
 from kkindex.experiments import (MAX_DIM, Config, ConfigError, Lcg, Report, parse_config,
@@ -90,6 +90,14 @@ class ScalarLcg:
         m = n if m is None else m
         return np.array([[self.complex_normal() for _ in range(m)] for _ in range(n)],
                         dtype=complex).reshape(n, m)
+
+
+def test_one_block_draw_is_the_per_trial_draws_bit_for_bit():
+    # the m-iso trials draw five vectors per trial as one (500, order) block
+    block = Lcg(20240817).complex_matrix(500, 9).reshape(100, 5, 9)
+    rng = Lcg(20240817)
+    one_by_one = np.array([[rng.complex_vector(9) for _ in range(5)] for _ in range(100)])
+    assert np.array_equal(block.view(np.uint64), one_by_one.view(np.uint64))
 
 
 def test_lcg_documented_stream():
@@ -200,16 +208,32 @@ def test_run_all_csv_rows_parse_to_the_header(tmp_path):
             assert row[-1] in ("0", "1"), (name, row)
 
 
-def test_run_all_calls_every_exported_function(tmp_path):
-    # every module-level function a module lists in __all__ is reached by
-    # `kkindex run all`; class methods are exempt
-    exported = {}
+def exported_objects():
+    """``(module name, name, object)`` for everything a module lists in
+    ``__all__``."""
     for info in pkgutil.iter_modules(kkindex.__path__):
         mod = importlib.import_module(f"kkindex.{info.name}")
         for name in getattr(mod, "__all__", ()):
-            fn = inspect.unwrap(getattr(mod, name))
-            if inspect.isfunction(fn):
-                exported[fn.__code__] = f"{info.name}.{name}"
+            yield info.name, name, getattr(mod, name)
+
+
+def clear_memoized_builders():
+    for _, _, obj in exported_objects():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+    limitspace._gauss_legendre.cache_clear()
+
+
+def test_run_all_calls_every_exported_function(tmp_path):
+    # every module-level function a module lists in __all__ is reached by
+    # `kkindex run all`; class methods are exempt.  Memoized builders are
+    # cleared first, so calls made by earlier tests do not hide their bodies
+    clear_memoized_builders()
+    exported = {}
+    for module, name, obj in exported_objects():
+        fn = inspect.unwrap(obj)
+        if inspect.isfunction(fn):
+            exported[fn.__code__] = f"{module}.{name}"
     called = set()
 
     def record(frame, event, arg):
@@ -385,6 +409,22 @@ def test_cli_env_output_dir(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("KKINDEX_OUT", str(target))
     assert main(["run", "kernel_count"]) == 0
     assert (target / "kernel_count.csv").exists()
+
+
+def test_run_all_is_byte_identical_on_warm_and_cleared_builder_caches(tmp_path):
+    # memoized factors are shared across experiments and runs: a value
+    # changed in place by one run would show in the next one's reports
+    clear_memoized_builders()
+    outs = [tmp_path / f"run{k}" for k in range(3)]
+    assert main(["run", "all", "--out", str(outs[0])]) == 0
+    assert main(["run", "all", "--out", str(outs[1])]) == 0
+    clear_memoized_builders()
+    assert main(["run", "all", "--out", str(outs[2])]) == 0
+    names = sorted(os.listdir(outs[0]))
+    assert names and all(sorted(os.listdir(out)) == names for out in outs)
+    for name in names:
+        for out in outs[1:]:
+            assert filecmp.cmp(outs[0] / name, out / name, shallow=False), (out, name)
 
 
 def test_rerun_byte_identical(tmp_path):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from kkindex import fock
+from kkindex import fock, limitspace
 from kkindex.opcore import SparseOperator, adjoint, graded_commutator, spectrum
 
 
@@ -243,3 +243,42 @@ def test_adjoint_skew_pairs():
         for j in fock.safe_indices(ferm, n):
             diff = (adjoint(wedge) + holo).to_dense()
             assert np.max(np.abs(diff[:, j])) < 1e-13
+
+
+# ---------------------------------------------------------------- memoized factor builders
+
+def read_only_arrays(value):
+    if isinstance(value, SparseOperator):
+        return [value.rows, value.cols, value.vals]
+    if isinstance(value, tuple):  # a quadrature rule
+        return list(value)
+    return [value.label_array, value.gram, value.energy, value.parity]
+
+
+MEMO_SPEC = fock.TruncationSpec(3, 5)
+MEMOIZED = {
+    "boson basis": lambda: fock.enumerate_basis(MEMO_SPEC, "boson"),
+    "fermion basis": lambda: fock.enumerate_basis(MEMO_SPEC, "fermion"),
+    "boson_raise": lambda: fock.boson_raise(fock.enumerate_basis(MEMO_SPEC, "boson"), 2),
+    "boson_lower": lambda: fock.boson_lower(fock.enumerate_basis(MEMO_SPEC, "boson"), 1),
+    "dual_lower into a larger window": lambda: fock.dual_lower(
+        fock.enumerate_basis(MEMO_SPEC, "dual_boson"), 3,
+        codomain=fock.enumerate_basis(fock.TruncationSpec(3, 8), "dual_boson")),
+    "clifford holo": lambda: fock.clifford(fock.enumerate_basis(MEMO_SPEC, "fermion"), 2, "holo"),
+    "clifford antiholo": lambda: fock.clifford(
+        fock.enumerate_basis(MEMO_SPEC, "fermion"), 1, "antiholo"),
+    "mode_basis": lambda: limitspace.mode_basis(6),
+    "dRz_matrix": lambda: limitspace.dRz_matrix(limitspace.mode_basis(6)),
+    "dRzbar_matrix": lambda: limitspace.dRzbar_matrix(limitspace.mode_basis(6)),
+    "gauss-legendre rule": limitspace._gauss_legendre,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMOIZED))
+def test_memoized_builders_share_one_read_only_value(name):
+    build = MEMOIZED[name]
+    value = build()
+    assert build() is value
+    for arr in read_only_arrays(value):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0

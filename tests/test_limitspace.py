@@ -203,3 +203,37 @@ def test_chi_unit_norm_by_quadrature():
         val = ls.radial_quadrature(
             lambda r: (1.0 / (np.pi * sigma ** 2)) * 2.0 * np.pi * r, sigma)
         assert val == pytest.approx(1.0, rel=1e-13)
+
+
+# ---------------------------------------------------------------- mode basis as an array
+
+def sorted_mode_labels(h_max):
+    """The mode basis as a sorted comprehension: the oracle of :func:`mode_basis`."""
+    return sorted((p, q) for p in range(h_max + 1) for q in range(h_max + 1)
+                  if p + q <= h_max)
+
+
+@pytest.mark.parametrize("h_max", [0, 1, 2, 5, 9, 66])
+def test_mode_basis_matches_the_sorted_comprehension(h_max):
+    basis = ls.mode_basis(h_max)
+    labels = sorted_mode_labels(h_max)
+    assert basis.labels == tuple(labels)
+    assert basis.energy.tolist() == [p + q for p, q in labels]
+    assert basis.gram.tolist() == [1.0] * len(labels)
+    assert basis.parity.tolist() == [0] * len(labels)
+    assert basis.name == f"mode(h={h_max})"
+
+
+@pytest.mark.parametrize("h_max, basis_h", [(0, 0), (8, 8), (8, 11), (64, 66)])
+def test_on_basis_places_the_coefficients_on_the_diagonal_labels(h_max, basis_h):
+    mode = ls.xi_coeffs(0.5, h_max=h_max)
+    basis = ls.mode_basis(basis_h)
+    want = np.zeros(basis.dim, dtype=complex)
+    for k, c in enumerate(mode.coeffs):
+        want[basis.index((k, k))] = c
+    assert np.array_equal(mode.on_basis(basis), want)
+
+
+def test_on_basis_rejects_a_basis_without_room():
+    with pytest.raises(ValueError, match="diagonal"):
+        ls.xi_coeffs(0.5, h_max=8).on_basis(ls.mode_basis(7))

@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from kkindex import assembly, dirac, fock, limitspace
+from kkindex import assembly, dirac, fock, limitspace, twistgroup
 from kkindex.opcore import (Basis, SparseOperator, Vector, adjoint, block_components,
                             eigh_gram, graded_commutator, inner_product, shift_op, spectrum,
                             gram_transpose, orthonormal_apply, orthonormal_dense,
@@ -631,6 +631,14 @@ def test_block_components_match_scipy():
         assert len(pairs) == count == len(set(ours.tolist()))
 
 
+def test_block_components_are_computed_once_per_operator():
+    op = block_cases()["j-cycle D"]
+    labels = block_components(op)
+    assert block_components(op) is labels
+    with pytest.raises(ValueError, match="read-only"):
+        labels[0] = 1
+
+
 def test_block_components_singletons_and_chains():
     basis = Basis([(i,) for i in range(7)], np.ones(7))
     # one chain 0-2-4-6 with entries in both orientations, one pair 3-5, one
@@ -736,3 +744,96 @@ def test_property_block_spectra_equal_dense_spectra():
             1.0, np.max(np.abs(dense), initial=0.0))
 
     check()
+
+
+# ---------------------------------------------------------------- labels as one array
+
+class TupleBasis:
+    """The tuple-label basis the array-native :class:`Basis` replaced: the
+    oracle of its labels, index, membership, equality and hash."""
+
+    def __init__(self, labels, gram):
+        self.labels = tuple(labels)
+        self.gram = np.asarray(gram, dtype=float)
+        if len(self.labels) != len(set(self.labels)):
+            raise ValueError("basis labels must be distinct")
+        self._index = {lab: i for i, lab in enumerate(self.labels)}
+
+    def index(self, label):
+        return self._index[label]
+
+    def __contains__(self, label):
+        return label in self._index
+
+    def __eq__(self, other):
+        return self.labels == other.labels and np.array_equal(self.gram, other.gram)
+
+    def __hash__(self):
+        return hash(self.labels)
+
+
+def label_cases():
+    spec = fock.TruncationSpec(3, 5)
+    boson = fock.enumerate_basis(spec, "boson")
+    raw = limitspace.mode_basis(3)
+    grp = twistgroup.FiniteAbelianGroup((4, 2))
+    l2 = twistgroup.schatten_map(
+        twistgroup.CrossedProductElement.translation(grp, np.eye(grp.order))).domain
+    return {
+        "boson": boson,
+        "dual": fock.enumerate_basis(spec, "dual_boson"),
+        "fermion": fock.enumerate_basis(spec, "fermion"),
+        "boson, other gram": Basis(boson.label_array, np.ones(boson.dim)),
+        "mode": raw,
+        "mode copy": Basis(raw.label_array, raw.gram),
+        "mode from tuples": Basis(list(raw.labels), raw.gram),
+        "triple": dirac.TripleSpace(dirac.spec_bases(fock.TruncationSpec(2, 3)), 3).basis,
+        "l2(Z4xZ2)": l2,
+        "unsorted": Basis([(2,), (0,), (3,), (1,)], [2.0, 1.0, 6.0, 1.0]),
+        "zero-dim": Basis([], []),
+        "zero-dim array": Basis(np.zeros((0, 3), dtype=np.int64), []),
+        "one empty label": Basis([()], [1.0]),
+    }
+
+
+def test_array_basis_matches_the_tuple_oracle():
+    cases = label_cases()
+    oracles = {name: TupleBasis(b.labels, b.gram) for name, b in cases.items()}
+    grp = twistgroup.FiniteAbelianGroup((4, 2))
+    assert cases["l2(Z4xZ2)"].labels == tuple(grp.elements)
+    for name, basis in cases.items():
+        oracle = oracles[name]
+        assert basis.labels == tuple(map(tuple, basis.label_array.tolist())), name
+        assert basis.label_array.shape[0] == basis.dim == len(oracle.labels)
+        for i, lab in enumerate(oracle.labels):
+            assert basis.index(lab) == oracle.index(lab) == i
+            assert lab in basis
+        missing = (-1,) * (basis.label_array.shape[1] or 1)
+        assert missing not in basis and missing not in oracle
+        with pytest.raises(KeyError):
+            basis.index(missing)
+        for other, obasis in cases.items():
+            assert (basis == obasis) == (oracle == oracles[other]), (name, other)
+            if basis == obasis:
+                assert hash(basis) == hash(obasis)
+    assert cases["boson"] == cases["dual"] and cases["mode"] == cases["mode copy"]
+
+
+@pytest.mark.parametrize("labels", [[(0, 1), (2, 3), (0, 1)], [(), ()],
+                                    [(1,), (0,), (2,), (0,)]])
+def test_duplicate_labels_raise_like_the_tuple_oracle(labels):
+    with pytest.raises(ValueError, match="distinct"):
+        TupleBasis(labels, np.ones(len(labels)))
+    with pytest.raises(ValueError, match="distinct"):
+        Basis(labels, np.ones(len(labels)))
+    with pytest.raises(ValueError, match="distinct"):
+        Basis(np.array(labels, dtype=np.int64).reshape(len(labels), -1), np.ones(len(labels)))
+
+
+def test_basis_and_operator_arrays_are_read_only():
+    basis = Basis(np.array([[0, 1], [1, 0]]), [1.0, 2.0])
+    op = SparseOperator(basis, basis, [0, 1], [1, 0], [1.0, 2.0])
+    for arr in (basis.label_array, basis.gram, basis.energy, basis.parity,
+                op.rows, op.cols, op.vals):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
