@@ -26,6 +26,7 @@ energy-truncated space, which both Diracs preserve without leakage.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,8 +105,12 @@ MAX_JCYCLE_DIM = 1 << 16
 class MaterializedJCycle:
     """Model of ``D (x)_2 id + id (x)_1 dirac_L`` on prefix x fermion x
     dual, the boson column leg factored out (compactness over the matrix
-    algebra is exactly 'scalar-compact tensor identity').  The isometry
-    onto the range of the Xi smearing is formed on first use."""
+    algebra is exactly 'scalar-compact tensor identity').
+
+    Each state is a mode-prefix state times a (fermion, dual) rest state;
+    :meth:`lift` places a prefix vector on every rest state, and the
+    isometry onto the range of the Xi smearing is the lift of the Xi
+    product, formed on first use."""
 
     spec: fock.TruncationSpec
     m_active: int
@@ -120,21 +125,43 @@ class MaterializedJCycle:
     xi_bound: float          # commutator bound of their smearing
 
     @functools.cached_property
+    def _layout(self):
+        """The distinct (fermion, dual) rest rows in ``np.unique`` order and,
+        per state, its rest row and its flat mode-prefix index."""
+        comps, m = self.space.components, self.m_active
+        rows, rest = np.unique(comps[:, m:], axis=0, return_inverse=True)
+        prefix = np.ravel_multi_index(tuple(comps[:, :m].T), self.space.shape[:m])
+        return rows, rest.ravel(), prefix
+
+    @property
+    def rest_rows(self) -> np.ndarray:
+        """The ``n_rest`` distinct (fermion, dual) factor-index rows; row
+        ``r`` is the rest state of column ``r`` of :meth:`lift`."""
+        return self._layout[0]
+
+    def lift(self, k: np.ndarray) -> np.ndarray:
+        """The dim x n_rest array whose column ``r`` is ``k (x) e_r``, for a
+        vector ``k`` over the flat mode-prefix index.
+
+        The mode bases are orthonormal, so a state's Gram is its rest
+        state's and the array is the same in basis and in orthonormal
+        coordinates.
+        """
+        rows, rest, prefix = self._layout
+        out = np.zeros((len(rest), len(rows)), dtype=complex)
+        out[np.arange(len(rest)), rest] = k[prefix]
+        return out
+
+    @functools.cached_property
     def isometry(self) -> np.ndarray:
-        """The dim x n_rest matrix ``V`` in orthonormal coordinates whose
-        column ``r`` is ``Xi (x) e_r``, for the ``n_rest`` distinct
-        (fermion, dual) rest states in ``np.unique`` order.
+        """The dim x n_rest matrix ``V``, the :meth:`lift` of the Xi
+        product, whose column ``r`` is ``Xi (x) e_r``.
 
         Every prefix state occurs with every rest state (the mode legs carry
         no energy) and the mode bases are orthonormal, so ``V^H V = 1`` and
         the smearing ``theta_(Xi, Xi) (x) id`` is ``P = V V^H``.
         """
-        comps, m = self.space.components, self.m_active
-        rest = np.unique(comps[:, m:], axis=0, return_inverse=True)[1].ravel()
-        out = np.zeros((len(comps), rest.max() + 1), dtype=complex)
-        out[np.arange(len(comps)), rest] = np.prod(
-            [self.xi_vecs[q][comps[:, q]] for q in range(m)], axis=0)
-        return out
+        return self.lift(functools.reduce(np.kron, self.xi_vecs))
 
 
 def materialize_j_cycle(spec: fock.TruncationSpec, m_active: int,
@@ -359,10 +386,6 @@ class ComparisonReport:
     bounded_spectra_deviation: float
     rows: list = field(default_factory=list)    # (quantity, deviation, tolerance)
 
-    @property
-    def ok(self) -> bool:
-        return all(value <= tol for _, value, tol in self.rows)
-
 
 def _flip_permutation(analytic: IndexCycle, mu: IndexCycle) -> np.ndarray:
     """Index map of the transpose intertwiner ``(b, d, s) -> (s, d, b)``."""
@@ -515,7 +538,7 @@ def resolvent_compactness(cycle: MaterializedJCycle,
     # one shell is res0 V[:, shell] times a co-isometry; R of res0 V = Q R
     # keeps those column norms
     r_factor = np.linalg.qr(orthonormal_apply(res0, v), mode="r")
-    rest = np.unique(space.components[:, m:], axis=0)  # the columns of V
+    rest = cycle.rest_rows  # the columns of V
     col_shell = space.factors[m].energy[rest[:, 0]] + space.factors[m + 1].energy[rest[:, 1]]
     shell_rows = []
     for shell in np.unique(col_shell):
@@ -526,7 +549,7 @@ def resolvent_compactness(cycle: MaterializedJCycle,
     dual = space.factors[m + 1]
     for n in range(m + 1, cycle.spec.n_max + 1):
         sigma = cycle.seq.sigma(n)
-        dr_norm = limitspace.dRz_norm_on_xi(sigma)
+        dr_norm = limitspace.dRz_norm_quadrature(sigma)
         lift = space.embed_factor_op(fock.dual_raise(dual, n), m + 1) @ res0
         weight = float(np.sqrt(_norm(adjoint(lift) @ lift)))
         per_mode_rows.append((n, 2.0 * np.sqrt(n) * dr_norm * weight,
@@ -556,52 +579,32 @@ def kucerovsky_check(cycle: MaterializedJCycle, n_generators: int = 3,
 
     The defect is formed as its dim x n_small adjoint
     ``T^H dirac_L - op T^H`` (both operators are self-adjoint) and its norm
-    read off the n_small x n_small Gram matrix.
+    read off the n_small x n_small Gram matrix.  ``T^H`` is the
+    :meth:`MaterializedJCycle.lift` of ``k``, the isometry for ``k = Xi``;
+    the compressed space's states must be the cycle's rest rows, in order.
     """
-    space = cycle.space
-    small = dirac.TripleSpace(space.factors[cycle.m_active:], e_max=cycle.spec.e_max,
+    small = dirac.TripleSpace(cycle.space.factors[cycle.m_active:], e_max=cycle.spec.e_max,
                               name="compressed")
+    if not np.array_equal(small.components, cycle.rest_rows):
+        raise ValueError("compressed space states are not the cycle's rest states")
     dl_small = orthonormal_dense(dirac.build_dirac_L(cycle.spec, space=small)[0])
-
-    xi_full = cycle.xi_vecs[0]
-    for v in cycle.xi_vecs[1:]:
-        xi_full = np.kron(xi_full, v)
-    prefix_dim = len(xi_full)
+    prefix_dim = math.prod(len(v) for v in cycle.xi_vecs)
     d_norm = _norm(cycle.d_part)
 
     rng = np.random.default_rng(seed)
     rows = [("zero", 0.0, 0.0)]
     for gen in range(n_generators):
         if gen == 0:
-            k_vec, name, bound = xi_full, "xi", cycle.xi_bound
+            t_adj, name, bound = cycle.isometry, "xi", cycle.xi_bound
         else:
             k_vec = rng.standard_normal(prefix_dim) + 1j * rng.standard_normal(prefix_dim)
             k_vec /= np.linalg.norm(k_vec)
-            name = f"random-{gen}"
-            bound = 2.0 * d_norm
-        t_adj = _t_adjoint(cycle, small, k_vec)
+            t_adj, name, bound = cycle.lift(k_vec), f"random-{gen}", 2.0 * d_norm
         defect_adj = t_adj @ dl_small - orthonormal_apply(cycle.operator, t_adj)
         top = np.linalg.eigvalsh(defect_adj.conj().T @ defect_adj)[-1]
         rows.append((name, float(np.sqrt(max(top, 0.0))), float(bound)))
     positivity = float(np.min(spectrum(cycle.operator @ cycle.operator)))
     return KucerovskyReport(rows, positivity)
-
-
-def _t_adjoint(cycle: MaterializedJCycle, small, k_vec: np.ndarray) -> np.ndarray:
-    """The dim x small.dim adjoint of ``T : f (x) s (x) v -> <k, f> s (x) v``.
-
-    State grams are the rest grams (the mode bases are orthonormal), so it
-    is the same in basis and in orthonormal coordinates.
-    """
-    space = cycle.space
-    m = cycle.m_active
-    # ``small`` is built on the fermion and dual factors of ``space`` itself
-    rows = small.index_of(space.components[:, m:])
-    flat = np.ravel_multi_index(tuple(space.components[:, :m].T), space.shape[:m])
-    cols = np.flatnonzero(rows >= 0)
-    out = np.zeros((space.dim, small.dim), dtype=complex)
-    out[cols, rows[cols]] = k_vec[flat[cols]]
-    return out
 
 
 # ------------------------------------------------------------ finite models

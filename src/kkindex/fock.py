@@ -167,4 +167,4 @@ def safe_indices(basis: Basis, margin: int, cap: float = None):
     """
     if cap is None:
         cap = max(basis.energy) if basis.dim else 0
-    return [i for i in range(basis.dim) if basis.energy[i] <= cap - margin]
+    return np.flatnonzero(basis.energy <= cap - margin)

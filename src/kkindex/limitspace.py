@@ -43,7 +43,7 @@ __all__ = [
     "dRz_matrix",
     "dRzbar_matrix",
     "xi_coeffs",
-    "dRz_norm_on_xi",
+    "dRz_norm_quadrature",
     "dRz_norm_details",
     "check_sigma_condition",
     "tail_bound",
@@ -274,39 +274,29 @@ def _dRz_norm_hermite(mode: ModeFunction) -> float:
     return float(np.sqrt(np.sum((j / 2.0) * diffs ** 2)))
 
 
+def dRz_norm_quadrature(sigma: float) -> float:
+    """``|dR_z Xi_sigma|`` (equal to ``sigma / 2``) by quadrature of
+    ``(r^2/2) chi_sigma^2`` in closed numerical form, exact for the
+    polynomial integrand."""
+    return float(np.sqrt(radial_quadrature(
+        lambda r: (r ** 2 / 2.0) * (1.0 / (np.pi * sigma ** 2)) * 2.0 * np.pi * r,
+        sigma)))
+
+
 def dRz_norm_details(sigma: float, h_max: int = None):
     """Both routes to ``|dR_z Xi_sigma|`` plus the ladder-route error bound.
 
-    Returns ``(quadrature, hermite, hermite_error_bound, deficiency)``.  The
-    quadrature route integrates ``(r^2/2) chi_sigma^2`` in closed numerical
-    form (exact for the polynomial integrand); the ladder route applies the
-    truncated coefficient vector and is accurate only up to the weighted
+    Returns ``(quadrature, hermite, hermite_error_bound, deficiency)``: the
+    :func:`dRz_norm_quadrature` value, and the ladder route, which applies
+    the truncated coefficient vector and is accurate only up to the weighted
     tail, bounded by ``sigma * sqrt(deficiency)`` in the worst case.
     """
     mode = xi_coeffs(sigma, h_max=h_max)
-    quad = np.sqrt(radial_quadrature(
-        lambda r: (r ** 2 / 2.0) * (1.0 / (np.pi * sigma ** 2)) * 2.0 * np.pi * r,
-        sigma))
     hermite = _dRz_norm_hermite(mode)
     # the discarded weighted tail is asymptotically (sigma^2/2) * deficiency
     # in norm squared, i.e. ~ sigma * deficiency / 2 in norm; factor 4 slack
     err_bound = 2.0 * sigma * mode.deficiency
-    return float(quad), float(hermite), float(err_bound), mode.deficiency
-
-
-def dRz_norm_on_xi(sigma: float, h_max: int = None, tolerance: float = None) -> float:
-    """``|dR_z Xi_sigma|`` (equal to ``sigma / 2``), computed two ways.
-
-    The quadrature value is returned; the ladder-matrix value must agree
-    within ``tolerance`` (default: the a-priori truncation error bound of
-    the ladder route).  Values always satisfy ``<= sigma``.
-    """
-    quad, hermite, err_bound, _ = dRz_norm_details(sigma, h_max)
-    tol = err_bound if tolerance is None else tolerance
-    if abs(quad - hermite) > tol:
-        raise RuntimeError(
-            f"dR_z norm disagreement {abs(quad - hermite):.3e} beyond {tol:.3e}")
-    return quad
+    return dRz_norm_quadrature(sigma), float(hermite), float(err_bound), mode.deficiency
 
 
 # ------------------------------------------------------------ summability

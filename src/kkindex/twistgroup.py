@@ -12,12 +12,12 @@ and is determined by its slice on the zero-phase section.  Level-tagged
 arithmetic works on slices, with the fiber sums evaluated by exact character
 orthogonality; untagged arithmetic sums over the full extension numerically.
 
-Every kernel runs as array gathers over integer tables built once per group
-and per extension: the group law ``add_table``/``neg_table`` on element
-indices, and for the extension ``tgt[g, x] = index(-g + x)`` with the phase
-``(g, i)^{-1} (x, j) = (tgt[g, x], phase[g, x] + j - i mod m)``.  The tuple
-methods (``add``, ``neg``, ``mul``, ``inv``, ``exponent``) are the slow
-reference the tables are tested against.
+The group law exists only as integer tables, built once per group and per
+extension, and every kernel runs as array gathers over them: ``add_table``
+and ``neg_table`` on element indices (lexicographic, so the identity is
+index 0), for the extension ``tgt[g, x] = index(-g + x)`` with the phase
+``(g, i)^{-1} (x, j) = (tgt[g, x], phase[g, x] + j - i mod m)``, and for a
+G-set the point table ``act_table[g, x] = index(g.x)``.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ class FiniteAbelianGroup:
         if any(n < 1 for n in self.moduli):
             raise ValueError("moduli must be >= 1")
         self.elements = list(np.ndindex(*self.moduli))
-        self._index = {g: i for i, g in enumerate(self.elements)}
         self.coords = np.array(self.elements, dtype=np.intp).reshape(self.order, -1)
         # lexicographic order: an element's index is its coordinates dotted
         # with the mixed-radix strides
@@ -83,26 +82,12 @@ class FiniteAbelianGroup:
 
     @functools.cached_property
     def add_table(self) -> np.ndarray:
-        """``[g, h]``: index of ``g + h``; n x n, built on first use so that
-        large groups used only through the tuple API allocate nothing."""
+        """``[g, h]``: index of ``g + h``; n x n, built on first use."""
         return self._indices(self.coords[:, None, :] + self.coords[None, :, :])
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def index(self, g) -> int:
-        return self._index[tuple(g)]
-
-    def add(self, g, h):
-        return tuple((a + b) % n for a, b, n in zip(g, h, self.moduli))
-
-    def neg(self, g):
-        return tuple((-a) % n for a, n in zip(g, self.moduli))
-
-    @property
-    def identity(self):
-        return (0,) * len(self.moduli)
 
     def __repr__(self):
         return "Z" + "xZ".join(str(n) for n in self.moduli)
@@ -117,12 +102,6 @@ class Cocycle:
         self.exponents = np.asarray(exponents, dtype=int) % self.root_order
         if self.exponents.shape != (group.order, group.order):
             raise ValueError("incomplete cocycle table")
-
-    def exponent(self, g, h) -> int:
-        return int(self.exponents[self.group.index(g), self.group.index(h)])
-
-    def value(self, g, h) -> complex:
-        return np.exp(2j * np.pi * self.exponent(g, h) / self.root_order)
 
     def root(self) -> complex:
         return np.exp(2j * np.pi / self.root_order)
@@ -146,11 +125,11 @@ def heisenberg_cocycle(group: FiniteAbelianGroup) -> Cocycle:
 
 def check_cocycle(tau: Cocycle):
     """All violated identities: cocycle triples ``(g, h, k)`` with
-    ``tau(g,h) tau(gh,k) != tau(h,k) tau(g,hk)`` and unnormalized pairs."""
+    ``tau(g,h) tau(gh,k) != tau(h,k) tau(g,hk)`` and unnormalized pairs.
+    The identity is element 0 (lexicographic order)."""
     grp, m = tau.group, tau.root_order
     K, add, elts = tau.exponents, grp.add_table, grp.elements
-    e = grp.index(grp.identity)
-    bad = [("normalization", g) for g, row, col in zip(elts, K[e] % m, K[:, e] % m)
+    bad = [("normalization", g) for g, row, col in zip(elts, K[0] % m, K[:, 0] % m)
            if row or col]
     for gi, g in enumerate(elts):
         # one (h, k) slab per g: K[g,h] + K[gh,k] - K[h,k] - K[g,hk]
@@ -176,35 +155,10 @@ class TwistedExtension:
         self.phase = (K[neg] - k_inv[:, None]) % m
         self.roots = tau.root() ** np.arange(m)
 
-    @property
-    def order(self) -> int:
-        return self.group.order * self.m
-
-    def elements(self):
-        for g in self.group.elements:
-            for j in range(self.m):
-                yield (g, j)
-
-    def mul(self, x, y):
-        (g, i), (h, j) = x, y
-        return (self.group.add(g, h), (i + j + self.tau.exponent(g, h)) % self.m)
-
-    def inv(self, x):
-        g, i = x
-        gi = self.group.neg(g)
-        return (gi, (-i - self.tau.exponent(g, gi)) % self.m)
-
-    @property
-    def identity(self):
-        return (self.group.identity, 0)
-
     def translates(self, slice_, level: int) -> np.ndarray:
         """``[g, x]``: the level-``level`` function with zero-phase slice
         ``slice_`` evaluated at ``(g, 0)^{-1} (x, 0)``."""
         return slice_[self.tgt] * self.roots[(level * self.phase) % self.m]
-
-    def __repr__(self):
-        return f"{self.group!r}^tau(m={self.m})"
 
 
 class GroupAlgebraElement:
@@ -228,25 +182,12 @@ class GroupAlgebraElement:
                 raise ValueError("tagged element needs a slice over G")
         self.values = values
 
-    @staticmethod
-    def unit(ext: TwistedExtension, level: int) -> "GroupAlgebraElement":
-        slice_ = np.zeros(ext.group.order, dtype=complex)
-        slice_[ext.group.index(ext.group.identity)] = 1.0
-        return GroupAlgebraElement(ext, slice_, level)
-
     def table(self) -> np.ndarray:
         if self.level is None:
             return self.values
         omega = self.ext.tau.root()
         phases = omega ** (np.arange(self.ext.m) * self.level)
         return np.outer(self.values, phases)
-
-    def at(self, x) -> complex:
-        g, j = x
-        if self.level is None:
-            return complex(self.values[self.ext.group.index(g), j])
-        return complex(self.values[self.ext.group.index(g)]
-                       * self.ext.tau.root() ** (j * self.level))
 
     def add(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         _same_ext(self, other)
@@ -268,12 +209,6 @@ class GroupAlgebraElement:
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
-
-    def norm(self) -> float:
-        """Norm for the fiber-mass-1 Haar measure on the extension."""
-        if self.level is not None:
-            return float(np.linalg.norm(self.values))
-        return float(np.linalg.norm(self.values) / np.sqrt(self.ext.m))
 
 
 def _same_ext(a, b):
@@ -327,37 +262,30 @@ def level_project(f: GroupAlgebraElement, level: int) -> GroupAlgebraElement:
 class CrossedProductElement:
     """Finitely supported function ``a : G x X -> C`` for a finite G-set X.
 
-    ``act_table[g, x]`` is the point index of ``g.x``, derived once from the
-    ``action`` dict and shared by :meth:`with_values`.
+    The action is the integer table ``act_table[g, x]``, the point index of
+    ``g.x``, shared by :meth:`with_values`.
     """
 
-    def __init__(self, group: FiniteAbelianGroup, points, action, values):
+    def __init__(self, group: FiniteAbelianGroup, points, act_table, values):
         self.group = group
         self.points = tuple(points)
-        self.action = action  # dict (g, x) -> g.x over tuples
         self.values = np.asarray(values, dtype=complex)
         if self.values.shape != (group.order, len(self.points)):
             raise ValueError("crossed product table shape mismatch")
-        index = {p: i for i, p in enumerate(self.points)}
-        try:
-            self.act_table = np.array(
-                [[index[action[(g, x)]] for x in self.points]
-                 for g in group.elements], dtype=np.intp).reshape(self.values.shape)
-        except KeyError as exc:
-            raise ValueError(f"action does not map G x X into X at {exc}") from None
+        self.act_table = np.asarray(act_table)
+        if self.act_table.shape != self.values.shape:
+            raise ValueError(f"action table shape {self.act_table.shape} is not "
+                             f"|G| x |X| = {self.values.shape}")
+        if (not np.issubdtype(self.act_table.dtype, np.integer)
+                or np.any((self.act_table < 0) | (self.act_table >= len(self.points)))):
+            raise ValueError("action does not map G x X into the point indices of X")
 
     @staticmethod
     def translation(group: FiniteAbelianGroup, values=None) -> "CrossedProductElement":
         """Element over the translation action of G on itself."""
-        points = tuple(group.elements)
-        action = {(g, x): points[gx] for g, row in zip(points, group.add_table.tolist())
-                  for x, gx in zip(points, row)}
         if values is None:
             values = np.zeros((group.order, group.order), dtype=complex)
-        return CrossedProductElement(group, points, action, values)
-
-    def act(self, g, x):
-        return self.action[(tuple(g), tuple(x))]
+        return CrossedProductElement(group, group.elements, group.add_table, values)
 
     def with_values(self, values) -> "CrossedProductElement":
         out = copy.copy(self)
@@ -370,9 +298,6 @@ class CrossedProductElement:
         """``a*(g, x) = conj(a(g^{-1}, g^{-1} x))``."""
         neg = self.group.neg_table
         return self.with_values(np.conj(self.values[neg[:, None], self.act_table[neg]]))
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
 
 def _same_system(a: CrossedProductElement, b: CrossedProductElement):
@@ -446,15 +371,6 @@ class ModuleElement:
         n = ext.group.order
         if self.table.shape != (n, n):
             raise ValueError("module element needs a G x G table")
-
-    def add(self, other):
-        return ModuleElement(self.ext, self.table + other.table)
-
-    def scale(self, z):
-        return ModuleElement(self.ext, z * self.table)
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.table)))
 
 
 def m_iso(phi1, phi2: GroupAlgebraElement) -> ModuleElement:

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import time
 import tracemalloc
 
@@ -7,6 +9,8 @@ import pytest
 from kkindex import assembly as asm
 from kkindex import dirac, fock, limitspace as ls, twistgroup as tg
 from kkindex.opcore import SparseOperator, adjoint, gram_transpose, orthonormal_dense
+
+import tuple_law as law
 
 
 SEQ = ls.SigmaSequence("pow2")
@@ -152,7 +156,7 @@ def dense_resolvent_compactness(cycle, ranks=(1, 4, 16, 64)):
     dual = space.factors[dual_pos]
     for n in range(cycle.m_active + 1, cycle.spec.n_max + 1):
         sigma = cycle.seq.sigma(n)
-        dr_norm = ls.dRz_norm_on_xi(sigma)
+        dr_norm = sigma / 2.0  # closed form of |dR_z Xi_sigma|
         lift = orthonormal_dense(space.embed_factor_op(fock.dual_raise(dual, n), dual_pos))
         weight = float(np.linalg.norm(lift @ res0, 2))
         per_mode_rows.append((n, 2.0 * np.sqrt(n) * dr_norm * weight,
@@ -236,10 +240,40 @@ def test_diagnostics_match_the_dense_oracles(case):
                 assert abs(got - want) <= 1e-12, (path, got, want)
 
 
+@pytest.mark.parametrize("case", list(PARITY_CASES.values()), ids=list(PARITY_CASES))
+def test_prefix_lift_matches_the_rest_state_scatter(case):
+    n_max, e_max, m_active, h_op = case
+    cycle = asm.materialize_j_cycle(fock.TruncationSpec(n_max, e_max), m_active, SEQ, h_op)
+    comps = cycle.space.components
+    # the former isometry: per-state Xi amplitudes in np.unique rest order
+    rest = np.unique(comps[:, m_active:], axis=0, return_inverse=True)[1].ravel()
+    v = np.zeros((len(comps), rest.max() + 1), dtype=complex)
+    v[np.arange(len(comps)), rest] = np.prod(
+        [cycle.xi_vecs[q][comps[:, q]] for q in range(m_active)], axis=0)
+    xi = functools.reduce(np.kron, cycle.xi_vecs)
+    assert np.array_equal(cycle.lift(xi), v)
+    assert np.array_equal(cycle.isometry, v)
+    small = dirac.TripleSpace(cycle.space.factors[m_active:], e_max=e_max, name="compressed")
+    assert np.array_equal(small.components, cycle.rest_rows)
+    rng = np.random.default_rng(9)
+    for k in [xi] + [rng.standard_normal(len(xi)) + 1j * rng.standard_normal(len(xi))
+                     for _ in range(2)]:
+        # T^H by the former scatter: rest states looked up in `small`
+        assert np.array_equal(cycle.lift(k), dense_t_map(cycle, small, k).conj().T)
+
+
+def test_kucerovsky_refuses_a_compressed_space_off_the_rest_states():
+    # a compressed space at a lower energy cut misses some rest states
+    cycle = small_cycle()
+    lower = dataclasses.replace(cycle, spec=fock.TruncationSpec(2, 2))
+    with pytest.raises(ValueError, match="rest states"):
+        asm.kucerovsky_check(lower)
+
+
 def test_diagnostics_form_no_dim_by_dim_array(monkeypatch):
     # the rest-space routes never densify an operator on the cycle's full
-    # space; the frozen-mode rows read adaptive Xi norms, not Xi on the
-    # mode bases
+    # space; the frozen-mode rows read the quadrature, not Xi on the mode
+    # bases
     cycle = small_cycle()
     full = cycle.space.basis
 
@@ -673,7 +707,7 @@ def test_compare_indices_truncated(n_max, e_max):
     assert report.action_deviation <= 1e-12
     assert report.inner_deviation <= 1e-12
     assert report.bounded_spectra_deviation <= 1e-10
-    assert report.ok
+    assert all(value <= tol for _, value, tol in report.rows)
 
 
 def test_compare_indices_full_product():
@@ -681,7 +715,7 @@ def test_compare_indices_full_product():
     report = asm.compare_indices(*(c for c in (
         asm.analytic_index(spec, full_product=True),
         asm.mu_index(spec, full_product=True))))
-    assert report.ok
+    assert all(value <= tol for _, value, tol in report.rows)
 
 
 def test_compare_indices_reach_without_dense_arrays():
@@ -704,7 +738,6 @@ def test_compare_indices_reach_without_dense_arrays():
     assert seconds < COMPARE_REACH_SECONDS
     assert peak < tensor_bytes
     assert all(value <= tol for _, value, tol in report.rows)
-    assert report.ok
 
 
 def test_flip_maps_vacuum_column():
@@ -795,7 +828,7 @@ def test_level_vanishing_heisenberg():
 
 def brute_level_pattern(group, tau, seed=3):
     """Loop oracle: the pairing summed over every ``(h, i)`` of the
-    extension through the tuple API, with the same random legs."""
+    extension through the tuple law, with the same random legs."""
     ext = tg.TwistedExtension(tau)
     n, m = group.order, ext.m
     omega = tau.root()
@@ -810,10 +843,11 @@ def brute_level_pattern(group, tau, seed=3):
             for yi, y in enumerate(group.elements):
                 for hi, hh in enumerate(group.elements):
                     for i in range(m):
-                        tgt_g, jg = ext.mul(ext.inv((hh, i)), (g, 0))
-                        tgt_y, jy = ext.mul(ext.inv((hh, i)), (y, 0))
+                        tgt_g, jg = law.mul(ext, law.inv(ext, (hh, i)), (g, 0))
+                        tgt_y, jy = law.mul(ext, law.inv(ext, (hh, i)), (y, 0))
                         out[gi, yi] += (cut.values[hi, yi]
-                                        * table[group.index(tgt_g), group.index(tgt_y)]
+                                        * table[law.index(group, tgt_g),
+                                                law.index(group, tgt_y)]
                                         * omega ** (jg * level) * omega ** (-jy))
         rows.append((level, float(np.max(np.abs(out / m)))))
     return rows

@@ -224,16 +224,46 @@ def clear_memoized_builders():
     limitspace._gauss_legendre.cache_clear()
 
 
+# modules whose exported classes' public methods and properties are also
+# held to the rule
+METHOD_MODULES = ("twistgroup", "assembly")
+
+
+def exported_methods():
+    """``(qualified name, function)`` for each public method and property
+    (getter) that a class exported by :data:`METHOD_MODULES` defines itself."""
+    for module, name, obj in exported_objects():
+        if module not in METHOD_MODULES or not isinstance(obj, type):
+            continue
+        for attr, member in vars(obj).items():
+            fn = getattr(member, "fget", None) or getattr(member, "func", None) \
+                or getattr(member, "__func__", member)
+            if not attr.startswith("_") and inspect.isfunction(fn):
+                yield f"{module}.{name}.{attr}", fn
+
+
+def test_exported_methods_sees_every_kind_of_member():
+    names = {name for name, _ in exported_methods()}
+    assert {"twistgroup.FiniteAbelianGroup.add_table",        # cached property
+            "twistgroup.FiniteAbelianGroup.order",            # property
+            "twistgroup.CrossedProductElement.translation",   # static method
+            "twistgroup.GroupAlgebraElement.involution",      # method
+            "assembly.MaterializedJCycle.lift"} <= names
+
+
 def test_run_all_calls_every_exported_function(tmp_path):
     # every module-level function a module lists in __all__ is reached by
-    # `kkindex run all`; class methods are exempt.  Memoized builders are
-    # cleared first, so calls made by earlier tests do not hide their bodies
+    # `kkindex run all`, and so is every public method and property of the
+    # classes twistgroup and assembly export.  Memoized builders are cleared
+    # first, so calls made by earlier tests do not hide their bodies
     clear_memoized_builders()
     exported = {}
     for module, name, obj in exported_objects():
         fn = inspect.unwrap(obj)
         if inspect.isfunction(fn):
             exported[fn.__code__] = f"{module}.{name}"
+    for name, fn in exported_methods():
+        exported[fn.__code__] = name
     called = set()
 
     def record(frame, event, arg):

@@ -119,19 +119,14 @@ def test_xi_overlap_dRz_exact_zero():
 
 
 def test_dRz_norm_quadrature_value():
-    # oracle: int_0^sigma (r^2/2) (1/(pi sigma^2)) 2 pi r dr = sigma^2 / 4
-    for sigma in (1.0, 0.5, 0.125):
+    # oracle: int_0^sigma (r^2/2) (1/(pi sigma^2)) 2 pi r dr = sigma^2 / 4;
+    # sigma = 1/4 is the frozen mode the j-cycle diagnostics read under pow2
+    for sigma in (1.0, 0.5, 0.25, 0.125):
         quad, hermite, err_bound, deficiency = ls.dRz_norm_details(sigma)
+        assert quad == ls.dRz_norm_quadrature(sigma)
         assert quad == pytest.approx(sigma / 2.0, abs=1e-12)
         assert abs(quad - hermite) <= err_bound
         assert quad <= sigma and hermite <= sigma
-    assert ls.dRz_norm_on_xi(1.0) == pytest.approx(0.5, abs=1e-12)
-    assert ls.dRz_norm_on_xi(2.0 ** -3) == pytest.approx(0.0625, abs=1e-12)
-
-
-def test_dRz_norm_disagreement_raises():
-    with pytest.raises(RuntimeError, match="disagreement"):
-        ls.dRz_norm_on_xi(0.5, h_max=16, tolerance=1e-9)
 
 
 # ---------------------------------------------------------------- sigma

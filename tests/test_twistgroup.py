@@ -4,6 +4,8 @@ import pytest
 from kkindex import twistgroup as tg
 from kkindex.opcore import adjoint
 
+import tuple_law as law
+
 
 # ---------------------------------------------------------------- oracles
 
@@ -18,22 +20,28 @@ def brute_convolve(f: tg.GroupAlgebraElement, h: tg.GroupAlgebraElement):
             acc = 0.0 + 0.0j
             for gi, g in enumerate(grp.elements):
                 for gj in range(m):
-                    yg, yj = ext.mul(ext.inv((g, gj)), (x, xj))
-                    acc += ftab[gi, gj] * htab[grp.index(yg), yj]
+                    yg, yj = law.mul(ext, law.inv(ext, (g, gj)), (x, xj))
+                    acc += ftab[gi, gj] * htab[law.index(grp, yg), yj]
             out[xi, xj] = acc / m
     return out
 
 
-def brute_crossed(a: tg.CrossedProductElement, b: tg.CrossedProductElement):
+def brute_crossed(a: tg.CrossedProductElement, b: tg.CrossedProductElement, action=None):
+    """Triple loop over tuples; ``action`` is the dict ``(g, x) -> g.x``,
+    the translation action by default."""
     grp = a.group
+
+    def act(g, x):
+        return law.add(grp, g, x) if action is None else action[(g, x)]
+
     out = np.zeros_like(a.values)
     for gi, g in enumerate(grp.elements):
         for xi, x in enumerate(a.points):
             acc = 0.0 + 0.0j
             for hi, h in enumerate(grp.elements):
-                hinv = grp.neg(h)
-                acc += a.values[hi, xi] * b.values[grp.index(grp.add(hinv, g)),
-                                                   a.points.index(a.act(hinv, x))]
+                hinv = law.neg(grp, h)
+                acc += a.values[hi, xi] * b.values[law.index(grp, law.add(grp, hinv, g)),
+                                                   a.points.index(act(hinv, x))]
             out[gi, xi] = acc
     return out
 
@@ -57,8 +65,8 @@ def test_heisenberg_cocycle_valid():
     for g in grp.elements:
         for h in grp.elements:
             for k in grp.elements:
-                lhs = tau.value(g, h) * tau.value(grp.add(g, h), k)
-                rhs = tau.value(h, k) * tau.value(g, grp.add(h, k))
+                lhs = law.value(tau, g, h) * law.value(tau, law.add(grp, g, h), k)
+                rhs = law.value(tau, h, k) * law.value(tau, g, law.add(grp, h, k))
                 assert abs(lhs - rhs) < 1e-12
 
 
@@ -70,8 +78,8 @@ def test_trivial_cocycle_valid():
 def test_perturbed_cocycle_reports_touching_identities():
     grp, tau = z3_heisenberg()
     exps = tau.exponents.copy()
-    g0 = grp.index((1, 2))
-    h0 = grp.index((2, 1))
+    g0 = law.index(grp, (1, 2))
+    h0 = law.index(grp, (2, 1))
     exps[g0, h0] = (exps[g0, h0] + 1) % 3
     bad = tg.check_cocycle(tg.Cocycle(grp, exps, 3))
     # oracle: identities where the perturbed entry appears with nonzero net
@@ -81,8 +89,8 @@ def test_perturbed_cocycle_reports_touching_identities():
     for g in grp.elements:
         for h in grp.elements:
             for k in grp.elements:
-                net = (int((g, h) == p) + int((grp.add(g, h), k) == p)
-                       - int((h, k) == p) - int((g, grp.add(h, k)) == p))
+                net = (int((g, h) == p) + int((law.add(grp, g, h), k) == p)
+                       - int((h, k) == p) - int((g, law.add(grp, h, k)) == p))
                 if net % 3:
                     expected.add(("identity", g, h, k))
     assert set(bad) == expected
@@ -121,7 +129,9 @@ def test_convolve_unit():
     ext = tg.TwistedExtension(tau)
     rng = np.random.default_rng(1)
     f = random_tagged(ext, 1, rng)
-    unit = tg.GroupAlgebraElement.unit(ext, 1)
+    slice_ = np.zeros(grp.order, dtype=complex)
+    slice_[law.index(grp, law.identity(grp))] = 1.0
+    unit = tg.GroupAlgebraElement(ext, slice_, 1)
     assert np.max(np.abs(tg.convolve(unit, f).values - f.values)) < 1e-13
     assert np.max(np.abs(tg.convolve(f, unit).values - f.values)) < 1e-13
 
@@ -174,7 +184,7 @@ def test_crossed_constant_idempotent():
 def test_crossed_unit():
     grp = tg.FiniteAbelianGroup((3,))
     vals = np.zeros((3, 3), dtype=complex)
-    vals[grp.index((0,)), :] = 1.0  # delta at the unit, constant over X
+    vals[law.index(grp, (0,)), :] = 1.0  # delta at the unit, constant over X
     unit = tg.CrossedProductElement.translation(grp, vals)
     rng = np.random.default_rng(5)
     b = tg.CrossedProductElement.translation(
@@ -208,7 +218,7 @@ def test_schatten_matrix_unit():
     for gi, g in enumerate(grp.elements):
         for xi, x in enumerate(grp.elements):
             vals[gi, xi] = (1.0 if x == (0,) else 0.0) * \
-                np.conj(1.0 if grp.add(grp.neg(g), x) == (1,) else 0.0)
+                np.conj(1.0 if law.add(grp, law.neg(grp, g), x) == (1,) else 0.0)
     a = tg.CrossedProductElement.translation(grp, vals)
     mat = tg.schatten_map(a).to_dense()
     expected = np.zeros((2, 2))
@@ -241,6 +251,11 @@ def test_schatten_multiplicative_and_star():
     assert (star - adjoint(tg.schatten_map(a))).max_abs() < 1e-12
 
 
+def act_table(grp, points, action):
+    """The point-index table of an action dict ``(g, x) -> g.x``."""
+    return np.array([[points.index(action[(g, x)]) for x in points] for g in grp.elements])
+
+
 def test_schatten_rejects_other_spaces():
     grp = tg.FiniteAbelianGroup((2,))
     points = [(0,), (1,), (2,), (3,)]
@@ -248,7 +263,8 @@ def test_schatten_rejects_other_spaces():
     for g in grp.elements:
         for x in points:
             action[(g, x)] = ((x[0] + 2 * g[0]) % 4,)
-    a = tg.CrossedProductElement(grp, points, action, np.zeros((2, 4)))
+    a = tg.CrossedProductElement(grp, points, act_table(grp, points, action),
+                                 np.zeros((2, 4)))
     with pytest.raises(ValueError):
         tg.schatten_map(a)
 
@@ -296,7 +312,7 @@ def test_mishchenko_free_action_rank_counts_sections():
         for x in points:
             orbit, pos = divmod(x[0], 2)
             action[(g, x)] = (2 * orbit + (pos + g[0]) % 2,)
-    template = tg.CrossedProductElement(grp, points, action,
+    template = tg.CrossedProductElement(grp, points, act_table(grp, points, action),
                                         np.zeros((2, 4), dtype=complex))
     c = {(0,): 1.0, (1,): 0.0, (2,): 1.0, (3,): 0.0}
     cut = tg.mishchenko(c, template)
@@ -319,8 +335,8 @@ def test_mishchenko_product_factorizes():
                           tg.CrossedProductElement.translation(g12))
     for gi, g in enumerate(g12.elements):
         for xi, x in enumerate(g12.elements):
-            expected = (cut1.values[g1.index(g[:1]), g1.index(x[:1])]
-                        * cut2.values[g2.index(g[1:]), g2.index(x[1:])])
+            expected = (cut1.values[law.index(g1, g[:1]), law.index(g1, x[:1])]
+                        * cut2.values[law.index(g2, g[1:]), law.index(g2, x[1:])])
             assert abs(cut12.values[gi, xi] - expected) < 1e-14
 
 
@@ -331,14 +347,14 @@ def expand(e: tg.ModuleElement, gamma, x) -> complex:
     ``x = (y, i)``: level 1 outer, level -1 inner."""
     (g, j), (y, i) = gamma, x
     omega = e.ext.tau.root()
-    return complex(e.table[e.ext.group.index(g), e.ext.group.index(y)]
+    return complex(e.table[law.index(e.ext.group, g), law.index(e.ext.group, y)]
                    * omega ** j * omega ** (-i))
 
 
 def brute_module_tables(e: tg.ModuleElement):
     """Full (G^tau x G^tau) expansion of a module element."""
     ext = e.ext
-    pts = list(ext.elements())
+    pts = law.elements(ext)
     out = np.zeros((len(pts), len(pts)), dtype=complex)
     for i, gamma in enumerate(pts):
         for j, x in enumerate(pts):
@@ -353,7 +369,7 @@ def test_m_iso_point_mass():
     phi2 = tg.GroupAlgebraElement(ext, np.array([1.0, 0.0], dtype=complex), 1)
     e = tg.m_iso(phi1, phi2)
     expected = np.zeros((2, 2), dtype=complex)
-    expected[grp.index((0,)), grp.index((0,))] = 1.0
+    expected[law.index(grp, (0,)), law.index(grp, (0,))] = 1.0
     assert np.max(np.abs(e.table - expected)) < 1e-14
 
 
@@ -423,7 +439,7 @@ def test_module_element_expand_levels():
                  random_tagged(ext, 1, rng))
     omega = tau.root()
     full = brute_module_tables(e)
-    pts = list(ext.elements())
+    pts = law.elements(ext)
     # level 1 outer, level -1 inner on the expanded table
     for i, (g, j) in enumerate(pts):
         for l, (y, iy) in enumerate(pts):
@@ -490,27 +506,28 @@ def test_parse_group_spec_errors():
 
 
 # ---------------------------------------------------------------- tables
-# The integer tables behind every kernel against the tuple API, and each
-# kernel against a loop oracle over residue tuples, at orders <= 9.
+# The integer tables behind every kernel against the tuple law of
+# ``tuple_law``, and each kernel against a loop oracle over residue tuples,
+# at orders <= 9.
 
 def brute_check_cocycle(tau: tg.Cocycle):
     grp, m = tau.group, tau.root_order
-    e = grp.identity
+    e = law.identity(grp)
     bad = [("normalization", g) for g in grp.elements
-           if tau.exponent(e, g) % m or tau.exponent(g, e) % m]
+           if law.exponent(tau, e, g) % m or law.exponent(tau, g, e) % m]
     for g in grp.elements:
         for h in grp.elements:
             for k in grp.elements:
-                lhs = tau.exponent(g, h) + tau.exponent(grp.add(g, h), k)
-                rhs = tau.exponent(h, k) + tau.exponent(g, grp.add(h, k))
+                lhs = law.exponent(tau, g, h) + law.exponent(tau, law.add(grp, g, h), k)
+                rhs = law.exponent(tau, h, k) + law.exponent(tau, g, law.add(grp, h, k))
                 if (lhs - rhs) % m:
                     bad.append(("identity", g, h, k))
     return bad
 
 
 def coboundary(grp, b):
-    """``(db)(g, h) = b(g) + b(h) - b(g + h)`` through the tuple API."""
-    return np.array([[b[gi] + b[hi] - b[grp.index(grp.add(g, h))]
+    """``(db)(g, h) = b(g) + b(h) - b(g + h)`` through the tuple law."""
+    return np.array([[b[gi] + b[hi] - b[law.index(grp, law.add(grp, g, h))]
                       for hi, h in enumerate(grp.elements)]
                      for gi, g in enumerate(grp.elements)])
 
@@ -523,7 +540,7 @@ def bilinear_plus_coboundary(moduli, form, m, seed):
     table = np.array([[np.asarray(g) @ form @ np.asarray(h) for h in grp.elements]
                       for g in grp.elements])
     b = np.random.default_rng(seed).integers(0, m, grp.order)
-    b[grp.index(grp.identity)] = 0
+    b[law.index(grp, law.identity(grp))] = 0
     return tg.Cocycle(grp, table + coboundary(grp, b), m)
 
 
@@ -551,10 +568,11 @@ def tau(request):
 
 def test_group_tables_match_tuple_api(tau):
     grp = tau.group
+    assert grp.elements[0] == law.identity(grp)
     for gi, g in enumerate(grp.elements):
-        assert grp.neg_table[gi] == grp.index(grp.neg(g))
+        assert grp.neg_table[gi] == law.index(grp, law.neg(grp, g))
         for hi, h in enumerate(grp.elements):
-            assert grp.add_table[gi, hi] == grp.index(grp.add(g, h))
+            assert grp.add_table[gi, hi] == law.index(grp, law.add(grp, g, h))
 
 
 def test_extension_tables_match_mul_and_inv(tau):
@@ -562,13 +580,13 @@ def test_extension_tables_match_mul_and_inv(tau):
     grp, m = ext.group, ext.m
     for gi, g in enumerate(grp.elements):
         for i in range(m):
-            assert ext.inv((g, i)) == (grp.elements[grp.neg_table[gi]],
-                                       (ext.inv_phase[gi] - i) % m)
+            assert law.inv(ext, (g, i)) == (grp.elements[grp.neg_table[gi]],
+                                            (ext.inv_phase[gi] - i) % m)
             for xi, x in enumerate(grp.elements):
                 for j in range(m):
-                    assert ext.mul(ext.inv((g, i)), (x, j)) == (
+                    assert law.mul(ext, law.inv(ext, (g, i)), (x, j)) == (
                         grp.elements[ext.tgt[gi, xi]], (ext.phase[gi, xi] + j - i) % m)
-                    assert ext.mul((g, i), (x, j)) == (
+                    assert law.mul(ext, (g, i), (x, j)) == (
                         grp.elements[grp.add_table[gi, xi]],
                         (i + j + tau.exponents[gi, xi]) % m)
 
@@ -578,7 +596,7 @@ def test_heisenberg_outer_product_matches_pairing():
     tau = tg.heisenberg_cocycle(grp)
     for g in grp.elements:
         for h in grp.elements:
-            assert tau.exponent(g, h) == (g[1] * h[0]) % 2
+            assert law.exponent(tau, g, h) == (g[1] * h[0]) % 2
 
 
 def test_check_cocycle_ordered_list_matches_oracle(tau):
@@ -621,7 +639,7 @@ def test_property_cocycle_identity_on_random_finite_abelian_groups():
                                            max_size=r * r))).reshape(r, r) * step
         b = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=grp.order,
                                         max_size=grp.order)))
-        b[grp.index(grp.identity)] = 0
+        b[law.index(grp, law.identity(grp))] = 0
         table = grp.coords @ form @ grp.coords.T + coboundary(grp, b)
         tau = tg.Cocycle(grp, table, m)
         assert tg.check_cocycle(tau) == brute_check_cocycle(tau) == []
@@ -649,7 +667,7 @@ def brute_level_project(f, level):
 
 def brute_involution(f):
     ext = f.ext
-    return np.array([[np.conj(f.at(ext.inv((g, j)))) for j in range(ext.m)]
+    return np.array([[np.conj(law.at(f, law.inv(ext, (g, j)))) for j in range(ext.m)]
                      for g in ext.group.elements])
 
 
@@ -695,7 +713,7 @@ def test_decompose_matches_center_svd_oracle(tau):
     rows = []
     for gi, g in enumerate(grp.elements):
         for h in grp.elements:
-            diff = tau.value(g, h) - tau.value(h, g)
+            diff = law.value(tau, g, h) - law.value(tau, h, g)
             if diff != 0:
                 row = np.zeros(grp.order, dtype=complex)
                 row[gi] = diff
@@ -724,24 +742,24 @@ def test_crossed_kernels_match_brute_on_gset():
     grp, points, action = z2z2_on_z4()
     rng = np.random.default_rng(32)
     shape = (grp.order, len(points))
-    a, b = (tg.CrossedProductElement(grp, points, action, rng.standard_normal(shape)
+    table = act_table(grp, points, action)
+    a, b = (tg.CrossedProductElement(grp, points, table, rng.standard_normal(shape)
                                      + 1j * rng.standard_normal(shape)) for _ in range(2))
-    assert np.array_equal(a.act_table, [[a.points.index(a.act(g, x)) for x in points]
-                                        for g in grp.elements])
-    assert np.max(np.abs(tg.crossed_convolve(a, b).values - brute_crossed(a, b))) < 1e-13
-    star = np.array([[np.conj(a.values[grp.index(grp.neg(g)),
-                                       a.points.index(a.act(grp.neg(g), x))])
+    assert np.max(np.abs(tg.crossed_convolve(a, b).values
+                         - brute_crossed(a, b, action))) < 1e-13
+    star = np.array([[np.conj(a.values[law.index(grp, law.neg(grp, g)),
+                                       points.index(action[(law.neg(grp, g), x)])])
                       for x in points] for g in grp.elements])
     assert np.array_equal(a.involution().values, star)
     reg = np.zeros((4, 4), dtype=complex)
     for xi, x in enumerate(points):
         for hi, h in enumerate(grp.elements):
-            reg[xi, a.points.index(a.act(grp.neg(h), x))] += a.values[hi, xi]
+            reg[xi, points.index(action[(law.neg(grp, h), x)])] += a.values[hi, xi]
     assert np.max(np.abs(tg.regular_representation(a) - reg)) < 1e-14
     # each orbit {x, x+2} has stabilizer order 2: c(x) + c(x+2) = 1/2
     c = {(0,): 0.1, (1,): 0.3, (2,): 0.4, (3,): 0.2}
     cut = tg.mishchenko(c, a)
-    oracle = np.array([[np.sqrt(c[x] * c[a.act(grp.neg(g), x)]) for x in points]
+    oracle = np.array([[np.sqrt(c[x] * c[action[(law.neg(grp, g), x)]]) for x in points]
                        for g in grp.elements])
     assert np.max(np.abs(cut.values - oracle)) < 1e-15
     sq = tg.crossed_convolve(cut, cut)
@@ -752,16 +770,26 @@ def test_crossed_kernels_match_brute_on_gset():
 
 def test_crossed_action_must_land_in_points():
     grp, points, action = z2z2_on_z4()
-    action[((1, 0), (3,))] = (7,)
-    with pytest.raises(ValueError, match="action"):
-        tg.CrossedProductElement(grp, points, action, np.zeros((4, 4)))
+    table = act_table(grp, points, action)
+    for bad in (7, -1):
+        table[law.index(grp, (1, 0)), points.index((3,))] = bad
+        with pytest.raises(ValueError, match="action"):
+            tg.CrossedProductElement(grp, points, table, np.zeros((4, 4)))
+
+
+def test_crossed_action_table_must_have_the_value_shape():
+    grp, points, action = z2z2_on_z4()
+    table = act_table(grp, points, action)
+    for bad in (table[:, :3], table[:3], table[None]):
+        with pytest.raises(ValueError, match="action table shape"):
+            tg.CrossedProductElement(grp, points, bad, np.zeros((4, 4)))
 
 
 # ------------------------------------------------------- module oracles
 
 def brute_m_iso(phi1, phi2):
     ext = phi2.ext
-    return np.array([[phi1[yi] * phi2.at(ext.mul(ext.inv((y, 0)), (g, 0)))
+    return np.array([[phi1[yi] * law.at(phi2, law.mul(ext, law.inv(ext, (y, 0)), (g, 0)))
                       for yi, y in enumerate(ext.group.elements)]
                      for g in ext.group.elements])
 
@@ -772,7 +800,8 @@ def brute_right_action(e, b):
     out = np.zeros_like(e.table)
     for gi, g in enumerate(grp.elements):
         for gpi, gp in enumerate(grp.elements):
-            out[gi, :] += e.table[gpi, :] * b.at(ext.mul(ext.inv((gp, 0)), (g, 0)))
+            out[gi, :] += e.table[gpi, :] * law.at(b, law.mul(ext, law.inv(ext, (gp, 0)),
+                                                             (g, 0)))
     return out
 
 
@@ -783,8 +812,9 @@ def brute_left_action(a, e):
     for gi, g in enumerate(grp.elements):
         for yi, y in enumerate(grp.elements):
             for hi, h in enumerate(grp.elements):
+                h_inv = law.inv(ext, (h, 0))
                 out[gi, yi] += a.values[hi, yi] * expand(
-                    e, ext.mul(ext.inv((h, 0)), (g, 0)), ext.mul(ext.inv((h, 0)), (y, 0)))
+                    e, law.mul(ext, h_inv, (g, 0)), law.mul(ext, h_inv, (y, 0)))
     return out
 
 
@@ -795,8 +825,8 @@ def brute_inner_product(e1, e2):
     out = np.zeros(grp.order, dtype=complex)
     for gi, g in enumerate(grp.elements):
         for gpi, gp in enumerate(grp.elements):
-            tgt, j = ext.mul((gp, 0), (g, 0))
-            out[gi] += np.vdot(e1.table[gpi, :], e2.table[grp.index(tgt), :]) * omega ** j
+            tgt, j = law.mul(ext, (gp, 0), (g, 0))
+            out[gi] += np.vdot(e1.table[gpi, :], e2.table[law.index(grp, tgt), :]) * omega ** j
     return out
 
 
