@@ -10,7 +10,15 @@ the full spinor space, and the two diagonal-operator sum formulas.
 import numpy as np
 
 from kkindex import fock
-from kkindex.opcore import SparseOperator, graded_commutator, inner_product
+from kkindex.opcore import SparseOperator, Vector, graded_commutator, inner_product
+
+
+def monomial(basis, label):
+    """The basis vector of ``label``."""
+    coords = np.zeros(basis.dim, dtype=complex)
+    coords[basis.index(label)] = 1.0
+    return Vector(basis, coords)
+
 
 spec = fock.TruncationSpec(n_max=3, e_max=6)
 boson = fock.enumerate_basis(spec, "boson")
@@ -20,21 +28,22 @@ print(f"window: modes <= {spec.n_max}, weighted energy <= {spec.e_max}")
 print(f"boson basis: {boson.dim} monomials, fermion basis: {ferm.dim} wedge states")
 print()
 
-v = boson.vector((2, 1, 0))
+v = monomial(boson, (2, 1, 0))
 print("the monomial z1^2 z2 has squared norm 2! * 1! =",
       inner_product(v, v).real)
 
 raise1 = fock.boson_raise(boson, 1)
 lower1 = fock.boson_lower(boson, 1)
-state = boson.vector((2, 0, 0))
+state = monomial(boson, (2, 0, 0))
 print("lowering z1^2 gives coefficient",
       lower1.apply(state).coords[boson.index((1, 0, 0))], "on z1")
 
 comm = graded_commutator(raise1, lower1)
 devs = []
 for j in fock.safe_indices(boson, 1):
-    w = boson.vector(boson.labels[j])
-    devs.append(comm.apply(w).add(w.scale(-1.0)).norm())
+    w = monomial(boson, boson.labels[j])
+    diff = comm.apply(w).coords - w.coords
+    devs.append(np.sqrt(np.sum(boson.gram * np.abs(diff) ** 2)))
 print(f"[raise_1, lower_1] = id on the safe subspace: max deviation {max(devs):.2e}")
 print()
 

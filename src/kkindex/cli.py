@@ -6,7 +6,7 @@ prints one line per experiment naming its worst row and that row's
 headroom; ``kkindex list`` prints the registry.  The ``KKINDEX_OUT``
 environment variable overrides the output directory.  Exit status is 0
 iff every report row is within its own tolerance, 1 on a failed check, 2
-on usage, config, output-directory or component errors.
+on usage, config, output (directory or report file) or component errors.
 """
 
 from __future__ import annotations
@@ -60,6 +60,9 @@ def main(argv=None) -> int:
             return 2
         except RuntimeError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except OSError as exc:
+            print(f"output error: {exc}", file=sys.stderr)
             return 2
         status = "ok" if report.ok else "FAIL"
         print(f"{name:18s} {status:4s} checks={len(report.rows):3d} "

@@ -207,15 +207,15 @@ def weitzenbock_residual(spec: fock.TruncationSpec) -> float:
     return residual.max_abs()
 
 
-def kernel(a: SparseOperator, rel_tol: float = 1e-9):
+def kernel(a: SparseOperator):
     """Orthonormal basis of the near-null eigenspace of a self-adjoint operator.
 
-    Keeps eigenvectors with ``|lambda| <= rel_tol * max |lambda|`` (spectra
+    Keeps eigenvectors with ``|lambda| <= 1e-9 * max |lambda|`` (spectra
     here are scaled integers, so the scale-relative cut is unambiguous).
     """
     blocks = eigh_gram(a)
     top = max((float(np.max(np.abs(vals))) for _, vals, _ in blocks), default=0.0)
-    cut = rel_tol * max(top, 1e-300)
+    cut = 1e-9 * max(top, 1e-300)
     out = []
     for states, vals, vecs in blocks:
         for b, m in zip(*np.nonzero(np.abs(vals) <= cut)):
@@ -229,11 +229,9 @@ def kernel(a: SparseOperator, rel_tol: float = 1e-9):
 class EstimateReport:
     """Energy-estimate scan: per-shell max ratios against the shell bound."""
 
-    mode: int
     shells: list          # (lambda_sq, max_lower_ratio, lower_bound,
                           #  max_raise_ratio, raise_bound)
     violations: list      # shells where a bound fails
-    max_ratio: float
     equality_attained: bool
 
 
@@ -270,16 +268,15 @@ def per_estimate(spec: fock.TruncationSpec, n: int, scan_energy: int = None) -> 
     violations = shells[(lo > bound + 1e-12) | (hi > bound + 1.0 + 1e-12)].tolist()
     shell_rows = list(zip(shells.tolist(), lo.tolist(), bound.tolist(), hi.tolist(),
                           (bound + 1.0).tolist()))
-    return EstimateReport(n, shell_rows, violations, float(np.max(lo, initial=0.0)),
-                          equality)
+    return EstimateReport(shell_rows, violations, equality)
 
 
-def bounded_transform(a: SparseOperator, tol: float = 1e-10) -> SparseOperator:
+def bounded_transform(a: SparseOperator) -> SparseOperator:
     """Spectral calculus ``x -> x / sqrt(1 + x^2)``; contractive, same
     eigenvectors and grade as the input, chopped below ``1e-15`` of the
     largest entry (or of 1)."""
     return spectral_function(a, lambda lam: lam / np.sqrt(1.0 + lam ** 2), a.grade,
-                             chop=1e-15, tol=tol)
+                             chop=1e-15)
 
 
 def spectrum_with_prediction(dR: SparseOperator, space: TripleSpace):

@@ -3,8 +3,12 @@
 Each experiment writes one CSV (schema comment ``# kk-index-lab v2``, columns
 ``quantity,truncation,measured,expected,tolerance,kind,headroom,ok``) plus a
 plain-text summary, both byte-reproducible for a fixed config: randomness
-comes from a documented 64-bit linear congruential generator, outputs carry
-no timestamps and all orderings are fixed.  :class:`Report` alone decides
+comes from a documented 64-bit linear congruential generator (:class:`Lcg`),
+except in ``assembly.compare_indices``, ``kucerovsky_check`` and
+``finite_group_assembly``, which draw from numpy's ``default_rng(seed &
+0xFFFF)`` with the config seed, and ``level_vanishing_pattern``, which
+draws from ``default_rng`` with its own default seed; outputs carry no
+timestamps and all orderings are fixed.  :class:`Report` alone decides
 whether a row passes.
 """
 
@@ -72,7 +76,6 @@ class Config:
 
     modes: int = 4
     energy_cut: int = 8
-    hermite_cut: object = "adaptive"      # "adaptive" | positive int
     sigma: str = "pow2"
     experiments: tuple = ("all",)
     output_dir: str = "kkindex-out"
@@ -141,8 +144,7 @@ def selected_experiments(cfg: Config, target: str) -> list:
 
 
 _INT_KEYS = {"modes", "energy_cut", "seed"}
-_KNOWN = {"modes", "energy_cut", "hermite_cut", "sigma", "experiments",
-          "output_dir", "seed"}
+_KNOWN = {"modes", "energy_cut", "sigma", "experiments", "output_dir", "seed"}
 
 
 def parse_config(path: str) -> Config:
@@ -150,17 +152,21 @@ def parse_config(path: str) -> Config:
     rejected, numeric fields must be positive and the requested spaces must
     stay within :data:`MAX_DIM`."""
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"line {lineno}: malformed line {line!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            if key not in _KNOWN:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            values[key] = val
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"not UTF-8 text: {exc}")
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: malformed line {line!r}")
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key not in _KNOWN:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        values[key] = val
     cfg = Config()
     for key, val in values.items():
         if key in _INT_KEYS:
@@ -171,21 +177,6 @@ def parse_config(path: str) -> Config:
             if key != "seed" and ival <= 0:
                 raise ConfigError(f"key {key!r}: must be positive, got {ival}")
             cfg = replace(cfg, **{key: ival})
-        elif key == "hermite_cut":
-            if val != "adaptive":
-                try:
-                    hval = int(val)
-                except ValueError:
-                    raise ConfigError(f"key 'hermite_cut': expected 'adaptive' or an "
-                                      f"integer, got {val!r}")
-                if hval <= 0:
-                    raise ConfigError(f"key 'hermite_cut': must be positive, got {hval}")
-                # two quanta per radial mode, at the adaptive route's mode cap
-                if hval > 2 * limitspace.XI_HARD_CAP:
-                    raise ConfigError(f"key 'hermite_cut': {hval} is above "
-                                      f"{2 * limitspace.XI_HARD_CAP}, the largest cut "
-                                      f"the adaptive route reaches")
-                cfg = replace(cfg, hermite_cut=hval)
         elif key == "sigma":
             try:
                 limitspace.SigmaSequence.parse(val)  # validates
@@ -384,9 +375,8 @@ def _exp_per_estimate(cfg: Config, rng: Lcg) -> Report:
 
 def _exp_xi_norms(cfg: Config, rng: Lcg) -> Report:
     rep = Report("xi_norms")
-    h = None if cfg.hermite_cut == "adaptive" else int(cfg.hermite_cut)
     for sigma in (1.0, 0.5, 2.0 ** -3):
-        quad, hermite, err_bound, deficiency = limitspace.dRz_norm_details(sigma, h)
+        quad, hermite, err_bound, deficiency = limitspace.dRz_norm_details(sigma)
         rep.equals("quadrature |dR_z Xi| vs sigma/2", f"sigma={sigma}",
                    quad, sigma / 2.0, 1e-6)
         rep.at_most("ladder-route agreement within its bound", f"sigma={sigma}",
@@ -394,7 +384,7 @@ def _exp_xi_norms(cfg: Config, rng: Lcg) -> Report:
         rep.at_most("norm below sigma", f"sigma={sigma}", max(quad, hermite), sigma, 0.0)
         rep.notes.append(f"sigma={sigma}: ladder deficiency {deficiency:.3e}, "
                          f"err bound {err_bound:.3e}")
-        mode = limitspace.xi_coeffs(sigma, h_max=64)
+        mode = limitspace.xi_coeffs(sigma, h_max=assembly.XI_H_MAX)
         overlap = abs(limitspace.xi_overlap_dRz(mode))
         rep.equals("<Xi, dR_z Xi> = 0", f"sigma={sigma}", overlap, 0.0, 1e-6)
     return rep

@@ -80,11 +80,6 @@ class SigmaSequence:
             raise IndexError(f"explicit sigma list has no mode {k}")
         return self.values[k - 1]
 
-    def __repr__(self):
-        if self.rule == "explicit":
-            return "sigma:list:" + ",".join(repr(v) for v in self.values)
-        return f"sigma:{self.rule}"
-
     @staticmethod
     def parse(text: str) -> "SigmaSequence":
         text = text.strip()
@@ -100,9 +95,7 @@ class ModeFunction:
     diagonal ladder state ``(k, k)``, with the recorded truncation error."""
 
     coeffs: np.ndarray
-    sigma: float | None
     deficiency: float
-    is_xi: bool = False
 
     @property
     def h_max(self) -> int:
@@ -112,7 +105,7 @@ class ModeFunction:
         return float(np.linalg.norm(self.coeffs))
 
     def renormalized(self) -> "ModeFunction":
-        return ModeFunction(self.coeffs / self.norm(), self.sigma, 0.0, self.is_xi)
+        return ModeFunction(self.coeffs / self.norm(), 0.0)
 
     def on_basis(self, basis: Basis) -> np.ndarray:
         """Coordinates on a :func:`mode_basis` of at least ``h_max`` quanta."""
@@ -169,11 +162,11 @@ def _gauss_legendre():
     return rule
 
 
-def radial_quadrature(f, upper: float, rel_tol: float = 1e-12, max_splits: int = 24):
+def radial_quadrature(f, upper: float, rel_tol: float = 1e-12):
     """Adaptive Gauss-Legendre integral of ``f`` over ``[0, upper]``.
 
     The panel count doubles until two refinements agree to ``rel_tol``;
-    raises if that never happens.
+    raises if that does not happen within 24 doublings.
     """
     nodes, weights = _gauss_legendre()
 
@@ -187,7 +180,7 @@ def radial_quadrature(f, upper: float, rel_tol: float = 1e-12, max_splits: int =
 
     prev = on_panels(1)
     npanels = 2
-    for _ in range(max_splits):
+    for _ in range(24):
         cur = on_panels(npanels)
         if abs(cur - prev) <= rel_tol * max(abs(cur), 1.0):
             return cur
@@ -235,6 +228,9 @@ def xi_coeffs(sigma: float, h_max: int = None) -> ModeFunction:
     The coefficients decay like ``k^(-3/4)`` (sharp disk edge), so the
     deficiency shrinks only like ``k^(-1/2)``: the reachable deficiency is a
     few 1e-3, not machine zero.
+
+    Raises ``ValueError`` when ``sigma^2`` overflows the recurrence (the
+    coefficients are not finite) or underflows it (they all vanish).
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -243,10 +239,15 @@ def xi_coeffs(sigma: float, h_max: int = None) -> ModeFunction:
     while True:
         integrals.extend(itertools.islice(terms, kmax + 1 - len(integrals)))
         coeffs = np.array(integrals) / sigma
-        deficiency = max(1.0 - float(coeffs @ coeffs), 0.0)
+        norm_sq = float(coeffs @ coeffs)
+        if not (norm_sq > 0.0 and np.isfinite(norm_sq)):
+            raise ValueError(f"sigma={sigma!r}: the Xi coefficients up to radial mode "
+                             f"{kmax} {'vanish' if norm_sq == 0.0 else 'are not finite'}; "
+                             f"sigma^2 is out of the Laguerre recurrence's range")
+        deficiency = max(1.0 - norm_sq, 0.0)
         if (h_max is not None or deficiency < XI_TARGET_DEFICIENCY
                 or kmax >= XI_HARD_CAP):
-            return ModeFunction(coeffs, sigma, deficiency, True)
+            return ModeFunction(coeffs, deficiency)
         kmax = min(4 * kmax, XI_HARD_CAP)
 
 
@@ -283,15 +284,15 @@ def dRz_norm_quadrature(sigma: float) -> float:
         sigma)))
 
 
-def dRz_norm_details(sigma: float, h_max: int = None):
+def dRz_norm_details(sigma: float):
     """Both routes to ``|dR_z Xi_sigma|`` plus the ladder-route error bound.
 
     Returns ``(quadrature, hermite, hermite_error_bound, deficiency)``: the
     :func:`dRz_norm_quadrature` value, and the ladder route, which applies
-    the truncated coefficient vector and is accurate only up to the weighted
-    tail, bounded by ``sigma * sqrt(deficiency)`` in the worst case.
+    the adaptively cut coefficient vector and is accurate only up to the
+    weighted tail, bounded by ``sigma * sqrt(deficiency)`` in the worst case.
     """
-    mode = xi_coeffs(sigma, h_max=h_max)
+    mode = xi_coeffs(sigma)
     hermite = _dRz_norm_hermite(mode)
     # the discarded weighted tail is asymptotically (sigma^2/2) * deficiency
     # in norm squared, i.e. ~ sigma * deficiency / 2 in norm; factor 4 slack
@@ -308,14 +309,15 @@ class SigmaVerdict:
     verdict: str  # convergent | divergent | inconclusive
 
 
-def check_sigma_condition(seq: SigmaSequence, horizon: int = 40) -> SigmaVerdict:
-    """Partial sums of ``sqrt(k) sigma_k`` and an analytic verdict.
+def check_sigma_condition(seq: SigmaSequence) -> SigmaVerdict:
+    """Partial sums of ``sqrt(k) sigma_k`` for ``k <= 40`` and an analytic
+    verdict.
 
     ``pow2`` admits geometric dominance (convergent), ``harmonic`` gives the
     ``k^(-1/2)`` p-series (divergent), explicit lists are inconclusive.
     """
     sums, total = [], 0.0
-    kmax = horizon if seq.rule != "explicit" else min(horizon, len(seq.values))
+    kmax = 40 if seq.rule != "explicit" else min(40, len(seq.values))
     for k in range(1, kmax + 1):
         total += np.sqrt(k) * seq.sigma(k)
         sums.append(total)

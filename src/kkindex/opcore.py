@@ -144,14 +144,6 @@ class Basis:
     def __hash__(self):
         return self._hash
 
-    def __repr__(self):
-        return f"Basis({self.name or 'anon'}, dim={self.dim})"
-
-    def vector(self, label, value=1.0) -> "Vector":
-        coords = np.zeros(self.dim, dtype=complex)
-        coords[self.index(label)] = value
-        return Vector(self, coords)
-
 
 class Vector:
     """Complex vector over a :class:`Basis`: one coordinate per label."""
@@ -161,17 +153,6 @@ class Vector:
         self.coords = np.asarray(coords, dtype=complex)
         if self.coords.shape != (basis.dim,):
             raise ValueError(f"{self.coords.shape} coordinates for a basis of dim {basis.dim}")
-
-    def add(self, other: "Vector") -> "Vector":
-        if self.basis != other.basis:
-            raise BasisMismatchError("vector addition over different bases")
-        return Vector(self.basis, self.coords + other.coords)
-
-    def scale(self, z) -> "Vector":
-        return Vector(self.basis, z * self.coords)
-
-    def norm(self) -> float:
-        return float(np.sqrt(inner_product(self, self).real))
 
 
 def inner_product(v: Vector, w: Vector) -> complex:
@@ -245,10 +226,10 @@ class SparseOperator:
         return SparseOperator(domain, codomain or domain, [], [], [], grade)
 
     @staticmethod
-    def from_dense(mat, domain: Basis, codomain: Basis = None, grade: str = "even",
-                   chop: float = 0.0) -> "SparseOperator":
+    def from_dense(mat, domain: Basis, codomain: Basis = None,
+                   grade: str = "even") -> "SparseOperator":
         mat = np.asarray(mat)
-        rows, cols = np.nonzero(np.abs(mat) > chop)
+        rows, cols = np.nonzero(mat)
         return SparseOperator(domain, codomain or domain, rows, cols, mat[rows, cols], grade)
 
     # -- basic algebra ------------------------------------------------
@@ -347,10 +328,6 @@ class SparseOperator:
         return SparseOperator(domain, codomain, fields[:, 0].astype(np.int64),
                               fields[:, 1].astype(np.int64), vals, grade)
 
-    def __repr__(self):
-        return (f"SparseOperator({self.codomain.dim}x{self.domain.dim}, "
-                f"nnz={self.nnz}, grade={self.grade})")
-
 
 def shift_op(domain: Basis, codomain: Basis, pos: int, step: int, coeff,
              grade: str = "even") -> SparseOperator:
@@ -423,7 +400,11 @@ def block_components(op: SparseOperator) -> np.ndarray:
     return op._components
 
 
-def _hermitian_blocks(a: SparseOperator, tol: float):
+# relative self-adjointness tolerance of every eigensolve
+TOL = 1e-10
+
+
+def _hermitian_blocks(a: SparseOperator):
     """Gram-orthonormal Hermitian part of ``a``, one stacked array per block
     size, generated one size at a time: ``(states, blocks)`` with ``states``
     of shape ``(k, s)``
@@ -431,7 +412,7 @@ def _hermitian_blocks(a: SparseOperator, tol: float):
     ``(k, s, s)``.
 
     ``a`` must be self-adjoint: ``max |A_on - A_on^H|`` may not exceed
-    ``tol * max(max |A_on|, 1)``, both taken over the orthonormal triplets.
+    ``TOL * max(max |A_on|, 1)``, both taken over the orthonormal triplets.
     """
     if a.domain != a.codomain:
         raise ShapeMismatchError("eigensolve needs square operators")
@@ -442,9 +423,9 @@ def _hermitian_blocks(a: SparseOperator, tol: float):
                           np.concatenate([a.cols, a.rows]),
                           np.concatenate([vals, -np.conj(vals)])).max_abs()
     scale = max(float(np.max(np.abs(vals), initial=0.0)), 1.0)
-    if asym > tol * scale:
+    if asym > TOL * scale:
         raise NotSelfAdjointError(
-            f"max asymmetry {asym:.3e} above tolerance {tol:.1e} (scale {scale:.3e})")
+            f"max asymmetry {asym:.3e} above tolerance {TOL:.1e} (scale {scale:.3e})")
     label = block_components(a)
     order = np.argsort(label, kind="stable")
     _, start, size = np.unique(label[order], return_index=True, return_counts=True)
@@ -464,19 +445,19 @@ def _hermitian_blocks(a: SparseOperator, tol: float):
         yield states, 0.5 * (stack + stack.conj().swapaxes(1, 2))
 
 
-def spectrum(a: SparseOperator, tol: float = 1e-10) -> np.ndarray:
+def spectrum(a: SparseOperator) -> np.ndarray:
     """Real eigenvalues with multiplicity, ascending.
 
     The operator must be self-adjoint with respect to the Gram, checked to
-    ``tol`` after orthonormalization.  Each connected component of its
+    :data:`TOL` after orthonormalization.  Each connected component of its
     sparsity graph is one block; the blocks are solved in one stacked call
     per block size.
     """
-    vals = [np.linalg.eigvalsh(blocks).ravel() for _, blocks in _hermitian_blocks(a, tol)]
+    vals = [np.linalg.eigvalsh(blocks).ravel() for _, blocks in _hermitian_blocks(a)]
     return np.sort(np.concatenate(vals + [np.zeros(0)]))
 
 
-def eigh_gram(a: SparseOperator, tol: float = 1e-10):
+def eigh_gram(a: SparseOperator):
     """Eigendecomposition of a Gram-self-adjoint operator, block by block.
 
     Returns a list with one ``(states, vals, vecs)`` per block size ``s``:
@@ -487,14 +468,14 @@ def eigh_gram(a: SparseOperator, tol: float = 1e-10):
     Gram inner product.
     """
     out = []
-    for states, blocks in _hermitian_blocks(a, tol):
+    for states, blocks in _hermitian_blocks(a):
         vals, u = np.linalg.eigh(blocks)
         out.append((states, vals, u / np.sqrt(a.domain.gram)[states][:, :, None]))
     return out
 
 
-def spectral_function(a: SparseOperator, f, grade: str = "even", chop: float = 0.0,
-                      tol: float = 1e-10) -> SparseOperator:
+def spectral_function(a: SparseOperator, f, grade: str = "even",
+                      chop: float = 0.0) -> SparseOperator:
     """``f(a)`` for a Gram-self-adjoint ``a`` and a real function ``f`` of
     the eigenvalues, with the given grade.
 
@@ -503,7 +484,7 @@ def spectral_function(a: SparseOperator, f, grade: str = "even", chop: float = 0
     dropped.
     """
     parts = []
-    for states, lam, vecs in eigh_gram(a, tol):
+    for states, lam, vecs in eigh_gram(a):
         gram = a.domain.gram[states]
         blocks = (vecs * f(lam)[:, None, :]) @ (vecs.conj().swapaxes(1, 2) * gram[:, None, :])
         width = states.shape[1]
@@ -516,12 +497,12 @@ def spectral_function(a: SparseOperator, f, grade: str = "even", chop: float = 0
     return SparseOperator(a.domain, a.domain, rows[keep], cols[keep], vals[keep], grade)
 
 
-def spectral_apply(a: SparseOperator, f, x: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def spectral_apply(a: SparseOperator, f, x: np.ndarray) -> np.ndarray:
     """``f(A) x`` in Gram-orthonormal coordinates for a Gram-self-adjoint
     ``a`` and a ``(dim, k)`` array ``x``, one stacked eigensolve per block
     size; nothing larger than a block or than ``x`` is formed."""
     out = np.zeros(x.shape, dtype=complex)
-    for states, blocks in _hermitian_blocks(a, tol):
+    for states, blocks in _hermitian_blocks(a):
         lam, u = np.linalg.eigh(blocks)
         out[states] = u @ (f(lam)[:, :, None] * (u.conj().swapaxes(1, 2) @ x[states]))
     return out

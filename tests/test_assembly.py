@@ -175,7 +175,7 @@ def dense_t_map(cycle, small, k_vec):
     return out
 
 
-def dense_kucerovsky_check(cycle, n_generators=3, seed=5):
+def dense_kucerovsky_check(cycle, seed=5):
     space = cycle.space
     small = dirac.TripleSpace(space.factors[cycle.m_active:], e_max=cycle.spec.e_max,
                               name="compressed")
@@ -188,7 +188,7 @@ def dense_kucerovsky_check(cycle, n_generators=3, seed=5):
     d_norm = float(np.linalg.norm(orthonormal_dense(cycle.d_part), 2))
     rng = np.random.default_rng(seed)
     rows = [("zero", 0.0, 0.0)]
-    for gen in range(n_generators):
+    for gen in range(3):
         if gen == 0:
             k_vec, name, bound = xi_full, "xi", cycle.xi_bound
         else:
@@ -728,7 +728,7 @@ def test_compare_indices_reach_without_dense_arrays():
     start = time.perf_counter()
     try:
         analytic, mu = asm.analytic_index(spec), asm.mu_index(spec)
-        report = asm.compare_indices(analytic, mu, trials=4)
+        report = asm.compare_indices(analytic, mu)
         seconds = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:

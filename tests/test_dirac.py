@@ -5,6 +5,7 @@ import pytest
 
 from kkindex import dirac, fock, limitspace
 from kkindex.opcore import Basis, SparseOperator, adjoint, spectrum
+from vectors import unit
 
 
 # ---------------------------------------------------------------- oracles
@@ -80,7 +81,7 @@ def test_dirac_r_kills_dual_and_fermion_vacuum():
     for i, lab in enumerate(space.basis.labels):
         b, d, f = label_parts(space, i)
         if d == (0, 0, 0) and f == (0, 0, 0):
-            out = dR.apply(space.basis.vector(lab))
+            out = dR.apply(unit(space.basis, lab))
             assert support(out) == {}
 
 
@@ -124,7 +125,7 @@ def test_weitzenbock_tiny_case_hand_oracle():
     # on (0,) x (1,) x (0,) [zbar1 x vacuum-fermion omitted] build explicitly:
     # dirac (v x zbar1 x 1_f) = sqrt(1) * [raise x contr + wedge x lower]
     lab = (0,) + (1,) + (0,)
-    out = dR.apply(space.basis.vector(lab))
+    out = dR.apply(unit(space.basis, lab))
     # wedge(lower zbar1) = -1 * sqrt(2) zbar... : lower gives -1*vac, wedge sqrt(2)
     expect_lab = (0,) + (0,) + (1,)
     assert set(support(out)) == {space.basis.index(expect_lab)}
@@ -148,7 +149,7 @@ def test_dirac_l_kills_mirror_vacuum():
     for i, lab in enumerate(space.basis.labels):
         f, d, b = label_parts(space, i)
         if f == (0, 0, 0) and d == (0, 0, 0):
-            assert support(dL.apply(space.basis.vector(lab))) == {}
+            assert support(dL.apply(unit(space.basis, lab))) == {}
 
 
 def test_dirac_l_matches_dirac_r_spectrum():

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -111,6 +114,20 @@ def test_continued_xi_recurrence_is_bit_identical_to_restarts(sigma, kmax):
     assert np.array_equal(mode.coeffs, coeffs)
     assert mode.deficiency == deficiency
     assert np.array_equal(ls.xi_coeffs(sigma, h_max=2 * kmax).coeffs, coeffs)
+
+
+@pytest.mark.parametrize("sigma, h_max, what", [(1e6, 64, "are not finite"),
+                                                (1e300, 4, "are not finite"),
+                                                (1e300, None, "are not finite"),
+                                                (1e-300, 64, "vanish"),
+                                                (1e-300, None, "vanish")])
+def test_xi_coeffs_refuses_sigma_outside_the_recurrence_range(sigma, h_max, what):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"sigma={sigma!r}") + f".* {what}"):
+            ls.xi_coeffs(sigma, h_max=h_max)
+    # a large sigma at a small cut keeps finite coefficients: 2 (-1)^k / sigma
+    assert np.allclose(ls.xi_coeffs(1e6, h_max=8).coeffs * 1e6, 2.0 * (-1.0) ** np.arange(5))
 
 
 def test_xi_overlap_dRz_exact_zero():
