@@ -254,7 +254,7 @@ class IndexCycle:
         if np.any(boson_rank >= width[pair_of]):
             raise ValueError("kept bosons of a (dual, fermion) pair are not an energy prefix")
         out = []
-        for n in np.unique(width):
+        for n in np.flatnonzero(np.bincount(width)):
             mine = np.flatnonzero(width == n)
             local = np.empty(len(pairs), dtype=np.int64)
             local[mine] = np.arange(len(mine))
@@ -538,9 +538,10 @@ def resolvent_compactness(cycle: MaterializedJCycle,
     r_factor = np.linalg.qr(orthonormal_apply(res0, v), mode="r")
     rest = cycle.rest_rows  # the columns of V
     col_shell = space.factors[m].energy[rest[:, 0]] + space.factors[m + 1].energy[rest[:, 1]]
+    shells, shell_of = np.unique(col_shell, return_inverse=True)
     shell_rows = []
-    for shell in np.unique(col_shell):
-        norm = float(np.linalg.norm(r_factor[:, col_shell == shell], 2))
+    for k, shell in enumerate(shells):
+        norm = float(np.linalg.norm(r_factor[:, shell_of == k], 2))
         shell_rows.append((2.0 * shell, norm, 1.0 / (1.0 + 2.0 * shell)))
 
     per_mode_rows = []

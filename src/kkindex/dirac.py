@@ -235,19 +235,17 @@ class EstimateReport:
     equality_attained: bool
 
 
-def per_estimate(spec: fock.TruncationSpec, n: int, scan_energy: int = None) -> EstimateReport:
+def per_estimate(spec: fock.TruncationSpec, n: int) -> EstimateReport:
     """Scan ``|dual_lower(n) phi| <= |lambda|/sqrt(2n) |phi|`` over shells.
 
     ``phi`` runs over dual x fermion product states with
-    ``lambda^2 = 2 (dual energy + fermion weight) <= 2 * scan_energy``.
+    ``lambda^2 = 2 (dual energy + fermion weight) <= 2 * spec.e_max``.
     The raising bound with the ``+1`` slack is checked alongside.  Ratios are
     the Gram column norms of the actual (rectangular) ladder matrices.
     """
-    e_scan = spec.e_max if scan_energy is None else scan_energy
-    dual_spec = fock.TruncationSpec(spec.n_max, e_scan)
-    dual = fock.enumerate_basis(dual_spec, "dual_boson")
-    big = fock.enumerate_basis(fock.TruncationSpec(spec.n_max, e_scan + n), "dual_boson")
-    ferm = fock.enumerate_basis(dual_spec, "fermion")
+    dual = fock.enumerate_basis(spec, "dual_boson")
+    big = fock.enumerate_basis(fock.TruncationSpec(spec.n_max, spec.e_max + n), "dual_boson")
+    ferm = fock.enumerate_basis(spec, "fermion")
 
     def state_ratios(op):
         """``|op phi| / |phi|`` for every dual basis state ``phi``."""
@@ -255,7 +253,7 @@ def per_estimate(spec: fock.TruncationSpec, n: int, scan_energy: int = None) -> 
         return np.sqrt(col_sq) / np.sqrt(dual.gram)
 
     lam_sq = 2.0 * (dual.energy[:, None] + ferm.energy[None, :])
-    in_scan = lam_sq <= 2.0 * e_scan
+    in_scan = lam_sq <= 2.0 * spec.e_max
     pair_dual = np.nonzero(in_scan)[0]
     shells, shell_of = np.unique(lam_sq[in_scan], return_inverse=True)
     bound = np.sqrt(shells) / np.sqrt(2.0 * n)

@@ -18,6 +18,11 @@ and ``neg_table`` on element indices (lexicographic, so the identity is
 index 0), for the extension ``tgt[g, x] = index(-g + x)`` with the phase
 ``(g, i)^{-1} (x, j) = (tgt[g, x], phase[g, x] + j - i mod m)``, and for a
 G-set the point table ``act_table[g, x] = index(g.x)``.
+
+Level-tagged slices ``(..., |G|)`` and module tables ``(..., |G|, |G|)`` may
+carry leading trial axes: the tagged kernels, :meth:`TwistedExtension.translates`
+and the module maps act on every trial at once and check only the trailing
+axes.
 """
 
 from __future__ import annotations
@@ -156,15 +161,16 @@ class TwistedExtension:
         self.roots = tau.root() ** np.arange(m)
 
     def translates(self, slice_, level: int) -> np.ndarray:
-        """``[g, x]``: the level-``level`` function with zero-phase slice
-        ``slice_`` evaluated at ``(g, 0)^{-1} (x, 0)``."""
-        return slice_[self.tgt] * self.roots[(level * self.phase) % self.m]
+        """``[..., g, x]``: the level-``level`` function with zero-phase slice
+        ``slice_[..., :]`` evaluated at ``(g, 0)^{-1} (x, 0)``."""
+        return np.take(slice_, self.tgt, axis=-1) * self.roots[(level * self.phase) % self.m]
 
 
 class GroupAlgebraElement:
     """Function on a twisted extension, optionally tagged with a level.
 
-    A level-``l`` element is stored by its zero-phase slice; the full table
+    A level-``l`` element is stored by its zero-phase slice, ``(..., |G|)``
+    with optional leading trial axes; the full table
     ``f(g, j) = omega^(j l) slice[g]`` is available through :meth:`table`.
     Untagged elements store the full ``(|G|, m)`` table and mixed-level sums
     stay untagged.
@@ -178,7 +184,7 @@ class GroupAlgebraElement:
             if values.shape != (ext.group.order, ext.m):
                 raise ValueError("untagged element needs a full table")
         else:
-            if values.shape != (ext.group.order,):
+            if values.shape[-1:] != (ext.group.order,):
                 raise ValueError("tagged element needs a slice over G")
         self.values = values
 
@@ -187,7 +193,7 @@ class GroupAlgebraElement:
             return self.values
         omega = self.ext.tau.root()
         phases = omega ** (np.arange(self.ext.m) * self.level)
-        return np.outer(self.values, phases)
+        return self.values[..., None] * phases
 
     def add(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         _same_ext(self, other)
@@ -202,7 +208,8 @@ class GroupAlgebraElement:
         """``f*(x) = conj(f(x^{-1}))``; preserves the level."""
         ext, neg = self.ext, self.ext.group.neg_table
         if self.level is not None:
-            at_inv = self.values[neg] * ext.roots[(self.level * ext.inv_phase) % ext.m]
+            phases = ext.roots[(self.level * ext.inv_phase) % ext.m]
+            at_inv = np.take(self.values, neg, axis=-1) * phases
             return GroupAlgebraElement(ext, np.conj(at_inv), self.level)
         fiber = (ext.inv_phase[:, None] - np.arange(ext.m)[None, :]) % ext.m
         return GroupAlgebraElement(ext, np.conj(self.values[neg[:, None], fiber]), None)
@@ -230,9 +237,10 @@ def convolve(f: GroupAlgebraElement, h: GroupAlgebraElement) -> GroupAlgebraElem
     grp, m = ext.group, ext.m
     if f.level is not None and h.level is not None:
         if f.level != h.level:
-            return GroupAlgebraElement(ext, np.zeros(grp.order, dtype=complex), h.level)
-        return GroupAlgebraElement(ext, f.values @ ext.translates(h.values, h.level),
-                                   h.level)
+            shape = np.broadcast_shapes(f.values.shape, h.values.shape)
+            return GroupAlgebraElement(ext, np.zeros(shape, dtype=complex), h.level)
+        rows = f.values[..., None, :] @ ext.translates(h.values, h.level)
+        return GroupAlgebraElement(ext, rows[..., 0, :], h.level)
     ftab, htab = f.table().ravel(), h.table()
     fiber = np.arange(m)
     shift = fiber[None, :] - fiber[:, None]  # [gj, xj] -> xj - gj
@@ -363,27 +371,32 @@ def schatten_map(a: CrossedProductElement) -> SparseOperator:
 class ModuleElement:
     """Compactly supported map from the extension into functions on it, at
     level 1 in the outer variable and level -1 in the inner one; storage is
-    the zero-phase double slice ``table[g, y]``."""
+    the zero-phase double slice ``table[..., g, y]``, with optional leading
+    trial axes."""
 
     def __init__(self, ext: TwistedExtension, table):
         self.ext = ext
         self.table = np.asarray(table, dtype=complex)
         n = ext.group.order
-        if self.table.shape != (n, n):
+        if self.table.shape[-2:] != (n, n):
             raise ValueError("module element needs a G x G table")
 
 
 def m_iso(phi1, phi2: GroupAlgebraElement) -> ModuleElement:
     """Bimodule map ``m(phi1 (x) phi2)(x, g) = phi1(x) phi2(x^{-1} g)``.
 
-    ``phi1`` is a function on the base group, ``phi2`` a level-1 element of
-    the twisted algebra; the image is level 1 outer and level -1 inner.
+    ``phi1`` is a function on the base group, ``(..., |G|)``, ``phi2`` a
+    level-1 element of the twisted algebra; the image is level 1 outer and
+    level -1 inner, with the broadcast leading axes of both factors.
     """
     ext = phi2.ext
     if phi2.level != 1 % ext.m:
         raise ValueError("second factor must be at level 1")
     phi1 = np.asarray(phi1, dtype=complex)
-    return ModuleElement(ext, phi1[None, :] * ext.translates(phi2.values, 1).T)
+    if phi1.shape[-1:] != (ext.group.order,):
+        raise ValueError("first factor needs a function on G")
+    return ModuleElement(ext, phi1[..., None, :]
+                         * ext.translates(phi2.values, 1).swapaxes(-1, -2))
 
 
 def module_right_action(e: ModuleElement, b: GroupAlgebraElement) -> ModuleElement:
@@ -392,7 +405,7 @@ def module_right_action(e: ModuleElement, b: GroupAlgebraElement) -> ModuleEleme
     ext = e.ext
     if b.level != 1 % ext.m:
         raise ValueError("right action needs a level-1 algebra element")
-    return ModuleElement(ext, ext.translates(b.values, 1).T @ e.table)
+    return ModuleElement(ext, ext.translates(b.values, 1).swapaxes(-1, -2) @ e.table)
 
 
 def module_left_action(a: CrossedProductElement, e: ModuleElement) -> ModuleElement:
@@ -405,8 +418,8 @@ def module_left_action(a: CrossedProductElement, e: ModuleElement) -> ModuleElem
     out = np.empty_like(e.table)
     for y in range(len(a.points)):
         # sum over h (rows) of e at (h,0)^{-1}(g,0), (h,0)^{-1}(y,0) with both phases
-        out[:, y] = ((a.values[:, y] * np.conj(twist[:, y]))
-                     @ (e.table[tgt, tgt[:, y, None]] * twist))
+        out[..., y] = ((a.values[:, y] * np.conj(twist[:, y]))
+                       @ (e.table[..., tgt, tgt[:, y, None]] * twist))
     return ModuleElement(ext, out)
 
 
@@ -415,10 +428,12 @@ def module_inner_product(e1: ModuleElement, e2: ModuleElement) -> GroupAlgebraEl
     with the inner integral over the base group; lands at level 1."""
     ext = e1.ext
     n = ext.group.order
-    gram = e1.table.conj() @ e2.table.T  # [g', t] -> <e1(g'), e2(t)>
+    # [..., g', t] -> <e1(g'), e2(t)>
+    gram = e1.table.conj() @ e2.table.swapaxes(-1, -2)
     # (g', 0) (g, 0) = (g' g, K[g', g])
-    terms = gram[np.arange(n)[:, None], ext.group.add_table] * ext.roots[ext.tau.exponents]
-    return GroupAlgebraElement(ext, terms.sum(axis=0), 1)
+    terms = (gram[..., np.arange(n)[:, None], ext.group.add_table]
+             * ext.roots[ext.tau.exponents])
+    return GroupAlgebraElement(ext, terms.sum(axis=-2), 1)
 
 
 def decompose_twisted_algebra(group: FiniteAbelianGroup, tau: Cocycle):

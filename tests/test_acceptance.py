@@ -11,6 +11,7 @@ import numpy as np
 from kkindex import assembly, dirac, fock, limitspace, twistgroup
 from kkindex.experiments import Config, Lcg, run_experiment, EXPERIMENTS
 from kkindex.opcore import SparseOperator, graded_commutator
+from m_iso_trial import m_iso_trial
 
 
 def report(criterion, ok, detail):
@@ -98,7 +99,7 @@ def test_criterion_4_energy_estimate():
     violations = []
     equality = False
     for n in range(1, 5):
-        rep = dirac.per_estimate(spec, n, scan_energy=12)
+        rep = dirac.per_estimate(spec, n)
         violations.extend(rep.violations)
         equality = equality or rep.equality_attained
     report("criterion 4 (energy estimate scan)",
@@ -167,23 +168,9 @@ def test_criterion_7_m_iso_trials():
     rng = Lcg(77)
     worst = 0.0
     for _ in range(100):
-        phi1 = rng.complex_vector(grp.order)
-        psi1 = rng.complex_vector(grp.order)
-        phi2 = twistgroup.GroupAlgebraElement(ext, rng.complex_vector(grp.order), 1)
-        psi2 = twistgroup.GroupAlgebraElement(ext, rng.complex_vector(grp.order), 1)
-        b = twistgroup.GroupAlgebraElement(ext, rng.complex_vector(grp.order), 1)
-        inner = twistgroup.module_inner_product(twistgroup.m_iso(phi1, phi2),
-                                                twistgroup.m_iso(psi1, psi2))
-        factored = twistgroup.convolve(phi2.involution(), psi2).scale(np.vdot(phi1, psi1))
-        worst = max(worst, float(np.max(np.abs(inner.values - factored.values))))
-        left = twistgroup.m_iso(phi1, twistgroup.convolve(phi2, b))
-        right = twistgroup.module_right_action(twistgroup.m_iso(phi1, phi2), b)
-        worst = max(worst, float(np.max(np.abs(left.table - right.table))))
+        draws = [rng.complex_vector(grp.order) for _ in range(5)]
         a = twistgroup.CrossedProductElement.translation(grp, rng.complex_matrix(grp.order))
-        acted = twistgroup.regular_representation(a) @ phi1
-        lhs = twistgroup.m_iso(acted, phi2)
-        rhs = twistgroup.module_left_action(a, twistgroup.m_iso(phi1, phi2))
-        worst = max(worst, float(np.max(np.abs(lhs.table - rhs.table))))
+        worst = max(worst, *m_iso_trial(ext, *draws, a))
     report("criterion 7 (m-iso bimodule identities, 100 seeded trials)",
            worst <= 1e-10, f"worst deviation {worst:.3e} <= 1e-10")
 

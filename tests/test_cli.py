@@ -6,6 +6,7 @@ import io
 import math
 import os
 import pkgutil
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -502,3 +503,42 @@ def test_rerun_byte_identical(tmp_path):
             run_experiment(name, cfg, str(out))
     for name in os.listdir(out1):
         assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
+
+
+def test_config_seed_reaches_the_cut_off_pairing_rows(tmp_path):
+    # level_vanishing_pattern draws its module legs from the config seed
+    cut_off = {}
+    for seed in (Config().seed, 99):
+        out = tmp_path / f"seed{seed}"
+        assert run_experiment("level_suite", Config(seed=seed), str(out)).ok
+        with open(out / "level_suite.csv", encoding="utf-8") as fh:
+            cut_off[seed] = [row for row in csv.reader(fh)
+                             if row and row[0].startswith("cut-off pairing")]
+    default, other = cut_off.values()
+    assert len(default) == len(other) == 5
+    for a, b in zip(default, other):
+        assert a[:2] == b[:2]
+        # the vanishing rows are rounding-level draws; the level-1 rows are 1
+        assert (a[2] != b[2]) == ("vanishes" in a[0]), a
+
+
+def imported_modules(env, *args):
+    """The module names ``python -X importtime`` reports for ``args``."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:") and line.count("|") == 2}
+
+
+def test_default_run_all_never_imports_numpy_ma(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(kkindex.__file__).parents[1])]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    if "numpy.ma" in imported_modules(env, "-c", "import numpy"):
+        pytest.skip("a bare 'import numpy' already loads numpy.ma")
+    modules = imported_modules(env, "-m", "kkindex.cli", "run", "all",
+                               "--out", str(tmp_path / "out"))
+    assert "kkindex.experiments" in modules
+    assert "numpy.ma" not in modules

@@ -227,7 +227,7 @@ def test_per_estimate_exhaustive_no_violations():
     # all shells lambda^2 <= 24, all n <= 4
     spec = fock.TruncationSpec(4, 12)
     for n in range(1, 5):
-        report = dirac.per_estimate(spec, n, scan_energy=12)
+        report = dirac.per_estimate(spec, n)
         assert report.violations == []
 
 

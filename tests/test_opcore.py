@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from kkindex import assembly, dirac, fock, limitspace, twistgroup
+from kkindex import assembly, dirac, fock, limitspace, opcore, twistgroup
 from kkindex.opcore import (Basis, SparseOperator, Vector, adjoint, block_components,
                             eigh_gram, graded_commutator, inner_product, shift_op, spectrum,
                             gram_transpose, orthonormal_apply, orthonormal_dense,
@@ -837,3 +837,109 @@ def test_basis_and_operator_arrays_are_read_only():
                 op.rows, op.cols, op.vals):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
+
+
+# ------------------------------------------------------- canonical triplets
+
+def lexsort_route(domain, codomain, rows, cols, vals):
+    """The constructor's triplets by the sorting route alone: lexsort by
+    column then row, sum repeats in entry order, drop exact zeros."""
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals, dtype=complex)
+    order = np.lexsort((rows, cols))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    first = np.ones(len(vals), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    summed = np.zeros(np.count_nonzero(first), dtype=complex)
+    np.add.at(summed, np.cumsum(first) - 1, vals)
+    keep = summed != 0
+    return rows[first][keep], cols[first][keep], summed[keep]
+
+
+def triplet_cases():
+    rng = np.random.default_rng(37)
+    domain = Basis([(i,) for i in range(5)], np.ones(5))
+    codomain = Basis([(i,) for i in range(7)], np.ones(7))
+    coords = np.sort(rng.choice(35, 20, replace=False))
+    cols, rows = np.divmod(coords, 7)  # canonical: by column, then row
+    vals = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+    zeroed = vals.copy()
+    zeroed[::3] = 0.0
+    perm = rng.permutation(20)
+    twice = np.concatenate([perm, perm[:8]])
+    return domain, codomain, {
+        "presorted": (rows, cols, vals, True),
+        "zero-valued": (rows, cols, zeroed, True),
+        "single": (rows[:1], cols[:1], vals[:1], True),
+        "empty": (rows[:0], cols[:0], vals[:0], True),
+        "shuffled": (rows[perm], cols[perm], vals[perm], False),
+        "duplicated": (rows[twice], cols[twice], vals[twice], False),
+        "presorted with a repeat": (np.r_[rows[:3], rows[2:]], np.r_[cols[:3], cols[2:]],
+                                    np.r_[vals[:3], vals[2:]], False),
+    }
+
+
+@pytest.mark.parametrize("case", ["presorted", "zero-valued", "single", "empty", "shuffled",
+                                  "duplicated", "presorted with a repeat"])
+def test_constructor_matches_the_lexsort_route_bit_for_bit(case, monkeypatch):
+    domain, codomain, cases = triplet_cases()
+    rows, cols, vals, canonical = cases[case]
+    ref = lexsort_route(domain, codomain, rows, cols, vals)
+    if canonical:  # canonical input is taken as it is, never sorted
+        monkeypatch.setattr(np, "argsort", None)
+    op = SparseOperator(domain, codomain, rows, cols, vals)
+    for got, want in zip((op.rows, op.cols, op.vals), ref):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def sparse_asymmetry(a):
+    """``max |A_on - A_on^H|`` as one summed sparse operator on the union of
+    both supports: the self-adjointness measure the block check replaced."""
+    s = np.sqrt(a.domain.gram)
+    vals = a.vals * s[a.rows] / s[a.cols]
+    return SparseOperator(a.domain, a.domain, np.concatenate([a.rows, a.cols]),
+                          np.concatenate([a.cols, a.rows]),
+                          np.concatenate([vals, -np.conj(vals)])).max_abs()
+
+
+def tilted_blocks():
+    """Shuffled Hermitian blocks with one off-diagonal entry moved in each of
+    four blocks of sizes 3, 3, 4 and 2, so the asymmetry differs from block
+    to block and from size class to size class."""
+    rng = np.random.default_rng(38)
+    op = shuffled_blocks(rng, [3, 3, 4, 2, 3], free=2)
+    off = np.flatnonzero(op.rows != op.cols)[[0, 2, 7, 11]]
+    return op + SparseOperator(op.domain, op.domain, op.rows[off], op.cols[off],
+                               [1e-3, 2e-3j, -5e-4, 3e-4])
+
+
+@pytest.mark.parametrize("name", BLOCK_CASES[:-1] + ["tilted blocks", "skew diagonal"])
+def test_block_asymmetry_equals_the_sparse_formula(name, monkeypatch):
+    if name == "tilted blocks":
+        op = tilted_blocks()
+    elif name == "skew diagonal":
+        op = fock.energy_op(fock.enumerate_basis(fock.TruncationSpec(2, 3), "boson"))
+    else:
+        op = block_cases()[name]
+    # at most 1 in orthonormal coordinates, so the tolerance scale is 1 and
+    # TOL is the largest asymmetry allowed, exactly
+    s = np.sqrt(op.domain.gram)
+    op = op.scale(0.5 / np.max(np.abs(op.vals * s[op.rows] / s[op.cols])))
+    asym = sparse_asymmetry(op)
+    monkeypatch.setattr(opcore, "TOL", asym)
+    spectrum(op)
+    monkeypatch.setattr(opcore, "TOL", np.nextafter(asym, -1.0))
+    with pytest.raises(NotSelfAdjointError):
+        spectrum(op)
+
+
+def test_unmatched_entry_is_not_self_adjoint():
+    # (2, 0) is there and (0, 2) is not; the rest is self-adjoint
+    basis = Basis([(i,) for i in range(4)], [1.0, 2.0, 4.0, 8.0])
+    op = SparseOperator(basis, basis, [0, 1, 2, 3, 2], [0, 1, 2, 3, 0],
+                        [1.0, 2.0, 3.0, 4.0, 1e-6])
+    assert sparse_asymmetry(op) > opcore.TOL * 4.0
+    for route in (spectrum, eigh_gram, dirac.bounded_transform):
+        with pytest.raises(NotSelfAdjointError):
+            route(op)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from kkindex import twistgroup as tg
+from kkindex.experiments import EXPERIMENTS, Config, Lcg
 from kkindex.opcore import adjoint
 
 import tuple_law as law
+from m_iso_trial import m_iso_trial
 
 
 # ---------------------------------------------------------------- oracles
@@ -868,3 +870,107 @@ def test_reach_heisenberg_z16():
     untagged = tg.convolve(tg.GroupAlgebraElement(ext, f.table()),
                            tg.GroupAlgebraElement(ext, h.table())).values
     assert np.max(np.abs(tagged - untagged)) / np.max(np.abs(tagged)) < 1e-10
+
+
+# ------------------------------------------------------- stacked trials
+
+TRIALS = 5
+
+
+def stacked_cases(ext, rng):
+    """``{kernel: (stacked result, result of trial t)}`` for every kernel
+    that takes leading trial axes, on one ``(TRIALS, ...)`` draw."""
+    n = ext.group.order
+
+    def cvec(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    phi1 = cvec(TRIALS, n)
+    f, h, b = (tg.GroupAlgebraElement(ext, cvec(TRIALS, n), 1) for _ in range(3))
+    f0 = tg.GroupAlgebraElement(ext, cvec(TRIALS, n), 0)
+    e1, e2 = (tg.ModuleElement(ext, cvec(TRIALS, n, n)) for _ in range(2))
+    a = tg.CrossedProductElement.translation(ext.group, cvec(n, n))
+    z = cvec(TRIALS)
+
+    def at(x, t):
+        if isinstance(x, tg.ModuleElement):
+            return tg.ModuleElement(ext, x.table[t])
+        return tg.GroupAlgebraElement(ext, x.values[t], x.level)
+
+    return {
+        "table": (f.table(), lambda t: at(f, t).table()),
+        "translates": (ext.translates(f.values, 1), lambda t: ext.translates(f.values[t], 1)),
+        "scale": (f.scale(z[:, None]).values, lambda t: at(f, t).scale(z[t]).values),
+        "involution": (f0.involution().values, lambda t: at(f0, t).involution().values),
+        "convolve": (tg.convolve(f, h).values,
+                     lambda t: tg.convolve(at(f, t), at(h, t)).values),
+        "convolve distinct levels": (tg.convolve(f, f0).values,
+                                     lambda t: tg.convolve(at(f, t), at(f0, t)).values),
+        "m_iso": (tg.m_iso(phi1, f).table, lambda t: tg.m_iso(phi1[t], at(f, t)).table),
+        "module_right_action": (tg.module_right_action(e1, b).table,
+                                lambda t: tg.module_right_action(at(e1, t), at(b, t)).table),
+        "module_left_action": (tg.module_left_action(a, e1).table,
+                               lambda t: tg.module_left_action(a, at(e1, t)).table),
+        "module_inner_product": (tg.module_inner_product(e1, e2).values,
+                                 lambda t: tg.module_inner_product(at(e1, t),
+                                                                   at(e2, t)).values),
+    }
+
+
+def test_stacked_kernels_match_a_loop_over_trials(tau):
+    ext = tg.TwistedExtension(tau)
+    for name, (stacked, one) in stacked_cases(ext, np.random.default_rng(36)).items():
+        loop = np.array([one(t) for t in range(TRIALS)])
+        assert stacked.shape == loop.shape and stacked.shape[0] == TRIALS, name
+        assert np.max(np.abs(stacked - loop)) <= 1e-13, name
+
+
+def test_stacked_kernels_check_the_trailing_shape():
+    ext = tg.TwistedExtension(z3_heisenberg()[1])
+    n, m = ext.group.order, ext.m
+    f = tg.GroupAlgebraElement(ext, np.ones((TRIALS, n)), 1)
+    with pytest.raises(ValueError, match="slice over G"):
+        tg.GroupAlgebraElement(ext, np.ones((TRIALS, n + 1)), 1)
+    with pytest.raises(ValueError, match="full table"):
+        tg.GroupAlgebraElement(ext, np.ones((TRIALS, n, m)))
+    with pytest.raises(ValueError, match="G x G"):
+        tg.ModuleElement(ext, np.ones((TRIALS, n, n + 1)))
+    with pytest.raises(ValueError, match="G x G"):
+        tg.ModuleElement(ext, np.ones(n))
+    with pytest.raises(ValueError, match="function on G"):
+        tg.m_iso(np.ones((TRIALS, n - 1)), f)
+    with pytest.raises(ValueError, match="function on G"):
+        tg.m_iso(np.ones((TRIALS, 1)), f)
+
+
+class RecordingLcg(Lcg):
+    """The experiment stream, keeping every block it hands out."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = []
+
+    def complex_matrix(self, n, m=None):
+        out = super().complex_matrix(n, m)
+        self.draws.append(out)
+        return out
+
+
+@pytest.mark.parametrize("seed", [Config().seed, 99])
+def test_stacked_m_iso_rows_match_the_per_trial_loop(seed):
+    # the fingroup_suite rows against the per-trial loop of acceptance
+    # criterion 7 on the draws the experiment made
+    rng = RecordingLcg(seed)
+    rows = {row.quantity: row.measured
+            for row in EXPERIMENTS["fingroup_suite"](Config(seed=seed), rng).rows}
+    draws, a_values = rng.draws[-2:]
+    grp, tau = z3_heisenberg()
+    ext = tg.TwistedExtension(tau)
+    a = tg.CrossedProductElement.translation(grp, a_values)
+    loop = [m_iso_trial(ext, *trial, a) for trial in draws.reshape(100, 5, -1)]
+    bimodule, left = (max(worst) for worst in zip(*loop))
+    assert max(bimodule, left) <= 1e-10
+    stacked = (rows["m-iso isometry and right-module identities (100 trials)"],
+               rows["m-iso left-module identity (100 trials)"])
+    assert abs(stacked[0] - bimodule) <= 1e-13
+    assert abs(stacked[1] - left) <= 1e-13
