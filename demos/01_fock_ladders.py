@@ -10,14 +10,14 @@ the full spinor space, and the two diagonal-operator sum formulas.
 import numpy as np
 
 from kkindex import fock
-from kkindex.opcore import SparseOperator, Vector, graded_commutator, inner_product
+from kkindex.opcore import SparseOperator, graded_commutator
 
 
 def monomial(basis, label):
-    """The basis vector of ``label``."""
+    """The coordinates of the basis vector of ``label``."""
     coords = np.zeros(basis.dim, dtype=complex)
     coords[basis.index(label)] = 1.0
-    return Vector(basis, coords)
+    return coords
 
 
 spec = fock.TruncationSpec(n_max=3, e_max=6)
@@ -30,19 +30,19 @@ print()
 
 v = monomial(boson, (2, 1, 0))
 print("the monomial z1^2 z2 has squared norm 2! * 1! =",
-      inner_product(v, v).real)
+      np.vdot(v, boson.gram * v).real)
 
 raise1 = fock.boson_raise(boson, 1)
 lower1 = fock.boson_lower(boson, 1)
 state = monomial(boson, (2, 0, 0))
 print("lowering z1^2 gives coefficient",
-      lower1.apply(state).coords[boson.index((1, 0, 0))], "on z1")
+      (lower1.to_dense() @ state)[boson.index((1, 0, 0))], "on z1")
 
-comm = graded_commutator(raise1, lower1)
+comm = graded_commutator(raise1, lower1).to_dense()
 devs = []
 for j in fock.safe_indices(boson, 1):
     w = monomial(boson, boson.labels[j])
-    diff = comm.apply(w).coords - w.coords
+    diff = comm @ w - w
     devs.append(np.sqrt(np.sum(boson.gram * np.abs(diff) ** 2)))
 print(f"[raise_1, lower_1] = id on the safe subspace: max deviation {max(devs):.2e}")
 print()

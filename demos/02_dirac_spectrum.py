@@ -25,9 +25,10 @@ for value, mult, predicted, match in dirac.spectrum_with_prediction(dR, space):
     flag = "ok" if match else "MISMATCH"
     print(f"  eigenvalue {value:5.1f}  multiplicity {mult:4d}  predicted {predicted:4d}  {flag}")
 
-kernel = dirac.kernel(dR)
+# the kernel comes as (states, coeffs) blocks, one row per kernel vector
+kernel_dim = sum(len(states) for states, _ in dirac.kernel(dR))
 print()
-print(f"kernel dimension {len(kernel)} = boson state count "
+print(f"kernel dimension {kernel_dim} = boson state count "
       f"{fock.enumerate_basis(spec, 'boson').dim}")
 
 dL, _ = dirac.build_dirac_L(spec)

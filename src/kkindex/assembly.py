@@ -591,7 +591,7 @@ def kucerovsky_check(cycle: MaterializedJCycle, seed: int = 5) -> KucerovskyRepo
     d_norm = _norm(cycle.d_part)
 
     rng = np.random.default_rng(seed)
-    rows = [("zero", 0.0, 0.0)]
+    rows = []
     for gen in range(3):
         if gen == 0:
             t_adj, name, bound = cycle.isometry, "xi", cycle.xi_bound

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .opcore import (Basis, SparseOperator, Vector, eigh_gram, energy_product,
-                     expand_runs, spectral_function, spectrum)
+from .opcore import (Basis, SparseOperator, eigh_gram, energy_product, expand_runs,
+                     spectral_function, spectrum)
 
 __all__ = [
     "TripleSpace",
@@ -208,20 +208,23 @@ def weitzenbock_residual(spec: fock.TruncationSpec) -> float:
 
 
 def kernel(a: SparseOperator):
-    """Orthonormal basis of the near-null eigenspace of a self-adjoint operator.
+    """Gram-orthonormal basis of the near-null eigenspace of a self-adjoint
+    operator, in the block form of :func:`eigh_gram`.
 
     Keeps eigenvectors with ``|lambda| <= 1e-9 * max |lambda|`` (spectra
     here are scaled integers, so the scale-relative cut is unambiguous).
+    Returns one ``(states, coeffs)`` per block size with kernel vectors:
+    kernel vector ``i`` of a pair has the coefficients ``coeffs[i]`` on the
+    states ``states[i]`` and is zero elsewhere.
     """
     blocks = eigh_gram(a)
     top = max((float(np.max(np.abs(vals))) for _, vals, _ in blocks), default=0.0)
     cut = 1e-9 * max(top, 1e-300)
     out = []
     for states, vals, vecs in blocks:
-        for b, m in zip(*np.nonzero(np.abs(vals) <= cut)):
-            coords = np.zeros(a.domain.dim, dtype=complex)
-            coords[states[b]] = vecs[b, :, m]
-            out.append(Vector(a.domain, coords))
+        b, m = np.nonzero(np.abs(vals) <= cut)
+        if len(b):
+            out.append((states[b], vecs[b, :, m]))
     return out
 
 

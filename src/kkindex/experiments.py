@@ -338,14 +338,15 @@ def _exp_kernel_count(cfg: Config, rng: Lcg) -> Report:
     for n_max, e_max in cases:
         spec = cfg.spec(modes=n_max, energy=e_max)
         dR, space = dirac.build_dirac_R(spec)
-        vecs = dirac.kernel(dR)
+        blocks = dirac.kernel(dR)
         boson = fock.enumerate_basis(spec, "boson")
-        rep.equals("dim ker(dirac_R)", f"N={n_max},E={e_max}", len(vecs), boson.dim, 0.0)
+        rep.equals("dim ker(dirac_R)", f"N={n_max},E={e_max}",
+                   sum(len(states) for states, _ in blocks), boson.dim, 0.0)
         # states off the vacuum column are those with dual or fermion energy
         comps = space.components
         off = space.factors[1].energy[comps[:, 1]] + space.factors[2].energy[comps[:, 2]] > 0
-        off_support = max((float(np.max(np.abs(v.coords[off]), initial=0.0)) for v in vecs),
-                          default=0.0)
+        off_support = max((float(np.max(np.abs(coeffs[off[states]]), initial=0.0))
+                           for states, coeffs in blocks), default=0.0)
         rep.equals("kernel off vacuum-column support", f"N={n_max},E={e_max}",
                    off_support, 0.0, 0.0)
     # dirac_R^2 multiplicities against independent shell counting, on the

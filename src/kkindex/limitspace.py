@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .opcore import Basis, SparseOperator, Vector, inner_product, shift_op
+from .opcore import Basis, SparseOperator, shift_op
 
 __all__ = [
     "SigmaSequence",
@@ -257,12 +257,13 @@ def xi_overlap_dRz(mode: ModeFunction, conjugate: bool = False) -> complex:
 
     Rotation invariance puts both images in the angular sectors adjacent to
     the diagonal, so the overlaps are exact zeros; computing them through
-    the matrices keeps the compression pipeline honest about that.
+    the matrices, as a Gram-weighted sum over the operator's entries, keeps
+    the compression pipeline honest about that.
     """
     basis = mode_basis(mode.h_max + 2)
-    v = Vector(basis, mode.on_basis(basis))
+    c = mode.on_basis(basis)
     op = dRzbar_matrix(basis) if conjugate else dRz_matrix(basis)
-    return inner_product(v, op.apply(v))
+    return complex(np.sum(np.conj(c[op.rows]) * basis.gram[op.rows] * op.vals * c[op.cols]))
 
 
 def _dRz_norm_hermite(mode: ModeFunction) -> float:

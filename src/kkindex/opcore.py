@@ -14,7 +14,8 @@ Conventions
   demand), ordered lexicographically,
 * ``<v, w> = sum_i gram_i * conj(v_i) * w_i``,
 * operators are coordinate triplets ``(rows, cols, vals)`` with a parity grade,
-* vectors are dense coordinate arrays,
+* vectors are coordinate arrays; eigenvectors stay in the block form of
+  :func:`eigh_gram`, coefficients on the states of one sparsity component,
 * the adjoint is the Gram-weighted conjugate transpose,
   ``adjoint(A)[i, j] = conj(A[j, i]) * gram_cod[j] / gram_dom[i]``.
 
@@ -31,12 +32,9 @@ import numpy as np
 
 __all__ = [
     "Basis",
-    "Vector",
     "SparseOperator",
-    "BasisMismatchError",
     "ShapeMismatchError",
     "NotSelfAdjointError",
-    "inner_product",
     "graded_commutator",
     "adjoint",
     "spectrum",
@@ -50,10 +48,6 @@ __all__ = [
     "shift_op",
     "energy_product",
 ]
-
-
-class BasisMismatchError(ValueError):
-    """Vectors or operators over different bases were combined."""
 
 
 class ShapeMismatchError(ValueError):
@@ -145,23 +139,6 @@ class Basis:
         return self._hash
 
 
-class Vector:
-    """Complex vector over a :class:`Basis`: one coordinate per label."""
-
-    def __init__(self, basis: Basis, coords):
-        self.basis = basis
-        self.coords = np.asarray(coords, dtype=complex)
-        if self.coords.shape != (basis.dim,):
-            raise ValueError(f"{self.coords.shape} coordinates for a basis of dim {basis.dim}")
-
-
-def inner_product(v: Vector, w: Vector) -> complex:
-    """Gram-weighted inner product, conjugate linear in the first slot."""
-    if v.basis != w.basis:
-        raise BasisMismatchError("inner product requires a shared basis")
-    return complex(np.vdot(v.coords, v.basis.gram * w.coords))
-
-
 def expand_runs(counts):
     """``(run, offset)`` with one element per member of consecutive runs of
     the given lengths: the index of the member's run and its position in
@@ -233,7 +210,7 @@ class SparseOperator:
     def from_dense(mat, domain: Basis, codomain: Basis = None,
                    grade: str = "even") -> "SparseOperator":
         mat = np.asarray(mat)
-        rows, cols = np.nonzero(mat)
+        cols, rows = np.nonzero(mat.T)  # column-major: canonical order
         return SparseOperator(domain, codomain or domain, rows, cols, mat[rows, cols], grade)
 
     # -- basic algebra ------------------------------------------------
@@ -249,13 +226,6 @@ class SparseOperator:
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.vals), initial=0.0))
-
-    def apply(self, v: Vector) -> Vector:
-        if v.basis != self.domain:
-            raise BasisMismatchError("operator domain does not match vector basis")
-        out = np.zeros(self.codomain.dim, dtype=complex)
-        np.add.at(out, self.rows, self.vals * v.coords[self.cols])
-        return Vector(self.codomain, out)
 
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
         if self.domain != other.domain or self.codomain != other.codomain:

@@ -12,6 +12,7 @@ from kkindex import assembly, dirac, fock, limitspace, twistgroup
 from kkindex.experiments import Config, Lcg, run_experiment, EXPERIMENTS
 from kkindex.opcore import SparseOperator, graded_commutator
 from m_iso_trial import m_iso_trial
+from vectors import dense_kernel
 
 
 def report(criterion, ok, detail):
@@ -80,16 +81,17 @@ def test_criterion_3_kernel_counts():
     for n_max, e_max in ((3, 4), (2, 4), (2, 6), (3, 6)):
         spec = fock.TruncationSpec(n_max, e_max)
         dR, space = dirac.build_dirac_R(spec)
-        vecs = dirac.kernel(dR)
+        vecs = dense_kernel(dirac.kernel(dR), space.dim)
         expected = weighted_partition_count(n_max, e_max)
         dual, ferm = space.factors[1:]
         pure = all(
             not any(dual.labels[space.components[i, 1]])
             and not any(ferm.labels[space.components[i, 2]])
-            for v in vecs for i in np.flatnonzero(v.coords))
+            for v in vecs for i in np.flatnonzero(v))
         ok = ok and len(vecs) == expected and pure
         details.append(f"(N={n_max},E={e_max}): {len(vecs)}={expected}")
-    ok = ok and len(dirac.kernel(dirac.build_dirac_R(fock.TruncationSpec(3, 4))[0])) == 11
+    dR, space = dirac.build_dirac_R(fock.TruncationSpec(3, 4))
+    ok = ok and len(dense_kernel(dirac.kernel(dR), space.dim)) == 11
     report("criterion 3 (kernel = vacuum column count)", ok,
            "; ".join(details) + "; all kernel vectors of the form v x vacuum x 1_f")
 

@@ -1,11 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kkindex import dirac, fock, limitspace
 from kkindex.opcore import Basis, SparseOperator, adjoint, spectrum
-from vectors import unit
+from vectors import dense_kernel, unit
 
 
 # ---------------------------------------------------------------- oracles
@@ -63,9 +64,9 @@ def entries(op):
     return dict(zip(zip(op.rows.tolist(), op.cols.tolist()), op.vals.tolist()))
 
 
-def support(vec):
+def support(coords):
     """Nonzero coordinates of a vector as ``{index: value}``."""
-    return {int(i): vec.coords[i] for i in np.flatnonzero(vec.coords)}
+    return {int(i): coords[i] for i in np.flatnonzero(coords)}
 
 
 def label_parts(space, i):
@@ -78,11 +79,11 @@ def label_parts(space, i):
 def test_dirac_r_kills_dual_and_fermion_vacuum():
     spec = fock.TruncationSpec(3, 4)
     dR, space = dirac.build_dirac_R(spec)
+    dense = dR.to_dense()
     for i, lab in enumerate(space.basis.labels):
         b, d, f = label_parts(space, i)
         if d == (0, 0, 0) and f == (0, 0, 0):
-            out = dR.apply(unit(space.basis, lab))
-            assert support(out) == {}
+            assert support(dense @ unit(space.basis, lab)) == {}
 
 
 def test_dirac_r_square_on_state():
@@ -125,11 +126,11 @@ def test_weitzenbock_tiny_case_hand_oracle():
     # on (0,) x (1,) x (0,) [zbar1 x vacuum-fermion omitted] build explicitly:
     # dirac (v x zbar1 x 1_f) = sqrt(1) * [raise x contr + wedge x lower]
     lab = (0,) + (1,) + (0,)
-    out = dR.apply(unit(space.basis, lab))
+    out = dR.to_dense() @ unit(space.basis, lab)
     # wedge(lower zbar1) = -1 * sqrt(2) zbar... : lower gives -1*vac, wedge sqrt(2)
     expect_lab = (0,) + (0,) + (1,)
     assert set(support(out)) == {space.basis.index(expect_lab)}
-    assert out.coords[space.basis.index(expect_lab)] == pytest.approx(-np.sqrt(2.0))
+    assert out[space.basis.index(expect_lab)] == pytest.approx(-np.sqrt(2.0))
 
 
 def test_weitzenbock_never_indexes_outside():
@@ -146,10 +147,11 @@ def test_weitzenbock_never_indexes_outside():
 def test_dirac_l_kills_mirror_vacuum():
     spec = fock.TruncationSpec(3, 4)
     dL, space = dirac.build_dirac_L(spec)
+    dense = dL.to_dense()
     for i, lab in enumerate(space.basis.labels):
         f, d, b = label_parts(space, i)
         if f == (0, 0, 0) and d == (0, 0, 0):
-            assert support(dL.apply(unit(space.basis, lab))) == {}
+            assert support(dense @ unit(space.basis, lab)) == {}
 
 
 def test_dirac_l_matches_dirac_r_spectrum():
@@ -176,7 +178,7 @@ def test_dirac_l_odd():
 def test_kernel_dimension_is_boson_count():
     spec = fock.TruncationSpec(3, 4)
     dR, space = dirac.build_dirac_R(spec)
-    vecs = dirac.kernel(dR)
+    vecs = dense_kernel(dirac.kernel(dR), space.dim)
     assert len(vecs) == 11 == weighted_partition_count(3, 4)
     # every kernel vector is supported on v x vacuum x 1_f
     for v in vecs:
@@ -187,15 +189,31 @@ def test_kernel_dimension_is_boson_count():
 
 def test_kernel_mirror_side():
     spec = fock.TruncationSpec(3, 4)
-    dL, _ = dirac.build_dirac_L(spec)
-    assert len(dirac.kernel(dL)) == 11
+    dL, space = dirac.build_dirac_L(spec)
+    assert len(dense_kernel(dirac.kernel(dL), space.dim)) == 11
 
 
 @pytest.mark.parametrize("n_max,e_max", [(2, 3), (2, 5), (3, 5)])
 def test_kernel_counts_other_truncations(n_max, e_max):
     spec = fock.TruncationSpec(n_max, e_max)
-    dR, _ = dirac.build_dirac_R(spec)
-    assert len(dirac.kernel(dR)) == weighted_partition_count(n_max, e_max)
+    dR, space = dirac.build_dirac_R(spec)
+    count = len(dense_kernel(dirac.kernel(dR), space.dim))
+    assert count == weighted_partition_count(n_max, e_max)
+
+
+def test_kernel_at_reach_stays_in_block_form():
+    # (6,14), dim 25752: 388 kernel vectors, each on one block; dense
+    # dim-length vectors took a 163 MB traced peak, the blocks about 9.5 MB
+    spec = fock.TruncationSpec(6, 14)
+    dR, space = dirac.build_dirac_R(spec)
+    tracemalloc.start()
+    try:
+        blocks = dirac.kernel(dR)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    assert sum(len(states) for states, _ in blocks) == space.factors[0].dim == 388
 
 
 def test_kernel_of_identity_empty():

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from kkindex import assembly, dirac, fock, limitspace, opcore, twistgroup
-from kkindex.opcore import (Basis, SparseOperator, Vector, adjoint, block_components,
-                            eigh_gram, graded_commutator, inner_product, shift_op, spectrum,
-                            gram_transpose, orthonormal_apply, orthonormal_dense,
-                            spectral_apply, spectral_function, BasisMismatchError,
-                            NotSelfAdjointError, ShapeMismatchError)
-from vectors import norm, unit
+from kkindex.opcore import (Basis, SparseOperator, adjoint, block_components, eigh_gram,
+                            graded_commutator, shift_op, spectrum, gram_transpose,
+                            orthonormal_apply, orthonormal_dense, spectral_apply,
+                            spectral_function, NotSelfAdjointError, ShapeMismatchError)
+from vectors import dense_kernel, inner, norm, unit
 
 SPEC = fock.TruncationSpec(n_max=3, e_max=6)
 
@@ -30,41 +29,13 @@ def test_inner_product_monomial_norms():
     basis = fock.enumerate_basis(SPEC, "boson")
     # <z1^2 z2, z1^2 z2> = 2! * 1! = 2
     v = unit(basis, (2, 1, 0))
-    assert inner_product(v, v) == pytest.approx(2.0)
+    assert inner(basis, v, v) == pytest.approx(2.0)
 
 
 def test_inner_product_fermion_norm_one():
     basis = fock.enumerate_basis(fock.TruncationSpec(4, 8), "fermion")
     v = unit(basis, (1, 0, 0, 1))  # zbar1 ^ zbar4
-    assert inner_product(v, v) == pytest.approx(1.0)
-
-
-def test_inner_product_zero_vector():
-    basis = fock.enumerate_basis(SPEC, "boson")
-    v = unit(basis, (1, 0, 0))
-    zero = Vector(basis, np.zeros(basis.dim))
-    assert inner_product(v, zero) == 0.0
-
-
-def test_inner_product_positive_hermitian_random():
-    rng = np.random.default_rng(7)
-    labels = [(i,) for i in range(6)]
-    basis = Basis(labels, rng.random(6) + 0.1)
-    for _ in range(20):
-        cv = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        cw = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        v = Vector(basis, cv)
-        w = Vector(basis, cw)
-        assert abs(inner_product(v, w) - np.conj(inner_product(w, v))) < 1e-12
-        assert inner_product(v, v).real > 0
-        assert abs(inner_product(v, v).imag) < 1e-12
-
-
-def test_inner_product_basis_mismatch():
-    b1 = fock.enumerate_basis(SPEC, "boson")
-    b2 = fock.enumerate_basis(SPEC, "fermion")
-    with pytest.raises(BasisMismatchError):
-        inner_product(unit(b1, (0, 0, 0)), unit(b2, (0, 0, 0)))
+    assert inner(basis, v, v) == pytest.approx(1.0)
 
 
 def test_graded_commutator_odd_odd_is_anticommutator():
@@ -89,7 +60,7 @@ def test_graded_commutator_even_even_ccr():
     # identity on the energy-safe subspace (room for one mode-2 raise)
     for j in fock.safe_indices(basis, 2):
         v = unit(basis, basis.labels[j])
-        assert norm(basis, comm.apply(v).coords - v.coords) < 1e-14
+        assert norm(basis, comm.to_dense() @ v - v) < 1e-14
 
 
 def test_graded_commutator_with_self():
@@ -129,8 +100,8 @@ def test_adjoint_of_raise_is_minus_lower():
     assert (adjoint(raise1) - lower1.scale(-1.0)).max_abs() < 1e-14
     for k in range(7):
         v, w = unit(basis, (k,)), unit(basis, (k + 1,))
-        lhs = inner_product(w, raise1.apply(v))
-        rhs = inner_product(lower1.scale(-1.0).apply(w), v)
+        lhs = inner(basis, w, raise1.to_dense() @ v)
+        rhs = inner(basis, lower1.scale(-1.0).to_dense() @ w, v)
         assert lhs == pytest.approx(rhs)
 
 
@@ -155,10 +126,8 @@ def test_adjoint_reverses_products_conjugate_linear():
     for _ in range(5):
         cv = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
         cw = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
-        v = Vector(basis, cv)
-        w = Vector(basis, cw)
-        assert abs(inner_product(adjoint(a).apply(v), w)
-                   - inner_product(v, a.apply(w))) < 1e-10
+        assert abs(inner(basis, adjoint(a).to_dense() @ cv, cw)
+                   - inner(basis, cv, a.to_dense() @ cw)) < 1e-10
 
 
 def test_spectrum_fermion_number():
@@ -354,7 +323,7 @@ def test_array_operators_match_dict_oracle(shape, grades):
     assert_same(adjoint(a), ra.adjoint())
     assert a.to_text() == ra.to_text()
     coords = dyadic(rng, d_mid)
-    got = a.apply(Vector(mid, coords)).coords
+    got = a.to_dense() @ coords
     ref = ra.apply(dict(enumerate(coords.tolist())))
     assert {i: z for i, z in enumerate(got.tolist()) if z != 0} == ref
 
@@ -701,11 +670,12 @@ def test_kernel_vectors_are_gram_orthonormal(case):
         # one null vector in each of three blocks, and two free states
         op = shuffled_blocks(np.random.default_rng(8), [3, 4, 2], free=2, null=1)
         count = 5
-    vecs = dirac.kernel(op)
+    vecs = dense_kernel(dirac.kernel(op), op.domain.dim)
     assert len(vecs) == count
-    gram = np.array([[inner_product(v, w) for w in vecs] for v in vecs])
+    gram = np.array([[inner(op.domain, v, w) for w in vecs] for v in vecs])
     assert np.max(np.abs(gram - np.eye(len(vecs)))) <= 1e-12
-    assert max(norm(op.codomain, op.apply(v).coords) for v in vecs) <= 1e-12
+    dense = op.to_dense()
+    assert max(norm(op.codomain, dense @ v) for v in vecs) <= 1e-12
 
 
 def test_block_routes_reject_non_self_adjoint():
@@ -890,6 +860,19 @@ def test_constructor_matches_the_lexsort_route_bit_for_bit(case, monkeypatch):
     op = SparseOperator(domain, codomain, rows, cols, vals)
     for got, want in zip((op.rows, op.cols, op.vals), ref):
         assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", ["presorted", "zero-valued", "empty"])
+def test_from_dense_lists_entries_in_canonical_order(case, monkeypatch):
+    domain, codomain, cases = triplet_cases()
+    rows, cols, vals, _ = cases[case]
+    mat = np.zeros((codomain.dim, domain.dim), dtype=complex)
+    mat[rows, cols] = vals
+    ref = lexsort_route(domain, codomain, rows, cols, vals)
+    monkeypatch.setattr(np, "argsort", None)  # never sorted
+    op = SparseOperator.from_dense(mat, domain, codomain)
+    for got, want in zip((op.rows, op.cols, op.vals), ref):
         assert got.tobytes() == want.tobytes()
 
 
