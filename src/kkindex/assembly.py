@@ -636,7 +636,7 @@ def _finite_model(group: twistgroup.FiniteAbelianGroup, tau: twistgroup.Cocycle,
     # conv[x, y] = (h * e_y)(x) = h(g) omega^phase[g, x] for the one g
     # with (g, 0)^{-1} (x, 0) = (y, .)
     conv = np.zeros((n, n), dtype=complex)
-    conv[np.arange(n)[None, :], ext.tgt] = h.values[:, None] * ext.roots[ext.phase]
+    conv[np.arange(n)[None, :], ext.tgt] = h.values[:, None] * ext.twist
     c = {p: 1.0 / n for p in group.elements}
     template = twistgroup.CrossedProductElement.translation(group)
     p_cut = twistgroup.regular_representation(twistgroup.mishchenko(c, template))

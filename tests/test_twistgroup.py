@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -591,6 +593,9 @@ def test_extension_tables_match_mul_and_inv(tau):
                     assert law.mul(ext, (g, i), (x, j)) == (
                         grp.elements[grp.add_table[gi, xi]],
                         (i + j + tau.exponents[gi, xi]) % m)
+    # the level-1 factor of (g, 0)^{-1} (x, 0), shared by every caller
+    assert np.array_equal(ext.twist, tau.root() ** ext.phase)
+    assert not ext.twist.flags.writeable
 
 
 def test_heisenberg_outer_product_matches_pairing():
@@ -618,6 +623,52 @@ def test_check_cocycle_ordered_list_matches_oracle(tau):
     bad = tg.check_cocycle(shifted)
     assert bad == brute_check_cocycle(shifted)
     assert bad and all(kind == "normalization" for kind, *_ in bad)
+
+
+# order 12, m = 6: a g-step holds 144 cocycle entries and 72 fiber-sum
+# entries, so 50 makes one-g blocks everywhere, 360 convolve blocks of 5, 5
+# and 2 g, and 720 cocycle cubes of 5, 5 and 2 g
+@pytest.mark.parametrize("block", [50, 360, 720])
+def test_blocked_kernels_match_oracles_in_order(monkeypatch, block):
+    monkeypatch.setattr(tg, "BLOCK_ELEMENTS", block)
+    tau = bilinear_plus_coboundary((2, 3, 2), [[0, 0, 3], [0, 2, 0], [0, 0, 0]], 6, 23)
+    grp, m = tau.group, tau.root_order
+    assert tg.check_cocycle(tau) == brute_check_cocycle(tau) == []
+    for entry in ((7, 5), (0, 9)):
+        exps = tau.exponents.copy()
+        exps[entry] += 1
+        bad = tg.check_cocycle(tg.Cocycle(grp, exps, m))
+        assert bad and bad == brute_check_cocycle(tg.Cocycle(grp, exps, m))
+    ext = tg.TwistedExtension(tau)
+    rng = np.random.default_rng(32)
+    shape = (grp.order, m)
+    f, h = (tg.GroupAlgebraElement(ext, rng.standard_normal(shape)
+                                   + 1j * rng.standard_normal(shape)) for _ in range(2))
+    assert np.max(np.abs(tg.convolve(f, h).values - brute_convolve(f, h))) < 1e-12
+
+
+# root orders on each side of the switches of the defect's integer type:
+# 4m = 128 at m = 32 (int8 to int16), 4m = 32768 at m = 8192 (int16 to int32)
+@pytest.mark.parametrize("m", [31, 32, 33, 8191, 8192, 8193])
+def test_check_cocycle_holds_at_every_integer_width(m):
+    grp = tg.FiniteAbelianGroup((2, 2))
+    # a coboundary with values near m - 1 is a normalized cocycle
+    tau = tg.Cocycle(grp, coboundary(grp, np.array([0, m - 1, m - 2, m - 3])), m)
+    assert tau.exponents.max() >= m - 2
+    shifted = tau.exponents.copy()
+    shifted[3, 2] = (shifted[3, 2] + m - 1) % m
+    # tables overwritten after construction carry representatives >= m,
+    # which wrap in a narrow type unless reduced first
+    wide = tg.Cocycle(grp, tau.exponents, m)
+    wide.exponents = tau.exponents + m * (1 + 7919 * np.arange(16).reshape(4, 4))
+    wide_shifted = tg.Cocycle(grp, tau.exponents, m)
+    wide_shifted.exponents = wide.exponents.copy()
+    wide_shifted.exponents[3, 2] += m - 1
+    for cocycle, valid in ((tau, True), (tg.Cocycle(grp, shifted, m), False),
+                           (wide, True), (wide_shifted, False)):
+        bad = tg.check_cocycle(cocycle)
+        assert bad == brute_check_cocycle(cocycle)
+        assert (bad == []) == valid
 
 
 def test_property_cocycle_identity_on_random_finite_abelian_groups():
@@ -857,19 +908,38 @@ def test_module_kernels_match_brute(tau):
 
 # ---------------------------------------------------------------- reach
 
+def traced_peak(fn, *args):
+    """``(result, tracemalloc peak in bytes)`` of one call."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_reach_heisenberg_z16():
-    """Order 256 (m = 16), beyond what tuple loops reach in test time."""
+    """Order 256 (m = 16), beyond what tuple loops reach in test time.  The
+    brute-force kernels work in blocks: their traced peaks measure 0.59 MB
+    (check_cocycle) and 1.84 MB (untagged convolve), bounded at 1 MB and
+    3 MB, where one n x n complex table takes 1 MB."""
     grp = tg.FiniteAbelianGroup((16, 16))
     tau = tg.heisenberg_cocycle(grp)
-    assert tg.check_cocycle(tau) == []
+    grp.add_table  # built once, outside the traced calls
+    bad, peak = traced_peak(tg.check_cocycle, tau)
+    assert bad == []
+    assert peak < 1_000_000
     assert tg.decompose_twisted_algebra(grp, tau) == [16]
     ext = tg.TwistedExtension(tau)
     rng = np.random.default_rng(34)
-    f, h = (random_tagged(ext, 1, rng) for _ in range(2))
-    tagged = tg.convolve(f, h).table()
-    untagged = tg.convolve(tg.GroupAlgebraElement(ext, f.table()),
-                           tg.GroupAlgebraElement(ext, h.table())).values
-    assert np.max(np.abs(tagged - untagged)) / np.max(np.abs(tagged)) < 1e-10
+    for level in range(ext.m):
+        f, h = (random_tagged(ext, level, rng) for _ in range(2))
+        tagged = tg.convolve(f, h).table()
+        untagged, peak = traced_peak(tg.convolve, tg.GroupAlgebraElement(ext, f.table()),
+                                     tg.GroupAlgebraElement(ext, h.table()))
+        assert untagged.level is None
+        assert np.max(np.abs(tagged - untagged.values)) / np.max(np.abs(tagged)) < 1e-10
+        assert peak < 3_000_000
 
 
 # ------------------------------------------------------- stacked trials
