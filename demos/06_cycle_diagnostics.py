@@ -18,7 +18,7 @@ seq = limitspace.SigmaSequence("pow2")
 cycle = assembly.materialize_j_cycle(spec, m_active=1, seq=seq, h_op=4)
 print(f"materialized space: {cycle.space.dim} basis states "
       f"(mode prefix {cycle.mode_bases[0].dim}, per-mode quanta <= {cycle.h_op}); "
-      f"the diagnostics work on the {cycle.isometry.shape} Xi isometry")
+      f"the diagnostics work on the {(cycle.space.dim, cycle.rest.dim)} Xi isometry")
 
 op = orthonormal_dense(cycle.operator)  # dim x dim: fine at this size
 print(f"squared operator minimum eigenvalue: "

@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dirac, fock, limitspace, twistgroup
-from .opcore import (Basis, SparseOperator, adjoint, gram_transpose, orthonormal_apply,
-                     orthonormal_dense, spectral_apply, spectral_function, spectrum)
+from .opcore import (Basis, SparseOperator, adjoint, gram_transpose, orthonormal_dense,
+                     spectral_apply, spectral_function, spectrum)
 
 __all__ = [
     "JCycle",
@@ -95,8 +95,8 @@ def build_j_cycle(spec: fock.TruncationSpec, m_active: int,
 # Largest materialized j-cycle dimension ``materialize_j_cycle`` builds.
 # It admits (N, E, M, h_op) = (3, 6, 2, 6), dimension 55,664, with 71 rest
 # states: there the build traces a 45 MB peak in 0.8 s and the three
-# diagnostics a 0.49 GB peak in 8 s (2-core Xeon); their arrays grow as
-# dim x n_rest.
+# diagnostics together take 4.5 s, each with a traced peak of at most 154 MB
+# (2-core Xeon, one BLAS thread); their dense arrays grow as dim x n_rest.
 MAX_JCYCLE_DIM = 1 << 16
 
 
@@ -106,10 +106,10 @@ class MaterializedJCycle:
     dual, the boson column leg factored out (compactness over the matrix
     algebra is exactly 'scalar-compact tensor identity').
 
-    Each state is a mode-prefix state times a (fermion, dual) rest state;
-    :meth:`lift` places a prefix vector on every rest state, and the
-    isometry onto the range of the Xi smearing is the lift of the Xi
-    product, formed on first use."""
+    Each state is a mode-prefix state times a state of the fermion x dual
+    rest space :attr:`rest`; :meth:`lift` is the sparse operator that places
+    a prefix vector on every rest state, and the isometry onto the range of
+    the Xi smearing is the lift of the Xi product, formed on first use."""
 
     spec: fock.TruncationSpec
     m_active: int
@@ -124,37 +124,39 @@ class MaterializedJCycle:
     xi_bound: float          # commutator bound of their smearing
 
     @functools.cached_property
-    def _layout(self):
-        """The distinct (fermion, dual) rest rows in ``np.unique`` order and,
-        per state, its rest row and its flat mode-prefix index."""
-        comps, m = self.space.components, self.m_active
-        rows, rest = np.unique(comps[:, m:], axis=0, return_inverse=True)
-        prefix = np.ravel_multi_index(tuple(comps[:, :m].T), self.space.shape[:m])
-        return rows, rest.ravel(), prefix
-
-    @property
-    def rest_rows(self) -> np.ndarray:
-        """The ``n_rest`` distinct (fermion, dual) factor-index rows; row
-        ``r`` is the rest state of column ``r`` of :meth:`lift`."""
-        return self._layout[0]
-
-    def lift(self, k: np.ndarray) -> np.ndarray:
-        """The dim x n_rest array whose column ``r`` is ``k (x) e_r``, for a
-        vector ``k`` over the flat mode-prefix index.
-
-        The mode bases are orthonormal, so a state's Gram is its rest
-        state's and the array is the same in basis and in orthonormal
-        coordinates.
-        """
-        rows, rest, prefix = self._layout
-        out = np.zeros((len(rest), len(rows)), dtype=complex)
-        out[np.arange(len(rest)), rest] = k[prefix]
-        return out
+    def rest(self) -> dirac.TripleSpace:
+        """The fermion x dual rest space at ``spec.e_max``, the domain of
+        :meth:`lift`."""
+        return dirac.TripleSpace(self.space.factors[self.m_active:], e_max=self.spec.e_max,
+                                 name="rest")
 
     @functools.cached_property
-    def isometry(self) -> np.ndarray:
-        """The dim x n_rest matrix ``V``, the :meth:`lift` of the Xi
-        product, whose column ``r`` is ``Xi (x) e_r``.
+    def _layout(self):
+        """Per state, the index of its rest state in :attr:`rest` and its
+        flat mode-prefix index."""
+        comps, m = self.space.components, self.m_active
+        rest = self.rest.index_of(comps[:, m:])
+        if np.any(rest < 0):
+            raise ValueError(f"cycle states outside the {self.rest.dim} rest states")
+        prefix = np.ravel_multi_index(tuple(comps[:, :m].T), self.space.shape[:m])
+        return rest, prefix
+
+    def lift(self, k: np.ndarray) -> SparseOperator:
+        """The operator ``e_r -> k (x) e_r`` from :attr:`rest` into the
+        cycle space, for a vector ``k`` over the flat mode-prefix index: one
+        entry per state.
+
+        The mode bases are orthonormal, so a state's Gram is its rest
+        state's and the entries are the same in basis and in orthonormal
+        coordinates.
+        """
+        rest, prefix = self._layout
+        return SparseOperator(self.rest.basis, self.space.basis, np.arange(len(rest)), rest,
+                              k[prefix])
+
+    @functools.cached_property
+    def isometry(self) -> SparseOperator:
+        """``V``, the :meth:`lift` of the Xi product: ``e_r -> Xi (x) e_r``.
 
         Every prefix state occurs with every rest state (the mode legs carry
         no energy) and the mode bases are orthonormal, so ``V^H V = 1`` and
@@ -476,11 +478,13 @@ def commutator_bound(cycle: MaterializedJCycle) -> CommutatorReport:
 
     With ``P = a (x) id = V V^H`` the commutator is ``(1 - P) op P - P op
     (1 - P)``, two blocks that are adjoints of each other, so its norm is
-    ``|(1 - P) op V|``, measured on a dim x n_rest array.
+    ``|C|`` for the sparse ``C = (1 - P) op V``, read exactly off the
+    n_rest x n_rest Gram ``C^H C``.
     """
     v = cycle.isometry
-    op_v = orthonormal_apply(cycle.operator, v)
-    measured = float(np.linalg.norm(op_v - v @ (v.conj().T @ op_v), 2))
+    op_v = cycle.operator @ v
+    c = op_v - v @ (adjoint(v) @ op_v)
+    measured = float(np.sqrt(_norm(adjoint(c) @ c)))
     ideal = np.inf
     if limitspace.check_sigma_condition(cycle.seq).verdict == "convergent":
         ideal = (2.0 * limitspace.frozen_tail_dirac_norm(0, cycle.seq, n_cut=cycle.m_active)
@@ -518,10 +522,12 @@ def resolvent_compactness(cycle: MaterializedJCycle,
     with ``V^H`` a co-isometry, so ``(1 + op^2)^(-1) V`` carries all nonzero
     singular values (the ones past ``n_rest`` are exact zeros), and the
     resolvents are solved block by block on the squared operators, whose
-    blocks split by parity.
+    blocks split by parity.  The dense dim x n_rest view of ``V`` is the
+    largest array formed.
     """
     op, v, space, m = cycle.operator, cycle.isometry, cycle.space, cycle.m_active
-    svals = np.linalg.svd(spectral_apply(op @ op, _inv_one_plus, v), compute_uv=False)
+    svals = np.linalg.svd(spectral_apply(op @ op, _inv_one_plus, v.to_dense()),
+                          compute_uv=False)
     rank_errors = [(r, float(svals[r]) if r < len(svals) else 0.0) for r in ranks]
     rank_errors.append((space.dim, 0.0))
 
@@ -533,15 +539,15 @@ def resolvent_compactness(cycle: MaterializedJCycle,
     # the closed form 1/(1 + shell) the rows are checked against
     res0 = spectral_function(l_sq, _inv_one_plus)
     # a shell is a set of rest states, so res0 P restricted to the states of
-    # one shell is res0 V[:, shell] times a co-isometry; R of res0 V = Q R
-    # keeps those column norms
-    r_factor = np.linalg.qr(orthonormal_apply(res0, v), mode="r")
-    rest = cycle.rest_rows  # the columns of V
-    col_shell = space.factors[m].energy[rest[:, 0]] + space.factors[m + 1].energy[rest[:, 1]]
-    shells, shell_of = np.unique(col_shell, return_inverse=True)
+    # one shell is res0 V[:, shell] times a co-isometry, whose norm squared
+    # is the top eigenvalue of the shell's block of the Gram of res0 V
+    res_v = res0 @ v
+    gram = orthonormal_dense(adjoint(res_v) @ res_v)
+    shells, shell_of = np.unique(cycle.rest.basis.energy, return_inverse=True)
     shell_rows = []
     for k, shell in enumerate(shells):
-        norm = float(np.linalg.norm(r_factor[:, shell_of == k], 2))
+        cols = np.flatnonzero(shell_of == k)
+        norm = float(np.sqrt(np.linalg.eigvalsh(gram[np.ix_(cols, cols)])[-1]))
         shell_rows.append((2.0 * shell, norm, 1.0 / (1.0 + 2.0 * shell)))
 
     per_mode_rows = []
@@ -576,17 +582,13 @@ def kucerovsky_check(cycle: MaterializedJCycle, seed: int = 5) -> KucerovskyRepo
     identically zero; the margin reported is the minimum eigenvalue of the
     squared cycle operator (a sum of squares).
 
-    The defect is formed as its dim x n_small adjoint
-    ``T^H dirac_L - op T^H`` (both operators are self-adjoint) and its norm
-    read off the n_small x n_small Gram matrix.  ``T^H`` is the
-    :meth:`MaterializedJCycle.lift` of ``k``, the isometry for ``k = Xi``;
-    the compressed space's states must be the cycle's rest rows, in order.
+    The compressed module is the cycle's rest space.  The defect is formed
+    as its sparse adjoint ``T^H dirac_L - op T^H`` (both operators are
+    self-adjoint) and its norm read exactly off the n_rest x n_rest Gram.
+    ``T^H`` is the :meth:`MaterializedJCycle.lift` of ``k``, the isometry
+    for ``k = Xi``.
     """
-    small = dirac.TripleSpace(cycle.space.factors[cycle.m_active:], e_max=cycle.spec.e_max,
-                              name="compressed")
-    if not np.array_equal(small.components, cycle.rest_rows):
-        raise ValueError("compressed space states are not the cycle's rest states")
-    dl_small = orthonormal_dense(dirac.build_dirac_L(cycle.spec, space=small)[0])
+    dl = dirac.build_dirac_L(cycle.spec, space=cycle.rest)[0]
     prefix_dim = math.prod(len(v) for v in cycle.xi_vecs)
     d_norm = _norm(cycle.d_part)
 
@@ -599,9 +601,9 @@ def kucerovsky_check(cycle: MaterializedJCycle, seed: int = 5) -> KucerovskyRepo
             k_vec = rng.standard_normal(prefix_dim) + 1j * rng.standard_normal(prefix_dim)
             k_vec /= np.linalg.norm(k_vec)
             t_adj, name, bound = cycle.lift(k_vec), f"random-{gen}", 2.0 * d_norm
-        defect_adj = t_adj @ dl_small - orthonormal_apply(cycle.operator, t_adj)
-        top = np.linalg.eigvalsh(defect_adj.conj().T @ defect_adj)[-1]
-        rows.append((name, float(np.sqrt(max(top, 0.0))), float(bound)))
+        defect_adj = t_adj @ dl - cycle.operator @ t_adj
+        rows.append((name, float(np.sqrt(_norm(adjoint(defect_adj) @ defect_adj))),
+                     float(bound)))
     positivity = float(np.min(spectrum(cycle.operator @ cycle.operator)))
     return KucerovskyReport(rows, positivity)
 

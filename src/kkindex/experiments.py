@@ -516,7 +516,7 @@ def _exp_level_suite(cfg: Config, rng: Lcg) -> Report:
 def _size_note(cycle: assembly.MaterializedJCycle) -> str:
     """Deterministic size facts of a materialized cycle."""
     sizes = np.unique(block_components(cycle.operator), return_counts=True)[1]
-    return (f"materialized dim {cycle.space.dim}, rest states {cycle.isometry.shape[1]}, "
+    return (f"materialized dim {cycle.space.dim}, rest states {cycle.rest.dim}, "
             f"operator blocks {len(sizes)}, largest block {int(sizes.max())}")
 
 

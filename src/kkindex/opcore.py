@@ -4,9 +4,9 @@ Every operator in this package lives on a :class:`Basis`: an ordered list of
 integer labels together with a positive diagonal Gram (the squared norm of
 each label).  Bases are deliberately kept in unnormalized monomial form, so
 ladder coefficients stay integers; orthonormalization happens only in the
-dense view :func:`orthonormal_dense`, in its matrix-free product
-:func:`orthonormal_apply` and in the Gram-orthonormal blocks the eigensolves
-work on.
+dense view :func:`orthonormal_dense` and in the Gram-orthonormal blocks the
+eigensolves work on.  An operator applied to a family of vectors is a
+product with a sparse operator whose columns are those vectors.
 
 Conventions
 -----------
@@ -41,7 +41,6 @@ __all__ = [
     "eigh_gram",
     "spectral_function",
     "spectral_apply",
-    "orthonormal_apply",
     "block_components",
     "orthonormal_dense",
     "gram_transpose",
@@ -479,25 +478,6 @@ def spectral_apply(a: SparseOperator, f, x: np.ndarray) -> np.ndarray:
     for states, blocks in _hermitian_blocks(a):
         lam, u = np.linalg.eigh(blocks)
         out[states] = u @ (f(lam)[:, :, None] * (u.conj().swapaxes(1, 2) @ x[states]))
-    return out
-
-
-def orthonormal_apply(op: SparseOperator, x: np.ndarray) -> np.ndarray:
-    """``orthonormal_dense(op) @ x`` for a ``(domain.dim, k)`` array ``x``,
-    without the dense matrix: one gather-and-add pass per entry slot of the
-    fullest row, so no intermediate is larger than the result."""
-    s = np.sqrt(op.codomain.gram)[op.rows] / np.sqrt(op.domain.gram)[op.cols]
-    order = np.argsort(op.rows, kind="stable")
-    rows, cols = op.rows[order], op.cols[order]
-    vals = (op.vals * s)[order]
-    _, slot = expand_runs(np.bincount(rows, minlength=op.codomain.dim))
-    out = np.zeros((op.codomain.dim, x.shape[1]), dtype=complex)
-    for k in range(int(slot.max(initial=-1)) + 1):
-        at = slot == k  # at most one entry per row
-        part = x[cols[at]]
-        part *= vals[at, None]
-        part += out[rows[at]]
-        out[rows[at]] = part
     return out
 
 

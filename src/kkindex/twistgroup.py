@@ -121,6 +121,8 @@ class Cocycle:
     def __init__(self, group: FiniteAbelianGroup, exponents, root_order: int):
         self.group = group
         self.root_order = int(root_order)
+        if self.root_order < 1:
+            raise ValueError(f"root_order must be at least 1, got {self.root_order}")
         self.exponents = np.asarray(exponents, dtype=int) % self.root_order
         if self.exponents.shape != (group.order, group.order):
             raise ValueError("incomplete cocycle table")
@@ -155,7 +157,8 @@ def check_cocycle(tau: Cocycle):
     signed integer type that holds ``4m``, from the table reduced mod m."""
     grp, m = tau.group, tau.root_order
     n, add, elts = grp.order, grp.add_table, grp.elements
-    K = (tau.exponents % m).astype(np.min_scalar_type(-4 * m))
+    K = np.remainder(tau.exponents, m, out=np.empty((n, n), np.min_scalar_type(-4 * m)),
+                     casting="unsafe")
     bad = [("normalization", g) for g, row, col in zip(elts, K[0], K[:, 0]) if row or col]
     step = max(1, BLOCK_ELEMENTS // (n * n))
     for g0 in range(0, n, step):

@@ -7,8 +7,8 @@ import pytest
 from kkindex import assembly, dirac, fock, limitspace, opcore, twistgroup
 from kkindex.opcore import (Basis, SparseOperator, adjoint, block_components, eigh_gram,
                             graded_commutator, shift_op, spectrum, gram_transpose,
-                            orthonormal_apply, orthonormal_dense, spectral_apply,
-                            spectral_function, NotSelfAdjointError, ShapeMismatchError)
+                            orthonormal_dense, spectral_apply, spectral_function,
+                            NotSelfAdjointError, ShapeMismatchError)
 from vectors import dense_kernel, inner, norm, unit
 
 SPEC = fock.TruncationSpec(n_max=3, e_max=6)
@@ -642,23 +642,6 @@ def test_spectral_routes_match_the_dense_resolvent(name):
     res = spectral_function(op, _resolvent)
     assert res.grade == "even"
     assert np.max(np.abs(orthonormal_dense(res) - dense_res), initial=0.0) <= 1e-12
-
-
-@pytest.mark.parametrize("name", BLOCK_CASES + ["dual_lower (3,6) -> (3,7)"])
-def test_orthonormal_apply_matches_the_dense_view(name):
-    if name in BLOCK_CASES:
-        op = block_cases()[name]
-    else:  # rectangular, with empty rows
-        dual = fock.enumerate_basis(fock.TruncationSpec(3, 6), "dual_boson")
-        big = fock.enumerate_basis(fock.TruncationSpec(3, 7), "dual_boson")
-        op = fock.dual_lower(dual, 2, codomain=big)
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal((op.domain.dim, 3)) + 1j * rng.standard_normal((op.domain.dim, 3))
-    want = orthonormal_dense(op) @ x
-    got = orthonormal_apply(op, x)
-    assert got.shape == want.shape
-    assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * max(
-        1.0, np.max(np.abs(want), initial=0.0))
 
 
 @pytest.mark.parametrize("case", ["dirac_R", "null blocks"])

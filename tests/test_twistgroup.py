@@ -509,6 +509,13 @@ def test_parse_group_spec_errors():
         tg.parse_group_spec("group = 2\ncocycle = exotic")
 
 
+def test_root_order_below_one_is_refused():
+    with pytest.raises(ValueError, match="root_order"):
+        tg.Cocycle(tg.FiniteAbelianGroup((3,)), np.zeros((3, 3), dtype=int), 0)
+    with pytest.raises(ValueError, match="root_order"):
+        tg.parse_group_spec("group = 3\nroot_order = -3")
+
+
 # ---------------------------------------------------------------- tables
 # The integer tables behind every kernel against the tuple law of
 # ``tuple_law``, and each kernel against a loop oracle over residue tuples,
@@ -920,15 +927,16 @@ def traced_peak(fn, *args):
 
 def test_reach_heisenberg_z16():
     """Order 256 (m = 16), beyond what tuple loops reach in test time.  The
-    brute-force kernels work in blocks: their traced peaks measure 0.59 MB
-    (check_cocycle) and 1.84 MB (untagged convolve), bounded at 1 MB and
-    3 MB, where one n x n complex table takes 1 MB."""
+    brute-force kernels work in blocks: their traced peaks measure 0.20 MB
+    (check_cocycle) and 1.84 MB (untagged convolve), bounded at 0.3 MB and
+    3 MB, where one n x n complex table takes 1 MB and one int64 table
+    0.5 MB."""
     grp = tg.FiniteAbelianGroup((16, 16))
     tau = tg.heisenberg_cocycle(grp)
     grp.add_table  # built once, outside the traced calls
     bad, peak = traced_peak(tg.check_cocycle, tau)
     assert bad == []
-    assert peak < 1_000_000
+    assert peak < 300_000
     assert tg.decompose_twisted_algebra(grp, tau) == [16]
     ext = tg.TwistedExtension(tau)
     rng = np.random.default_rng(34)
