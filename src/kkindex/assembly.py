@@ -676,6 +676,7 @@ def finite_group_assembly(group: twistgroup.FiniteAbelianGroup,
     ``sqrt(c) (x) e_j`` of the isometry ``iso`` onto the compressor's range,
     a chunk of columns at a time.
     """
+    tau.check_group(group)
     n = group.order
     conv, p_cut, d_op, sqrt_c = _finite_model(group, tau, seed)
     # the compressor is iso iso^H only if p_cut is the rank-one projection
@@ -712,6 +713,7 @@ def level_vanishing_pattern(group: twistgroup.FiniteAbelianGroup,
     ``(h, i)^{-1} (g, 0)`` has phase ``phase[h, g] - i``, so the fiber sum
     over ``i`` is evaluated numerically once per pair of phases.
     """
+    tau.check_group(group)
     ext = twistgroup.TwistedExtension(tau)
     grp = group
     n, m = grp.order, ext.m
@@ -720,6 +722,8 @@ def level_vanishing_pattern(group: twistgroup.FiniteAbelianGroup,
     template = twistgroup.CrossedProductElement.translation(grp)
     cut = twistgroup.mishchenko(c, template)
     tgt, phase, fiber = ext.tgt, ext.phase, np.arange(m)
+    # flat row bases: table[tgt, t] and fiber_sum[phase, p] as one take each
+    tgt_base, phase_base = tgt * n, phase * m
     rng = np.random.default_rng(seed)
     rows = []
     for level in range(m):
@@ -732,8 +736,8 @@ def level_vanishing_pattern(group: twistgroup.FiniteAbelianGroup,
             fiber_sum += np.outer(omega ** (j * level), omega ** (-j))
         out = np.empty((n, n), dtype=complex)
         for y in range(n):
-            out[:, y] = cut.values[:, y] @ (table[tgt, tgt[:, y, None]]
-                                            * fiber_sum[phase, phase[:, y, None]])
+            out[:, y] = cut.values[:, y] @ (table.take(tgt_base + tgt[:, y, None])
+                                            * fiber_sum.take(phase_base + phase[:, y, None]))
         out /= m
         character = abs(sum(omega ** (i * (1 - level)) for i in range(m))) / m
         rows.append((level, float(np.max(np.abs(out))), character))

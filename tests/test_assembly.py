@@ -544,6 +544,13 @@ def test_finite_group_assembly_reports_a_d_that_misses_the_cut_off(monkeypatch):
     assert np.max(np.abs(report.compressed_spectrum - report.direct_spectrum - 1.0)) <= 1e-12
 
 
+@pytest.mark.parametrize("moduli", [(9,), (2,)], ids=["Z9", "Z2"])
+def test_finite_group_assembly_refuses_a_cocycle_on_another_group(moduli):
+    tau = tg.heisenberg_cocycle(tg.FiniteAbelianGroup((3, 3)))
+    with pytest.raises(ValueError, match=rf"Z3xZ3.*Z{moduli[0]}\b"):
+        asm.finite_group_assembly(tg.FiniteAbelianGroup(moduli), tau)
+
+
 def test_finite_group_assembly_reach_without_kron_matrices():
     # Heisenberg Z16xZ16: one 65536 x 65536 complex matrix would be about
     # 69 GB; the matrix-free route stays under 300 MB traced
@@ -879,6 +886,13 @@ def test_level_vanishing_pattern_matches_loop_oracle(moduli, tau_fn):
     assert [r[0] for r in rows] == [r[0] for r in oracle]
     for (_, value, _), (_, expected) in zip(rows, oracle):
         assert abs(value - expected) < 1e-12 * max(1.0, expected)
+
+
+@pytest.mark.parametrize("moduli", [(9,), (2,)], ids=["Z9", "Z2"])
+def test_level_vanishing_pattern_refuses_a_cocycle_on_another_group(moduli):
+    tau = tg.heisenberg_cocycle(tg.FiniteAbelianGroup((3, 3)))
+    with pytest.raises(ValueError, match=rf"Z3xZ3.*Z{moduli[0]}\b"):
+        asm.level_vanishing_pattern(tg.FiniteAbelianGroup(moduli), tau)
 
 
 def test_commutator_with_identity_projector():

@@ -486,6 +486,58 @@ def test_decompose_counts_squares():
         assert sum(d * d for d in blocks) == grp.order
 
 
+@pytest.mark.parametrize("moduli", [(9,), (2,)], ids=["Z9", "Z2"])
+def test_decompose_refuses_a_cocycle_on_another_group(moduli):
+    _, tau = z3_heisenberg()
+    with pytest.raises(ValueError, match=rf"Z3xZ3.*Z{moduli[0]}\b"):
+        tg.decompose_twisted_algebra(tg.FiniteAbelianGroup(moduli), tau)
+
+
+def perturbed(tau):
+    exps = tau.exponents.copy()
+    exps[4, 5] = (exps[4, 5] + 1) % tau.root_order
+    return exps
+
+
+def test_decompose_refuses_a_table_that_fails_the_check():
+    grp, tau = z3_heisenberg()
+    bad = tg.Cocycle(grp, perturbed(tau), tau.root_order)
+    with pytest.raises(ValueError, match="invalid cocycle"):
+        tg.decompose_twisted_algebra(grp, bad)
+
+
+def test_decompose_checks_a_table_assigned_after_a_clean_check():
+    grp, tau = z3_heisenberg()
+    assert tg.check_cocycle(tau) == []
+    tau.exponents = perturbed(tau)
+    with pytest.raises(ValueError, match="invalid cocycle"):
+        tg.decompose_twisted_algebra(grp, tau)
+
+
+def test_decompose_checks_a_writeable_table_mutated_after_its_check():
+    grp, tau = z3_heisenberg()
+    assert tg.check_cocycle(tau) == []
+    tau.exponents = tau.exponents.copy()
+    assert tg.check_cocycle(tau) == []
+    tau.exponents[4, 5] += 1
+    with pytest.raises(ValueError, match="invalid cocycle"):
+        tg.decompose_twisted_algebra(grp, tau)
+
+
+def test_decompose_reuses_a_clean_check_of_the_same_table(monkeypatch):
+    grp, tau = z3_heisenberg()
+    calls = []
+    check = tg.check_cocycle
+    monkeypatch.setattr(tg, "check_cocycle", lambda t: calls.append(t) or check(t))
+    assert tg.check_cocycle(tau) == []
+    assert tg.decompose_twisted_algebra(grp, tau) == [3]
+    assert len(calls) == 1
+    # the record never spares check_cocycle itself
+    assert tg.check_cocycle(tau) == []
+    assert len(calls) == 2
+    assert not tau.exponents.flags.writeable
+
+
 # ---------------------------------------------------------------- parsing
 
 def test_parse_group_spec():
@@ -930,7 +982,9 @@ def test_reach_heisenberg_z16():
     brute-force kernels work in blocks: their traced peaks measure 0.20 MB
     (check_cocycle) and 1.84 MB (untagged convolve), bounded at 0.3 MB and
     3 MB, where one n x n complex table takes 1 MB and one int64 table
-    0.5 MB."""
+    0.5 MB.  crossed_convolve, checked against the product of the Schatten
+    maps, holds its output and two int64 tables, and per point one int64
+    index table and the n x n block it gathers: 3.67 MB, bounded at 4 MB."""
     grp = tg.FiniteAbelianGroup((16, 16))
     tau = tg.heisenberg_cocycle(grp)
     grp.add_table  # built once, outside the traced calls
@@ -948,6 +1002,14 @@ def test_reach_heisenberg_z16():
         assert untagged.level is None
         assert np.max(np.abs(tagged - untagged.values)) / np.max(np.abs(tagged)) < 1e-10
         assert peak < 3_000_000
+    a, b = (tg.CrossedProductElement.translation(grp, rng.standard_normal((256, 256))
+                                                 + 1j * rng.standard_normal((256, 256)))
+            for _ in range(2))
+    product, peak = traced_peak(tg.crossed_convolve, a, b)
+    lhs = tg.schatten_map(product).to_dense()
+    rhs = tg.schatten_map(a).to_dense() @ tg.schatten_map(b).to_dense()
+    assert np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)) < 1e-10
+    assert peak < 4_000_000
 
 
 # ------------------------------------------------------- stacked trials
