@@ -33,7 +33,7 @@ import numpy as np
 
 from . import dirac, fock, limitspace, twistgroup
 from .opcore import (Basis, SparseOperator, adjoint, gram_transpose, orthonormal_dense,
-                     spectral_apply, spectral_function, spectrum)
+                     spectral_function, spectrum)
 
 __all__ = [
     "JCycle",
@@ -95,8 +95,9 @@ def build_j_cycle(spec: fock.TruncationSpec, m_active: int,
 # Largest materialized j-cycle dimension ``materialize_j_cycle`` builds.
 # It admits (N, E, M, h_op) = (3, 6, 2, 6), dimension 55,664, with 71 rest
 # states: there the build traces a 45 MB peak in 0.8 s and the three
-# diagnostics together take 4.5 s, each with a traced peak of at most 154 MB
-# (2-core Xeon, one BLAS thread); their dense arrays grow as dim x n_rest.
+# diagnostics together take about 1.2 s, each with a traced peak of at most
+# 58 MB (2-core Xeon, one BLAS thread), mostly sparse triplets; no dense
+# array they form exceeds n_rest x n_rest.
 MAX_JCYCLE_DIM = 1 << 16
 
 
@@ -494,7 +495,6 @@ def commutator_bound(cycle: MaterializedJCycle) -> CommutatorReport:
 
 @dataclass
 class CompactnessReport:
-    rank_errors: list        # (rank, singular-value truncation error)
     split_norms: tuple       # (|free part|, |cross part|, |mirror part|)
     shell_rows: list         # (shell energy, measured norm, 1/(1+shell))
     per_mode_rows: list      # (mode, measured, bound) for frozen modes
@@ -509,28 +509,21 @@ def _norm(a: SparseOperator) -> float:
     return float(np.max(np.abs(spectrum(a)), initial=0.0))
 
 
-def resolvent_compactness(cycle: MaterializedJCycle,
-                          ranks=(1, 4, 16, 64)) -> CompactnessReport:
-    """Finite-rank approximability of ``(1 + op^2)^(-1) (a (x) id)``.
+def resolvent_compactness(cycle: MaterializedJCycle) -> CompactnessReport:
+    """Compactness evidence for ``(1 + op^2)^(-1) (a (x) id)``.
 
-    Reports singular-value truncation errors (decreasing, zero at full
-    rank), the three-part split of the squared operator, the exact
-    shell-wise ``1/(1 + shell)`` bounds for the mirror-part resolvent, and
-    the per-frozen-mode cross norms against their summable bounds.
+    Reports the three-part split of the squared operator, the mirror-part
+    resolvent on each energy shell against the exact ``1/(1 + shell)``
+    decay, and the per-frozen-mode cross norms against their summable
+    bounds: the shell rows and the per-mode rows are the evidence of
+    compactness.
 
     Every norm is exact and read at rest-space size: ``a (x) id = V V^H``
-    with ``V^H`` a co-isometry, so ``(1 + op^2)^(-1) V`` carries all nonzero
-    singular values (the ones past ``n_rest`` are exact zeros), and the
-    resolvents are solved block by block on the squared operators, whose
-    blocks split by parity.  The dense dim x n_rest view of ``V`` is the
-    largest array formed.
+    with ``V^H`` a co-isometry, and the resolvent is solved block by block
+    on the squared mirror part, whose blocks split by parity.  The
+    n_rest x n_rest shell Gram is the largest dense array formed.
     """
-    op, v, space, m = cycle.operator, cycle.isometry, cycle.space, cycle.m_active
-    svals = np.linalg.svd(spectral_apply(op @ op, _inv_one_plus, v.to_dense()),
-                          compute_uv=False)
-    rank_errors = [(r, float(svals[r]) if r < len(svals) else 0.0) for r in ranks]
-    rank_errors.append((space.dim, 0.0))
-
+    v, space, m = cycle.isometry, cycle.space, cycle.m_active
     d, l = cycle.d_part, cycle.l_part
     l_sq = l @ l
     split = (_norm(d @ d), _norm((d @ l) + (l @ d)), _norm(l_sq))
@@ -559,13 +552,12 @@ def resolvent_compactness(cycle: MaterializedJCycle,
         weight = float(np.sqrt(_norm(adjoint(lift) @ lift)))
         per_mode_rows.append((n, 2.0 * np.sqrt(n) * dr_norm * weight,
                               2.0 * np.sqrt(n) * sigma * weight))
-    return CompactnessReport(rank_errors, split, shell_rows, per_mode_rows)
+    return CompactnessReport(split, shell_rows, per_mode_rows)
 
 
 @dataclass
 class KucerovskyReport:
     rows: list               # (generator, commutator norm, bound)
-    positivity_margin: float
 
 
 def kucerovsky_check(cycle: MaterializedJCycle, seed: int = 5) -> KucerovskyReport:
@@ -579,8 +571,9 @@ def kucerovsky_check(cycle: MaterializedJCycle, seed: int = 5) -> KucerovskyRepo
     by measured per-mode scalars for the ``Xi`` generator and by ``|D|`` in
     general; two seeded random unit ``k`` are checked next to ``Xi``.  The
     cut-off cycle carries the zero operator, so its positivity pairing is
-    identically zero; the margin reported is the minimum eigenvalue of the
-    squared cycle operator (a sum of squares).
+    identically zero and nothing is reported for it; that the squared cycle
+    operator is positive semi-definite is checked by the ``jcycle_diag``
+    experiment.
 
     The compressed module is the cycle's rest space.  The defect is formed
     as its sparse adjoint ``T^H dirac_L - op T^H`` (both operators are
@@ -604,8 +597,7 @@ def kucerovsky_check(cycle: MaterializedJCycle, seed: int = 5) -> KucerovskyRepo
         defect_adj = t_adj @ dl - cycle.operator @ t_adj
         rows.append((name, float(np.sqrt(_norm(adjoint(defect_adj) @ defect_adj))),
                      float(bound)))
-    positivity = float(np.min(spectrum(cycle.operator @ cycle.operator)))
-    return KucerovskyReport(rows, positivity)
+    return KucerovskyReport(rows)
 
 
 # ------------------------------------------------------------ finite models

@@ -40,7 +40,6 @@ __all__ = [
     "spectrum",
     "eigh_gram",
     "spectral_function",
-    "spectral_apply",
     "block_components",
     "orthonormal_dense",
     "gram_transpose",
@@ -468,17 +467,6 @@ def spectral_function(a: SparseOperator, f, grade: str = "even",
     rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
     keep = np.abs(vals) > chop * max(float(np.max(np.abs(vals))), 1.0)
     return SparseOperator(a.domain, a.domain, rows[keep], cols[keep], vals[keep], grade)
-
-
-def spectral_apply(a: SparseOperator, f, x: np.ndarray) -> np.ndarray:
-    """``f(A) x`` in Gram-orthonormal coordinates for a Gram-self-adjoint
-    ``a`` and a ``(dim, k)`` array ``x``, one stacked eigensolve per block
-    size; nothing larger than a block or than ``x`` is formed."""
-    out = np.zeros(x.shape, dtype=complex)
-    for states, blocks in _hermitian_blocks(a):
-        lam, u = np.linalg.eigh(blocks)
-        out[states] = u @ (f(lam)[:, :, None] * (u.conj().swapaxes(1, 2) @ x[states]))
-    return out
 
 
 def gram_transpose(mat: np.ndarray, gram: np.ndarray) -> np.ndarray:

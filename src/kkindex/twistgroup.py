@@ -424,6 +424,13 @@ def regular_representation(a: CrossedProductElement) -> np.ndarray:
     return mat
 
 
+def _require_translation(a: CrossedProductElement, what: str) -> None:
+    """Refuse an element whose G-space is not ``X = G`` under translation."""
+    grp = a.group
+    if a.points != tuple(grp.elements) or not np.array_equal(a.act_table, grp.add_table):
+        raise ValueError(f"{what} needs X = G with the translation action")
+
+
 def schatten_map(a: CrossedProductElement) -> SparseOperator:
     """Algebra isomorphism onto the full matrix algebra on ``l^2(G)``.
 
@@ -431,9 +438,8 @@ def schatten_map(a: CrossedProductElement) -> SparseOperator:
     :func:`crossed_convolve` with operator composition and the involution
     with the adjoint.
     """
+    _require_translation(a, "schatten map")
     grp = a.group
-    if a.points != tuple(grp.elements) or not np.array_equal(a.act_table, grp.add_table):
-        raise ValueError("schatten map needs X = G with the translation action")
     mat = regular_representation(a)
     basis = Basis(grp.coords, np.ones(grp.order), name=f"l2({grp!r})")
     return SparseOperator.from_dense(mat, basis, basis, "even")
@@ -484,10 +490,12 @@ def module_right_action(e: ModuleElement, b: GroupAlgebraElement) -> ModuleEleme
 
 def module_left_action(a: CrossedProductElement, e: ModuleElement) -> ModuleElement:
     """Action of the crossed product (functions ``G -> C(G)``, level 0)
-    through the level-1 twisted translation on the inner variable."""
+    through the level-1 twisted translation on the inner variable; ``a``
+    must be over ``X = G`` with the translation action."""
+    _require_translation(a, "left action")
     ext = e.ext
-    if a.points != tuple(ext.group.elements):
-        raise ValueError("left action needs X = G")
+    if a.group.moduli != ext.group.moduli:
+        raise ValueError("left action needs the crossed product over the module's group")
     tgt, twist = ext.tgt, ext.twist
     out = np.empty_like(e.table)
     for y in range(len(a.points)):

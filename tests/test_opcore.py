@@ -7,7 +7,7 @@ import pytest
 from kkindex import assembly, dirac, fock, limitspace, opcore, twistgroup
 from kkindex.opcore import (Basis, SparseOperator, adjoint, block_components, eigh_gram,
                             graded_commutator, shift_op, spectrum, gram_transpose,
-                            orthonormal_dense, spectral_apply, spectral_function,
+                            orthonormal_dense, spectral_function,
                             NotSelfAdjointError, ShapeMismatchError)
 from vectors import dense_kernel, inner, norm, unit
 
@@ -635,10 +635,6 @@ def test_spectral_routes_match_the_dense_resolvent(name):
     op = block_cases()[name]
     vals, u = np.linalg.eigh(dense_hermitian(op))
     dense_res = (u * _resolvent(vals)[None, :]) @ u.conj().T
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal((op.domain.dim, 5)) + 1j * rng.standard_normal((op.domain.dim, 5))
-    assert np.max(np.abs(spectral_apply(op, _resolvent, x) - dense_res @ x),
-                  initial=0.0) <= 1e-12
     res = spectral_function(op, _resolvent)
     assert res.grade == "even"
     assert np.max(np.abs(orthonormal_dense(res) - dense_res), initial=0.0) <= 1e-12

@@ -435,6 +435,26 @@ def test_m_iso_left_module_identity():
         assert np.max(np.abs(lhs.table - rhs.table)) < 1e-11
 
 
+def test_left_action_and_schatten_refuse_a_non_translation_action():
+    # X = G as points, but under the trivial action g.x = x: both routes
+    # compute as if the action were translation, so both must refuse it
+    grp, tau = z3_heisenberg()
+    ext = tg.TwistedExtension(tau)
+    n = grp.order
+    trivial = np.tile(np.arange(n), (n, 1))
+    a = tg.CrossedProductElement(grp, grp.elements, trivial, np.ones((n, n)))
+    e = tg.ModuleElement(ext, np.ones((n, n)))
+    with pytest.raises(ValueError, match="left action needs X = G with the translation"):
+        tg.module_left_action(a, e)
+    with pytest.raises(ValueError, match="schatten map needs X = G with the translation"):
+        tg.schatten_map(a)
+    # a translation element over another group of the same order
+    other = tg.CrossedProductElement.translation(tg.FiniteAbelianGroup((9,)),
+                                                 np.ones((n, n)))
+    with pytest.raises(ValueError, match="module's group"):
+        tg.module_left_action(other, e)
+
+
 def test_module_element_expand_levels():
     grp, tau = z3_heisenberg()
     ext = tg.TwistedExtension(tau)
