@@ -136,7 +136,7 @@ class MaterializedJCycle:
         """Per state, the index of its rest state in :attr:`rest` and its
         flat mode-prefix index."""
         comps, m = self.space.components, self.m_active
-        rest = self.rest.index_of(comps[:, m:])
+        rest = self.rest.basis.index_of(comps[:, m:])
         if np.any(rest < 0):
             raise ValueError(f"cycle states outside the {self.rest.dim} rest states")
         prefix = np.ravel_multi_index(tuple(comps[:, :m].T), self.space.shape[:m])
@@ -182,10 +182,8 @@ def materialize_j_cycle(spec: fock.TruncationSpec, m_active: int,
     # prefix quanta are cut per mode only; the energy window applies jointly
     # to the fermion and dual legs, which keeps the mirror part an exact
     # (leak-free) compression with squared operator 2 (N_f + E_dual)
-    mode_bases = []
-    for _ in range(m_active):
-        raw = limitspace.mode_basis(h_op)
-        mode_bases.append(Basis(raw.label_array, raw.gram, name=raw.name))
+    raw = limitspace.mode_basis(h_op)
+    mode_bases = [Basis(raw.label_array, raw.gram, name=raw.name)] * m_active
     ferm = fock.enumerate_basis(spec, "fermion")
     dual = fock.enumerate_basis(spec, "dual_boson")
     space = dirac.TripleSpace(mode_bases + [ferm, dual], e_max=spec.e_max, name="jcycle")
@@ -394,7 +392,7 @@ def _flip_permutation(analytic: IndexCycle, mu: IndexCycle) -> np.ndarray:
     if (analytic.space.dim != mu.space.dim
             or analytic.space.factors[::-1] != mu.space.factors):
         raise ValueError("dimension mismatch between index cycles")
-    return mu.space.index_of(analytic.space.components[:, ::-1])
+    return mu.space.basis.index_of(analytic.space.components[:, ::-1])
 
 
 def compare_indices(analytic: IndexCycle, mu: IndexCycle, seed: int = 7) -> ComparisonReport:

@@ -43,10 +43,10 @@ class TripleSpace:
 
     A product state is a row of the integer table ``components``
     (dim x factors): one index into each factor basis.  The state is kept
-    when the sum of its component energies is at most ``e_max``; labels are
-    the concatenated component labels, in lexicographic order.  Gram and
-    parity multiply across factors, so the grading is the fermion parity.
-    States are found by :meth:`index_of` and factor operators lifted by
+    when the sum of its component energies is at most ``e_max``.  The rows,
+    in lexicographic order, are the labels of :attr:`basis`, so states are
+    found by its ``index_of``.  Gram and parity multiply across factors, so
+    the grading is the fermion parity.  Factor operators are lifted by
     :meth:`lift` and :meth:`embed_factor_op`.
     """
 
@@ -54,46 +54,16 @@ class TripleSpace:
         self.factors = tuple(factors)
         self.e_max = e_max
         self.shape = tuple(b.dim for b in self.factors)
-        labels = [b.label_array for b in self.factors]
-        # rank of each factor label in that factor's label order: the basis
-        # order is the order of the mixed-radix key over these ranks
-        self._ranks = [np.argsort(np.lexsort(lab.T[::-1])) for lab in labels]
-        if np.prod(self.shape, dtype=float) >= 2.0 ** 63:
-            raise ValueError("product space too large for 64-bit state keys")
-        comps, energy = energy_product([b.energy for b in self.factors], e_max)
-        keys = self._keys(comps)
-        order = np.argsort(keys)
-        self.components = comps[order]
-        self._sorted_keys = keys[order]
-        energy = energy[order]
-        gram = np.ones(len(order))
-        parity = np.zeros(len(order), dtype=np.int64)
-        for q, b in enumerate(self.factors):
-            gram = gram * b.gram[self.components[:, q]]
-            parity += b.parity[self.components[:, q]]
-        flat = np.hstack([lab[self.components[:, q]] for q, lab in enumerate(labels)])
-        self.basis = Basis(flat, gram, energy=energy,
-                           parity=parity % 2, name=name)
+        self.components, energy = energy_product([b.energy for b in self.factors], e_max)
+        picked = list(zip(self.factors, self.components.T))
+        gram = np.prod([b.gram[c] for b, c in picked], axis=0)
+        parity = np.sum([b.parity[c] for b, c in picked], axis=0) % 2
+        self.basis = Basis(self.components, gram, energy=energy, parity=parity, name=name,
+                           factors=self.factors)
 
     @property
     def dim(self):
         return self.basis.dim
-
-    def _keys(self, comps):
-        key = np.zeros(len(comps), dtype=np.int64)
-        for q, rank in enumerate(self._ranks):
-            key = key * len(rank) + rank[comps[:, q]]
-        return key
-
-    def index_of(self, comps) -> np.ndarray:
-        """Basis indices of component rows (``(..., factors)`` integers);
-        -1 for states outside the truncation."""
-        comps = np.asarray(comps, dtype=np.int64)
-        keys = self._keys(comps.reshape(-1, len(self.factors)))
-        pos = np.searchsorted(self._sorted_keys, keys)
-        found = pos < self.dim
-        found[found] = self._sorted_keys[pos[found]] == keys[found]
-        return np.where(found, pos, -1).reshape(comps.shape[:-1])
 
     def lift(self, op: SparseOperator, pos: int, cols):
         """Entries of the lift of factor operator ``op`` on factor ``pos`` in
@@ -114,7 +84,7 @@ class TripleSpace:
         entry = (np.cumsum(counts) - counts)[comp[at]] + offset
         targets = self.components[cols[at]]
         targets[:, pos] = op.rows[entry]
-        rows = self.index_of(targets)
+        rows = self.basis.index_of(targets)
         z = op.vals[entry]
         if op.grade == "odd":
             pre = np.zeros(len(at), dtype=np.int64)

@@ -66,29 +66,20 @@ class TruncationSpec:
             raise ValueError("e_max must be >= 0")
 
 
-def _lex_labels(energies, e_max):
-    """Occupation tuples whose weighted energy is at most ``e_max`` (entry
-    ``n`` ranging over the indices of ``energies[n]``), in lex order, with
-    their energies."""
-    occ, energy = energy_product(energies, e_max)
-    order = np.lexsort(occ.T[::-1])
-    return occ[order], energy[order]
-
-
 @functools.cache
 def enumerate_basis(spec: TruncationSpec, kind: str) -> Basis:
-    """Deterministically ordered truncated basis of the requested kind,
+    """Truncated basis of the requested kind, in lexicographic label order,
     built once per process."""
     modes, e_max = range(1, spec.n_max + 1), spec.e_max
     if kind in ("boson", "dual_boson"):
-        occ, energy = _lex_labels([n * np.arange(e_max // n + 1) for n in modes], e_max)
+        occ, energy = energy_product([n * np.arange(e_max // n + 1) for n in modes], e_max)
         factorial = np.array([float(math.factorial(k)) for k in range(occ.max() + 1)])
         gram = np.ones(len(occ))
         for col in occ.T:
             gram = gram * factorial[col]
         return Basis(occ, gram, energy=energy, name=kind)
     if kind == "fermion":
-        occ, energy = _lex_labels([(0, n) for n in modes], e_max)
+        occ, energy = energy_product([(0, n) for n in modes], e_max)
         return Basis(occ, np.ones(len(occ)), energy=energy,
                      parity=occ.sum(axis=1) % 2, name=kind)
     raise ValueError(f"unknown basis kind {kind!r}")

@@ -11,7 +11,8 @@ product with a sparse operator whose columns are those vectors.
 Conventions
 -----------
 * labels are the rows of one ``(dim, width)`` integer array (as tuples on
-  demand), ordered lexicographically,
+  demand), in any order; a product basis labels a state by its row of
+  factor state indices, and every lookup is :meth:`Basis.index_of`,
 * ``<v, w> = sum_i gram_i * conj(v_i) * w_i``,
 * operators are coordinate triplets ``(rows, cols, vals)`` with a parity grade,
 * vectors are coordinate arrays; eigenvectors stay in the block form of
@@ -26,6 +27,7 @@ and used concurrently.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -57,7 +59,10 @@ class NotSelfAdjointError(ValueError):
 
 
 class Basis:
-    """Ordered labeled basis with a positive diagonal Gram.
+    """Labeled basis with a positive diagonal Gram.
+
+    The labels may come in any order; :meth:`index_of` finds them (and
+    ``index`` and ``in`` go through it).
 
     Parameters
     ----------
@@ -72,9 +77,12 @@ class Basis:
         bookkeeping (weighted energy of Fock labels).
     parity:
         optional 0/1 array, the Z_2 grade of each label; all-even if omitted.
+    factors:
+        for a product basis whose labels are state indices into other bases,
+        those bases; two bases are equal only if their factors are.
     """
 
-    def __init__(self, labels, gram, energy=None, parity=None, name=""):
+    def __init__(self, labels, gram, energy=None, parity=None, name="", factors=()):
         labels = np.asarray(labels, dtype=np.int64)
         if labels.ndim != 2:
             if labels.size:
@@ -82,10 +90,18 @@ class Basis:
             labels = labels.reshape(0, 0)
         self.label_array = labels
         self.gram = np.asarray(gram, dtype=float)
-        if self.dim > 1:  # distinct iff no two neighbours agree in lex order
-            ordered = labels[np.lexsort(labels.T[::-1])] if labels.shape[1] else labels
-            if np.all(ordered[1:] == ordered[:-1], axis=1).any():
-                raise ValueError("basis labels must be distinct")
+        lo, hi = labels.min(axis=0, initial=0), labels.max(axis=0, initial=0)
+        span = hi - lo + 1
+        # int64 keys over the column ranges where they fit, else raw bytes
+        fits = np.prod(hi.astype(float) - lo + 1) < 2.0 ** 63
+        self._ranges = ((lo[:, None], np.cumprod(span[::-1])[::-1] // span,
+                         span.astype(np.uint64)[:, None]) if fits else None)
+        keys = self._keys(labels)
+        order = np.argsort(keys)
+        keys = keys[order]
+        if np.any(keys[1:] == keys[:-1]):
+            raise ValueError("basis labels must be distinct")
+        self._search = (order, keys)
         if self.gram.shape != (self.dim,):
             raise ValueError("gram shape does not match label count")
         if np.any(self.gram <= 0):
@@ -97,7 +113,8 @@ class Basis:
             np.zeros(self.dim, dtype=int) if parity is None else np.asarray(parity, dtype=int)
         )
         self.name = name
-        for arr in (self.label_array, self.gram, self.energy, self.parity):
+        self.factors = tuple(factors)
+        for arr in (self.label_array, self.gram, self.energy, self.parity, order, keys):
             arr.flags.writeable = False
 
     @property
@@ -110,25 +127,52 @@ class Basis:
         return tuple(map(tuple, self.label_array.tolist()))
 
     @cached_property
-    def _index(self) -> dict:
-        return {lab: i for i, lab in enumerate(self.labels)}
-
-    @cached_property
     def _hash(self) -> int:
-        if not self.dim:
-            return hash(())
-        return hash((self.label_array.shape, self.label_array.tobytes()))
+        return hash((self.label_array.tobytes(), self.factors))
+
+    def index_of(self, label_rows) -> np.ndarray:
+        """Indices of the labels given as the rows of a ``(..., width)``
+        integer array; -1 for a label not in the basis, so for every row
+        when ``width`` is not the basis's."""
+        rows = np.asarray(label_rows, dtype=np.int64)
+        width = self.label_array.shape[1]
+        if rows.shape[-1:] != (width,) or not self.dim:
+            return np.full(rows.shape[:-1], -1, dtype=np.int64)
+        order, keys = self._search
+        wanted = self._keys(rows.reshape(math.prod(rows.shape[:-1]), width))
+        at = np.minimum(np.searchsorted(keys, wanted), self.dim - 1)
+        return np.where(keys[at] == wanted, order[at], -1).reshape(rows.shape[:-1])
+
+    def _keys(self, rows: np.ndarray) -> np.ndarray:
+        """One sortable key per row of a ``(n, width)`` int64 array, equal
+        for a row and a label exactly when they are: the row's mixed-radix
+        number over the labels' column ranges (-1, which no label has,
+        outside them), or its raw bytes where those ranges are too wide for
+        int64 keys."""
+        if self._ranges is None:
+            rows = np.ascontiguousarray(rows)
+            return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+        lo, strides, span = self._ranges
+        digits = np.subtract(rows.T, lo, order="C")  # one row per column
+        return np.where((digits.view(np.uint64) < span).all(axis=0), strides @ digits, -1)
 
     def index(self, label) -> int:
-        return self._index[label]
+        """Position of one label; ``KeyError`` if the basis lacks it."""
+        if label not in self:
+            raise KeyError(label)
+        return int(self.index_of(label))
 
     def __contains__(self, label) -> bool:
-        return label in self._index
+        """Whether ``label``, a sequence of integers, is a label here."""
+        row = np.asarray(label)
+        return bool(row.ndim == 1 and (row.dtype.kind in "bi" or not row.size)
+                    and self.index_of(row) >= 0)
 
     def __eq__(self, other) -> bool:
         return self is other or (
             isinstance(other, Basis)
             and self.dim == other.dim
+            and self.factors == other.factors
             and (not self.dim or np.array_equal(self.label_array, other.label_array))
             and np.array_equal(self.gram, other.gram)
         )
@@ -310,18 +354,9 @@ def shift_op(domain: Basis, codomain: Basis, pos: int, step: int, coeff,
     coeff = np.broadcast_to(np.asarray(coeff, dtype=float), (domain.dim,))
     targets = domain.label_array.copy()
     targets[:, pos] += step
-    # labels as mixed-radix keys over the codomain's per-entry value range,
-    # looked up by a binary search over the sorted codomain keys
-    labels = codomain.label_array
-    lo, hi = labels.min(axis=0), labels.max(axis=0)
-    inside = np.flatnonzero(np.all((targets >= lo) & (targets <= hi), axis=1))
-    keys = np.ravel_multi_index(tuple((labels - lo).T), hi - lo + 1)
-    by_key = np.argsort(keys)
-    wanted = np.ravel_multi_index(tuple((targets[inside] - lo).T), hi - lo + 1)
-    at = np.minimum(np.searchsorted(keys[by_key], wanted), codomain.dim - 1)
-    found = keys[by_key[at]] == wanted
-    cols = inside[found]
-    return SparseOperator(domain, codomain, by_key[at[found]], cols, coeff[cols], grade)
+    rows = codomain.index_of(targets)
+    cols = np.flatnonzero(rows >= 0)
+    return SparseOperator(domain, codomain, rows[cols], cols, coeff[cols], grade)
 
 
 def energy_product(energies, e_max):
@@ -329,7 +364,7 @@ def energy_product(energies, e_max):
     for nonnegative per-factor energies.
 
     Returns ``(comps, total)``: an integer array with one tuple per row, in
-    no particular order, and the summed energies.  Factors are joined one at
+    lexicographic order, and the summed energies.  Factors are joined one at
     a time and a partial tuple is extended only by the factor states that fit
     under the remaining budget, so nothing above ``e_max`` is ever built.
     """
@@ -342,7 +377,8 @@ def energy_product(energies, e_max):
         new = order[offset]
         comps = np.column_stack([comps[run], new])
         total = total[run] + e[new]
-    return comps, total
+    order = np.lexsort(comps.T[::-1])
+    return comps[order], total[order]
 
 
 def adjoint(a: SparseOperator) -> SparseOperator:

@@ -11,7 +11,7 @@ from kkindex import dirac, fock, limitspace as ls, twistgroup as tg
 from kkindex.opcore import SparseOperator, adjoint, gram_transpose, orthonormal_dense
 
 import tuple_law as law
-from vectors import dense_kernel
+from vectors import dense_kernel, factor_labels, product_label
 
 
 SEQ = ls.SigmaSequence("pow2")
@@ -52,7 +52,7 @@ def test_jcycle_distinguished_vector():
     xi = ls.xi_coeffs(SEQ.sigma(1), h_max=mat.h_op).renormalized()
     vec = np.zeros(space.dim, dtype=complex)
     for k in range(len(xi.coeffs)):
-        lab = (k, k) + (0, 0) + (0, 0)
+        lab = product_label(space, (k, k), (0, 0), (0, 0))
         if lab in space.basis:
             vec[space.basis.index(lab)] = xi.coeffs[k]
     vec /= np.linalg.norm(vec)
@@ -170,7 +170,7 @@ def dense_resolvent_compactness(cycle):
 def dense_t_map(cycle, small, k_vec):
     """Matrix of ``f (x) s (x) v -> <k, f> s (x) v`` in basis coordinates."""
     space, m = cycle.space, cycle.m_active
-    rows = small.index_of(space.components[:, m:])
+    rows = small.basis.index_of(space.components[:, m:])
     flat = np.ravel_multi_index(tuple(space.components[:, :m].T), space.shape[:m])
     cols = np.flatnonzero(rows >= 0)
     out = np.zeros((small.dim, space.dim), dtype=complex)
@@ -759,13 +759,11 @@ def test_flip_maps_vacuum_column():
     m = asm.mu_index(spec)
     perm = asm._flip_permutation(a, m)
     vac = (0, 0)
-    lab = vac + vac + vac
-    i = a.space.basis.index(lab)
-    assert m.space.basis.labels[perm[i]] == lab
+    i = a.space.basis.index(product_label(a.space, vac, vac, vac))
+    assert factor_labels(m.space, perm[i]) == (vac, vac, vac)
     # a nontrivial label flips boson and fermion legs
-    lab2 = (1, 0) + (0, 0) + (0, 1)
-    j = a.space.basis.index(lab2)
-    assert m.space.basis.labels[perm[j]] == (0, 1) + (0, 0) + (1, 0)
+    j = a.space.basis.index(product_label(a.space, (1, 0), (0, 0), (0, 1)))
+    assert factor_labels(m.space, perm[j]) == ((0, 1), (0, 0), (1, 0))
 
 
 def test_compare_rejects_mismatched_truncations():

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from kkindex import dirac, fock, limitspace
-from kkindex.opcore import Basis, SparseOperator, adjoint, spectrum
-from vectors import dense_kernel, unit
+from kkindex.opcore import Basis, ShapeMismatchError, SparseOperator, adjoint, spectrum
+from vectors import dense_kernel, factor_labels, product_label, unit
 
 
 # ---------------------------------------------------------------- oracles
@@ -26,25 +26,25 @@ def dense_square(op):
 
 
 def product_space_oracle(factors, e_max):
-    """Full-product enumeration filtered by energy: (labels, gram, energy,
-    parity, components) in label order."""
+    """Full-product enumeration filtered by energy: (components, gram,
+    energy, parity, factor labels) in component order."""
     rows = []
     for combo in itertools.product(*(range(b.dim) for b in factors)):
         e = sum(b.energy[i] for b, i in zip(factors, combo))
         if e > e_max:
             continue
-        lab = tuple(x for b, i in zip(factors, combo) for x in b.labels[i])
+        parts = tuple(b.labels[i] for b, i in zip(factors, combo))
         gram = np.prod([b.gram[i] for b, i in zip(factors, combo)])
         parity = sum(b.parity[i] for b, i in zip(factors, combo)) % 2
-        rows.append((lab, gram, e, parity, combo))
+        rows.append((combo, gram, e, parity, parts))
     rows.sort()
     return [list(col) for col in zip(*rows)]
 
 
-def embed_oracle(factors, labels, components, op, pos):
-    """Entries of a factor operator lifted by label lookup, with the Koszul
-    sign of the earlier factors for odd operators."""
-    index = {lab: i for i, lab in enumerate(labels)}
+def embed_oracle(factors, components, op, pos):
+    """Entries of a factor operator lifted by component lookup, with the
+    Koszul sign of the earlier factors for odd operators."""
+    index = {combo: i for i, combo in enumerate(components)}
     entries = {}
     for col, combo in enumerate(components):
         pre = sum(factors[q].parity[combo[q]] for q in range(pos)) % 2
@@ -53,9 +53,8 @@ def embed_oracle(factors, labels, components, op, pos):
             if j != combo[pos]:
                 continue
             target = combo[:pos] + (i,) + combo[pos + 1:]
-            lab = tuple(x for b, t in zip(factors, target) for x in b.labels[t])
-            if lab in index:
-                entries[(index[lab], col)] = sign * z
+            if target in index:
+                entries[(index[target], col)] = sign * z
     return entries
 
 
@@ -69,11 +68,6 @@ def support(coords):
     return {int(i): coords[i] for i in np.flatnonzero(coords)}
 
 
-def label_parts(space, i):
-    """Factor labels of basis state ``i`` of a product space."""
-    return tuple(b.labels[c] for b, c in zip(space.factors, space.components[i]))
-
-
 # ---------------------------------------------------------------- dirac_R
 
 def test_dirac_r_kills_dual_and_fermion_vacuum():
@@ -81,7 +75,7 @@ def test_dirac_r_kills_dual_and_fermion_vacuum():
     dR, space = dirac.build_dirac_R(spec)
     dense = dR.to_dense()
     for i, lab in enumerate(space.basis.labels):
-        b, d, f = label_parts(space, i)
+        b, d, f = factor_labels(space, i)
         if d == (0, 0, 0) and f == (0, 0, 0):
             assert support(dense @ unit(space.basis, lab)) == {}
 
@@ -91,7 +85,7 @@ def test_dirac_r_square_on_state():
     spec = fock.TruncationSpec(3, 6)
     dR, space = dirac.build_dirac_R(spec)
     sq = dense_square(dR)
-    lab = (1, 0, 0) + (0, 1, 0) + (0, 0, 0)  # z1 x zbar2 x 1_f
+    lab = product_label(space, (1, 0, 0), (0, 1, 0), (0, 0, 0))  # z1 x zbar2 x 1_f
     j = space.basis.index(lab)
     col = sq[:, j]
     expected = np.zeros_like(col)
@@ -125,10 +119,10 @@ def test_weitzenbock_tiny_case_hand_oracle():
     # hand values: the only nonzero blocks couple (dual k, ferm 1) states;
     # on (0,) x (1,) x (0,) [zbar1 x vacuum-fermion omitted] build explicitly:
     # dirac (v x zbar1 x 1_f) = sqrt(1) * [raise x contr + wedge x lower]
-    lab = (0,) + (1,) + (0,)
+    lab = product_label(space, (0,), (1,), (0,))
     out = dR.to_dense() @ unit(space.basis, lab)
     # wedge(lower zbar1) = -1 * sqrt(2) zbar... : lower gives -1*vac, wedge sqrt(2)
-    expect_lab = (0,) + (0,) + (1,)
+    expect_lab = product_label(space, (0,), (0,), (1,))
     assert set(support(out)) == {space.basis.index(expect_lab)}
     assert out[space.basis.index(expect_lab)] == pytest.approx(-np.sqrt(2.0))
 
@@ -149,7 +143,7 @@ def test_dirac_l_kills_mirror_vacuum():
     dL, space = dirac.build_dirac_L(spec)
     dense = dL.to_dense()
     for i, lab in enumerate(space.basis.labels):
-        f, d, b = label_parts(space, i)
+        f, d, b = factor_labels(space, i)
         if f == (0, 0, 0) and d == (0, 0, 0):
             assert support(dense @ unit(space.basis, lab)) == {}
 
@@ -183,7 +177,7 @@ def test_kernel_dimension_is_boson_count():
     # every kernel vector is supported on v x vacuum x 1_f
     for v in vecs:
         for i in support(v):
-            b, d, f = label_parts(space, i)
+            b, d, f = factor_labels(space, i)
             assert d == (0, 0, 0) and f == (0, 0, 0)
 
 
@@ -320,26 +314,67 @@ def _space_cases():
 def test_triple_space_matches_full_product_oracle(case):
     factors, e_max = _space_cases()[case]
     space = dirac.TripleSpace(factors, e_max)
-    labels, gram, energy, parity, comps = product_space_oracle(factors, e_max)
-    assert space.basis.labels == tuple(labels)
+    comps, gram, energy, parity, parts = product_space_oracle(factors, e_max)
+    assert space.basis.labels == tuple(comps)
+    assert space.basis.factors == space.factors == tuple(factors)
+    assert [factor_labels(space, i) for i in range(space.dim)] == parts
     assert np.array_equal(space.basis.gram, gram)
     assert np.array_equal(space.basis.energy, energy)
     assert np.array_equal(space.basis.parity, parity)
     assert np.array_equal(space.components, np.array(comps).reshape(-1, len(factors)))
-    assert np.array_equal(space.index_of(space.components), np.arange(space.dim))
+    assert np.array_equal(space.basis.index_of(space.components), np.arange(space.dim))
     kept = set(comps)
     absent = [c for c in itertools.product(*(range(b.dim) for b in factors))
               if c not in kept]
     if absent:
-        assert np.all(space.index_of(absent) == -1)
-    assert space.index_of(comps[-1]) == space.dim - 1
+        assert np.all(space.basis.index_of(absent) == -1)
+    assert space.basis.index_of(comps[-1]) == space.dim - 1
+
+
+def test_product_bases_are_told_apart_by_their_factors():
+    # states are labelled by factor indices, so spaces over factors with
+    # equal dims and Grams but other labels share one component table
+    b, d, f = dirac.spec_bases(fock.TruncationSpec(3, 4))
+    relabeled = Basis(b.label_array + 1, b.gram, energy=b.energy, name=b.name)
+    space = dirac.TripleSpace([b, d, f], 4)
+    other = dirac.TripleSpace([relabeled, d, f], 4)
+    assert np.array_equal(space.components, other.components)
+    assert np.array_equal(space.basis.gram, other.basis.gram)
+    assert space.basis != other.basis
+    one, two = SparseOperator.identity(space.basis), SparseOperator.identity(other.basis)
+    with pytest.raises(ShapeMismatchError):
+        one + two
+    with pytest.raises(ShapeMismatchError):
+        one @ two
+    # a space built again over equal, not identical, factors is the same space
+    copy = Basis(b.label_array.copy(), b.gram.copy(), energy=b.energy, name=b.name)
+    again = dirac.TripleSpace([copy, d, f], 4)
+    assert again.basis == space.basis and hash(again.basis) == hash(space.basis)
+    assert (one - SparseOperator.identity(again.basis)).nnz == 0
+    assert (dirac.build_dirac_L(fock.TruncationSpec(3, 4))[0]
+            - dirac.build_dirac_L(fock.TruncationSpec(3, 4), space=dirac.TripleSpace(
+                [f, d, copy], 4))[0]).nnz == 0
+
+
+def test_triple_space_at_reach_keeps_only_its_component_table():
+    # (6,14), dim 25,752: the components are the basis labels; the
+    # concatenated factor labels made a 10.6 MB traced peak, this 2.5 MB
+    bases = dirac.spec_bases(fock.TruncationSpec(6, 14))
+    tracemalloc.start()
+    try:
+        space = dirac.TripleSpace(bases, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.dim == 25752 and space.basis.label_array is space.components
+    assert peak < 5e6
 
 
 @pytest.mark.parametrize("case", sorted(_space_cases()))
 def test_embed_factor_op_matches_label_lookup_oracle(case):
     factors, e_max = _space_cases()[case]
     space = dirac.TripleSpace(factors, e_max)
-    labels, _, _, _, comps = product_space_oracle(factors, e_max)
+    comps = product_space_oracle(factors, e_max)[0]
     rng = np.random.default_rng(3)
     for pos, factor in enumerate(factors):
         for grade in ("even", "odd"):
@@ -348,7 +383,7 @@ def test_embed_factor_op_matches_label_lookup_oracle(case):
             op = SparseOperator.from_dense(vals * mask, factor, factor, grade)
             got = space.embed_factor_op(op, pos)
             assert got.grade == grade
-            assert entries(got) == embed_oracle(factors, labels, comps, op, pos)
+            assert entries(got) == embed_oracle(factors, comps, op, pos)
 
 
 def compose_and_add_dirac_sum(space, ferm_pos, legs):

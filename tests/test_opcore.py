@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -396,23 +397,27 @@ def test_from_text_round_trips_exactly():
 
 def test_shift_op_matches_label_lookup():
     # the label-by-label dict lookup is the oracle; codomains in shuffled
-    # order, with negative entries and targets outside every label range
+    # order, with negative entries and targets outside every label range,
+    # one with a label far from the others and zero-dim ones
     rng = np.random.default_rng(19)
     for width in (1, 2, 4):
         labels = {tuple(rng.integers(-2, 4, width).tolist()) for _ in range(40)}
         domain = Basis(sorted(labels), np.ones(len(labels)))
         kept = [domain.labels[i] for i in rng.permutation(len(labels))[:(3 * len(labels)) // 4]]
-        codomain = Basis(kept, np.ones(len(kept)))
+        far = (2 ** 40,) + (-2 ** 40,) * (width - 1)
+        codomains = [Basis(kept, np.ones(len(kept))),
+                     Basis(kept + [far], np.ones(len(kept) + 1)),
+                     Basis(np.zeros((0, width), dtype=np.int64), []), Basis([], [])]
         coeff = rng.integers(-2, 3, domain.dim).astype(float)
-        for pos in range(width):
-            for step in (-3, -1, 1, 2):
-                got = shift_op(domain, codomain, pos, step, coeff, "odd")
-                ref = {}
-                for j, lab in enumerate(domain.labels):
-                    target = lab[:pos] + (lab[pos] + step,) + lab[pos + 1:]
-                    if target in codomain and coeff[j]:
-                        ref[(codomain.index(target), j)] = complex(coeff[j])
-                assert got.grade == "odd" and entries(got) == ref
+        for codomain, pos, step in itertools.product(codomains, range(width), (-3, -1, 1, 2)):
+            got = shift_op(domain, codomain, pos, step, coeff, "odd")
+            index = {lab: i for i, lab in enumerate(codomain.labels)}
+            ref = {}
+            for j, lab in enumerate(domain.labels):
+                target = lab[:pos] + (lab[pos] + step,) + lab[pos + 1:]
+                if target in index and coeff[j]:
+                    ref[(index[target], j)] = complex(coeff[j])
+            assert got.grade == "odd" and entries(got) == ref
 
 
 @pytest.mark.parametrize("row, col", [(-1, 0), (3, 0), (0, -1), (0, 2)])
@@ -739,6 +744,7 @@ def label_cases():
         "triple": dirac.TripleSpace(dirac.spec_bases(fock.TruncationSpec(2, 3)), 3).basis,
         "l2(Z4xZ2)": l2,
         "unsorted": Basis([(2,), (0,), (3,), (1,)], [2.0, 1.0, 6.0, 1.0]),
+        "far apart": Basis([(2 ** 40, -2 ** 40), (0, 0), (-2 ** 62, 2 ** 62)], np.ones(3)),
         "zero-dim": Basis([], []),
         "zero-dim array": Basis(np.zeros((0, 3), dtype=np.int64), []),
         "one empty label": Basis([()], [1.0]),
@@ -757,10 +763,19 @@ def test_array_basis_matches_the_tuple_oracle():
         for i, lab in enumerate(oracle.labels):
             assert basis.index(lab) == oracle.index(lab) == i
             assert lab in basis
-        missing = (-1,) * (basis.label_array.shape[1] or 1)
-        assert missing not in basis and missing not in oracle
-        with pytest.raises(KeyError):
-            basis.index(missing)
+        assert np.array_equal(basis.index_of(basis.label_array[::-1]),
+                              np.arange(basis.dim)[::-1])
+        width = basis.label_array.shape[1]
+        # a label missing from the basis, of another width, of width 0, and
+        # with values far apart
+        for probe in [(-1,) * (width or 1), (0,) * (width + 1), (), (2 ** 40, -2 ** 40),
+                      (2 ** 62, -2 ** 62), (-2 ** 62, 2 ** 62)]:
+            assert (probe in basis) == (probe in oracle), (name, probe)
+            if probe in oracle:
+                assert basis.index(probe) == oracle.index(probe)
+            else:
+                with pytest.raises(KeyError):
+                    basis.index(probe)
         for other, obasis in cases.items():
             assert (basis == obasis) == (oracle == oracles[other]), (name, other)
             if basis == obasis:
@@ -768,8 +783,30 @@ def test_array_basis_matches_the_tuple_oracle():
     assert cases["boson"] == cases["dual"] and cases["mode"] == cases["mode copy"]
 
 
+def test_factor_bases_the_lab_builds_are_in_lex_order():
+    # the condition under which a product's component order is the order of
+    # its concatenated factor labels
+    specs = [fock.TruncationSpec(1, 0), SPEC, fock.TruncationSpec(4, 8)]
+    bases = [fock.enumerate_basis(spec, kind) for spec in specs
+             for kind in ("boson", "dual_boson", "fermion")]
+    bases += [limitspace.mode_basis(h) for h in (0, 1, 4)]
+    cycle = assembly.materialize_j_cycle(fock.TruncationSpec(2, 3), 2,
+                                         limitspace.SigmaSequence("pow2"), 2)
+    bases += cycle.mode_bases
+    # one energy-stripped copy of the mode basis serves every mode leg
+    assert cycle.mode_bases[0] is cycle.mode_bases[1] and not cycle.mode_bases[0].energy.any()
+    for shape in ((4, 2), (3, 3)):
+        grp = twistgroup.FiniteAbelianGroup(shape)
+        bases.append(twistgroup.schatten_map(
+            twistgroup.CrossedProductElement.translation(grp, np.eye(grp.order))).domain)
+    for basis in bases:
+        labels = basis.labels
+        assert all(a < b for a, b in zip(labels, labels[1:])), basis.name
+
+
 @pytest.mark.parametrize("labels", [[(0, 1), (2, 3), (0, 1)], [(), ()],
-                                    [(1,), (0,), (2,), (0,)]])
+                                    [(1,), (0,), (2,), (0,)],
+                                    [(2 ** 40, -2 ** 40), (0, 0), (2 ** 40, -2 ** 40)]])
 def test_duplicate_labels_raise_like_the_tuple_oracle(labels):
     with pytest.raises(ValueError, match="distinct"):
         TupleBasis(labels, np.ones(len(labels)))

@@ -1,6 +1,7 @@
 """Basis vectors, Gram inner products and norms, the vector arithmetic the
-tests do on coordinate arrays, and the densified kernel blocks of
-``kkindex.dirac.kernel``."""
+tests do on coordinate arrays, the densified kernel blocks of
+``kkindex.dirac.kernel``, and product-state labels read through the factor
+bases."""
 
 import numpy as np
 
@@ -10,6 +11,17 @@ def unit(basis, label) -> np.ndarray:
     coords = np.zeros(basis.dim, dtype=complex)
     coords[basis.index(label)] = 1.0
     return coords
+
+
+def product_label(space, *parts) -> tuple:
+    """The label of the product state of ``space`` whose factor states have
+    the labels ``parts``: the row of their factor indices."""
+    return tuple(b.index(p) for b, p in zip(space.factors, parts))
+
+
+def factor_labels(space, i) -> tuple:
+    """The factor labels of basis state ``i`` of a product space."""
+    return tuple(b.labels[c] for b, c in zip(space.factors, space.components[i]))
 
 
 def inner(basis, v, w) -> complex:
