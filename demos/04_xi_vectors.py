@@ -11,11 +11,9 @@ dominated by the analytic bound sum_(n>M) 2 sqrt(2n) sigma_n.
 from kkindex import limitspace as ls
 
 seq = ls.SigmaSequence("pow2")
-verdict = ls.check_sigma_condition(seq)
-print(f"sigma rule pow2: sqrt(k) sigma_k partial sums -> "
-      f"{verdict.partial_sums[-1]:.6f}, verdict {verdict.verdict}")
-print(f"sigma rule 1/k: verdict "
-      f"{ls.check_sigma_condition(ls.SigmaSequence('harmonic')).verdict} "
+print(f"sigma rule pow2: sum sqrt(k) sigma_k convergent {seq.convergent} "
+      "(geometric dominance)")
+print(f"sigma rule 1/k: convergent {ls.SigmaSequence('harmonic').convergent} "
       "(terms k^-1/2)")
 print()
 

@@ -30,9 +30,6 @@ print(f"split of the square: free {n1:.4f}, cross {n2:.4f}, mirror {n3:.4f}")
 print("mirror-part resolvent per energy shell (measured vs 1/(1+shell)):")
 for shell, measured, bound in comp.shell_rows:
     print(f"  shell {shell:4.1f}: {measured:.4f} <= {bound:.4f}")
-print("frozen-mode cross norms (measured vs summable bound):")
-for n, measured, bound in comp.per_mode_rows:
-    print(f"  mode {n}: {measured:.5f} <= {bound:.5f}")
 print()
 
 comm = assembly.commutator_bound(cycle)

@@ -485,7 +485,7 @@ def commutator_bound(cycle: MaterializedJCycle) -> CommutatorReport:
     c = op_v - v @ (adjoint(v) @ op_v)
     measured = float(np.sqrt(_norm(adjoint(c) @ c)))
     ideal = np.inf
-    if limitspace.check_sigma_condition(cycle.seq).verdict == "convergent":
+    if cycle.seq.convergent:
         ideal = (2.0 * limitspace.frozen_tail_dirac_norm(0, cycle.seq, n_cut=cycle.m_active)
                  + limitspace.tail_bound(cycle.m_active, cycle.seq))
     return CommutatorReport(measured, cycle.xi_bound, float(ideal))
@@ -495,7 +495,6 @@ def commutator_bound(cycle: MaterializedJCycle) -> CommutatorReport:
 class CompactnessReport:
     split_norms: tuple       # (|free part|, |cross part|, |mirror part|)
     shell_rows: list         # (shell energy, measured norm, 1/(1+shell))
-    per_mode_rows: list      # (mode, measured, bound) for frozen modes
 
 
 def _inv_one_plus(mu: np.ndarray) -> np.ndarray:
@@ -510,19 +509,19 @@ def _norm(a: SparseOperator) -> float:
 def resolvent_compactness(cycle: MaterializedJCycle) -> CompactnessReport:
     """Compactness evidence for ``(1 + op^2)^(-1) (a (x) id)``.
 
-    Reports the three-part split of the squared operator, the mirror-part
-    resolvent on each energy shell against the exact ``1/(1 + shell)``
-    decay, and the per-frozen-mode cross norms against their summable
-    bounds: the shell rows and the per-mode rows are the evidence of
-    compactness.
+    Reports the three-part split of the squared operator and the
+    mirror-part resolvent on each energy shell against the exact
+    ``1/(1 + shell)`` decay: the shell rows are the evidence of
+    compactness.  The frozen modes enter only through the summability of
+    ``sqrt(n) sigma_n`` (:attr:`limitspace.SigmaSequence.convergent`), so
+    no operator is built for them.
 
     Every norm is exact and read at rest-space size: ``a (x) id = V V^H``
     with ``V^H`` a co-isometry, and the resolvent is solved block by block
     on the squared mirror part, whose blocks split by parity.  The
     n_rest x n_rest shell Gram is the largest dense array formed.
     """
-    v, space, m = cycle.isometry, cycle.space, cycle.m_active
-    d, l = cycle.d_part, cycle.l_part
+    v, d, l = cycle.isometry, cycle.d_part, cycle.l_part
     l_sq = l @ l
     split = (_norm(d @ d), _norm((d @ l) + (l @ d)), _norm(l_sq))
 
@@ -540,17 +539,7 @@ def resolvent_compactness(cycle: MaterializedJCycle) -> CompactnessReport:
         cols = np.flatnonzero(shell_of == k)
         norm = float(np.sqrt(np.linalg.eigvalsh(gram[np.ix_(cols, cols)])[-1]))
         shell_rows.append((2.0 * shell, norm, 1.0 / (1.0 + 2.0 * shell)))
-
-    per_mode_rows = []
-    dual = space.factors[m + 1]
-    for n in range(m + 1, cycle.spec.n_max + 1):
-        sigma = cycle.seq.sigma(n)
-        dr_norm = limitspace.dRz_norm_quadrature(sigma)
-        lift = space.embed_factor_op(fock.dual_raise(dual, n), m + 1) @ res0
-        weight = float(np.sqrt(_norm(adjoint(lift) @ lift)))
-        per_mode_rows.append((n, 2.0 * np.sqrt(n) * dr_norm * weight,
-                              2.0 * np.sqrt(n) * sigma * weight))
-    return CompactnessReport(split, shell_rows, per_mode_rows)
+    return CompactnessReport(split, shell_rows)
 
 
 @dataclass

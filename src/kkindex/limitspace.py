@@ -45,7 +45,6 @@ __all__ = [
     "xi_coeffs",
     "dRz_norm_quadrature",
     "dRz_norm_details",
-    "check_sigma_condition",
     "tail_bound",
     "frozen_tail_dirac_norm",
     "translation_legs",
@@ -79,6 +78,13 @@ class SigmaSequence:
         if k > len(self.values):
             raise IndexError(f"explicit sigma list has no mode {k}")
         return self.values[k - 1]
+
+    @property
+    def convergent(self) -> bool:
+        """Whether ``sum_k sqrt(k) sigma_k < infty`` is known analytically:
+        ``pow2`` is dominated by a geometric series, ``harmonic`` gives the
+        divergent ``k^(-1/2)`` p-series, and a finite list decides nothing."""
+        return self.rule == "pow2"
 
     @staticmethod
     def parse(text: str) -> "SigmaSequence":
@@ -304,33 +310,10 @@ def dRz_norm_details(sigma: float):
 # ------------------------------------------------------------ summability
 
 
-@dataclass
-class SigmaVerdict:
-    partial_sums: list
-    verdict: str  # convergent | divergent | inconclusive
-
-
-def check_sigma_condition(seq: SigmaSequence) -> SigmaVerdict:
-    """Partial sums of ``sqrt(k) sigma_k`` for ``k <= 40`` and an analytic
-    verdict.
-
-    ``pow2`` admits geometric dominance (convergent), ``harmonic`` gives the
-    ``k^(-1/2)`` p-series (divergent), explicit lists are inconclusive.
-    """
-    sums, total = [], 0.0
-    kmax = 40 if seq.rule != "explicit" else min(40, len(seq.values))
-    for k in range(1, kmax + 1):
-        total += np.sqrt(k) * seq.sigma(k)
-        sums.append(total)
-    verdict = {"pow2": "convergent", "harmonic": "divergent",
-               "explicit": "inconclusive"}[seq.rule]
-    return SigmaVerdict(sums, verdict)
-
-
 def tail_bound(m: int, seq: SigmaSequence) -> float:
     """``sum_{n > m} 2 sqrt(2 n) sigma_n`` summed until increments drop
     below 1e-15; requires a convergent analytic rule."""
-    if check_sigma_condition(seq).verdict != "convergent":
+    if not seq.convergent:
         raise ValueError("tail bound needs a convergent sigma rule")
     total, n = 0.0, m + 1
     while True:

@@ -402,10 +402,10 @@ def crossed_convolve(a: CrossedProductElement, b: CrossedProductElement) -> Cros
 def mishchenko(c, template: CrossedProductElement) -> CrossedProductElement:
     """Idempotent ``[c](g, x) = sqrt(c(x) c(g^{-1} x))`` from a cut-off.
 
-    ``c`` maps points to nonnegative reals with ``sum_g c(g.x) = 1`` for
-    every ``x``; failures are reported with the offending points.
+    ``c`` is a dict from points to nonnegative reals with ``sum_g c(g.x) =
+    1`` for every ``x``; failures are reported with the offending points.
     """
-    cvec = np.array([float(c[p] if isinstance(c, dict) else c(p)) for p in template.points])
+    cvec = np.array([float(c[p]) for p in template.points])
     if np.any(cvec < 0):
         raise ValueError("cut-off must be nonnegative")
     totals = cvec[template.act_table].sum(axis=0)

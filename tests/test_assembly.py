@@ -154,17 +154,7 @@ def dense_resolvent_compactness(cycle):
         idx = np.flatnonzero(shells == shell)
         norm = float(np.linalg.norm(t0[:, idx], 2))
         shell_rows.append((2.0 * shell, norm, 1.0 / (1.0 + 2.0 * shell)))
-
-    per_mode_rows = []
-    dual = space.factors[dual_pos]
-    for n in range(cycle.m_active + 1, cycle.spec.n_max + 1):
-        sigma = cycle.seq.sigma(n)
-        dr_norm = sigma / 2.0  # closed form of |dR_z Xi_sigma|
-        lift = orthonormal_dense(space.embed_factor_op(fock.dual_raise(dual, n), dual_pos))
-        weight = float(np.linalg.norm(lift @ res0, 2))
-        per_mode_rows.append((n, 2.0 * np.sqrt(n) * dr_norm * weight,
-                              2.0 * np.sqrt(n) * sigma * weight))
-    return asm.CompactnessReport(split, shell_rows, per_mode_rows)
+    return asm.CompactnessReport(split, shell_rows)
 
 
 def dense_t_map(cycle, small, k_vec):
@@ -275,8 +265,7 @@ def test_kucerovsky_refuses_a_compressed_space_off_the_rest_states():
 
 def test_diagnostics_form_no_dim_by_dim_array(monkeypatch):
     # the rest-space routes densify nothing larger than an n_rest x n_rest
-    # Gram; the frozen-mode rows read the quadrature, not Xi on the mode
-    # bases
+    # Gram, and none recomputes Xi on the mode bases
     cycle = small_cycle()
     largest = cycle.rest.dim ** 2
     assert cycle.space.dim * cycle.rest.dim > largest
@@ -326,7 +315,6 @@ def test_diagnostics_reach_without_dense_arrays():
     assert abs(by_name["xi"][0] - comm.measured) <= 1e-15
     assert all(measured <= bound + 1e-8 for measured, bound in by_name.values())
     assert all(measured <= bound + 1e-10 for _, measured, bound in comp.shell_rows)
-    assert all(measured <= bound + 1e-10 for _, measured, bound in comp.per_mode_rows)
 
 
 def test_materialized_dimension_is_counted_before_the_build(monkeypatch):
@@ -794,9 +782,6 @@ def test_resolvent_compactness_decreasing():
     report = asm.resolvent_compactness(cycle)
     # shell-wise mirror resolvent obeys the exact 1/(1+shell) decay
     for shell, measured, bound in report.shell_rows:
-        assert measured <= bound + 1e-12
-    # frozen-mode cross norms below their summable bounds
-    for n, measured, bound in report.per_mode_rows:
         assert measured <= bound + 1e-12
 
 

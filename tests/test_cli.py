@@ -16,7 +16,7 @@ import pytest
 
 import kkindex
 from kkindex import TruncationSpec
-from kkindex import dirac, limitspace
+from kkindex import dirac, limitspace, twistgroup
 from kkindex.cli import main
 from kkindex.dirac import TripleSpace, spec_bases
 from kkindex.experiments import (MAX_DIM, Config, ConfigError, Lcg, Report, parse_config,
@@ -193,6 +193,24 @@ def test_cli_exits_1_when_one_row_fails(tmp_path, capsys, monkeypatch):
     assert [row[-1] for row in rows] == ["0", "0", "0"]
 
 
+def test_level_suite_fails_when_the_untagged_product_leaks(tmp_path, monkeypatch):
+    # the distinct-level rows read the untagged product, so a leak there
+    # fails exactly those rows
+    exact = twistgroup.convolve
+
+    def leaky(f, h):
+        out = exact(f, h)
+        if f.level is None and h.level is None:
+            out = twistgroup.GroupAlgebraElement(out.ext, out.values + 1e-9)
+        return out
+
+    monkeypatch.setattr(twistgroup, "convolve", leaky)
+    report = run_experiment("level_suite", Config(), str(tmp_path))
+    assert not report.ok
+    assert {row.quantity for row in report.rows if row.headroom > 1.0} == {
+        f"level {l1} * level {l2} = 0" for l1 in range(3) for l2 in range(3) if l1 != l2}
+
+
 def test_run_all_csv_rows_parse_to_the_header(tmp_path):
     # what perfbench's lab_checks reads: column 4 a number, ok last as 0 or 1
     cfg = write(tmp_path, "modes = 3\nenergy_cut = 6\n")
@@ -363,8 +381,8 @@ def test_size_cap_admits_largest_documented_truncation(tmp_path):
 
 
 def test_sigma_list_length_follows_the_selected_experiments(tmp_path):
-    # assembly_compare reads sigma_1..3, jcycle_diag sigma_1..2, kucerovsky sigma_1
-    for need, names in ((3, "all"), (3, "assembly_compare"), (2, "jcycle_diag, kucerovsky"),
+    # assembly_compare reads sigma_1..3, jcycle_diag and kucerovsky sigma_1
+    for need, names in ((3, "all"), (3, "assembly_compare"), (1, "jcycle_diag, kucerovsky"),
                         (1, "kucerovsky"), (0, "sigma_tails")):
         values = ",".join(["0.5"] * need) or "0.5"
         parse_config(write(tmp_path, f"sigma = list:{values}\nexperiments = {names}\n"))
@@ -385,7 +403,7 @@ def test_sigma_list_is_checked_against_the_experiment_run(tmp_path, capsys):
     assert main(["run", "kucerovsky", "--config", cfg, "--out", str(out)]) == 0
 
 
-@pytest.mark.parametrize("name, need", [("jcycle_diag", 2), ("assembly_compare", 3),
+@pytest.mark.parametrize("name, need", [("jcycle_diag", 1), ("assembly_compare", 3),
                                         ("kucerovsky", 1)])
 def test_each_experiment_runs_on_exactly_the_sigma_values_it_declares(tmp_path, capsys,
                                                                        name, need):
@@ -438,6 +456,9 @@ def test_cli_harmonic_sigma_runs(tmp_path, capsys):
     assert main(["run", "all", "--config", cfg, "--out", str(tmp_path)]) == 0
     # the harmonic rule is divergent, so no untruncated bound exists
     assert "commutator bound inf" in (tmp_path / "jcycle_diag.txt").read_text()
+    # and sigma_tails has no tail table to check
+    tails = (tmp_path / "sigma_tails.txt").read_text()
+    assert "checks: 0\n" in tails and "tail table skipped" in tails
 
 
 def test_readme_config_block_parses(tmp_path):

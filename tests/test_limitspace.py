@@ -136,8 +136,7 @@ def test_xi_overlap_dRz_exact_zero():
 
 
 def test_dRz_norm_quadrature_value():
-    # oracle: int_0^sigma (r^2/2) (1/(pi sigma^2)) 2 pi r dr = sigma^2 / 4;
-    # sigma = 1/4 is the frozen mode the j-cycle diagnostics read under pow2
+    # oracle: int_0^sigma (r^2/2) (1/(pi sigma^2)) 2 pi r dr = sigma^2 / 4
     for sigma in (1.0, 0.5, 0.25, 0.125):
         quad, hermite, err_bound, deficiency = ls.dRz_norm_details(sigma)
         assert quad == ls.dRz_norm_quadrature(sigma)
@@ -149,13 +148,10 @@ def test_dRz_norm_quadrature_value():
 # ---------------------------------------------------------------- sigma
 
 def test_sigma_condition_verdicts():
-    assert ls.check_sigma_condition(ls.SigmaSequence("pow2")).verdict == "convergent"
-    assert ls.check_sigma_condition(ls.SigmaSequence("harmonic")).verdict == "divergent"
-    explicit = ls.SigmaSequence("explicit", [0.5, 0.25])
-    report = ls.check_sigma_condition(explicit)
-    assert report.verdict == "inconclusive"
-    assert len(report.partial_sums) == 2
-    assert report.partial_sums[0] == pytest.approx(0.5)
+    assert ls.SigmaSequence("pow2").convergent
+    assert not ls.SigmaSequence("harmonic").convergent
+    # a finite list decides nothing, so it is not known to converge
+    assert not ls.SigmaSequence("explicit", [0.5, 0.25]).convergent
 
 
 def test_sigma_parse():
