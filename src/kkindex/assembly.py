@@ -598,16 +598,12 @@ class FiniteAssemblyReport:
     compressed_cross: float
 
 
-# columns of ``iso`` pushed through the finite model at once: a chunk holds
-# a few (chunk, n, n) arrays, 16 MB each at order 256
-FINITE_CHUNK = 16
-
-
 def _finite_model(group: twistgroup.FiniteAbelianGroup, tau: twistgroup.Cocycle,
                   seed: int):
-    """Matrices of the finite model on ``l2(G)``: left convolution ``conv``
-    by the seeded self-adjoint ``h``, the uniform cut-off projection
-    ``p_cut``, its complement ``d_op`` and the cut-off root ``sqrt(c)``."""
+    """The finite model on ``l2(G)``: the seeded self-adjoint level-1
+    element ``h`` (its zero-phase slice), left convolution ``conv`` by it,
+    the uniform cut-off projection ``p_cut``, its complement ``d_op`` and
+    the cut-off root ``sqrt(c)``."""
     n = group.order
     ext = twistgroup.TwistedExtension(tau)
     rng = np.random.default_rng(seed)
@@ -622,21 +618,7 @@ def _finite_model(group: twistgroup.FiniteAbelianGroup, tau: twistgroup.Cocycle,
     template = twistgroup.CrossedProductElement.translation(group)
     p_cut = twistgroup.regular_representation(twistgroup.mishchenko(c, template))
     d_op = np.eye(n) - p_cut
-    return conv, p_cut, d_op, np.full(n, 1.0 / np.sqrt(n))
-
-
-def _finite_apply(p_cut: np.ndarray, d_op: np.ndarray, conv: np.ndarray,
-                  x: np.ndarray):
-    """``C (D (x) id) C`` and ``C (D (x) id + id (x) L_h) C`` with
-    ``C = p_cut (x) id`` on a stack ``x`` of n x n arrays.
-
-    A vector of ``l2(G) (x) l2(G)`` is the n x n array of its row-major
-    coordinates, so ``(A (x) B) vec(X) = vec(A X B^T)``: the first leg is
-    acted on from the left, the second from the right.
-    """
-    px = p_cut @ x
-    cross = p_cut @ (d_op @ px)
-    return cross, cross + p_cut @ (px @ conv.T)
+    return h.values, conv, p_cut, d_op, np.full(n, 1.0 / np.sqrt(n))
 
 
 def finite_group_assembly(group: twistgroup.FiniteAbelianGroup,
@@ -648,36 +630,37 @@ def finite_group_assembly(group: twistgroup.FiniteAbelianGroup,
     cut-off projection (so ``D sqrt(c) = 0``) and ``L_h`` left convolution
     by a self-adjoint twisted-algebra element.  Compressing by the cut-off
     projection must kill the first part exactly and reproduce the spectrum
-    of ``L_h``.
+    of ``L_h``.  Two independent routes are compared:
 
-    The operator and the compressor are applied to n x n arrays, never as
-    n^2 x n^2 matrices: the compressed operator is read off on the columns
-    ``sqrt(c) (x) e_j`` of the isometry ``iso`` onto the compressor's range,
-    a chunk of columns at a time.
+    * compressed: on the columns ``sqrt(c) (x) e_j`` of the isometry onto the
+      compressor's range, ``(A (x) B) vec X = vec(A X B^T)`` leaves
+      ``alpha id + beta conv`` with ``alpha = <p sqrt(c), D p sqrt(c)>`` and
+      ``beta = |p sqrt(c)|^2`` (``p`` the cut-off projection), and the
+      compressed first part ``alpha id``, of norm ``|alpha|``;
+    * direct: the eigenvalues of ``pi_t(h)`` over the irreducible projective
+      representations of :class:`twistgroup.ProjectiveIrreps`, each repeated
+      ``dim`` times, read from ``h`` alone and never from ``conv``.
+
+    Cocycles other than the trivial one and the Heisenberg pairing on
+    ``Z_n1 x Z_n2`` (``n2 | n1``) are refused before the model is built.
     """
     tau.check_group(group)
-    n = group.order
-    conv, p_cut, d_op, sqrt_c = _finite_model(group, tau, seed)
+    irreps = twistgroup.ProjectiveIrreps(tau)
+    h, conv, p_cut, d_op, sqrt_c = _finite_model(group, tau, seed)
     # the compressor is iso iso^H only if p_cut is the rank-one projection
     # onto sqrt(c); then |C (D (x) id) C| = |iso^H C (D (x) id) C iso|
     if np.max(np.abs(p_cut - np.outer(sqrt_c, sqrt_c.conj()))) > 1e-14:
         raise ValueError("cut-off projection is not the rank-one projection onto sqrt(c)")
-    comp_small = np.empty((n, n), dtype=complex)
-    cross_small = np.empty((n, n), dtype=complex)
-    for start in range(0, n, FINITE_CHUNK):
-        cols = np.arange(start, min(start + FINITE_CHUNK, n))
-        x = np.zeros((len(cols), n, n), dtype=complex)
-        x[np.arange(len(cols)), :, cols] = sqrt_c
-        cross, full = _finite_apply(p_cut, d_op, conv, x)
-        # iso^H Y = sqrt(c)^H Y: contract the first leg against sqrt(c)
-        cross_small[:, cols] = (sqrt_c.conj() @ cross).T
-        comp_small[:, cols] = (sqrt_c.conj() @ full).T
-    compressed_cross = float(np.linalg.norm(cross_small, 2))
+    cut = p_cut @ sqrt_c
+    alpha, beta = cut.conj() @ (d_op @ cut), cut.conj() @ cut
+    comp_small = beta * conv
+    comp_small[np.diag_indices(len(conv))] += alpha
     s_comp = np.linalg.eigvalsh(0.5 * (comp_small + comp_small.conj().T))
-    s_direct = np.linalg.eigvalsh(0.5 * (conv + conv.conj().T))
+    blocks = irreps.image(h)
+    s_direct = np.linalg.eigvalsh(0.5 * (blocks + blocks.conj().swapaxes(-1, -2)))
+    s_direct = np.sort(np.repeat(s_direct.ravel(), irreps.dim))
     return FiniteAssemblyReport(
-        s_comp, s_direct, float(np.max(np.abs(s_comp - s_direct))),
-        compressed_cross)
+        s_comp, s_direct, float(np.max(np.abs(s_comp - s_direct))), float(abs(alpha)))
 
 
 def level_vanishing_pattern(group: twistgroup.FiniteAbelianGroup,
@@ -690,7 +673,10 @@ def level_vanishing_pattern(group: twistgroup.FiniteAbelianGroup,
     Returns rows ``(level, brute-force max abs, exact character factor)``.
     The pairing sums the translation by ``(h, i)`` over the whole extension;
     ``(h, i)^{-1} (g, 0)`` has phase ``phase[h, g] - i``, so the fiber sum
-    over ``i`` is evaluated numerically once per pair of phases.
+    over ``i`` is evaluated numerically once per pair of phases.  The
+    summands for a chunk of columns are one gather each from the leg table
+    and the fiber sums, at most :data:`twistgroup.BLOCK_ELEMENTS` entries,
+    contracted with the cut-off's columns in one stacked product.
     """
     tau.check_group(group)
     ext = twistgroup.TwistedExtension(tau)
@@ -703,6 +689,7 @@ def level_vanishing_pattern(group: twistgroup.FiniteAbelianGroup,
     tgt, phase, fiber = ext.tgt, ext.phase, np.arange(m)
     # flat row bases: table[tgt, t] and fiber_sum[phase, p] as one take each
     tgt_base, phase_base = tgt * n, phase * m
+    step = max(1, twistgroup.BLOCK_ELEMENTS // (n * n))
     rng = np.random.default_rng(seed)
     rows = []
     for level in range(m):
@@ -714,9 +701,12 @@ def level_vanishing_pattern(group: twistgroup.FiniteAbelianGroup,
             j = (fiber - i) % m
             fiber_sum += np.outer(omega ** (j * level), omega ** (-j))
         out = np.empty((n, n), dtype=complex)
-        for y in range(n):
-            out[:, y] = cut.values[:, y] @ (table.take(tgt_base + tgt[:, y, None])
-                                            * fiber_sum.take(phase_base + phase[:, y, None]))
+        for y0 in range(0, n, step):
+            ys = slice(y0, y0 + step)
+            # [y, h, k] -> table[tgt[h, k], tgt[h, y]] fiber_sum[phase[h, k], phase[h, y]]
+            terms = table.take(tgt_base + tgt[:, ys].T[:, :, None])
+            terms *= fiber_sum.take(phase_base + phase[:, ys].T[:, :, None])
+            out[:, ys] = (cut.values[:, ys].T[:, None, :] @ terms)[:, 0, :].T
         out /= m
         character = abs(sum(omega ** (i * (1 - level)) for i in range(m))) / m
         rows.append((level, float(np.max(np.abs(out))), character))

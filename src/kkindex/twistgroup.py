@@ -34,6 +34,10 @@ sums over ``h`` with one vector-matrix product.  On Heisenberg Z16xZ16
 Xeon, one BLAS thread), with traced peaks of 0.2 MB, 1.8 MB and 3.7 MB;
 at order 64 :func:`crossed_convolve` takes about 0.9 ms.
 
+For the trivial cocycle and the Heisenberg pairing, :class:`ProjectiveIrreps`
+gives every irreducible projective representation in closed form, built from
+DFT matrices in numpy core.
+
 A :class:`Cocycle`'s exponent table is read-only, and a clean check of it
 is recorded on the cocycle: :func:`decompose_twisted_algebra` reuses that
 check for the same table instead of running it again.
@@ -75,12 +79,14 @@ __all__ = [
     "module_left_action",
     "module_inner_product",
     "decompose_twisted_algebra",
+    "ProjectiveIrreps",
     "parse_group_spec",
 ]
 
 # entries in one block of the brute-force kernels, the (g, h, k) cubes of
-# check_cocycle and the fiber sums of untagged convolve: bounds their
-# temporaries whatever the group order
+# check_cocycle, the fiber sums of untagged convolve and the gathered
+# summands of assembly.level_vanishing_pattern: bounds their temporaries
+# whatever the group order
 BLOCK_ELEMENTS = 2 ** 14
 
 
@@ -540,6 +546,64 @@ def decompose_twisted_algebra(group: FiniteAbelianGroup, tau: Cocycle):
     if blocks * d * d != n:
         raise ArithmeticError("block count does not divide the order into squares")
     return [d] * blocks
+
+
+def _dft(k: int) -> np.ndarray:
+    """``[a, b] -> exp(2 pi i a b / k)``, the exponent reduced mod k."""
+    steps = np.arange(k)
+    return np.exp(2j * np.pi / k * (np.outer(steps, steps) % k))
+
+
+class ProjectiveIrreps:
+    """The irreducible projective representations ``pi_t`` of the base group
+    with ``pi_t(g) pi_t(k) = tau(g, k)^{-1} pi_t(g + k)``, for the two
+    cocycle families where they have a closed form; any other table is
+    refused with a ``ValueError``.
+
+    * The trivial cocycle on any group: the characters
+      ``chi_t(g) = prod_i exp(2 pi i t_i g_i / n_i)``, one per element ``t``.
+    * The Heisenberg pairing ``omega^(b c)`` on ``Z_n1 x Z_n2`` with
+      ``n2 | n1``: ``pi_t(a, b) = zeta^(t a) S^a C^(-b)`` on ``C^n2`` for
+      ``t < n1 / n2``, with ``S`` the cyclic shift ``e_k -> e_(k+1)``,
+      ``C = diag(omega^k)`` and ``zeta = exp(2 pi i / n1)`` (the clock and
+      shift basis; Schwinger, "Unitary operator bases", PNAS 1960).
+
+    There are ``count`` of them, each of dimension ``dim``: the simple blocks
+    of the twisted algebra that :func:`decompose_twisted_algebra` counts.
+    """
+
+    def __init__(self, tau: Cocycle):
+        grp = tau.group
+        if not tau.exponents.any():
+            self.count, self.dim = grp.order, 1
+            self._characters = functools.reduce(np.kron, map(_dft, grp.moduli),
+                                                np.ones((1, 1)))
+            return
+        n1, n2 = grp.moduli if len(grp.moduli) == 2 else (0, 0)
+        if not (n2 and n1 % n2 == 0 and tau.root_order == n2 and np.array_equal(
+                tau.exponents, np.outer(grp.coords[:, 1], grp.coords[:, 0]) % n2)):
+            raise ValueError(f"no closed-form irreducible representations for this "
+                             f"cocycle on {grp!r}: only the trivial cocycle and the "
+                             f"Heisenberg pairing omega^(b c) on Z_n1 x Z_n2 with "
+                             f"n2 | n1 have them")
+        self.count, self.dim = n1 // n2, n2
+        self._clock = _dft(n2).conj()  # [b, s] -> omega^(-b s)
+        # [t, q, p] -> zeta^(t a) at a = q n2 + p
+        self._zeta = (_dft(n1)[:self.count]).reshape(self.count, self.count, n2)
+        steps = np.arange(n2)
+        self._lag = (steps[:, None] - steps[None, :]) % n2  # [r, s] -> r - s
+
+    def image(self, values) -> np.ndarray:
+        """``[..., t, r, s]``: ``pi_t(f) = sum_g f(g) pi_t(g)`` for the
+        function ``f`` with values ``values[..., g]``."""
+        values = np.asarray(values, dtype=complex)
+        if self.dim == 1:
+            return (values @ self._characters)[..., None, None]
+        # pi_t(f)[r, s] = sum_(a = r - s mod n2) zeta^(t a) sum_b f(a, b) omega^(-b s)
+        n2 = self.dim
+        clocked = values.reshape(*values.shape[:-1], self.count, n2, n2) @ self._clock
+        folded = np.einsum("tqp,...qps->...tps", self._zeta, clocked)  # [..., t, r - s, s]
+        return folded[..., self._lag, np.arange(n2)]
 
 
 # ------------------------------------------------------------------ I/O

@@ -380,8 +380,9 @@ def test_assemble_compressed_dimension():
 
 
 # ---------------------------------------------------------------- finite model
-# The n^2 x n^2 Kronecker route, the oracle of the matrix-free one at
-# orders <= 25.
+# Two oracles of the factored route: the n^2 x n^2 Kronecker matrices at
+# orders <= 25, and the matrix-free column sweep, which pushes every
+# isometry column through the operator and the compressor as n x n arrays.
 
 def column_conv(group, tau, seed=11):
     """Left convolution by the model's seeded self-adjoint ``h``, one
@@ -423,6 +424,35 @@ def kron_finite_assembly(group, tau, seed=11):
     return report, big, compressor
 
 
+def finite_apply(p_cut, d_op, conv, x):
+    """``C (D (x) id) C`` and ``C (D (x) id + id (x) L_h) C`` with
+    ``C = p_cut (x) id`` on a stack ``x`` of n x n arrays.
+
+    A vector of ``l2(G) (x) l2(G)`` is the n x n array of its row-major
+    coordinates, so ``(A (x) B) vec(X) = vec(A X B^T)``: the first leg is
+    acted on from the left, the second from the right.
+    """
+    px = p_cut @ x
+    cross = p_cut @ (d_op @ px)
+    return cross, cross + p_cut @ (px @ conv.T)
+
+
+def column_sweep(group, tau, seed=11):
+    """Compressed spectrum and cross-term norm read off every isometry
+    column ``sqrt(c) (x) e_j`` pushed through :func:`finite_apply`, all
+    ``n`` columns as one stack (n^3 entries: 4 MB at order 64)."""
+    _, conv, p_cut, d_op, sqrt_c = asm._finite_model(group, tau, seed)
+    n = group.order
+    x = np.zeros((n, n, n), dtype=complex)
+    x[np.arange(n), :, np.arange(n)] = sqrt_c
+    cross, full = finite_apply(p_cut, d_op, conv, x)
+    # iso^H Y = sqrt(c)^H Y: contract the first leg against sqrt(c)
+    cross_small = (sqrt_c.conj() @ cross).T
+    comp_small = (sqrt_c.conj() @ full).T
+    return (np.linalg.eigvalsh(0.5 * (comp_small + comp_small.conj().T)),
+            float(np.linalg.norm(cross_small, 2)))
+
+
 def finite_cases():
     cases = {}
     for k in (3, 5):
@@ -437,6 +467,11 @@ def finite_cases():
 FINITE_CASES = finite_cases()
 
 
+def heisenberg(*moduli):
+    grp = tg.FiniteAbelianGroup(moduli)
+    return grp, tg.heisenberg_cocycle(grp)
+
+
 def random_stack(rng, k, n):
     return rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
 
@@ -447,7 +482,7 @@ def vec_stack(x):
 
 
 def test_finite_group_assembly_spectra_match():
-    # the matrix-free route against the Kronecker oracle at every order <= 25
+    # the factored route against the Kronecker oracle at every order <= 25
     for grp, tau in FINITE_CASES.values():
         report = asm.finite_group_assembly(grp, tau)
         oracle, _, _ = kron_finite_assembly(grp, tau)
@@ -458,19 +493,31 @@ def test_finite_group_assembly_spectra_match():
         assert report.deviation <= 1e-12
 
 
+@pytest.mark.parametrize("case", sorted(FINITE_CASES) + ["Z4xZ2", "Z6xZ3", "Z8xZ8"])
+def test_finite_group_assembly_matches_the_column_sweep(case):
+    if case in FINITE_CASES:
+        grp, tau = FINITE_CASES[case]
+    else:
+        grp, tau = heisenberg(*(int(k) for k in case[1:].split("xZ")))
+    report = asm.finite_group_assembly(grp, tau)
+    spectrum, cross = column_sweep(grp, tau)
+    assert np.max(np.abs(report.compressed_spectrum - spectrum)) <= 1e-12
+    assert abs(report.compressed_cross - cross) <= 1e-12
+
+
 @pytest.mark.parametrize("case", sorted(FINITE_CASES))
 def test_finite_model_application_matches_kron_matrices(case):
     # generic arrays, not the iso columns: on those the operator part is
     # killed by either compressor alone, so only generic inputs show it
     grp, tau = FINITE_CASES[case]
     n = grp.order
-    conv, p_cut, d_op, _ = asm._finite_model(grp, tau, 11)
+    _, conv, p_cut, d_op, _ = asm._finite_model(grp, tau, 11)
     assert np.max(np.abs(conv - column_conv(grp, tau, 11))) <= 1e-14
     _, big, compressor = kron_finite_assembly(grp, tau)
     x = random_stack(np.random.default_rng(n), 3, n)
-    _, uncompressed = asm._finite_apply(np.eye(n), d_op, conv, x)
+    _, uncompressed = finite_apply(np.eye(n), d_op, conv, x)
     assert np.max(np.abs(vec_stack(uncompressed) - big @ vec_stack(x))) <= 1e-12
-    cross, full = asm._finite_apply(p_cut, d_op, conv, x)
+    cross, full = finite_apply(p_cut, d_op, conv, x)
     want = compressor @ big @ compressor @ vec_stack(x)
     assert np.max(np.abs(vec_stack(full) - want)) <= 1e-12
     assert np.max(np.abs(vec_stack(cross))) <= 1e-12
@@ -483,7 +530,7 @@ def test_finite_apply_matches_kron_on_generic_matrices():
     for n in (2, 3, 5):
         p, d, conv = random_stack(rng, 3, n)
         x = random_stack(rng, 4, n)
-        cross, full = asm._finite_apply(p, d, conv, x)
+        cross, full = finite_apply(p, d, conv, x)
         comp = np.kron(p, np.eye(n))
         d_big = np.kron(d, np.eye(n))
         want_cross = comp @ d_big @ comp @ vec_stack(x)
@@ -496,10 +543,10 @@ def test_finite_group_assembly_refuses_a_cut_off_that_is_not_rank_one(monkeypatc
     model = asm._finite_model
 
     def perturbed(group, tau, seed):
-        conv, p_cut, d_op, sqrt_c = model(group, tau, seed)
+        h, conv, p_cut, d_op, sqrt_c = model(group, tau, seed)
         p_cut = p_cut.copy()
         p_cut[0, 0] += 1e-12
-        return conv, p_cut, d_op, sqrt_c
+        return h, conv, p_cut, d_op, sqrt_c
 
     monkeypatch.setattr(asm, "_finite_model", perturbed)
     grp = tg.FiniteAbelianGroup((3,))
@@ -514,14 +561,35 @@ def test_finite_group_assembly_reports_a_d_that_misses_the_cut_off(monkeypatch):
     model = asm._finite_model
 
     def identity_d(group, tau, seed):
-        conv, p_cut, d_op, sqrt_c = model(group, tau, seed)
-        return conv, p_cut, np.eye(group.order), sqrt_c
+        h, conv, p_cut, d_op, sqrt_c = model(group, tau, seed)
+        return h, conv, p_cut, np.eye(group.order), sqrt_c
 
     monkeypatch.setattr(asm, "_finite_model", identity_d)
     grp = tg.FiniteAbelianGroup((3, 3))
     report = asm.finite_group_assembly(grp, tg.heisenberg_cocycle(grp))
     assert abs(report.compressed_cross - 1.0) <= 1e-12
     assert np.max(np.abs(report.compressed_spectrum - report.direct_spectrum - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("moduli, tau_fn", [
+    ((3,), lambda g: tg.trivial_cocycle(g, 3)),
+    ((3, 3), tg.heisenberg_cocycle)], ids=["Z3", "Z3xZ3"])
+def test_finite_group_assembly_sees_a_convolution_that_misses_h(monkeypatch, moduli,
+                                                                tau_fn):
+    # the direct spectrum is read from h alone: a Hermitian 1e-6 change to
+    # conv moves only the compressed side, and the deviation shows it
+    model = asm._finite_model
+
+    def perturbed(group, tau, seed):
+        h, conv, p_cut, d_op, sqrt_c = model(group, tau, seed)
+        conv = conv.copy()
+        conv[0, 1] += 1e-6
+        conv[1, 0] += 1e-6
+        return h, conv, p_cut, d_op, sqrt_c
+
+    monkeypatch.setattr(asm, "_finite_model", perturbed)
+    grp = tg.FiniteAbelianGroup(moduli)
+    assert asm.finite_group_assembly(grp, tau_fn(grp)).deviation >= 1e-7
 
 
 @pytest.mark.parametrize("moduli", [(9,), (2,)], ids=["Z9", "Z2"])
@@ -531,20 +599,110 @@ def test_finite_group_assembly_refuses_a_cocycle_on_another_group(moduli):
         asm.finite_group_assembly(tg.FiniteAbelianGroup(moduli), tau)
 
 
+@pytest.mark.parametrize("case", ["transposed", "root-order", "cyclic"])
+def test_finite_group_assembly_refuses_a_cocycle_without_closed_form_irreps(
+        monkeypatch, case):
+    # valid cocycles outside the two families: the transposed Heisenberg
+    # table, the pairing written with roots of twice the order, and a
+    # nontrivial table on a cyclic group; refused before the model is built
+    grp = tg.FiniteAbelianGroup((3,) if case == "cyclic" else (4, 2))
+    if case == "cyclic":
+        exponents = np.outer(grp.coords[:, 0], grp.coords[:, 0])
+        tau = tg.Cocycle(grp, exponents, 3)
+    else:
+        pairing = np.outer(grp.coords[:, 1], grp.coords[:, 0])
+        tau = (tg.Cocycle(grp, pairing.T, 2) if case == "transposed"
+               else tg.Cocycle(grp, 2 * pairing, 4))
+    assert tg.check_cocycle(tau) == []
+
+    def never(*args):
+        raise AssertionError("the model was built")
+
+    monkeypatch.setattr(asm, "_finite_model", never)
+    with pytest.raises(ValueError, match="trivial cocycle.*Heisenberg pairing"):
+        asm.finite_group_assembly(grp, tau)
+
+
 def test_finite_group_assembly_reach_without_kron_matrices():
-    # Heisenberg Z16xZ16: one 65536 x 65536 complex matrix would be about
-    # 69 GB; the matrix-free route stays under 300 MB traced
-    grp = tg.FiniteAbelianGroup((16, 16))
-    tracemalloc.start()
-    try:
-        report = asm.finite_group_assembly(grp, tg.heisenberg_cocycle(grp))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert grp.order == 256
-    assert peak < 300e6
-    assert report.deviation <= 1e-8
-    assert report.compressed_cross <= 1e-12
+    # Heisenberg Z16xZ16 and Z32xZ32: one 65536 x 65536 complex matrix would
+    # be about 69 GB; the factored route stays under 20 MB and 200 MB traced
+    for k, bound in ((16, 20e6), (32, 200e6)):
+        grp = tg.FiniteAbelianGroup((k, k))
+        tracemalloc.start()
+        try:
+            report = asm.finite_group_assembly(grp, tg.heisenberg_cocycle(grp))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+        assert report.deviation <= 1e-8
+        assert report.compressed_cross <= 1e-12
+
+
+# ---------------------------------------------------------------- irreps
+
+IRREP_CASES = {"Z3/trivial": ((3,), lambda g: tg.trivial_cocycle(g, 3)),
+               "Z2xZ3/trivial": ((2, 3), lambda g: tg.trivial_cocycle(g, 2)),
+               **{f"Z{a}xZ{b}": ((a, b), tg.heisenberg_cocycle)
+                  for a, b in ((2, 2), (3, 3), (4, 2), (6, 3))}}
+
+
+@pytest.mark.parametrize("case", sorted(IRREP_CASES))
+def test_projective_irreps_carry_the_inverse_cocycle(case):
+    # pi_t(g) pi_t(k) = omega^(-K[g, k]) pi_t(g + k), with the group law and
+    # the exponents from the tuple law
+    moduli, tau_fn = IRREP_CASES[case]
+    grp = tg.FiniteAbelianGroup(moduli)
+    tau = tau_fn(grp)
+    irreps = tg.ProjectiveIrreps(tau)
+    images = irreps.image(np.eye(grp.order))  # [g, t, r, s]
+    assert images.shape == (grp.order, irreps.count, irreps.dim, irreps.dim)
+    for gi, g in enumerate(grp.elements):
+        for ki, k in enumerate(grp.elements):
+            want = (tau.root() ** -law.exponent(tau, g, k)
+                    * images[law.index(grp, law.add(grp, g, k))])
+            assert np.max(np.abs(images[gi] @ images[ki] - want)) <= 1e-13
+    # and they are unitary, so pi_t(h) is Hermitian for self-adjoint h
+    eye = np.eye(irreps.dim)
+    assert np.max(np.abs(images @ images.conj().swapaxes(-1, -2) - eye)) <= 1e-13
+
+
+@pytest.mark.parametrize("moduli, blocks", [
+    ((4, 2), [2, 2]), ((6, 3), [3, 3]), ((6, 2), [2, 2, 2]), ((4, 4), [4]), ((2, 2), [2])])
+def test_projective_irreps_count_the_simple_blocks(moduli, blocks):
+    grp, tau = heisenberg(*moduli)
+    irreps = tg.ProjectiveIrreps(tau)
+    assert [irreps.dim] * irreps.count == tg.decompose_twisted_algebra(grp, tau) == blocks
+    trivial = tg.trivial_cocycle(grp, 3)
+    irreps = tg.ProjectiveIrreps(trivial)
+    assert [irreps.dim] * irreps.count == tg.decompose_twisted_algebra(grp, trivial)
+
+
+def irrep_spectrum_cases():
+    """Every Heisenberg group ``Z_n1 x Z_n2`` (``n2 | n1``, ``n2 >= 2``) of
+    order <= 64, and the trivial cocycle on the cyclic group of every order
+    <= 64 and on a two-factor group of every composite order <= 64."""
+    for order in range(1, 65):
+        for n2 in range(2, 9):
+            if order % (n2 * n2) == 0:
+                yield heisenberg(order // n2, n2)
+        yield tg.FiniteAbelianGroup((order,)), None
+        factor = next((d for d in range(2, order) if order % d == 0), None)
+        if factor:
+            yield tg.FiniteAbelianGroup((factor, order // factor)), None
+
+
+def test_direct_spectrum_matches_the_convolution_at_every_order_to_64():
+    cases = 0
+    for grp, tau in irrep_spectrum_cases():
+        tau = tau or tg.trivial_cocycle(grp, 3)
+        report = asm.finite_group_assembly(grp, tau)
+        _, conv, _, _, _ = asm._finite_model(grp, tau, 11)
+        want = np.linalg.eigvalsh(0.5 * (conv + conv.conj().T))
+        assert np.max(np.abs(report.direct_spectrum - want)) <= 1e-12, grp
+        cases += 1
+    # 32 Heisenberg groups, 64 cyclic and 45 composite orders
+    assert cases == 32 + 64 + 45
 
 
 # ---------------------------------------------------------------- modules
@@ -857,6 +1015,21 @@ def test_level_vanishing_pattern_matches_loop_oracle(moduli, tau_fn):
     assert [r[0] for r in rows] == [r[0] for r in oracle]
     for (_, value, _), (_, expected) in zip(rows, oracle):
         assert abs(value - expected) < 1e-12 * max(1.0, expected)
+
+
+def test_level_vanishing_pattern_gathers_in_bounded_chunks():
+    # Heisenberg Z8xZ8 (order 64, m = 8): one gather over every column would
+    # hold 64^3 complex entries, 4.2 MB; the chunks stay well below it
+    grp = tg.FiniteAbelianGroup((8, 8))
+    tau = tg.heisenberg_cocycle(grp)
+    tracemalloc.start()
+    try:
+        rows = asm.level_vanishing_pattern(grp, tau)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < grp.order ** 3 * 16
+    assert [level for level, value, _ in rows if value > 1e-10] == [1]
 
 
 @pytest.mark.parametrize("moduli", [(9,), (2,)], ids=["Z9", "Z2"])

@@ -552,14 +552,32 @@ def imported_modules(env, *args):
             if line.startswith("import time:") and line.count("|") == 2}
 
 
-def test_default_run_all_never_imports_numpy_ma(tmp_path):
+@pytest.fixture(scope="module")
+def default_run_all_imports(tmp_path_factory):
+    """Modules a bare ``import numpy`` loads, and those a default
+    ``kkindex run all`` loads, each in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(kkindex.__file__).parents[1])]
         + [p for p in [env.get("PYTHONPATH")] if p])
-    if "numpy.ma" in imported_modules(env, "-c", "import numpy"):
+    out = tmp_path_factory.mktemp("run-all") / "out"
+    return (imported_modules(env, "-c", "import numpy"),
+            imported_modules(env, "-m", "kkindex.cli", "run", "all", "--out", str(out)))
+
+
+def test_default_run_all_never_imports_numpy_ma(default_run_all_imports):
+    bare, modules = default_run_all_imports
+    if "numpy.ma" in bare:
         pytest.skip("a bare 'import numpy' already loads numpy.ma")
-    modules = imported_modules(env, "-m", "kkindex.cli", "run", "all",
-                               "--out", str(tmp_path / "out"))
     assert "kkindex.experiments" in modules
     assert "numpy.ma" not in modules
+
+
+def test_default_run_all_never_imports_numpy_fft(default_run_all_imports):
+    # the finite model's characters and clock matrices are built with numpy
+    # core; numpy.fft would cost every fresh process its import
+    bare, modules = default_run_all_imports
+    if "numpy.fft" in bare:
+        pytest.skip("a bare 'import numpy' already loads numpy.fft")
+    assert "kkindex.experiments" in modules
+    assert "numpy.fft" not in modules
