@@ -381,7 +381,6 @@ def _exp_xi_norms(cfg: Config, rng: Lcg) -> Report:
                    quad, sigma / 2.0, 1e-6)
         rep.at_most("ladder-route agreement within its bound", f"sigma={sigma}",
                     abs(quad - hermite), err_bound, 0.0)
-        rep.at_most("norm below sigma", f"sigma={sigma}", max(quad, hermite), sigma, 0.0)
         rep.notes.append(f"sigma={sigma}: ladder deficiency {deficiency:.3e}, "
                          f"err bound {err_bound:.3e}")
         mode = limitspace.xi_coeffs(sigma, h_max=assembly.XI_H_MAX)
@@ -537,9 +536,10 @@ def _exp_jcycle_diag(cfg: Config, rng: Lcg, sigma_modes: int) -> Report:
     comp = assembly.resolvent_compactness(cycle)
     n1, n2, n3 = comp.split_norms
     rep.notes.append(f"split norms: free {n1:.6g}, cross {n2:.6g}, mirror {n3:.6g}")
-    for shell, measured, bound in comp.shell_rows:
-        rep.at_most(f"mirror resolvent shell {shell:g}", "materialized", measured,
-                    bound, 1e-10)
+    rep.equals("mirror part squared = 2(N_f + E_dual)", "materialized",
+               comp.mirror_residual, 0.0, 1e-10)
+    shells = " ".join(f"{e:g}" for e in sorted(set(2.0 * cycle.rest.basis.energy)))
+    rep.notes.append(f"mirror resolvent 1/(1 + shell) on rest shells {shells}")
     comm = assembly.commutator_bound(cycle)
     rep.at_most("commutator norm within bound", "materialized", comm.measured,
                 comm.bound, 1e-10)

@@ -4,8 +4,7 @@ Every operator in this package lives on a :class:`Basis`: an ordered list of
 integer labels together with a positive diagonal Gram (the squared norm of
 each label).  Bases are deliberately kept in unnormalized monomial form, so
 ladder coefficients stay integers; orthonormalization happens only in the
-dense view :func:`orthonormal_dense` and in the Gram-orthonormal blocks the
-eigensolves work on.  An operator applied to a family of vectors is a
+Gram-orthonormal blocks the eigensolves work on.  An operator applied to a family of vectors is a
 product with a sparse operator whose columns are those vectors.
 
 Conventions
@@ -43,7 +42,6 @@ __all__ = [
     "eigh_gram",
     "spectral_function",
     "block_components",
-    "orthonormal_dense",
     "gram_transpose",
     "shift_op",
     "energy_product",
@@ -391,13 +389,6 @@ def graded_commutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     """``a b - (-1)^(deg a * deg b) b a``; anticommutator for two odd factors."""
     sign = -1.0 if (_GRADE[a.grade] and _GRADE[b.grade]) else 1.0
     return (a @ b) - (b @ a).scale(sign)
-
-
-def orthonormal_dense(op: SparseOperator) -> np.ndarray:
-    """Dense matrix in Gram-orthonormal coordinates; operator norms,
-    singular values and eigenvalues are metrically meaningful there."""
-    return (op.to_dense() * np.sqrt(op.codomain.gram)[:, None]
-            / np.sqrt(op.domain.gram)[None, :])
 
 
 def block_components(op: SparseOperator) -> np.ndarray:

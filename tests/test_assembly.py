@@ -8,10 +8,11 @@ import pytest
 
 from kkindex import assembly as asm
 from kkindex import dirac, fock, limitspace as ls, twistgroup as tg
-from kkindex.opcore import SparseOperator, adjoint, gram_transpose, orthonormal_dense
+from kkindex.experiments import EXPERIMENTS, Config, Lcg
+from kkindex.opcore import SparseOperator, adjoint, gram_transpose
 
 import tuple_law as law
-from vectors import dense_kernel, factor_labels, product_label
+from vectors import dense_kernel, factor_labels, orthonormal_dense, product_label
 
 
 SEQ = ls.SigmaSequence("pow2")
@@ -134,8 +135,7 @@ def dense_commutator_bound(cycle):
 
 
 def dense_resolvent_compactness(cycle):
-    op, a_dense = orthonormal_dense(cycle.operator), dense_smearing(cycle)
-    dim = op.shape[0]
+    op = orthonormal_dense(cycle.operator)
     d_dense = orthonormal_dense(cycle.d_part)
     l_dense = orthonormal_dense(cycle.l_part)
     d1 = d_dense @ d_dense
@@ -143,18 +143,14 @@ def dense_resolvent_compactness(cycle):
     d2 = (op @ op) - d1 - d3
     split = tuple(float(np.linalg.norm(x, 2)) for x in (d1, d2, d3))
 
-    res0 = np.linalg.inv(np.eye(dim) + d3)
+    # 2 (N_f + E_dual) from the factor energies of each state's legs
     space = cycle.space
     ferm_pos, dual_pos = cycle.m_active, cycle.m_active + 1
     shells = (space.factors[ferm_pos].energy[space.components[:, ferm_pos]]
               + space.factors[dual_pos].energy[space.components[:, dual_pos]])
-    t0 = res0 @ a_dense
-    shell_rows = []
-    for shell in np.unique(shells):
-        idx = np.flatnonzero(shells == shell)
-        norm = float(np.linalg.norm(t0[:, idx], 2))
-        shell_rows.append((2.0 * shell, norm, 1.0 / (1.0 + 2.0 * shell)))
-    return asm.CompactnessReport(split, shell_rows)
+    l_sq = cycle.l_part.to_dense() @ cycle.l_part.to_dense()
+    residual = float(np.max(np.abs(l_sq - np.diag(2.0 * shells))))
+    return asm.CompactnessReport(split, residual)
 
 
 def dense_t_map(cycle, small, k_vec):
@@ -277,7 +273,6 @@ def test_diagnostics_form_no_dim_by_dim_array(monkeypatch):
             return route(op, *args)
         return call
 
-    monkeypatch.setattr(asm, "orthonormal_dense", guarded(asm.orthonormal_dense))
     monkeypatch.setattr(SparseOperator, "to_dense", guarded(SparseOperator.to_dense))
     xi_cuts = []
     xi_coeffs = ls.xi_coeffs
@@ -314,7 +309,7 @@ def test_diagnostics_reach_without_dense_arrays():
     by_name = {name: (measured, bound) for name, measured, bound in kuc.rows}
     assert abs(by_name["xi"][0] - comm.measured) <= 1e-15
     assert all(measured <= bound + 1e-8 for measured, bound in by_name.values())
-    assert all(measured <= bound + 1e-10 for _, measured, bound in comp.shell_rows)
+    assert comp.mirror_residual <= 1e-10
 
 
 def test_materialized_dimension_is_counted_before_the_build(monkeypatch):
@@ -935,12 +930,27 @@ def test_commutator_zero_smearing():
     assert np.linalg.norm(op @ zero - zero @ op, 2) == 0.0
 
 
-def test_resolvent_compactness_decreasing():
+def test_mirror_part_squares_to_twice_the_rest_energy():
+    # l_part^2 = 2 (N_f + E_dual), so the mirror resolvent is 1/(1 + shell)
     cycle = small_cycle()
     report = asm.resolvent_compactness(cycle)
-    # shell-wise mirror resolvent obeys the exact 1/(1+shell) decay
-    for shell, measured, bound in report.shell_rows:
-        assert measured <= bound + 1e-12
+    assert report.mirror_residual <= 1e-12
+
+
+@pytest.mark.parametrize("factor", [1 + 1e-6, 1 - 1e-6])
+def test_jcycle_diag_fails_on_scaled_mirror_legs(monkeypatch, factor):
+    # scaled legs square to factor^2 * 2 (N_f + E_dual): the identity row
+    # sees either direction, where a resolvent bound only sees the shrink
+    legs = dirac.dual_legs
+
+    def scaled(space, dual_pos, n_max):
+        return [(pos, up.scale(factor), down.scale(factor))
+                for pos, up, down in legs(space, dual_pos, n_max)]
+
+    monkeypatch.setattr(dirac, "dual_legs", scaled)
+    rep = EXPERIMENTS["jcycle_diag"](Config(), Lcg(Config().seed))
+    assert not rep.ok
+    assert rep.worst().startswith("mirror part squared = 2(N_f + E_dual) [materialized]")
 
 
 def test_kucerovsky_margins():

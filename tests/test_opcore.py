@@ -8,9 +8,8 @@ import pytest
 from kkindex import assembly, dirac, fock, limitspace, opcore, twistgroup
 from kkindex.opcore import (Basis, SparseOperator, adjoint, block_components, eigh_gram,
                             graded_commutator, shift_op, spectrum, gram_transpose,
-                            orthonormal_dense, spectral_function,
-                            NotSelfAdjointError, ShapeMismatchError)
-from vectors import dense_kernel, inner, norm, unit
+                            spectral_function, NotSelfAdjointError, ShapeMismatchError)
+from vectors import dense_kernel, inner, norm, orthonormal_dense, unit
 
 SPEC = fock.TruncationSpec(n_max=3, e_max=6)
 

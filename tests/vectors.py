@@ -1,7 +1,7 @@
 """Basis vectors, Gram inner products and norms, the vector arithmetic the
-tests do on coordinate arrays, the densified kernel blocks of
-``kkindex.dirac.kernel``, and product-state labels read through the factor
-bases."""
+tests do on coordinate arrays, the Gram-orthonormal dense view of an
+operator, the densified kernel blocks of ``kkindex.dirac.kernel``, and
+product-state labels read through the factor bases."""
 
 import numpy as np
 
@@ -32,6 +32,13 @@ def inner(basis, v, w) -> complex:
 def norm(basis, coords) -> float:
     """Gram norm ``sqrt(sum_i gram_i |coords_i|^2)``."""
     return float(np.sqrt(np.sum(basis.gram * np.abs(coords) ** 2)))
+
+
+def orthonormal_dense(op) -> np.ndarray:
+    """Dense matrix of ``op`` in Gram-orthonormal coordinates; operator
+    norms, singular values and eigenvalues are metrically meaningful there."""
+    return (op.to_dense() * np.sqrt(op.codomain.gram)[:, None]
+            / np.sqrt(op.domain.gram)[None, :])
 
 
 def dense_kernel(blocks, dim) -> np.ndarray:
