@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dirac, fock, limitspace, twistgroup
-from .opcore import Basis, SparseOperator, adjoint, gram_transpose, spectrum
+from .opcore import Basis, Lcg, SparseOperator, adjoint, gram_transpose, spectrum
 
 __all__ = [
     "JCycle",
@@ -423,13 +423,11 @@ def compare_indices(analytic: IndexCycle, mu: IndexCycle, seed: int = 7) -> Comp
         return out
 
     dim = analytic.space.dim
-    rng = np.random.default_rng(seed)
+    rng = Lcg(seed)
     action_dev, inner_dev = 0.0, 0.0
     for _ in range(4):
-        f1 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        f2 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        b = (rng.standard_normal((analytic.dual.dim,) * 2)
-             + 1j * rng.standard_normal((analytic.dual.dim,) * 2))
+        f1, f2 = rng.complex_vector(dim), rng.complex_vector(dim)
+        b = rng.complex_matrix(analytic.dual.dim)
         lhs = flip(right_action(analytic, f1, b))
         rhs = right_action(mu, flip(f1), b)
         scale = max(float(np.max(np.abs(lhs))), 1.0)
@@ -556,13 +554,13 @@ def kucerovsky_check(cycle: MaterializedJCycle, seed: int = 5) -> KucerovskyRepo
     prefix_dim = math.prod(len(v) for v in cycle.xi_vecs)
     d_norm = _norm(cycle.d_part)
 
-    rng = np.random.default_rng(seed)
+    rng = Lcg(seed)
     rows = []
     for gen in range(3):
         if gen == 0:
             t_adj, name, bound = cycle.isometry, "xi", cycle.xi_bound
         else:
-            k_vec = rng.standard_normal(prefix_dim) + 1j * rng.standard_normal(prefix_dim)
+            k_vec = rng.complex_vector(prefix_dim)
             k_vec /= np.linalg.norm(k_vec)
             t_adj, name, bound = cycle.lift(k_vec), f"random-{gen}", 2.0 * d_norm
         defect_adj = t_adj @ dl - cycle.operator @ t_adj
@@ -590,8 +588,7 @@ def _finite_model(group: twistgroup.FiniteAbelianGroup, tau: twistgroup.Cocycle,
     the cut-off root ``sqrt(c)``."""
     n = group.order
     ext = twistgroup.TwistedExtension(tau)
-    rng = np.random.default_rng(seed)
-    u_slice = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    u_slice = Lcg(seed).complex_vector(n)
     u = twistgroup.GroupAlgebraElement(ext, u_slice, 1)
     h = u.add(u.involution())
     # conv[x, y] = (h * e_y)(x) = h(g) omega^phase[g, x] for the one g
@@ -674,10 +671,10 @@ def level_vanishing_pattern(group: twistgroup.FiniteAbelianGroup,
     # flat row bases: table[tgt, t] and fiber_sum[phase, p] as one take each
     tgt_base, phase_base = tgt * n, phase * m
     step = max(1, twistgroup.BLOCK_ELEMENTS // (n * n))
-    rng = np.random.default_rng(seed)
+    rng = Lcg(seed)
     rows = []
     for level in range(m):
-        table = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        table = rng.complex_matrix(n)
         # e at outer level `level`, inner level -1: fiber_sum[p, q] is
         # sum_i omega^((p - i) level) omega^-(q - i), exponents mod m
         fiber_sum = np.zeros((m, m), dtype=complex)

@@ -2,13 +2,11 @@
 
 Each experiment writes one CSV (schema comment ``# kk-index-lab v2``, columns
 ``quantity,truncation,measured,expected,tolerance,kind,headroom,ok``) plus a
-plain-text summary, both byte-reproducible for a fixed config: randomness
-comes from a documented 64-bit linear congruential generator (:class:`Lcg`),
-except in ``assembly.compare_indices``, ``kucerovsky_check``,
-``finite_group_assembly`` and ``level_vanishing_pattern``, which draw from
-numpy's ``default_rng(seed & 0xFFFF)`` with the config seed; outputs carry
-no timestamps and all orderings are fixed.  :class:`Report` alone decides
-whether a row passes.
+plain-text summary, both byte-reproducible for a fixed config: every random
+input comes from the documented 64-bit linear congruential generator
+:class:`opcore.Lcg`, seeded from the config seed (the seeded ``assembly``
+routines get ``seed & 0xFFFF``); outputs carry no timestamps and all
+orderings are fixed.  :class:`Report` alone decides whether a row passes.
 """
 
 from __future__ import annotations
@@ -23,50 +21,11 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from . import assembly, dirac, fock, limitspace, twistgroup
-from .opcore import SparseOperator, adjoint, block_components, graded_commutator, spectrum
+from .opcore import (Lcg, SparseOperator, adjoint, block_components, graded_commutator,
+                     spectrum)
 
 __all__ = ["Config", "parse_config", "selected_experiments", "run_experiment",
            "EXPERIMENTS", "Lcg"]
-
-
-class Lcg:
-    """64-bit linear congruential generator, x -> 6364136223846793005 x +
-    1442695040888963407 mod 2^64; uniforms take the top 53 bits.  A complex
-    normal is two Box-Muller normals, real part first, each from the next
-    two uniforms ``u1, u2`` (``u1`` floored at 1e-300); matrices are drawn
-    row by row.  Documented so any implementation can reproduce the
-    streams exactly.
-
-    Draws are taken a block at a time by jumping ahead on ``uint64`` arrays,
-    which wrap mod 2^64: ``x_j = MULT^j x_0 + INC (1 + MULT + ... +
-    MULT^(j-1))``.
-    """
-
-    MULT = 6364136223846793005
-    INC = 1442695040888963407
-    MASK = (1 << 64) - 1
-
-    def __init__(self, seed: int):
-        self.state = seed & self.MASK
-
-    def uniforms(self, n: int) -> np.ndarray:
-        """The next ``n`` uniforms of the stream."""
-        powers = np.multiply.accumulate(np.full(n, self.MULT, dtype=np.uint64))
-        sums = np.cumsum(np.concatenate([np.ones(1, dtype=np.uint64), powers[:-1]]))
-        states = powers * np.uint64(self.state) + sums * np.uint64(self.INC)
-        if n:
-            self.state = int(states[-1])
-        return (states >> np.uint64(11)).astype(float) / float(1 << 53)
-
-    def complex_matrix(self, n: int, m: int = None) -> np.ndarray:
-        m = n if m is None else m
-        u = self.uniforms(4 * n * m).reshape(-1, 2)
-        normals = np.sqrt(-2.0 * np.log(np.maximum(u[:, 0], 1e-300))) * np.cos(
-            2.0 * np.pi * u[:, 1])
-        return normals.view(complex).reshape(n, m)
-
-    def complex_vector(self, n: int) -> np.ndarray:
-        return self.complex_matrix(1, n)[0]
 
 
 @dataclass(frozen=True)

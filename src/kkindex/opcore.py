@@ -22,12 +22,16 @@ Conventions
 All values are immutable after construction (their arrays are read-only)
 and every operation is a pure function, so values can be shared, memoized
 and used concurrently.
+
+Every random input of the lab comes from :class:`Lcg`, a documented 64-bit
+linear congruential generator, so any implementation can reproduce the
+streams exactly.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -45,6 +49,7 @@ __all__ = [
     "gram_transpose",
     "shift_op",
     "energy_product",
+    "Lcg",
 ]
 
 
@@ -505,3 +510,65 @@ def gram_transpose(mat: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """
     g = np.asarray(gram, dtype=float)
     return mat.T * (g[None, :] / g[:, None])
+
+
+# ------------------------------------------------------------ random inputs
+
+
+class Lcg:
+    """64-bit linear congruential generator, x -> 6364136223846793005 x +
+    1442695040888963407 mod 2^64; uniforms take the top 53 bits.  A complex
+    normal is two Box-Muller normals, real part first, each from the next
+    two uniforms ``u1, u2`` (``u1`` floored at 1e-300); matrices are drawn
+    row by row.  Documented so any implementation can reproduce the
+    streams exactly.
+
+    Draws are taken a block at a time by jumping ahead on ``uint64`` arrays,
+    which wrap mod 2^64: ``x_j = MULT^j x_0 + INC (1 + MULT + ... +
+    MULT^(j-1))``, with the coefficients of ``j = 1 .. JUMP_BLOCK`` built
+    once.
+    """
+
+    MULT = 6364136223846793005
+    INC = 1442695040888963407
+    MASK = (1 << 64) - 1
+    JUMP_BLOCK = 4096
+
+    def __init__(self, seed: int):
+        self.state = seed & self.MASK
+
+    def uniforms(self, n: int) -> np.ndarray:
+        """The next ``n`` uniforms of the stream."""
+        powers, incs = _lcg_jumps()
+        states = np.empty(n, dtype=np.uint64)
+        state = np.uint64(self.state)
+        for start in range(0, n, self.JUMP_BLOCK):
+            block = states[start:start + self.JUMP_BLOCK]
+            k = len(block)
+            np.multiply(powers[:k], state, out=block)
+            block += incs[:k]
+            state = block[-1]
+        self.state = int(state)
+        return (states >> np.uint64(11)).astype(float) / float(1 << 53)
+
+    def complex_matrix(self, n: int, m: int = None) -> np.ndarray:
+        m = n if m is None else m
+        u = self.uniforms(4 * n * m).reshape(-1, 2)
+        normals = np.sqrt(-2.0 * np.log(np.maximum(u[:, 0], 1e-300))) * np.cos(
+            2.0 * np.pi * u[:, 1])
+        return normals.view(complex).reshape(n, m)
+
+    def complex_vector(self, n: int) -> np.ndarray:
+        return self.complex_matrix(1, n)[0]
+
+
+@cache
+def _lcg_jumps():
+    """``(MULT^j, INC (1 + MULT + ... + MULT^(j-1)))`` for ``j = 1 ..
+    Lcg.JUMP_BLOCK``, as read-only ``uint64`` arrays."""
+    powers = np.multiply.accumulate(np.full(Lcg.JUMP_BLOCK, Lcg.MULT, dtype=np.uint64))
+    incs = np.cumsum(np.concatenate([np.ones(1, dtype=np.uint64), powers[:-1]]))
+    incs *= np.uint64(Lcg.INC)
+    for arr in (powers, incs):
+        arr.flags.writeable = False
+    return powers, incs

@@ -120,6 +120,12 @@ class FiniteAbelianGroup:
         """``[g, h]``: index of ``g + h``; n x n, built on first use."""
         return self._indices(self.coords[:, None, :] + self.coords[None, :, :])
 
+    @functools.cached_property
+    def _l2_basis(self) -> Basis:
+        """Orthonormal basis of ``l^2(G)`` labeled by the coordinates, built
+        on first use and shared by every :func:`schatten_map` on the group."""
+        return Basis(self.coords, np.ones(self.order), name=f"l2({self!r})")
+
     @property
     def order(self) -> int:
         return len(self.elements)
@@ -445,10 +451,8 @@ def schatten_map(a: CrossedProductElement) -> SparseOperator:
     with the adjoint.
     """
     _require_translation(a, "schatten map")
-    grp = a.group
-    mat = regular_representation(a)
-    basis = Basis(grp.coords, np.ones(grp.order), name=f"l2({grp!r})")
-    return SparseOperator.from_dense(mat, basis, basis, "even")
+    basis = a.group._l2_basis
+    return SparseOperator.from_dense(regular_representation(a), basis, basis, "even")
 
 
 # ------------------------------------------------------------------ modules

@@ -129,6 +129,27 @@ def test_lcg_block_draws_match_the_scalar_stream_bit_for_bit(seed):
     assert np.array_equal(fast.complex_matrix(4), slow.complex_matrix(4))
 
 
+@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 8195])
+def test_lcg_uniforms_match_the_scalar_stream_across_jump_blocks(n):
+    # the jump table covers Lcg.JUMP_BLOCK draws; longer calls chain blocks
+    assert Lcg.JUMP_BLOCK == 4096
+    fast, slow = Lcg(20240817), ScalarLcg(20240817)
+    got = fast.uniforms(n)
+    want = np.array([slow.uniform() for _ in range(n)], dtype=float)
+    assert got.shape == (n,)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert fast.state == slow.state
+
+
+def test_lcg_consecutive_calls_straddle_a_jump_block():
+    fast, slow = Lcg(7), ScalarLcg(7)
+    for n in (4000, 200, 4096, 1, 5000):
+        got = fast.uniforms(n)
+        want = np.array([slow.uniform() for _ in range(n)], dtype=float)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert fast.state == slow.state
+
+
 def test_run_experiment_writes_versioned_csv(tmp_path):
     cfg = Config(modes=2, energy_cut=4)
     report = run_experiment("weitzenbock", cfg, str(tmp_path))
@@ -581,3 +602,14 @@ def test_default_run_all_never_imports_numpy_fft(default_run_all_imports):
         pytest.skip("a bare 'import numpy' already loads numpy.fft")
     assert "kkindex.experiments" in modules
     assert "numpy.fft" not in modules
+
+
+def test_default_run_all_never_imports_numpy_random(default_run_all_imports):
+    # every random input is drawn from Lcg; numpy.random would pull secrets,
+    # hashlib and OpenSSL's _hashlib into every fresh process
+    bare, modules = default_run_all_imports
+    if "numpy.random" in bare:
+        pytest.skip("a bare 'import numpy' already loads numpy.random")
+    assert "kkindex.experiments" in modules
+    assert "numpy.random" not in modules
+    assert not {"secrets", "_hashlib"} & (modules - bare)

@@ -255,6 +255,20 @@ def test_schatten_multiplicative_and_star():
     assert (star - adjoint(tg.schatten_map(a))).max_abs() < 1e-12
 
 
+def test_schatten_maps_on_one_group_share_their_basis():
+    grp = tg.FiniteAbelianGroup((2, 3))
+    rng = np.random.default_rng(12)
+    a, b = (tg.CrossedProductElement.translation(
+        grp, rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))) for _ in range(2))
+    sa, sb = tg.schatten_map(a), tg.schatten_map(b)
+    assert sa.domain is sa.codomain is sb.domain is sb.codomain
+    assert np.array_equal(sa.domain.label_array, grp.coords)
+    assert np.array_equal(sa.domain.gram, np.ones(grp.order))
+    lhs = tg.schatten_map(brute_crossed_elt(a, b))
+    assert lhs.domain is sa.domain
+    assert (lhs - sa @ sb).max_abs() < 1e-12
+
+
 def act_table(grp, points, action):
     """The point-index table of an action dict ``(g, x) -> g.x``."""
     return np.array([[points.index(action[(g, x)]) for x in points] for g in grp.elements])
