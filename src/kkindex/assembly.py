@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dirac, fock, limitspace, twistgroup
+from . import dirac, fock, limitspace, opcore, twistgroup
 from .opcore import Basis, Lcg, SparseOperator, adjoint, gram_transpose, spectrum
 
 __all__ = [
@@ -656,7 +656,7 @@ def level_vanishing_pattern(group: twistgroup.FiniteAbelianGroup,
     ``(h, i)^{-1} (g, 0)`` has phase ``phase[h, g] - i``, so the fiber sum
     over ``i`` is evaluated numerically once per pair of phases.  The
     summands for a chunk of columns are one gather each from the leg table
-    and the fiber sums, at most :data:`twistgroup.BLOCK_ELEMENTS` entries,
+    and the fiber sums, at most :data:`opcore.BLOCK_ELEMENTS` entries,
     contracted with the cut-off's columns in one stacked product.
     """
     tau.check_group(group)
@@ -670,7 +670,7 @@ def level_vanishing_pattern(group: twistgroup.FiniteAbelianGroup,
     tgt, phase, fiber = ext.tgt, ext.phase, np.arange(m)
     # flat row bases: table[tgt, t] and fiber_sum[phase, p] as one take each
     tgt_base, phase_base = tgt * n, phase * m
-    step = max(1, twistgroup.BLOCK_ELEMENTS // (n * n))
+    step = max(1, opcore.BLOCK_ELEMENTS // (n * n))
     rng = Lcg(seed)
     rows = []
     for level in range(m):

@@ -14,7 +14,8 @@ Laguerre overlap integrals:
 
     xi_k(sigma) = (1/sigma) * integral_0^{sigma^2} L_k(u) exp(-u/2) du.
 
-Those coefficients are exact integrals, evaluated by a Laguerre recurrence.
+Those coefficients are exact integrals, evaluated by a Laguerre recurrence
+written term by term into one float64 buffer.
 They decay like ``k^(-3/4)`` (the disk indicator is discontinuous), so
 truncated tail masses shrink only like ``h_max^(-1/2)``; the ladder-matrix
 route is therefore validated against its a-priori truncation error, next to
@@ -24,12 +25,14 @@ and ``|dR_z Xi_sigma| = sigma/2``.
 
 :func:`mode_basis`, the two translation generators and the Gauss-Legendre
 rule are built once per process (``functools.cache``) and shared read-only.
+The 80-point rule is built here by numpy's ``leggauss`` algorithm, bit for
+bit, so a run never loads ``numpy.polynomial``.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,14 +161,43 @@ def dRzbar_matrix(basis: Basis) -> SparseOperator:
 # ------------------------------------------------------------ quadrature
 
 
+def _legendre_series(x, c):
+    """``sum_k c[k] P_k(x)`` by Clenshaw's recurrence, in the operation
+    order of numpy's ``legval``; ``c`` has two terms or more."""
+    c0, c1 = c[-2], c[-1]
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 @functools.cache
 def _gauss_legendre():
     """The :data:`_QUAD_POINTS`-point Gauss-Legendre rule on [-1, 1],
-    read-only, built once per process."""
-    rule = np.polynomial.legendre.leggauss(_QUAD_POINTS)
-    for arr in rule:
+    read-only, built once per process by numpy's ``leggauss`` algorithm,
+    bit for bit: the eigenvalues of the symmetric Legendre companion
+    matrix, one Newton step, then symmetrized weights rescaled to total 2."""
+    n = _QUAD_POINTS
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    companion = np.zeros((n, n))
+    off = np.arange(1, n) * scl[:-1] * scl[1:]
+    companion.reshape(-1)[1::n + 1] = off
+    companion.reshape(-1)[n::n + 1] = off
+    x = np.linalg.eigvalsh(companion)
+    p_n = [0.0] * n + [1.0]
+    # P_n' = sum (2k + 1) P_k over k = n - 1, n - 3, ...
+    dp_n = [float(2 * k + 1) if (n - 1 - k) % 2 == 0 else 0.0 for k in range(n)]
+    df = _legendre_series(x, dp_n)
+    x -= _legendre_series(x, p_n) / df
+    fm = _legendre_series(x, p_n[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2. / w.sum()
+    for arr in (x, w):
         arr.flags.writeable = False
-    return rule
+    return x, w
 
 
 def radial_quadrature(f, upper: float, rel_tol: float = 1e-12):
@@ -194,29 +226,6 @@ def radial_quadrature(f, upper: float, rel_tol: float = 1e-12):
     raise RuntimeError(f"quadrature did not converge to {rel_tol} on [0, {upper}]")
 
 
-def _laguerre_terms(sigma: float):
-    """Yield ``integral_0^{sigma^2} L_k(u) e^{-u/2} du`` for ``k = 0, 1,
-    2, ...`` without end, as Python floats.
-
-    With ``a = sigma^2`` the integrals ``I_k`` obey
-    ``I_k + I_(k-1) = -2 e^{-a/2} (L_k(a) - L_(k-1)(a))`` (differentiate
-    ``e^{-u/2} (L_k - L_(k-1))``), and ``L_k - L_(k-1) = -(a/k) L^(1)_(k-1)``
-    with the associated Laguerre polynomial ``L^(1)``; that form has no
-    cancellation at small ``a``.
-    """
-    a = float(sigma) * float(sigma)
-    damp = float(2.0 * np.exp(-a / 2.0))
-    term = float(-2.0 * np.expm1(-a / 2.0))
-    yield term
-    l1_prev, l1 = 0.0, 1.0  # L^(1)_(k-2)(a), L^(1)_(k-1)(a)
-    k = 0
-    while True:
-        k += 1
-        term = -term + damp * (a / k) * l1
-        yield term
-        l1_prev, l1 = l1, ((2 * k - a) * l1 - k * l1_prev) / k
-
-
 # the adaptive cutoff of :func:`xi_coeffs` stops at this norm deficiency or
 # at this many radial modes
 XI_TARGET_DEFICIENCY = 5e-3
@@ -240,11 +249,22 @@ def xi_coeffs(sigma: float, h_max: int = None) -> ModeFunction:
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    terms, integrals = _laguerre_terms(sigma), []
+    # With a = sigma^2 the integrals I_k obey I_k + I_(k-1) = -2 e^{-a/2}
+    # (L_k(a) - L_(k-1)(a)) (differentiate e^{-u/2} (L_k - L_(k-1))), and
+    # L_k - L_(k-1) = -(a/k) L^(1)_(k-1) with the associated Laguerre
+    # polynomial L^(1); that form has no cancellation at small a.
+    a = float(sigma) * float(sigma)
+    damp = float(2.0 * np.exp(-a / 2.0))
+    term = float(-2.0 * np.expm1(-a / 2.0))
+    integrals = array("d", [term])
+    l1_prev, l1 = 0.0, 1.0  # L^(1)_(k-2)(a), L^(1)_(k-1)(a)
     kmax = 256 if h_max is None else max(h_max // 2, 0)
     while True:
-        integrals.extend(itertools.islice(terms, kmax + 1 - len(integrals)))
-        coeffs = np.array(integrals) / sigma
+        for k in range(len(integrals), kmax + 1):
+            term = -term + damp * (a / k) * l1
+            integrals.append(term)
+            l1_prev, l1 = l1, ((2 * k - a) * l1 - k * l1_prev) / k
+        coeffs = np.frombuffer(integrals) / sigma
         norm_sq = float(coeffs @ coeffs)
         if not (norm_sq > 0.0 and np.isfinite(norm_sq)):
             raise ValueError(f"sigma={sigma!r}: the Xi coefficients up to radial mode "
@@ -277,9 +297,12 @@ def _dRz_norm_hermite(mode: ModeFunction) -> float:
     coefficient vector: the surviving image components on the ``(j, j-1)``
     states are ``sqrt(j/2) (xi_j - xi_(j-1))``."""
     xi = mode.coeffs
-    j = np.arange(1, len(xi))
-    diffs = xi[1:] - xi[:-1]
-    return float(np.sqrt(np.sum((j / 2.0) * diffs ** 2)))
+    terms = np.subtract(xi[1:], xi[:-1])
+    terms *= terms
+    half_j = np.arange(1, len(xi), dtype=float)
+    half_j *= 0.5
+    terms *= half_j
+    return float(np.sqrt(np.sum(terms)))
 
 
 def dRz_norm_quadrature(sigma: float) -> float:

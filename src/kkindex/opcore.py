@@ -52,6 +52,14 @@ __all__ = [
     "Lcg",
 ]
 
+# elements in one block of every chunked kernel, which bounds its
+# temporaries whatever the problem size: the uniforms of one slice of
+# Lcg.complex_matrix, the expanded pairs of one column range of
+# SparseOperator.__matmul__, the (g, h, k) cubes of twistgroup.check_cocycle,
+# the fiber sums of untagged twistgroup.convolve and the gathered summands
+# of assembly.level_vanishing_pattern
+BLOCK_ELEMENTS = 2 ** 14
+
 
 class ShapeMismatchError(ValueError):
     """Operator shapes are not composable."""
@@ -193,6 +201,24 @@ def expand_runs(counts):
     return run, np.arange(len(run)) - (np.cumsum(counts) - counts)[run]
 
 
+def _column_ranges(cols, pairs):
+    """``(start, stop)`` entry ranges of an operator's whole columns
+    (``cols`` in canonical, column-sorted order) that meet at most
+    :data:`BLOCK_ELEMENTS` pairs each, or one column that meets more;
+    ``pairs`` counts the pairs of each entry.  One range when all pairs
+    fit in one block."""
+    if pairs.sum() <= BLOCK_ELEMENTS:
+        return [(0, len(cols))]
+    edges = np.flatnonzero(np.diff(cols, prepend=-1, append=-1))  # column starts, end
+    before = np.concatenate([[0], np.cumsum(pairs)])[edges]  # pairs before each edge
+    cuts = [0]
+    while cuts[-1] < len(edges) - 1:
+        last = int(np.searchsorted(before, before[cuts[-1]] + BLOCK_ELEMENTS, "right")) - 1
+        cuts.append(max(last, cuts[-1] + 1))
+    bounds = edges[cuts].tolist()
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 _GRADE = {"even": 0, "odd": 1}
 
 
@@ -295,11 +321,22 @@ class SparseOperator:
         # entry (m, j) of ``other`` meets the column-m run of ``self``
         counts = np.bincount(self.cols, minlength=self.domain.dim)
         starts = np.cumsum(counts) - counts
-        theirs, offset = expand_runs(counts[other.rows])
-        left = starts[other.rows][theirs] + offset
+        pairs = counts[other.rows]
         grade = "odd" if (_GRADE[self.grade] + _GRADE[other.grade]) % 2 else "even"
-        return SparseOperator(other.domain, self.codomain, self.rows[left],
-                              other.cols[theirs], self.vals[left] * other.vals[theirs], grade)
+        parts = []
+        for e0, e1 in _column_ranges(other.cols, pairs):
+            theirs, offset = expand_runs(pairs[e0:e1])
+            left = starts[other.rows[e0:e1]][theirs] + offset
+            theirs += e0
+            parts.append(SparseOperator(other.domain, self.codomain, self.rows[left],
+                                        other.cols[theirs], self.vals[left] * other.vals[theirs],
+                                        grade))
+        if len(parts) == 1:
+            return parts[0]
+        # each range owns its output columns, in order: canonical as joined
+        return SparseOperator(other.domain, self.codomain,
+                              *(np.concatenate([getattr(p, f) for p in parts])
+                                for f in ("rows", "cols", "vals")), grade)
 
     @cached_property
     def _components(self) -> np.ndarray:
@@ -526,12 +563,16 @@ class Lcg:
     Draws are taken a block at a time by jumping ahead on ``uint64`` arrays,
     which wrap mod 2^64: ``x_j = MULT^j x_0 + INC (1 + MULT + ... +
     MULT^(j-1))``, with the coefficients of ``j = 1 .. JUMP_BLOCK`` built
-    once.
+    once.  :meth:`complex_matrix` fills its preallocated output one slice
+    of at most :data:`BLOCK_ELEMENTS` uniforms at a time; the stream is
+    sequential, so the slices are the one-shot draw bit for bit.
     """
 
     MULT = 6364136223846793005
     INC = 1442695040888963407
     MASK = (1 << 64) - 1
+    # the jump table's length: 64 KiB of table; sized at BLOCK_ELEMENTS it
+    # would hold 256 KiB in every process and draw no faster
     JUMP_BLOCK = 4096
 
     def __init__(self, seed: int):
@@ -553,9 +594,13 @@ class Lcg:
 
     def complex_matrix(self, n: int, m: int = None) -> np.ndarray:
         m = n if m is None else m
-        u = self.uniforms(4 * n * m).reshape(-1, 2)
-        normals = np.sqrt(-2.0 * np.log(np.maximum(u[:, 0], 1e-300))) * np.cos(
-            2.0 * np.pi * u[:, 1])
+        normals = np.empty(2 * n * m)
+        for start in range(0, len(normals), BLOCK_ELEMENTS // 2):
+            out = normals[start:start + BLOCK_ELEMENTS // 2]
+            # Box-Muller: one normal from each consecutive pair u1, u2
+            u = self.uniforms(2 * len(out)).reshape(-1, 2)
+            np.multiply(np.sqrt(-2.0 * np.log(np.maximum(u[:, 0], 1e-300))),
+                        np.cos(2.0 * np.pi * u[:, 1]), out=out)
         return normals.view(complex).reshape(n, m)
 
     def complex_vector(self, n: int) -> np.ndarray:

@@ -23,8 +23,8 @@ level-1 factor ``twist = roots[phase]``, and for a G-set the point table
 The brute-force kernels, the independent routes the tagged ones and the
 Schatten map are checked against, sum every term.  :func:`check_cocycle`
 forms the exponent defect on ``(g, h, k)`` cubes of several ``g``, at most
-:data:`BLOCK_ELEMENTS` entries each, in the narrowest signed integer type
-that holds ``4m``.  Untagged :func:`convolve` does the fiber sum
+:data:`opcore.BLOCK_ELEMENTS` entries each, in the narrowest signed integer
+type that holds ``4m``.  Untagged :func:`convolve` does the fiber sum
 ``sum_j f(g, j) h(t, s - j)`` for a block of ``g`` as one matrix product
 and then sums over ``g`` with one gather at ``t = tgt[g, x]``,
 ``s = phase[g, x] + xj``.  :func:`crossed_convolve` gathers
@@ -56,6 +56,7 @@ import math
 
 import numpy as np
 
+from . import opcore
 from .opcore import Basis, SparseOperator
 
 __all__ = [
@@ -82,13 +83,6 @@ __all__ = [
     "ProjectiveIrreps",
     "parse_group_spec",
 ]
-
-# entries in one block of the brute-force kernels, the (g, h, k) cubes of
-# check_cocycle, the fiber sums of untagged convolve and the gathered
-# summands of assembly.level_vanishing_pattern: bounds their temporaries
-# whatever the group order
-BLOCK_ELEMENTS = 2 ** 14
-
 
 class FiniteAbelianGroup:
     """Product of cyclic groups ``Z_n1 x ... x Z_nr``, elements as residue
@@ -185,14 +179,14 @@ def check_cocycle(tau: Cocycle):
     The identity is element 0 (lexicographic order).
 
     Every triple is evaluated: the exponent defect is formed on ``(g, h, k)``
-    cubes of :data:`BLOCK_ELEMENTS` entries or fewer, in the narrowest
+    cubes of :data:`opcore.BLOCK_ELEMENTS` entries or fewer, in the narrowest
     signed integer type that holds ``4m``, from the table reduced mod m."""
     grp, m, table = tau.group, tau.root_order, tau.exponents
     n, add, elts = grp.order, grp.add_table, grp.elements
     K = np.remainder(table, m, out=np.empty((n, n), np.min_scalar_type(-4 * m)),
                      casting="unsafe")
     bad = [("normalization", g) for g, row, col in zip(elts, K[0], K[:, 0]) if row or col]
-    step = max(1, BLOCK_ELEMENTS // (n * n))
+    step = max(1, opcore.BLOCK_ELEMENTS // (n * n))
     for g0 in range(0, n, step):
         rows = K[g0:g0 + step]
         # K[g,h] - K[h,k] + K[gh,k] - K[g,hk] lies in [-2(m-1), 2(m-1)],
@@ -325,7 +319,7 @@ def convolve(f: GroupAlgebraElement, h: GroupAlgebraElement) -> GroupAlgebraElem
     shifted = h.table()[np.arange(n)[:, None], lag[:, None, :]].reshape(m, n * m)
     ftab = f.table()
     out = np.zeros((n, m), dtype=complex)
-    step = max(1, BLOCK_ELEMENTS // (n * m))
+    step = max(1, opcore.BLOCK_ELEMENTS // (n * m))
     for g0 in range(0, n, step):
         part = ftab[g0:g0 + step] @ shifted  # [g - g0, t * m + s]
         idx = ext.phase[g0:g0 + step, :, None] + fiber  # [g - g0, x, xj]

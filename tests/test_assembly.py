@@ -1,7 +1,6 @@
 import dataclasses
 import functools
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from kkindex.experiments import EXPERIMENTS, Config, Lcg
 from kkindex.opcore import SparseOperator, adjoint, gram_transpose
 
 import tuple_law as law
+from traced import traced_peak
 from vectors import dense_kernel, factor_labels, orthonormal_dense, product_label
 
 
@@ -291,14 +291,8 @@ def test_diagnostics_reach_without_dense_arrays():
     assert cycle.space.dim == 15975
     reports, peaks = {}, {}
     start = time.perf_counter()
-    tracemalloc.start()
-    try:
-        for route in (asm.commutator_bound, asm.resolvent_compactness, asm.kucerovsky_check):
-            tracemalloc.reset_peak()
-            reports[route] = route(cycle)
-            peaks[route] = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    for route in (asm.commutator_bound, asm.resolvent_compactness, asm.kucerovsky_check):
+        reports[route], peaks[route] = traced_peak(route, cycle)
     elapsed = time.perf_counter() - start
     assert elapsed < REACH_SECONDS
     assert max(peaks.values()) < REACH_PEAK_BYTES
@@ -331,13 +325,12 @@ def test_materialized_dimension_cap_refuses_before_allocating():
     spec = fock.TruncationSpec(2, 3)
     h_op = next(h for h in range(1000) if 13 * (h + 1) * (h + 2) // 2 > asm.MAX_JCYCLE_DIM)
     assert 13 * h_op * (h_op + 1) // 2 <= asm.MAX_JCYCLE_DIM
-    tracemalloc.start()
-    try:
+
+    def refused():
         with pytest.raises(ValueError, match="exceeds the cap"):
             asm.materialize_j_cycle(spec, 1, SEQ, h_op)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    _, peak = traced_peak(refused)
     assert peak < 1e6
 
 
@@ -621,12 +614,8 @@ def test_finite_group_assembly_reach_without_kron_matrices():
     # be about 69 GB; the factored route stays under 20 MB and 200 MB traced
     for k, bound in ((16, 20e6), (32, 200e6)):
         grp = tg.FiniteAbelianGroup((k, k))
-        tracemalloc.start()
-        try:
-            report = asm.finite_group_assembly(grp, tg.heisenberg_cocycle(grp))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        report, peak = traced_peak(
+            lambda: asm.finite_group_assembly(grp, tg.heisenberg_cocycle(grp)))
         assert peak < bound
         assert report.deviation <= 1e-8
         assert report.compressed_cross <= 1e-12
@@ -876,15 +865,14 @@ def test_compare_indices_reach_without_dense_arrays():
     # shows the module trials work on the energy blocks only
     spec = fock.TruncationSpec(6, 14)
     tensor_bytes = 16 * 388 * 388 * 50
-    tracemalloc.start()
-    start = time.perf_counter()
-    try:
+
+    def compare():
         analytic, mu = asm.analytic_index(spec), asm.mu_index(spec)
-        report = asm.compare_indices(analytic, mu)
-        seconds = time.perf_counter() - start
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return analytic, mu, asm.compare_indices(analytic, mu)
+
+    start = time.perf_counter()
+    (analytic, mu, report), peak = traced_peak(compare)
+    seconds = time.perf_counter() - start
     assert analytic.space.dim == 25752
     assert analytic.space.shape == (388, 388, 50)
     assert seconds < COMPARE_REACH_SECONDS
@@ -1030,12 +1018,7 @@ def test_level_vanishing_pattern_gathers_in_bounded_chunks():
     # hold 64^3 complex entries, 4.2 MB; the chunks stay well below it
     grp = tg.FiniteAbelianGroup((8, 8))
     tau = tg.heisenberg_cocycle(grp)
-    tracemalloc.start()
-    try:
-        rows = asm.level_vanishing_pattern(grp, tau)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rows, peak = traced_peak(asm.level_vanishing_pattern, grp, tau)
     assert peak < grp.order ** 3 * 16
     assert [level for level, value, _ in rows if value > 1e-10] == [1]
 

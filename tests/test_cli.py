@@ -16,11 +16,12 @@ import pytest
 
 import kkindex
 from kkindex import TruncationSpec
-from kkindex import dirac, limitspace, twistgroup
+from kkindex import dirac, limitspace, opcore, twistgroup
 from kkindex.cli import main
 from kkindex.dirac import TripleSpace, spec_bases
 from kkindex.experiments import (MAX_DIM, Config, ConfigError, Lcg, Report, parse_config,
                                  run_experiment, sigma_modes, triple_dim, EXPERIMENTS)
+from traced import traced_peak
 
 
 def write(tmp_path, text, name="cfg.txt"):
@@ -148,6 +149,39 @@ def test_lcg_consecutive_calls_straddle_a_jump_block():
         want = np.array([slow.uniform() for _ in range(n)], dtype=float)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert fast.state == slow.state
+
+
+def one_shot_complex_matrix(rng, n, m):
+    """Every uniform of the draw at once, then Box-Muller over all of them."""
+    u = rng.uniforms(4 * n * m).reshape(-1, 2)
+    normals = np.sqrt(-2.0 * np.log(np.maximum(u[:, 0], 1e-300))) * np.cos(
+        2.0 * np.pi * u[:, 1])
+    return normals.view(complex).reshape(n, m)
+
+
+# at the 2^14 block the shapes draw 0, 4, block - 4, block and block + 4
+# uniforms; the shrunken blocks put 60 uniforms at block + 1, block and
+# block - 1, and in slices of 6
+@pytest.mark.parametrize("block, shape", [(2 ** 14, (0, 5)), (2 ** 14, (1, 1)),
+                                          (2 ** 14, (63, 65)), (2 ** 14, (64, 64)),
+                                          (2 ** 14, (17, 241)), (59, (3, 5)), (60, (3, 5)),
+                                          (61, (3, 5)), (6, (3, 5)), (7, (3, 5))])
+def test_sliced_draws_match_the_one_shot_draw_bit_for_bit(monkeypatch, block, shape):
+    monkeypatch.setattr(opcore, "BLOCK_ELEMENTS", block)
+    fast, oracle = Lcg(99), Lcg(99)
+    for _ in range(2):  # the second draw continues the stream
+        got, want = fast.complex_matrix(*shape), one_shot_complex_matrix(oracle, *shape)
+        assert got.shape == want.shape == shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert fast.state == oracle.state
+
+
+def test_a_large_draw_holds_little_beyond_its_output():
+    # 256 x 256 draws 2^18 uniforms, 16 blocks; the one-shot draw's
+    # uniforms and Box-Muller temporaries peak at about six times the 1 MB
+    # output
+    out, peak = traced_peak(Lcg(5).complex_matrix, 256)
+    assert peak < 2 * out.nbytes
 
 
 def test_run_experiment_writes_versioned_csv(tmp_path):
@@ -602,6 +636,16 @@ def test_default_run_all_never_imports_numpy_fft(default_run_all_imports):
         pytest.skip("a bare 'import numpy' already loads numpy.fft")
     assert "kkindex.experiments" in modules
     assert "numpy.fft" not in modules
+
+
+def test_default_run_all_never_imports_numpy_polynomial(default_run_all_imports):
+    # the Gauss-Legendre rule is built in limitspace; numpy.polynomial would
+    # cost every fresh process its import
+    bare, modules = default_run_all_imports
+    if "numpy.polynomial" in bare:
+        pytest.skip("a bare 'import numpy' already loads numpy.polynomial")
+    assert "kkindex.experiments" in modules
+    assert "numpy.polynomial" not in modules
 
 
 def test_default_run_all_never_imports_numpy_random(default_run_all_imports):

@@ -1,11 +1,11 @@
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from kkindex import dirac, fock, limitspace
 from kkindex.opcore import Basis, ShapeMismatchError, SparseOperator, adjoint, spectrum
+from traced import traced_peak
 from vectors import dense_kernel, factor_labels, product_label, unit
 
 
@@ -200,12 +200,7 @@ def test_kernel_at_reach_stays_in_block_form():
     # dim-length vectors took a 163 MB traced peak, the blocks about 9.5 MB
     spec = fock.TruncationSpec(6, 14)
     dR, space = dirac.build_dirac_R(spec)
-    tracemalloc.start()
-    try:
-        blocks = dirac.kernel(dR)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    blocks, peak = traced_peak(dirac.kernel, dR)
     assert peak < 20e6
     assert sum(len(states) for states, _ in blocks) == space.factors[0].dim == 388
 
@@ -360,12 +355,7 @@ def test_triple_space_at_reach_keeps_only_its_component_table():
     # (6,14), dim 25,752: the components are the basis labels; the
     # concatenated factor labels made a 10.6 MB traced peak, this 2.5 MB
     bases = dirac.spec_bases(fock.TruncationSpec(6, 14))
-    tracemalloc.start()
-    try:
-        space = dirac.TripleSpace(bases, 14)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    space, peak = traced_peak(dirac.TripleSpace, bases, 14)
     assert space.dim == 25752 and space.basis.label_array is space.components
     assert peak < 5e6
 

@@ -1,3 +1,4 @@
+import itertools
 import re
 import warnings
 
@@ -114,6 +115,61 @@ def test_continued_xi_recurrence_is_bit_identical_to_restarts(sigma, kmax):
     assert np.array_equal(mode.coeffs, coeffs)
     assert mode.deficiency == deficiency
     assert np.array_equal(ls.xi_coeffs(sigma, h_max=2 * kmax).coeffs, coeffs)
+
+
+def generator_laguerre_terms(sigma):
+    """The recurrence as a generator of Python floats, without end."""
+    a = float(sigma) * float(sigma)
+    damp = float(2.0 * np.exp(-a / 2.0))
+    term = float(-2.0 * np.expm1(-a / 2.0))
+    yield term
+    l1_prev, l1 = 0.0, 1.0
+    k = 0
+    while True:
+        k += 1
+        term = -term + damp * (a / k) * l1
+        yield term
+        l1_prev, l1 = l1, ((2 * k - a) * l1 - k * l1_prev) / k
+
+
+def list_xi_coeffs(sigma, h_max=None):
+    """``(coeffs, deficiency)`` with the terms drawn by ``islice`` into a
+    list of Python floats and copied out at every cutoff."""
+    terms, integrals = generator_laguerre_terms(sigma), []
+    kmax = 256 if h_max is None else max(h_max // 2, 0)
+    while True:
+        integrals.extend(itertools.islice(terms, kmax + 1 - len(integrals)))
+        coeffs = np.array(integrals) / sigma
+        deficiency = max(1.0 - float(coeffs @ coeffs), 0.0)
+        if (h_max is not None or deficiency < ls.XI_TARGET_DEFICIENCY
+                or kmax >= ls.XI_HARD_CAP):
+            return coeffs, deficiency
+        kmax = min(4 * kmax, ls.XI_HARD_CAP)
+
+
+@pytest.mark.parametrize("sigma, h_max", [(1.0, None), (0.5, None), (0.125, None),
+                                          (0.5, 64)])
+def test_buffered_xi_coeffs_match_the_list_recurrence_bit_for_bit(sigma, h_max):
+    # the three adaptive cuts of a default run and the j-cycle's fixed cut
+    mode = ls.xi_coeffs(sigma, h_max)
+    coeffs, deficiency = list_xi_coeffs(sigma, h_max)
+    assert np.array_equal(mode.coeffs.view(np.uint64), coeffs.view(np.uint64))
+    assert mode.deficiency == deficiency
+    j = np.arange(1, len(coeffs))
+    hermite = float(np.sqrt(np.sum((j / 2.0) * (coeffs[1:] - coeffs[:-1]) ** 2)))
+    assert ls._dRz_norm_hermite(mode) == hermite
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 20, 80, 100])
+def test_gauss_legendre_rule_matches_leggauss_bit_for_bit(monkeypatch, n):
+    # every report reads the 80-point rule; the other sizes exercise the
+    # same code, built uncached
+    monkeypatch.setattr(ls, "_QUAD_POINTS", n)
+    nodes, weights = ls._gauss_legendre.__wrapped__()
+    want_nodes, want_weights = np.polynomial.legendre.leggauss(n)
+    assert np.array_equal(nodes.view(np.uint64), want_nodes.view(np.uint64))
+    assert np.array_equal(weights.view(np.uint64), want_weights.view(np.uint64))
+    assert not (nodes.flags.writeable or weights.flags.writeable)
 
 
 @pytest.mark.parametrize("sigma, h_max, what", [(1e6, 64, "are not finite"),

@@ -1,14 +1,14 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
+from kkindex import opcore
 from kkindex import twistgroup as tg
 from kkindex.experiments import EXPERIMENTS, Config, Lcg
 from kkindex.opcore import adjoint
 
 import tuple_law as law
 from m_iso_trial import m_iso_trial
+from traced import traced_peak
 
 
 # ---------------------------------------------------------------- oracles
@@ -723,7 +723,7 @@ def test_check_cocycle_ordered_list_matches_oracle(tau):
 # and 2 g, and 720 cocycle cubes of 5, 5 and 2 g
 @pytest.mark.parametrize("block", [50, 360, 720])
 def test_blocked_kernels_match_oracles_in_order(monkeypatch, block):
-    monkeypatch.setattr(tg, "BLOCK_ELEMENTS", block)
+    monkeypatch.setattr(opcore, "BLOCK_ELEMENTS", block)
     tau = bilinear_plus_coboundary((2, 3, 2), [[0, 0, 3], [0, 2, 0], [0, 0, 0]], 6, 23)
     grp, m = tau.group, tau.root_order
     assert tg.check_cocycle(tau) == brute_check_cocycle(tau) == []
@@ -1001,16 +1001,6 @@ def test_module_kernels_match_brute(tau):
 
 # ---------------------------------------------------------------- reach
 
-def traced_peak(fn, *args):
-    """``(result, tracemalloc peak in bytes)`` of one call."""
-    tracemalloc.start()
-    try:
-        out = fn(*args)
-        return out, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_reach_heisenberg_z16():
     """Order 256 (m = 16), beyond what tuple loops reach in test time.  The
     brute-force kernels work in blocks: their traced peaks measure 0.20 MB
@@ -1044,6 +1034,20 @@ def test_reach_heisenberg_z16():
     rhs = tg.schatten_map(a).to_dense() @ tg.schatten_map(b).to_dense()
     assert np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)) < 1e-10
     assert peak < 4_000_000
+
+
+def test_schatten_product_of_dense_content_stays_in_blocks():
+    """Order 128: the two Schatten maps have 128^2 entries each and meet in
+    128^3 pairs, which the one-shot expansion held at once (a 256 MB traced
+    peak); taken one block of columns at a time it peaks near 2.3 MB."""
+    grp = tg.FiniteAbelianGroup((16, 8))
+    rng = Lcg(35)
+    a, b = (tg.schatten_map(tg.CrossedProductElement.translation(grp, rng.complex_matrix(128)))
+            for _ in range(2))
+    product, peak = traced_peak(a.__matmul__, b)
+    rhs = a.to_dense() @ b.to_dense()
+    assert np.max(np.abs(product.to_dense() - rhs)) / np.max(np.abs(rhs)) < 1e-12
+    assert peak < 8_000_000
 
 
 # ------------------------------------------------------- stacked trials
