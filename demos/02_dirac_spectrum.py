@@ -21,7 +21,7 @@ print(f"dirac^2 - 2(number + energy/i): max entry {residual:.2e}")
 print()
 
 print("spectrum of dirac^2 against shell counting:")
-for value, mult, predicted, match in dirac.spectrum_with_prediction(dR, space):
+for value, mult, predicted, match in dirac.spectrum_with_prediction(dR, spec):
     flag = "ok" if match else "MISMATCH"
     print(f"  eigenvalue {value:5.1f}  multiplicity {mult:4d}  predicted {predicted:4d}  {flag}")
 
@@ -29,7 +29,7 @@ for value, mult, predicted, match in dirac.spectrum_with_prediction(dR, space):
 kernel_dim = sum(len(states) for states, _ in dirac.kernel(dR))
 print()
 print(f"kernel dimension {kernel_dim} = boson state count "
-      f"{fock.enumerate_basis(spec, 'boson').dim}")
+      f"{sum(fock.window_counts(spec, ('boson',)))}")
 
 dL, _ = dirac.build_dirac_L(spec)
 dev = np.max(np.abs(spectrum(dR) - spectrum(dL)))

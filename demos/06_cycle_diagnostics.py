@@ -36,7 +36,6 @@ comm = assembly.commutator_bound(cycle)
 print(f"smeared commutator: measured {comm.measured:.5f} <= bound {comm.bound:.5f}"
       f" (ideal untruncated bound {comm.ideal_bound:.5f})")
 
-kuc = assembly.kucerovsky_check(cycle)
 print("product-criterion margins:")
-for name, measured, bound in kuc.rows:
+for name, measured, bound in assembly.kucerovsky_check(cycle):
     print(f"  generator {name:9s}: commutator {measured:.5f} <= {bound:.5f}")

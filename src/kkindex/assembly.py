@@ -174,7 +174,7 @@ def materialize_j_cycle(spec: fock.TruncationSpec, m_active: int,
     if m_active > spec.n_max:
         raise ValueError("component truncation mismatch: m_active > n_max")
     dim = (((h_op + 1) * (h_op + 2) // 2) ** m_active
-           * fock.window_dim(spec, ("fermion", "dual_boson")))
+           * sum(fock.window_counts(spec, ("fermion", "dual_boson"))))
     if dim > MAX_JCYCLE_DIM:
         raise ValueError(f"materialized j-cycle dimension {dim} exceeds the cap "
                          f"{MAX_JCYCLE_DIM}")
@@ -524,13 +524,9 @@ def resolvent_compactness(cycle: MaterializedJCycle) -> CompactnessReport:
     return CompactnessReport(split, (l_sq - shells).max_abs())
 
 
-@dataclass
-class KucerovskyReport:
-    rows: list               # (generator, commutator norm, bound)
-
-
-def kucerovsky_check(cycle: MaterializedJCycle, seed: int = 5) -> KucerovskyReport:
-    """Product-criterion diagnostics for the compression.
+def kucerovsky_check(cycle: MaterializedJCycle, seed: int = 5) -> list:
+    """Product-criterion diagnostics for the compression: rows
+    ``(generator, commutator norm, bound)``.
 
     A generator ``e = P_Xi k`` of the cut-off module induces
     ``T_e : f (x) s (x) v -> <k, f> s (x) v`` into the compressed module.
@@ -566,7 +562,7 @@ def kucerovsky_check(cycle: MaterializedJCycle, seed: int = 5) -> KucerovskyRepo
         defect_adj = t_adj @ dl - cycle.operator @ t_adj
         rows.append((name, float(np.sqrt(_norm(adjoint(defect_adj) @ defect_adj))),
                      float(bound)))
-    return KucerovskyReport(rows)
+    return rows
 
 
 # ------------------------------------------------------------ finite models

@@ -250,21 +250,19 @@ def bounded_transform(a: SparseOperator) -> SparseOperator:
                              chop=1e-15)
 
 
-def spectrum_with_prediction(dR: SparseOperator, space: TripleSpace):
+def spectrum_with_prediction(dR: SparseOperator, spec: fock.TruncationSpec):
     """Rows ``(eigenvalue, multiplicity, predicted multiplicity, match)`` for
-    ``dR^2``, with ``dR`` the ``dirac_R`` built on the boson x dual x fermion
-    ``space``, and multiplicities predicted by independent counting of
-    ``2 (dual energy + fermion weight)`` shells under the space's cut."""
+    ``dR^2``, with ``dR`` the ``dirac_R`` of ``spec``, and multiplicities
+    predicted by counting ``2 (dual energy + fermion weight)`` shells with
+    :func:`fock.window_counts`, independently of the operator's basis."""
     shells, counts = np.unique(np.round(spectrum(dR @ dR), 8), return_counts=True)
     measured = {s: c for s, c in zip(shells.tolist(), counts.tolist())}
-    # each (dual, fermion) state pair heads one state per boson state that
-    # fits under the remaining energy
-    boson, dual, ferm = space.factors
-    pair_e = np.add.outer(dual.energy, ferm.energy).ravel()
-    fits = np.searchsorted(np.sort(boson.energy), space.e_max - pair_e, side="right")
-    shells, pair_shell = np.unique(2.0 * pair_e, return_inverse=True)
-    counts = np.bincount(pair_shell, fits).astype(int)
-    predicted = {s: c for s, c in zip(shells.tolist(), counts.tolist()) if c}
+    # each (dual, fermion) state pair at energy e heads one state per boson
+    # state that fits under the remaining energy
+    pairs = fock.window_counts(spec, ("dual_boson", "fermion"))
+    bosons = fock.window_counts(spec, ("boson",))
+    predicted = {2.0 * e: pairs[e] * sum(bosons[:spec.e_max - e + 1])
+                 for e in range(spec.e_max + 1)}
     rows = []
     for shell in sorted(set(measured) | set(predicted)):
         m, p = measured.get(shell, 0), predicted.get(shell, 0)

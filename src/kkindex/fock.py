@@ -22,6 +22,9 @@ Raising out of the energy window is projected to zero: every operator is a
 compression, and :func:`safe_indices` names the columns where that projection
 cannot bite.
 
+:func:`window_counts` counts the product states of an energy window by
+weighted energy, without enumerating them.
+
 :func:`enumerate_basis`, the ladders and :func:`clifford` are built once
 per process (``functools.cache``; bases are keyed by label and
 Gram equality) and the same read-only values are handed to every caller.
@@ -40,7 +43,7 @@ from .opcore import Basis, SparseOperator, energy_product, shift_op
 __all__ = [
     "TruncationSpec",
     "enumerate_basis",
-    "window_dim",
+    "window_counts",
     "boson_raise",
     "boson_lower",
     "dual_raise",
@@ -85,11 +88,12 @@ def enumerate_basis(spec: TruncationSpec, kind: str) -> Basis:
     raise ValueError(f"unknown basis kind {kind!r}")
 
 
-def window_dim(spec: TruncationSpec, kinds) -> int:
-    """Exact dimension of the product of the ``kinds`` bases of ``spec``
-    with total weighted energy at most ``e_max``, counted without
-    enumerating it."""
-    counts = [1] + [0] * spec.e_max  # states by exact weighted energy
+def window_counts(spec: TruncationSpec, kinds) -> list:
+    """Exact number of states of the product of the ``kinds`` bases of
+    ``spec`` at each weighted energy ``0 .. e_max``, counted without
+    enumerating them.  Python ints, since the counts pass int64 long before
+    enumeration becomes possible."""
+    counts = [1] + [0] * spec.e_max
     for n in range(1, spec.n_max + 1):
         for kind in kinds:
             if kind == "fermion":  # mode n at most once
@@ -98,7 +102,7 @@ def window_dim(spec: TruncationSpec, kinds) -> int:
             else:  # mode n any number of times
                 for e in range(n, spec.e_max + 1):
                     counts[e] += counts[e - n]
-    return sum(counts)
+    return counts
 
 
 @functools.cache

@@ -188,12 +188,13 @@ def dense_kucerovsky_check(cycle, seed=5):
         t_map = dense_t_map(cycle, small, k_vec)
         defect = dl_small @ t_map - t_map @ op
         rows.append((name, float(np.linalg.norm(defect, 2)), float(bound)))
-    return asm.KucerovskyReport(rows)
+    return rows
 
 
 def report_fields(report):
-    """Every field of a diagnostics report as (path, value) pairs, numbers
-    as floats and names as they are."""
+    """Every field of a diagnostics report (a dataclass, or the Kucerovsky
+    row list) as (path, value) pairs, numbers as floats and names as they
+    are."""
     def walk(path, value):
         if isinstance(value, (list, tuple)):
             for i, item in enumerate(value):
@@ -202,6 +203,9 @@ def report_fields(report):
             yield path, value
         else:
             yield path, float(value)
+    if isinstance(report, list):
+        yield from walk("rows", report)
+        return
     for name in report.__dataclass_fields__:
         yield from walk(name, getattr(report, name))
 
@@ -300,7 +304,7 @@ def test_diagnostics_reach_without_dense_arrays():
     assert peaks[asm.kucerovsky_check] < KUCEROVSKY_REACH_PEAK_BYTES
     comm, comp, kuc = reports.values()
     assert comm.measured <= comm.bound + 1e-10
-    by_name = {name: (measured, bound) for name, measured, bound in kuc.rows}
+    by_name = {name: (measured, bound) for name, measured, bound in kuc}
     assert abs(by_name["xi"][0] - comm.measured) <= 1e-15
     assert all(measured <= bound + 1e-8 for measured, bound in by_name.values())
     assert comp.mirror_residual <= 1e-10
@@ -941,8 +945,8 @@ def test_jcycle_diag_fails_on_scaled_mirror_legs(monkeypatch, factor):
 
 def test_kucerovsky_margins():
     cycle = small_cycle()
-    report = asm.kucerovsky_check(cycle)
-    by_name = {name: (measured, bound) for (name, measured, bound) in report.rows}
+    by_name = {name: (measured, bound)
+               for (name, measured, bound) in asm.kucerovsky_check(cycle)}
     measured, bound = by_name["xi"]
     assert measured <= bound + 1e-10
     for name, (measured, bound) in by_name.items():

@@ -16,11 +16,11 @@ import pytest
 
 import kkindex
 from kkindex import TruncationSpec
-from kkindex import dirac, limitspace, opcore, twistgroup
+from kkindex import dirac, fock, limitspace, opcore, twistgroup
 from kkindex.cli import main
-from kkindex.dirac import TripleSpace, spec_bases
+from kkindex.dirac import TripleSpace
 from kkindex.experiments import (MAX_DIM, Config, ConfigError, Lcg, Report, parse_config,
-                                 run_experiment, sigma_modes, triple_dim, EXPERIMENTS)
+                                 run_experiment, sigma_modes, EXPERIMENTS)
 from traced import traced_peak
 
 
@@ -266,6 +266,24 @@ def test_level_suite_fails_when_the_untagged_product_leaks(tmp_path, monkeypatch
         f"level {l1} * level {l2} = 0" for l1 in range(3) for l2 in range(3) if l1 != l2}
 
 
+def test_kernel_count_fails_when_a_shell_count_is_off(monkeypatch):
+    # one (dual, fermion) pair short at the top energy: only the shell row
+    # that compares dirac_R^2 with the count can see it
+    exact = fock.window_counts
+
+    def short(spec, kinds):
+        counts = exact(spec, kinds)
+        if tuple(kinds) == ("dual_boson", "fermion"):
+            counts[spec.e_max] -= 1
+        return counts
+
+    monkeypatch.setattr(fock, "window_counts", short)
+    report = EXPERIMENTS["kernel_count"](Config(), Lcg(Config().seed))
+    assert not report.ok
+    assert {row.quantity for row in report.rows if row.headroom > 1.0} == {
+        "dirac_R^2 shells off the counted multiplicity"}
+
+
 def test_run_all_csv_rows_parse_to_the_header(tmp_path):
     # what perfbench's lab_checks reads: column 4 a number, ok last as 0 or 1
     cfg = write(tmp_path, "modes = 3\nenergy_cut = 6\n")
@@ -414,7 +432,11 @@ def test_cli_bad_value_is_config_error(tmp_path, capsys, line, key):
 
 @pytest.mark.parametrize("text, key", [("energy_cut = 1000000\nexperiments = ccr_car\n",
                                         "energy_cut"),
-                                       ("modes = 16\nenergy_cut = 1\n", "modes")])
+                                       ("modes = 16\nenergy_cut = 1\n", "modes"),
+                                       # the count at the clamped energy 256 is past
+                                       # 2^63: an int64 sum would wrap and admit it
+                                       ("modes = 15\nenergy_cut = 1000000\n",
+                                        "energy_cut")])
 def test_cli_refuses_oversized_truncation(tmp_path, capsys, text, key):
     cfg = write(tmp_path, text)
     assert main(["run", "all", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -423,16 +445,22 @@ def test_cli_refuses_oversized_truncation(tmp_path, capsys, text, key):
     assert not list(tmp_path.glob("*.csv"))
 
 
-@pytest.mark.parametrize("modes, energy_cut", [(1, 7), (2, 4), (2, 9), (3, 6), (4, 5)])
-def test_triple_dim_matches_enumeration(modes, energy_cut):
+@pytest.mark.parametrize("modes, energy_cut",
+                         [(1, 7), (2, 4), (2, 9), (3, 6), (4, 5), (6, 14)])
+def test_window_counts_match_enumeration(modes, energy_cut):
     spec = TruncationSpec(modes, energy_cut)
-    space = TripleSpace(spec_bases(spec), energy_cut)
-    assert triple_dim(modes, energy_cut) == space.dim
+    for kinds in (("boson",), ("fermion",), ("dual_boson", "fermion"),
+                  ("boson", "dual_boson", "fermion")):
+        energy = TripleSpace([fock.enumerate_basis(spec, kind) for kind in kinds],
+                             energy_cut).basis.energy
+        want = np.bincount(energy.astype(int), minlength=energy_cut + 1).tolist()
+        assert fock.window_counts(spec, kinds) == want, kinds
 
 
 def test_size_cap_admits_largest_documented_truncation(tmp_path):
     cfg = parse_config(write(tmp_path, "modes = 6\nenergy_cut = 14\n"))
-    assert triple_dim(cfg.modes, cfg.energy_cut) == 25752 <= MAX_DIM
+    triple = ("boson", "dual_boson", "fermion")
+    assert sum(fock.window_counts(cfg.spec(), triple)) == 25752 <= MAX_DIM
 
 
 def test_sigma_list_length_follows_the_selected_experiments(tmp_path):

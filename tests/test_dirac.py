@@ -20,6 +20,19 @@ def weighted_partition_count(n_max, e_max):
     return count
 
 
+def enumerated_shell_multiplicities(space):
+    """``{2 (dual energy + fermion weight): count}`` for the boson x dual x
+    fermion ``space``, read off its enumerated factor energies: each
+    (dual, fermion) pair heads one state per boson state that fits under
+    the remaining energy."""
+    boson, dual, ferm = space.factors
+    pair_e = np.add.outer(dual.energy, ferm.energy).ravel()
+    fits = np.searchsorted(np.sort(boson.energy), space.e_max - pair_e, side="right")
+    shells, pair_shell = np.unique(2.0 * pair_e, return_inverse=True)
+    counts = np.bincount(pair_shell, fits).astype(int)
+    return {s: c for s, c in zip(shells.tolist(), counts.tolist()) if c}
+
+
 def dense_square(op):
     d = op.to_dense()
     return d @ d
@@ -267,10 +280,19 @@ def test_bounded_transform_zero_and_eigvecs():
 
 def test_spectrum_multiplicities_match_counting():
     spec = fock.TruncationSpec(3, 5)
-    dR, space = dirac.build_dirac_R(spec)
-    rows = dirac.spectrum_with_prediction(dR, space)
+    dR, _ = dirac.build_dirac_R(spec)
+    rows = dirac.spectrum_with_prediction(dR, spec)
     assert all(match for (_, _, _, match) in rows)
     assert rows[0][0] == 0.0 and rows[0][1] == weighted_partition_count(3, 5)
+
+
+@pytest.mark.parametrize("n_max, e_max", [(1, 2), (2, 4), (3, 5), (3, 6), (4, 8)])
+def test_predicted_shells_match_enumerated_counting(n_max, e_max):
+    spec = fock.TruncationSpec(n_max, e_max)
+    dR, space = dirac.build_dirac_R(spec)
+    predicted = {shell: p for shell, _, p, _ in dirac.spectrum_with_prediction(dR, spec)}
+    assert predicted == enumerated_shell_multiplicities(space)
+    assert sum(predicted.values()) == space.dim
 
 
 def test_dirac_square_spectrum_nonnegative():
