@@ -46,7 +46,6 @@ __all__ = [
     "right_action",
     "module_inner",
     "compare_indices",
-    "commutator_bound",
     "resolvent_compactness",
     "kucerovsky_check",
     "finite_group_assembly",
@@ -93,7 +92,7 @@ def build_j_cycle(spec: fock.TruncationSpec, m_active: int,
 
 # Largest materialized j-cycle dimension ``materialize_j_cycle`` builds.
 # It admits (N, E, M, h_op) = (3, 6, 2, 6), dimension 55,664, with 71 rest
-# states: there the build traces a 36 MB peak in 0.2 s and the three
+# states: there the build traces a 36 MB peak in 0.2 s and the two
 # diagnostics together take about 0.8 s, each with a traced peak of at most
 # 58 MB (2-core Xeon, one BLAS thread), mostly sparse triplets; no dense
 # array they form exceeds n_rest x n_rest.
@@ -113,7 +112,6 @@ class MaterializedJCycle:
 
     spec: fock.TruncationSpec
     m_active: int
-    seq: limitspace.SigmaSequence
     space: object
     operator: SparseOperator
     d_part: SparseOperator
@@ -198,7 +196,7 @@ def materialize_j_cycle(spec: fock.TruncationSpec, m_active: int,
         r_n = max(float(np.linalg.norm(limitspace.dRz_matrix(basis).to_dense() @ v)),
                   float(np.linalg.norm(limitspace.dRzbar_matrix(basis).to_dense() @ v)))
         weighted += 2.0 * n * r_n ** 2
-    return MaterializedJCycle(spec, m_active, seq, space, d_part + l_part, d_part, l_part,
+    return MaterializedJCycle(spec, m_active, space, d_part + l_part, d_part, l_part,
                               mode_bases, h_op, xi_vecs, float(2.0 * np.sqrt(weighted)))
 
 
@@ -456,39 +454,6 @@ def compare_indices(analytic: IndexCycle, mu: IndexCycle, seed: int = 7) -> Comp
 
 
 @dataclass
-class CommutatorReport:
-    measured: float
-    bound: float            # from the actual generator legs
-    ideal_bound: float      # sigma/2 scalars plus the frozen-tail bound;
-                            # inf unless the sigma rule is convergent
-
-
-def commutator_bound(cycle: MaterializedJCycle) -> CommutatorReport:
-    """Norm of ``[operator, a (x) id]`` for ``a = theta_(Xi, Xi)`` on the
-    materialized model.
-
-    The mirror part commutes with ``a (x) id`` exactly, so the commutator is
-    ``[D, a]`` with operator bound ``2 |D(Xi (x) .)| |Xi|``; that scalar is
-    assembled from the measured per-mode ladder norms of the truncated
-    ``Xi`` legs.  The untruncated scalars give the ideal bound.
-
-    With ``P = a (x) id = V V^H`` the commutator is ``(1 - P) op P - P op
-    (1 - P)``, two blocks that are adjoints of each other, so its norm is
-    ``|C|`` for the sparse ``C = (1 - P) op V``, read exactly off the
-    n_rest x n_rest Gram ``C^H C``.
-    """
-    v = cycle.isometry
-    op_v = cycle.operator @ v
-    c = op_v - v @ (adjoint(v) @ op_v)
-    measured = float(np.sqrt(_norm(adjoint(c) @ c)))
-    ideal = np.inf
-    if cycle.seq.convergent:
-        ideal = (2.0 * limitspace.frozen_tail_dirac_norm(0, cycle.seq, n_cut=cycle.m_active)
-                 + limitspace.tail_bound(cycle.m_active, cycle.seq))
-    return CommutatorReport(measured, cycle.xi_bound, float(ideal))
-
-
-@dataclass
 class CompactnessReport:
     split_norms: tuple       # (|free part|, |cross part|, |mirror part|)
     mirror_residual: float   # max |l_part^2 - 2 (N_f + E_dual)|, entrywise
@@ -537,14 +502,15 @@ def kucerovsky_check(cycle: MaterializedJCycle, seed: int = 5) -> list:
     general; two seeded random unit ``k`` are checked next to ``Xi``.  The
     cut-off cycle carries the zero operator, so its positivity pairing is
     identically zero and nothing is reported for it; that the squared cycle
-    operator is positive semi-definite is checked by the ``jcycle_diag``
-    experiment.
+    operator is positive semi-definite is checked in the same experiment,
+    ``jcycle_diag``.
 
     The compressed module is the cycle's rest space.  The defect is formed
     as its sparse adjoint ``T^H dirac_L - op T^H`` (both operators are
     self-adjoint) and its norm read exactly off the n_rest x n_rest Gram.
     ``T^H`` is the :meth:`MaterializedJCycle.lift` of ``k``, the isometry
-    for ``k = Xi``.
+    ``V`` for ``k = Xi``, whose defect norm is then the smeared commutator
+    ``|[op, V V^H]|``: the mirror part commutes with ``V V^H``.
     """
     dl = dirac.build_dirac_L(cycle.spec, space=cycle.rest)[0]
     prefix_dim = math.prod(len(v) for v in cycle.xi_vecs)

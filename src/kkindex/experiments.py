@@ -233,6 +233,13 @@ class Report:
 # ------------------------------------------------------------------ experiments
 
 
+def _with_config_case(cfg: Config, *cases) -> list:
+    """The fixed ``(modes, energy_cut)`` cases, then the config's own unless
+    it is one of them, so no row is written twice."""
+    own = (cfg.modes, cfg.energy_cut)
+    return list(cases) + [own] * (own not in cases)
+
+
 def _exp_ccr_car(cfg: Config, rng: Lcg) -> Report:
     rep = Report("ccr_car")
     spec = cfg.spec()
@@ -276,7 +283,7 @@ def _exp_ccr_car(cfg: Config, rng: Lcg) -> Report:
 
 def _exp_weitzenbock(cfg: Config, rng: Lcg) -> Report:
     rep = Report("weitzenbock")
-    for n_max, e_max in ((1, 2), (2, 4), (cfg.modes, cfg.energy_cut)):
+    for n_max, e_max in _with_config_case(cfg, (1, 2), (2, 4)):
         spec = cfg.spec(modes=n_max, energy=e_max)
         residual = dirac.weitzenbock_residual(spec)
         rep.equals("max|dirac^2 - 2(N + E/i)|", f"N={n_max},E={e_max}",
@@ -286,10 +293,11 @@ def _exp_weitzenbock(cfg: Config, rng: Lcg) -> Report:
 
 def _exp_kernel_count(cfg: Config, rng: Lcg) -> Report:
     rep = Report("kernel_count")
-    cases = [(3, 4), (2, 4), (cfg.modes, cfg.energy_cut)]
-    for n_max, e_max in cases:
+    for n_max, e_max in _with_config_case(cfg, (3, 4), (2, 4)):
         spec = cfg.spec(modes=n_max, energy=e_max)
         dR, space = dirac.build_dirac_R(spec)
+        if (n_max, e_max) == (cfg.modes, cfg.energy_cut):
+            own = dR, spec
         blocks = dirac.kernel(dR)
         rep.equals("dim ker(dirac_R)", f"N={n_max},E={e_max}",
                    sum(len(states) for states, _ in blocks),
@@ -301,11 +309,11 @@ def _exp_kernel_count(cfg: Config, rng: Lcg) -> Report:
                            for states, coeffs in blocks), default=0.0)
         rep.equals("kernel off vacuum-column support", f"N={n_max},E={e_max}",
                    off_support, 0.0, 0.0)
-    # dirac_R^2 multiplicities against independent shell counting, on the
-    # last case's operator: the config's truncation
-    misses = sum(not match for *_, match in dirac.spectrum_with_prediction(dR, spec))
+    # dirac_R^2 multiplicities against independent shell counting at the
+    # config's truncation
+    misses = sum(not match for *_, match in dirac.spectrum_with_prediction(*own))
     rep.equals("dirac_R^2 shells off the counted multiplicity",
-               f"N={n_max},E={e_max}", misses, 0.0, 0.0)
+               f"N={cfg.modes},E={cfg.energy_cut}", misses, 0.0, 0.0)
     return rep
 
 
@@ -472,8 +480,8 @@ def _size_note(cycle: assembly.MaterializedJCycle) -> str:
 
 def _exp_jcycle_diag(cfg: Config, rng: Lcg, sigma_modes: int) -> Report:
     rep = Report("jcycle_diag")
-    spec = cfg.spec(modes=2, energy=3)
-    cycle = assembly.materialize_j_cycle(spec, sigma_modes, cfg.sigma_seq(), h_op=4)
+    spec, seq = cfg.spec(modes=2, energy=3), cfg.sigma_seq()
+    cycle = assembly.materialize_j_cycle(spec, sigma_modes, seq, h_op=4)
     rep.notes.append(_size_note(cycle))
     sa = (adjoint(cycle.operator) - cycle.operator).max_abs()
     rep.equals("self-adjointness", "materialized", sa, 0.0, 1e-10)
@@ -492,16 +500,19 @@ def _exp_jcycle_diag(cfg: Config, rng: Lcg, sigma_modes: int) -> Report:
                comp.mirror_residual, 0.0, 1e-10)
     shells = " ".join(f"{e:g}" for e in sorted(set(2.0 * cycle.rest.basis.energy)))
     rep.notes.append(f"mirror resolvent 1/(1 + shell) on rest shells {shells}")
-    comm = assembly.commutator_bound(cycle)
-    rep.at_most("commutator norm within bound", "materialized", comm.measured,
-                comm.bound, 1e-10)
-    rep.notes.append(f"ideal (untruncated) commutator bound {comm.ideal_bound:.6g}")
+    # sigma/2 scalars of the active modes plus the frozen-tail bound
+    ideal = (2.0 * limitspace.frozen_tail_dirac_norm(0, seq, n_cut=sigma_modes)
+             + limitspace.tail_bound(sigma_modes, seq)) if seq.convergent else math.inf
+    rep.notes.append(f"ideal (untruncated) commutator bound {ideal:.6g}")
     # reported, not asserted: how far the squared spectrum sits from the
     # mirror lattice 2(N_f + E_dual); the cross part shifts it at truncation
     lattice = np.arange(0.0, float(np.max(vals)) + 3.0, 2.0)
     drift = float(np.max(np.min(np.abs(vals[:, None] - lattice[None, :]), axis=1)))
     rep.notes.append(f"squared-spectrum drift from the even lattice: {drift:.6g} "
                      f"(cross part {n2:.6g} present at truncation)")
+    # Kucerovsky's product criterion; the xi row is |[op, theta_(Xi,Xi) (x) id]|
+    for name, measured, bound in assembly.kucerovsky_check(cycle, seed=cfg.seed & 0xFFFF):
+        rep.at_most(f"commutator bounded ({name})", "materialized", measured, bound, 1e-8)
     return rep
 
 
@@ -529,10 +540,7 @@ def _exp_assembly_compare(cfg: Config, rng: Lcg, sigma_modes: int) -> Report:
 
 def _exp_index_compare(cfg: Config, rng: Lcg) -> Report:
     rep = Report("index_compare")
-    cases = [(2, 4), (3, 6), (3, 8)]
-    if (cfg.modes, cfg.energy_cut) not in cases:
-        cases.append((cfg.modes, cfg.energy_cut))
-    for n_max, e_max in cases:
+    for n_max, e_max in _with_config_case(cfg, (2, 4), (3, 6), (3, 8)):
         spec = cfg.spec(modes=n_max, energy=e_max)
         analytic, mu = assembly.analytic_index(spec), assembly.mu_index(spec)
         report = assembly.compare_indices(analytic, mu, seed=cfg.seed & 0xFFFF)
@@ -543,16 +551,6 @@ def _exp_index_compare(cfg: Config, rng: Lcg) -> Report:
             f"energy groups {len(analytic.blocks)}")
         for quantity, value, tol in report.rows:
             rep.equals(quantity, f"N={n_max},E={e_max}", value, 0.0, tol)
-    return rep
-
-
-def _exp_kucerovsky(cfg: Config, rng: Lcg, sigma_modes: int) -> Report:
-    rep = Report("kucerovsky")
-    spec = cfg.spec(modes=2, energy=3)
-    cycle = assembly.materialize_j_cycle(spec, sigma_modes, cfg.sigma_seq(), h_op=4)
-    rep.notes.append(_size_note(cycle))
-    for name, measured, bound in assembly.kucerovsky_check(cycle, seed=cfg.seed & 0xFFFF):
-        rep.at_most(f"commutator bounded ({name})", "materialized", measured, bound, 1e-8)
     return rep
 
 
@@ -568,7 +566,6 @@ EXPERIMENTS = {
     "jcycle_diag": partial(_exp_jcycle_diag, sigma_modes=1),
     "assembly_compare": partial(_exp_assembly_compare, sigma_modes=3),
     "index_compare": _exp_index_compare,
-    "kucerovsky": partial(_exp_kucerovsky, sigma_modes=1),
 }
 
 

@@ -16,7 +16,7 @@ import pytest
 
 import kkindex
 from kkindex import TruncationSpec
-from kkindex import dirac, fock, limitspace, opcore, twistgroup
+from kkindex import assembly, dirac, fock, limitspace, opcore, twistgroup
 from kkindex.cli import main
 from kkindex.dirac import TripleSpace
 from kkindex.experiments import (MAX_DIM, Config, ConfigError, Lcg, Report, parse_config,
@@ -464,9 +464,9 @@ def test_size_cap_admits_largest_documented_truncation(tmp_path):
 
 
 def test_sigma_list_length_follows_the_selected_experiments(tmp_path):
-    # assembly_compare reads sigma_1..3, jcycle_diag and kucerovsky sigma_1
-    for need, names in ((3, "all"), (3, "assembly_compare"), (1, "jcycle_diag, kucerovsky"),
-                        (1, "kucerovsky"), (0, "sigma_tails")):
+    # assembly_compare reads sigma_1..3, jcycle_diag sigma_1
+    for need, names in ((3, "all"), (3, "assembly_compare"), (1, "jcycle_diag"),
+                        (1, "jcycle_diag, sigma_tails"), (0, "sigma_tails")):
         values = ",".join(["0.5"] * need) or "0.5"
         parse_config(write(tmp_path, f"sigma = list:{values}\nexperiments = {names}\n"))
         if need > 1:
@@ -477,17 +477,50 @@ def test_sigma_list_length_follows_the_selected_experiments(tmp_path):
 
 def test_sigma_list_is_checked_against_the_experiment_run(tmp_path, capsys):
     # the config's experiments need one sigma value, the named one needs three
-    cfg = write(tmp_path, "sigma = list:0.5\nexperiments = kucerovsky\n")
+    cfg = write(tmp_path, "sigma = list:0.5\nexperiments = jcycle_diag\n")
     out = tmp_path / "out"
     assert main(["run", "assembly_compare", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "sigma" in err
     assert not out.exists() or not list(out.iterdir())
-    assert main(["run", "kucerovsky", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["run", "jcycle_diag", "--config", cfg, "--out", str(out)]) == 0
 
 
-@pytest.mark.parametrize("name, need", [("jcycle_diag", 1), ("assembly_compare", 3),
-                                        ("kucerovsky", 1)])
+def test_kucerovsky_is_no_experiment_of_its_own(tmp_path, capsys):
+    # its rows are jcycle_diag's, on the one materialized cycle
+    out = tmp_path / "out"
+    assert main(["run", "kucerovsky", "--out", str(out)]) == 2
+    assert "unregistered experiment 'kucerovsky'" in capsys.readouterr().err
+    cfg = write(tmp_path, "experiments = kucerovsky\n")
+    assert main(["run", "all", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'kucerovsky'" in err
+    assert not out.exists() or not list(out.glob("*.csv"))
+
+
+def test_run_all_materializes_the_j_cycle_once(tmp_path, monkeypatch):
+    calls = []
+    build = assembly.materialize_j_cycle
+    monkeypatch.setattr(assembly, "materialize_j_cycle",
+                        lambda *args, **kwargs: calls.append(args) or build(*args, **kwargs))
+    assert main(["run", "all", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("modes, energy_cut", [(2, 4), (3, 4)])
+def test_each_row_is_written_once_per_truncation(tmp_path, modes, energy_cut):
+    # a config truncation among an experiment's fixed cases adds no second row
+    cfg = Config(modes=modes, energy_cut=energy_cut)
+    reports = {name: run_experiment(name, cfg, str(tmp_path)) for name in sorted(EXPERIMENTS)}
+    for name, report in reports.items():
+        pairs = [(row.quantity, row.truncation) for row in report.rows]
+        assert len(pairs) == len(set(pairs)), name
+    shells = [row.truncation for row in reports["kernel_count"].rows
+              if row.quantity == "dirac_R^2 shells off the counted multiplicity"]
+    assert shells == [f"N={modes},E={energy_cut}"]
+
+
+@pytest.mark.parametrize("name, need", [("jcycle_diag", 1), ("assembly_compare", 3)])
 def test_each_experiment_runs_on_exactly_the_sigma_values_it_declares(tmp_path, capsys,
                                                                        name, need):
     assert sigma_modes(name) == need
@@ -534,8 +567,8 @@ def test_report_that_cannot_be_written_is_an_output_error(tmp_path, capsys):
 
 
 def test_cli_harmonic_sigma_runs(tmp_path, capsys):
-    cfg = write(tmp_path, "sigma = harmonic\nexperiments = jcycle_diag, kucerovsky, "
-                          "assembly_compare, sigma_tails\n")
+    cfg = write(tmp_path, "sigma = harmonic\nexperiments = jcycle_diag, assembly_compare, "
+                          "sigma_tails\n")
     assert main(["run", "all", "--config", cfg, "--out", str(tmp_path)]) == 0
     # the harmonic rule is divergent, so no untruncated bound exists
     assert "commutator bound inf" in (tmp_path / "jcycle_diag.txt").read_text()
