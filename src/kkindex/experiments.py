@@ -380,8 +380,11 @@ def _exp_fingroup_suite(cfg: Config, rng: Lcg) -> Report:
         ext = twistgroup.TwistedExtension(tau)
         f1 = twistgroup.GroupAlgebraElement(ext, rng.complex_vector(grp.order), 1)
         f0 = twistgroup.GroupAlgebraElement(ext, rng.complex_vector(grp.order), 0)
-        cross = twistgroup.convolve(f1, f0).max_abs()
-        rep.equals("level orthogonality", label, cross, 0.0, 0.0)
+        # through the untagged product, not the tagged one that returns
+        # zeros for distinct levels by construction
+        cross = twistgroup.convolve(twistgroup.GroupAlgebraElement(ext, f1.table()),
+                                    twistgroup.GroupAlgebraElement(ext, f0.table()))
+        rep.equals("level orthogonality", label, cross.max_abs(), 0.0, 1e-12)
 
         a = twistgroup.CrossedProductElement.translation(
             grp, rng.complex_matrix(grp.order))
@@ -403,7 +406,7 @@ def _exp_fingroup_suite(cfg: Config, rng: Lcg) -> Report:
         rep.equals("mishchenko idempotent", label, idem, 0.0, 1e-12)
 
         blocks = twistgroup.decompose_twisted_algebra(grp, tau)
-        rep.notes.append(f"{label}: blocks {blocks}")
+        rep.notes.append(f"{label}: order {grp.order}, m {ext.m}, blocks {blocks}")
         if moduli == "3x3":
             rep.equals("heisenberg single block dim 3", label, float(blocks == [3]),
                        1.0, 0.0)
@@ -531,6 +534,8 @@ def _exp_assembly_compare(cfg: Config, rng: Lcg, sigma_modes: int) -> Report:
             text += "\nroot_order = 3"
         grp, tau = twistgroup.parse_group_spec(text)
         fin = assembly.finite_group_assembly(grp, tau, seed=cfg.seed & 0xFFFF)
+        irreps = twistgroup.ProjectiveIrreps(tau)
+        rep.notes.append(f"{grp!r}: order {grp.order}, irreps {irreps.count} x {irreps.dim}")
         rep.equals("finite model compressed spectra", f"{grp!r}", fin.deviation,
                    0.0, 1e-8)
         rep.equals("finite model compressed cross term", f"{grp!r}",

@@ -277,13 +277,6 @@ class SparseOperator:
     def zero(domain: Basis, codomain: Basis = None, grade: str = "even") -> "SparseOperator":
         return SparseOperator(domain, codomain or domain, [], [], [], grade)
 
-    @staticmethod
-    def from_dense(mat, domain: Basis, codomain: Basis = None,
-                   grade: str = "even") -> "SparseOperator":
-        mat = np.asarray(mat)
-        cols, rows = np.nonzero(mat.T)  # column-major: canonical order
-        return SparseOperator(domain, codomain or domain, rows, cols, mat[rows, cols], grade)
-
     # -- basic algebra ------------------------------------------------
 
     @property

@@ -27,12 +27,15 @@ forms the exponent defect on ``(g, h, k)`` cubes of several ``g``, at most
 type that holds ``4m``.  Untagged :func:`convolve` does the fiber sum
 ``sum_j f(g, j) h(t, s - j)`` for a block of ``g`` as one matrix product
 and then sums over ``g`` with one gather at ``t = tgt[g, x]``,
-``s = phase[g, x] + xj``.  :func:`crossed_convolve` gathers
-``b(h^{-1} g, h^{-1} x)`` for each point ``x`` with one flat ``take`` and
-sums over ``h`` with one vector-matrix product.  On Heisenberg Z16xZ16
-(order 256, m = 16) the three take about 35 ms, 20 ms and 80 ms (2-core
-Xeon, one BLAS thread), with traced peaks of 0.2 MB, 1.8 MB and 3.7 MB;
-at order 64 :func:`crossed_convolve` takes about 0.9 ms.
+``s = phase[g, x] + xj mod m``, the residue read from an m x m table.
+:func:`crossed_convolve` gathers ``b(h^{-1} g, h^{-1} x)`` for each point
+``x`` with one flat ``take`` and sums over ``h`` with one vector-matrix
+product.  :func:`schatten_map` reads its canonical triplets from the
+crossed-product table with one flat ``take``.  On Heisenberg Z16xZ16
+(order 256, m = 16) the four take about 40-55 ms, 14-21 ms, 100-105 ms and
+3-5 ms (2-core Xeon, one BLAS thread, shared), with traced peaks of
+0.2 MB, 1.8 MB, 3.7 MB and 4.9 MB; at order 64 :func:`crossed_convolve`
+takes about 1.1-1.4 ms.
 
 For the trivial cocycle and the Heisenberg pairing, :class:`ProjectiveIrreps`
 gives every irreducible projective representation in closed form, built from
@@ -319,11 +322,11 @@ def convolve(f: GroupAlgebraElement, h: GroupAlgebraElement) -> GroupAlgebraElem
     shifted = h.table()[np.arange(n)[:, None], lag[:, None, :]].reshape(m, n * m)
     ftab = f.table()
     out = np.zeros((n, m), dtype=complex)
+    wrap = (fiber[:, None] + fiber) % m  # [p, xj] -> p + xj mod m
     step = max(1, opcore.BLOCK_ELEMENTS // (n * m))
     for g0 in range(0, n, step):
         part = ftab[g0:g0 + step] @ shifted  # [g - g0, t * m + s]
-        idx = ext.phase[g0:g0 + step, :, None] + fiber  # [g - g0, x, xj]
-        idx %= m
+        idx = wrap[ext.phase[g0:g0 + step]]  # [g - g0, x, xj]
         idx += (np.arange(len(part))[:, None, None] * n + ext.tgt[g0:g0 + step, :, None]) * m
         out += np.take(part, idx).sum(axis=0)
     return GroupAlgebraElement(ext, out / m, None)
@@ -442,11 +445,19 @@ def schatten_map(a: CrossedProductElement) -> SparseOperator:
 
     Requires ``X = G`` with the translation action; intertwines
     :func:`crossed_convolve` with operator composition and the involution
-    with the adjoint.
+    with the adjoint.  The operator's triplets are those of the matrix of
+    :func:`regular_representation`, emitted in canonical order straight from
+    ``a.values``, with no dense matrix.
     """
     _require_translation(a, "schatten map")
-    basis = a.group._l2_basis
-    return SparseOperator.from_dense(regular_representation(a), basis, basis, "even")
+    grp = a.group
+    n, basis = grp.order, grp._l2_basis
+    # entry (x, y) is a(x - y, x), at flat index [y, x] -> (x - y) n + x:
+    # one take reads the entries in canonical (column y, row x) order
+    vals = a.values.ravel().take((grp.add_table[grp.neg_table] * n + np.arange(n)).ravel())
+    vals += 0.0  # -0.0 parts become +0.0, as regular_representation's sum leaves them
+    return SparseOperator(basis, basis, np.tile(np.arange(n), n), np.repeat(np.arange(n), n),
+                          vals, "even")
 
 
 # ------------------------------------------------------------------ modules

@@ -266,6 +266,24 @@ def test_level_suite_fails_when_the_untagged_product_leaks(tmp_path, monkeypatch
         f"level {l1} * level {l2} = 0" for l1 in range(3) for l2 in range(3) if l1 != l2}
 
 
+def test_fingroup_suite_fails_when_the_untagged_product_leaks(tmp_path, monkeypatch):
+    # the level orthogonality rows read the untagged product, so a leak
+    # there fails exactly those rows, one per group
+    exact = twistgroup.convolve
+
+    def leaky(f, h):
+        out = exact(f, h)
+        if f.level is None and h.level is None:
+            out = twistgroup.GroupAlgebraElement(out.ext, out.values + 1e-9)
+        return out
+
+    monkeypatch.setattr(twistgroup, "convolve", leaky)
+    report = run_experiment("fingroup_suite", Config(), str(tmp_path))
+    assert not report.ok
+    failed = [row.quantity for row in report.rows if row.headroom > 1.0]
+    assert failed == ["level orthogonality"] * 4
+
+
 def test_kernel_count_fails_when_a_shell_count_is_off(monkeypatch):
     # one (dual, fermion) pair short at the top energy: only the shell row
     # that compares dirac_R^2 with the count can see it

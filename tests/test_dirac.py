@@ -6,7 +6,7 @@ import pytest
 from kkindex import dirac, fock, limitspace
 from kkindex.opcore import Basis, ShapeMismatchError, SparseOperator, adjoint, spectrum
 from traced import traced_peak
-from vectors import dense_kernel, factor_labels, product_label, unit
+from vectors import dense_kernel, factor_labels, from_dense, product_label, unit
 
 
 # ---------------------------------------------------------------- oracles
@@ -392,7 +392,7 @@ def test_embed_factor_op_matches_label_lookup_oracle(case):
         for grade in ("even", "odd"):
             mask = rng.random((factor.dim, factor.dim)) < 0.3
             vals = rng.standard_normal(mask.shape) + 1j * rng.standard_normal(mask.shape)
-            op = SparseOperator.from_dense(vals * mask, factor, factor, grade)
+            op = from_dense(vals * mask, factor, factor, grade)
             got = space.embed_factor_op(op, pos)
             assert got.grade == grade
             assert entries(got) == embed_oracle(factors, comps, op, pos)

@@ -14,7 +14,7 @@ from kkindex.opcore import (Basis, SparseOperator, adjoint, block_components, ei
                             graded_commutator, shift_op, spectrum, gram_transpose,
                             spectral_function, NotSelfAdjointError, ShapeMismatchError)
 from traced import traced_peak
-from vectors import dense_kernel, inner, norm, orthonormal_dense, unit
+from vectors import dense_kernel, from_dense, inner, norm, orthonormal_dense, unit
 
 SPEC = fock.TruncationSpec(n_max=3, e_max=6)
 
@@ -891,7 +891,7 @@ def test_from_dense_lists_entries_in_canonical_order(case, monkeypatch):
     mat[rows, cols] = vals
     ref = lexsort_route(domain, codomain, rows, cols, vals)
     monkeypatch.setattr(np, "argsort", None)  # never sorted
-    op = SparseOperator.from_dense(mat, domain, codomain)
+    op = from_dense(mat, domain, codomain)
     for got, want in zip((op.rows, op.cols, op.vals), ref):
         assert got.tobytes() == want.tobytes()
 
@@ -970,7 +970,7 @@ def product_cases():
 
     def random_op(mask, grade="even"):
         mat = (rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))) * mask
-        return SparseOperator.from_dense(mat, basis, grade=grade)
+        return from_dense(mat, basis, grade=grade)
 
     dense = np.ones((12, 12), dtype=bool)
     holes = rng.random((12, 12)) < 0.4

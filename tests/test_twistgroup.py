@@ -9,6 +9,7 @@ from kkindex.opcore import adjoint
 import tuple_law as law
 from m_iso_trial import m_iso_trial
 from traced import traced_peak
+from vectors import from_dense
 
 
 # ---------------------------------------------------------------- oracles
@@ -48,6 +49,27 @@ def brute_crossed(a: tg.CrossedProductElement, b: tg.CrossedProductElement, acti
                                                    a.points.index(act(hinv, x))]
             out[gi, xi] = acc
     return out
+
+
+def remainder_convolve(f: tg.GroupAlgebraElement, h: tg.GroupAlgebraElement):
+    """Untagged :func:`tg.convolve` with the fiber index of every
+    ``(g, x, xj)`` taken mod m in each block, the kernel before its wrap
+    table: the same blocks and sums, so equal bit for bit."""
+    ext = f.ext
+    n, m = ext.group.order, ext.m
+    fiber = np.arange(m)
+    lag = (fiber[None, :] - fiber[:, None]) % m
+    shifted = h.table()[np.arange(n)[:, None], lag[:, None, :]].reshape(m, n * m)
+    ftab = f.table()
+    out = np.zeros((n, m), dtype=complex)
+    step = max(1, opcore.BLOCK_ELEMENTS // (n * m))
+    for g0 in range(0, n, step):
+        part = ftab[g0:g0 + step] @ shifted
+        idx = ext.phase[g0:g0 + step, :, None] + fiber
+        idx %= m
+        idx += (np.arange(len(part))[:, None, None] * n + ext.tgt[g0:g0 + step, :, None]) * m
+        out += np.take(part, idx).sum(axis=0)
+    return out / m
 
 
 def z3_heisenberg():
@@ -299,6 +321,44 @@ def test_schatten_spanning_bijection():
                 tg.CrossedProductElement.translation(grp, vals)).to_dense().ravel())
     rank = np.linalg.matrix_rank(np.array(mats))
     assert rank == 9
+
+
+# orders 1 to 256, and Heisenberg Z16xZ16 the largest the lab reaches
+SCHATTEN_GROUPS = [(1,), (2,), (5,), (3, 3), (4, 2), (2, 3, 2), (8, 8), (16, 16)]
+
+
+def awkward_table(n, rng):
+    """A random n x n table with exact zeros, -0.0 parts and a NaN among
+    its entries."""
+    vals = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    at = np.unravel_index(rng.permutation(n * n), (n, n))
+    vals[at[0][0::5], at[1][0::5]] = 0.0
+    vals[at[0][1::5], at[1][1::5]] = complex(-0.0, -0.0)
+    vals.real[at[0][2::5], at[1][2::5]] = -0.0
+    vals.imag[at[0][3::5], at[1][3::5]] = -0.0
+    vals[at[0][4:5], at[1][4:5]] = np.nan
+    return vals
+
+
+@pytest.mark.parametrize("moduli", SCHATTEN_GROUPS, ids=lambda ms: "x".join(map(str, ms)))
+def test_schatten_map_is_the_dense_route_triplet_for_triplet(moduli, monkeypatch):
+    # the regular representation's entries listed column by column are the
+    # oracle; schatten_map emits them in that canonical order itself, with
+    # no dense matrix and no sort (the basis is built before argsort goes)
+    grp = tg.FiniteAbelianGroup(moduli)
+    rng = np.random.default_rng(grp.order)
+    a = tg.CrossedProductElement.translation(grp, awkward_table(grp.order, rng))
+    want = from_dense(tg.regular_representation(a), grp._l2_basis)
+
+    def dense(a):
+        raise AssertionError("schatten_map formed the dense matrix")
+
+    monkeypatch.setattr(tg, "regular_representation", dense)
+    monkeypatch.setattr(np, "argsort", None)
+    got = tg.schatten_map(a)
+    assert got.domain is got.codomain is grp._l2_basis
+    for mine, theirs in zip((got.rows, got.cols, got.vals), (want.rows, want.cols, want.vals)):
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
 
 
 # ---------------------------------------------------------------- mishchenko
@@ -834,6 +894,23 @@ def test_convolve_tagged_and_untagged_match_brute(tau):
     f, h = (tg.GroupAlgebraElement(ext, rng.standard_normal(shape)
                                    + 1j * rng.standard_normal(shape)) for _ in range(2))
     assert np.max(np.abs(tg.convolve(f, h).values - brute_convolve(f, h))) < 1e-12
+
+
+# m = 1, 2, 3, 8 and 16, each in one block and in one-g blocks
+@pytest.mark.parametrize("block", [50, opcore.BLOCK_ELEMENTS])
+@pytest.mark.parametrize("moduli, heisenberg", [((3,), False), ((4, 2), True), ((3, 3), True),
+                                                ((8, 8), True), ((16, 16), True)])
+def test_untagged_convolve_is_the_remainder_route_bit_for_bit(moduli, heisenberg, block,
+                                                              monkeypatch):
+    monkeypatch.setattr(opcore, "BLOCK_ELEMENTS", block)
+    grp = tg.FiniteAbelianGroup(moduli)
+    tau = tg.heisenberg_cocycle(grp) if heisenberg else tg.trivial_cocycle(grp)
+    ext = tg.TwistedExtension(tau)
+    rng = np.random.default_rng(ext.m)
+    shape = (grp.order, ext.m)
+    f, h = (tg.GroupAlgebraElement(ext, rng.standard_normal(shape)
+                                   + 1j * rng.standard_normal(shape)) for _ in range(2))
+    assert tg.convolve(f, h).values.tobytes() == remainder_convolve(f, h).tobytes()
 
 
 def test_involution_and_level_project_match_brute(tau):

@@ -1,9 +1,12 @@
 """Basis vectors, Gram inner products and norms, the vector arithmetic the
 tests do on coordinate arrays, the Gram-orthonormal dense view of an
-operator, the densified kernel blocks of ``kkindex.dirac.kernel``, and
-product-state labels read through the factor bases."""
+operator and the sparse operator of a dense matrix, the densified kernel
+blocks of ``kkindex.dirac.kernel``, and product-state labels read through
+the factor bases."""
 
 import numpy as np
+
+from kkindex.opcore import SparseOperator
 
 
 def unit(basis, label) -> np.ndarray:
@@ -39,6 +42,14 @@ def orthonormal_dense(op) -> np.ndarray:
     norms, singular values and eigenvalues are metrically meaningful there."""
     return (op.to_dense() * np.sqrt(op.codomain.gram)[:, None]
             / np.sqrt(op.domain.gram)[None, :])
+
+
+def from_dense(mat, domain, codomain=None, grade="even") -> SparseOperator:
+    """The operator with the nonzero entries of ``mat``, listed column by
+    column: canonical order, so the constructor never sorts."""
+    mat = np.asarray(mat)
+    cols, rows = np.nonzero(mat.T)
+    return SparseOperator(domain, codomain or domain, rows, cols, mat[rows, cols], grade)
 
 
 def dense_kernel(blocks, dim) -> np.ndarray:
