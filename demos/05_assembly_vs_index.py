@@ -11,19 +11,23 @@ Dirac operators conserve the energy that defines the window.
 import numpy as np
 
 from kkindex import assembly, dirac, fock, limitspace, twistgroup
+from kkindex.opcore import adjoint
 
 spec = fock.TruncationSpec(n_max=3, e_max=8)
 seq = limitspace.SigmaSequence("pow2")
 
-cycle = assembly.build_j_cycle(spec, m_active=3, seq=seq)
-print("descended cycle at (N=3, E=8, M=3, pow2)")
-print("  compression scalars <Xi, dR Xi> per active mode:",
-      [abs(z) for z in cycle.dR_overlaps])
+# three mode bases of at most 2 quanta each, times fermion x dual
+cycle = assembly.materialize_j_cycle(spec, m_active=3, seq=seq, h_op=2)
+print(f"descended cycle at (N=3, E=8, M=3, pow2): dim {cycle.space.dim}, "
+      f"{cycle.rest.dim} rest states")
+v = cycle.isometry
+print("  entries of the free part compressed by Xi (the scalars <Xi, dR Xi>):",
+      (adjoint(v) @ cycle.d_part @ v).nnz)
 
 compressed = assembly.assemble(cycle)
-dl, _ = dirac.build_dirac_L(spec)
-print(f"  assembled operator vs independent mirror Dirac: "
-      f"max entry difference {(compressed.operator - dl).max_abs():.2e}")
+dl, _ = dirac.build_dirac_L(spec, space=cycle.rest)
+print(f"  compression by Xi vs independent mirror Dirac: "
+      f"max entry difference {(compressed - dl).max_abs():.2e}")
 print()
 
 analytic = assembly.analytic_index(spec)

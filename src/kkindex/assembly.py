@@ -5,11 +5,12 @@ Module models (all legs are truncated Fock bases, labels shared):
 
 * descended cycle: (active mode prefix) x fermion x (dual-ket leg of the
   matrix algebra), with the matrix column leg an exact identity tensor
-  factor kept symbolic; the operator is ``D (x)_2 id + id (x)_1 dirac_L``.
+  factor left out; the operator is ``D (x)_2 id + id (x)_1 dirac_L``
+  (:class:`MaterializedJCycle`).
 * cut-off class: the rank-one projection onto the distinguished prefix
-  vector ``Xi``; compressing the cycle by it leaves ``dirac_L`` because
-  every compressed cross scalar ``<Xi, dR Xi>`` vanishes by rotation
-  invariance.
+  vector ``Xi``; compressing the cycle by it (:func:`assemble`, through the
+  isometry ``V`` onto ``Xi (x) rest``) leaves ``dirac_L`` because every
+  compressed cross scalar ``<Xi, dR Xi>`` vanishes by rotation invariance.
 * mu-side cycle: fermion x dual x boson with ``dirac_L``; the algebra acts
   on the right through the boson column leg.
 * analytic-side cycle: boson x dual x fermion with ``dirac_R``; the algebra
@@ -35,10 +36,8 @@ from . import dirac, fock, limitspace, opcore, twistgroup
 from .opcore import Basis, Lcg, SparseOperator, adjoint, gram_transpose, spectrum
 
 __all__ = [
-    "JCycle",
     "MaterializedJCycle",
     "IndexCycle",
-    "build_j_cycle",
     "materialize_j_cycle",
     "assemble",
     "analytic_index",
@@ -54,40 +53,6 @@ __all__ = [
 
 
 # ------------------------------------------------------------ j-cycle
-
-
-# per-mode quanta cutoff of the Xi vectors on the compression path
-XI_H_MAX = 64
-
-
-@dataclass
-class JCycle:
-    """Descended cycle data: per-mode compression scalars and the mirror
-    Dirac on its triple space."""
-
-    spec: fock.TruncationSpec
-    m_active: int
-    seq: limitspace.SigmaSequence
-    dR_overlaps: list                   # <Xi, dR_z Xi> per active mode (exact zeros)
-    dRbar_overlaps: list                # <Xi, dR_zbar Xi>
-    dirac_L: SparseOperator             # on fermion x dual x boson
-    dirac_L_space: object
-
-
-def build_j_cycle(spec: fock.TruncationSpec, m_active: int,
-                  seq: limitspace.SigmaSequence) -> JCycle:
-    """Assemble the descended cycle at the given truncation."""
-    if m_active > spec.n_max:
-        raise ValueError("component truncation mismatch: m_active > n_max")
-    xi_modes = [limitspace.xi_coeffs(seq.sigma(n), h_max=XI_H_MAX).renormalized()
-                for n in range(1, m_active + 1)]
-    # rotation invariance: dR Xi lives in the angular sector next to the
-    # diagonal, so every compression scalar vanishes identically
-    overlaps = [limitspace.xi_overlap_dRz(mode) for mode in xi_modes]
-    overlaps_bar = [limitspace.xi_overlap_dRz(mode, conjugate=True)
-                    for mode in xi_modes]
-    dL, l_space = dirac.build_dirac_L(spec)
-    return JCycle(spec, m_active, seq, overlaps, overlaps_bar, dL, l_space)
 
 
 # Largest materialized j-cycle dimension ``materialize_j_cycle`` builds.
@@ -200,6 +165,18 @@ def materialize_j_cycle(spec: fock.TruncationSpec, m_active: int,
                               mode_bases, h_op, xi_vecs, float(2.0 * np.sqrt(weighted)))
 
 
+def assemble(cycle: MaterializedJCycle) -> SparseOperator:
+    """Compress the descended cycle by the cut-off class: ``V^H op V`` on
+    :attr:`MaterializedJCycle.rest`, with ``V`` the Xi isometry.
+
+    The mirror part commutes with ``V``, and the free part compresses to the
+    cross scalars ``<Xi, dR Xi>``, which vanish by rotation invariance, so the
+    result is the mirror Dirac on the rest space.
+    """
+    v = cycle.isometry
+    return adjoint(v) @ cycle.operator @ v
+
+
 # ------------------------------------------------------------ index cycles
 
 
@@ -285,27 +262,6 @@ def mu_index(spec: fock.TruncationSpec, full_product: bool = False) -> IndexCycl
                               3 * spec.e_max if full_product else spec.e_max, name="mu")
     op, _ = dirac.build_dirac_L(spec, space=space)
     return IndexCycle("mu", space, op, spec, boson, dual, ferm)
-
-
-def assemble(cycle: JCycle) -> IndexCycle:
-    """Compress the descended cycle by the ``Xi`` projection.
-
-    The compressed operator is the cycle's mirror Dirac plus
-    ``sum_n sqrt(n) (<Xi, dR_z Xi> gamma_antiholo(n) + <Xi, dR_zbar Xi>
-    gamma_holo(n))``; the scalars vanish by rotation invariance, so the
-    result equals an independently built ``dirac_L`` entrywise.
-    """
-    out = cycle.dirac_L
-    space = cycle.dirac_L_space
-    ferm = space.factors[0]
-    for n in range(1, cycle.m_active + 1):
-        for scalar, kind in ((cycle.dR_overlaps[n - 1], "antiholo"),
-                             (cycle.dRbar_overlaps[n - 1], "holo")):
-            if scalar != 0:
-                out = out + space.embed_factor_op(
-                    fock.clifford(ferm, n, kind), 0).scale(np.sqrt(n) * scalar)
-    boson, dual = space.factors[2], space.factors[1]
-    return IndexCycle("mu", space, out, cycle.spec, boson, dual, space.factors[0])
 
 
 # ------------------------------------------------------------ module algebra

@@ -110,12 +110,6 @@ class ModeFunction:
     def h_max(self) -> int:
         return 2 * (len(self.coeffs) - 1)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    def renormalized(self) -> "ModeFunction":
-        return ModeFunction(self.coeffs / self.norm(), 0.0)
-
     def on_basis(self, basis: Basis) -> np.ndarray:
         """Coordinates on a :func:`mode_basis` of at least ``h_max`` quanta."""
         p, q = basis.label_array.T
@@ -277,18 +271,21 @@ def xi_coeffs(sigma: float, h_max: int = None) -> ModeFunction:
         kmax = min(4 * kmax, XI_HARD_CAP)
 
 
-def xi_overlap_dRz(mode: ModeFunction, conjugate: bool = False) -> complex:
-    """``<Xi, dR_z Xi>`` (or the ``dR_zbar`` overlap) measured on the ladder
-    basis.
+# per-mode quanta cutoff of the Xi vectors whose overlap ``xi_norms`` reads
+XI_H_MAX = 64
 
-    Rotation invariance puts both images in the angular sectors adjacent to
-    the diagonal, so the overlaps are exact zeros; computing them through
-    the matrices, as a Gram-weighted sum over the operator's entries, keeps
-    the compression pipeline honest about that.
+
+def xi_overlap_dRz(mode: ModeFunction) -> complex:
+    """``<Xi, dR_z Xi>`` measured on the ladder basis.
+
+    Rotation invariance puts the image in the angular sectors adjacent to
+    the diagonal, so the overlap is an exact zero; computing it through the
+    matrix, as a Gram-weighted sum over the operator's entries, keeps that
+    claim measured.
     """
     basis = mode_basis(mode.h_max + 2)
     c = mode.on_basis(basis)
-    op = dRzbar_matrix(basis) if conjugate else dRz_matrix(basis)
+    op = dRz_matrix(basis)
     return complex(np.sum(np.conj(c[op.rows]) * basis.gram[op.rows] * op.vals * c[op.cols]))
 
 

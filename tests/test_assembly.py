@@ -49,12 +49,12 @@ def test_jcycle_distinguished_vector():
     # free part has zero overlap with every Xi-tailed vector
     mat = small_cycle()
     space = mat.space
-    xi = ls.xi_coeffs(SEQ.sigma(1), h_max=mat.h_op).renormalized()
+    xi = ls.xi_coeffs(SEQ.sigma(1), h_max=mat.h_op).coeffs
     vec = np.zeros(space.dim, dtype=complex)
-    for k in range(len(xi.coeffs)):
+    for k in range(len(xi)):
         lab = product_label(space, (k, k), (0, 0), (0, 0))
         if lab in space.basis:
-            vec[space.basis.index(lab)] = xi.coeffs[k]
+            vec[space.basis.index(lab)] = xi[k]
     vec /= np.linalg.norm(vec)
     l_out = mat.l_part.to_dense() @ vec
     assert np.max(np.abs(l_out)) < 1e-14
@@ -87,8 +87,6 @@ def test_jcycle_split_reports_cross_term():
 
 def test_jcycle_rejects_mode_overflow():
     spec = fock.TruncationSpec(2, 3)
-    with pytest.raises(ValueError, match="truncation mismatch"):
-        asm.build_j_cycle(spec, 3, SEQ)
     with pytest.raises(ValueError, match="truncation mismatch"):
         asm.materialize_j_cycle(spec, 3, SEQ, h_op=4)
 
@@ -359,21 +357,48 @@ def test_mishchenko_finite_group_analogue():
 # ---------------------------------------------------------------- assemble
 
 def test_assemble_equals_mirror_dirac_entrywise():
-    spec = fock.TruncationSpec(3, 8)
-    cycle = asm.build_j_cycle(spec, 3, SEQ)
+    cycle = asm.materialize_j_cycle(fock.TruncationSpec(3, 6), 2, SEQ, h_op=3)
     compressed = asm.assemble(cycle)
-    dl, _ = dirac.build_dirac_L(spec)
-    assert (compressed.operator - dl).max_abs() <= 1e-10
-    assert compressed.space.dim == dl.domain.dim
+    dl, _ = dirac.build_dirac_L(cycle.spec, space=cycle.rest)
+    assert compressed.domain == compressed.codomain == dl.domain
+    assert (compressed - dl).max_abs() <= 1e-10
 
 
 def test_assemble_compressed_dimension():
-    spec = fock.TruncationSpec(2, 4)
-    cycle = asm.build_j_cycle(spec, 2, SEQ)
+    # rank-one compression: module = fermion x dual rest states at the same cut
+    cycle = small_cycle()
     compressed = asm.assemble(cycle)
-    # rank-one compression: module = spinor x matrix columns at the same cut
-    dl, space = dirac.build_dirac_L(spec)
-    assert compressed.space.dim == space.dim
+    _, space = dirac.build_dirac_L(cycle.spec, space=cycle.rest)
+    assert compressed.domain.dim == space.dim == cycle.rest.dim
+    assert cycle.space.dim == cycle.rest.dim * len(cycle.xi_vecs[0])
+
+
+def test_assemble_is_the_dense_compression_by_xi():
+    # V^H op V in Gram-orthonormal coordinates, V^H the dense T map of Xi
+    cycle = small_cycle()
+    t_map = dense_t_map(cycle, cycle.rest, cycle.xi_vecs[0])
+    want = t_map @ orthonormal_dense(cycle.operator) @ t_map.conj().T
+    got = orthonormal_dense(asm.assemble(cycle))
+    assert np.max(np.abs(got - want)) <= 1e-14
+    dl = orthonormal_dense(dirac.build_dirac_L(cycle.spec, space=cycle.rest)[0])
+    assert np.max(np.abs(got - dl)) <= 1e-14
+
+
+def test_jcycle_diag_fails_on_a_compression_off_xi(monkeypatch):
+    # a random unit prefix vector keeps V an isometry but not rotation
+    # invariant, so the compressed free part survives
+    def compression_row():
+        rep = EXPERIMENTS["jcycle_diag"](Config(), Lcg(Config().seed))
+        [row] = [row for row in rep.rows if row.quantity == "compression by Xi = mirror dirac"]
+        return row
+
+    assert compression_row().measured <= 1e-15
+    cycle = small_cycle()
+    k_vec = Lcg(3).complex_vector(len(cycle.xi_vecs[0]))
+    off_xi = dataclasses.replace(cycle, xi_vecs=[k_vec / np.linalg.norm(k_vec)])
+    monkeypatch.setattr(asm, "materialize_j_cycle", lambda *args, **kwargs: off_xi)
+    row = compression_row()
+    assert row.headroom > 1.0 and row.measured > 0.1
 
 
 # ---------------------------------------------------------------- finite model

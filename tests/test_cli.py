@@ -9,6 +9,7 @@ import pkgutil
 import subprocess
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +20,8 @@ from kkindex import TruncationSpec
 from kkindex import assembly, dirac, fock, limitspace, opcore, twistgroup
 from kkindex.cli import main
 from kkindex.dirac import TripleSpace
-from kkindex.experiments import (MAX_DIM, Config, ConfigError, Lcg, Report, parse_config,
-                                 run_experiment, sigma_modes, EXPERIMENTS)
+from kkindex.experiments import (MAX_DIM, Config, ConfigError, Lcg, Report, _exp_jcycle_diag,
+                                 parse_config, run_experiment, sigma_modes, EXPERIMENTS)
 from traced import traced_peak
 
 
@@ -437,8 +438,7 @@ def test_cli_bad_config(tmp_path, capsys):
                                        ("sigma = bogus", "sigma"),
                                        ("sigma = list:0,1", "sigma"),
                                        ("sigma = list:nan,0.5,0.25", "sigma"),
-                                       ("sigma = list:0.5,0.25,inf", "sigma"),
-                                       ("sigma = list:0.5,0.25", "sigma")])
+                                       ("sigma = list:0.5,0.25,inf", "sigma")])
 def test_cli_bad_value_is_config_error(tmp_path, capsys, line, key):
     cfg = write(tmp_path, line + "\n")
     with pytest.raises(ConfigError, match=key):
@@ -481,10 +481,17 @@ def test_size_cap_admits_largest_documented_truncation(tmp_path):
     assert sum(fock.window_counts(cfg.spec(), triple)) == 25752 <= MAX_DIM
 
 
-def test_sigma_list_length_follows_the_selected_experiments(tmp_path):
-    # assembly_compare reads sigma_1..3, jcycle_diag sigma_1
-    for need, names in ((3, "all"), (3, "assembly_compare"), (1, "jcycle_diag"),
-                        (1, "jcycle_diag, sigma_tails"), (0, "sigma_tails")):
+def jcycle_diag_at_two_modes(monkeypatch):
+    """Register ``jcycle_diag`` at M = 2 (dim 2925), so that it reads sigma_1..2."""
+    monkeypatch.setitem(EXPERIMENTS, "jcycle_diag", partial(_exp_jcycle_diag, sigma_modes=2))
+
+
+def test_sigma_list_length_follows_the_selected_experiments(tmp_path, monkeypatch):
+    # jcycle_diag reads sigma_1, or sigma_1..2 at M = 2; the others read none
+    assert sigma_modes("jcycle_diag") == 1 and sigma_modes("assembly_compare") == 0
+    jcycle_diag_at_two_modes(monkeypatch)
+    for need, names in ((2, "all"), (2, "jcycle_diag"), (2, "jcycle_diag, sigma_tails"),
+                        (0, "assembly_compare"), (0, "sigma_tails")):
         values = ",".join(["0.5"] * need) or "0.5"
         parse_config(write(tmp_path, f"sigma = list:{values}\nexperiments = {names}\n"))
         if need > 1:
@@ -493,15 +500,16 @@ def test_sigma_list_length_follows_the_selected_experiments(tmp_path):
                                              f"experiments = {names}\n"))
 
 
-def test_sigma_list_is_checked_against_the_experiment_run(tmp_path, capsys):
-    # the config's experiments need one sigma value, the named one needs three
-    cfg = write(tmp_path, "sigma = list:0.5\nexperiments = jcycle_diag\n")
+def test_sigma_list_is_checked_against_the_experiment_run(tmp_path, capsys, monkeypatch):
+    # the config's experiments need no sigma value, the named one needs two
+    jcycle_diag_at_two_modes(monkeypatch)
+    cfg = write(tmp_path, "sigma = list:0.5\nexperiments = assembly_compare\n")
     out = tmp_path / "out"
-    assert main(["run", "assembly_compare", "--config", cfg, "--out", str(out)]) == 2
+    assert main(["run", "jcycle_diag", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "sigma" in err
     assert not out.exists() or not list(out.iterdir())
-    assert main(["run", "jcycle_diag", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["run", "assembly_compare", "--config", cfg, "--out", str(out)]) == 0
 
 
 def test_kucerovsky_is_no_experiment_of_its_own(tmp_path, capsys):
@@ -538,9 +546,11 @@ def test_each_row_is_written_once_per_truncation(tmp_path, modes, energy_cut):
     assert shells == [f"N={modes},E={energy_cut}"]
 
 
-@pytest.mark.parametrize("name, need", [("jcycle_diag", 1), ("assembly_compare", 3)])
+@pytest.mark.parametrize("name, need", [("jcycle_diag", 1), ("jcycle_diag", 2)])
 def test_each_experiment_runs_on_exactly_the_sigma_values_it_declares(tmp_path, capsys,
-                                                                       name, need):
+                                                                       monkeypatch, name, need):
+    if need == 2:
+        jcycle_diag_at_two_modes(monkeypatch)
     assert sigma_modes(name) == need
     values = ["0.5", "0.25", "0.125"][:need]
     cfg = write(tmp_path, f"sigma = list:{','.join(values)}\nexperiments = {name}\n")
@@ -557,15 +567,19 @@ def test_each_experiment_runs_on_exactly_the_sigma_values_it_declares(tmp_path, 
 
 @pytest.mark.parametrize("value", ["1e6", "1e-300", "1e300"])
 def test_sigma_out_of_the_recurrence_range_is_a_clean_error(tmp_path, capsys, value):
-    # sigma^2 overflows (1e6 at the Xi cut 64, 1e300) or underflows (1e-300)
-    # the Laguerre recurrence of the Xi coefficients
-    cfg = write(tmp_path, f"sigma = list:{value},{value},{value}\n")
+    # sigma^2 overflows (1e300) or underflows (1e-300) the Laguerre recurrence
+    # of the Xi coefficients; 1e6 overflows it only past the 4 quanta of
+    # jcycle_diag's mode bases, and no experiment reads a config sigma at the
+    # Xi cut 64, so it runs
+    cfg = write(tmp_path, f"sigma = list:{value}\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["run", "assembly_compare", "--config", cfg,
-                     "--out", str(tmp_path / "out")]) == 2
+        code = main(["run", "jcycle_diag", "--config", cfg, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
-    assert "Xi coefficients" in err and f"sigma={float(value)!r}" in err
+    if value == "1e6":
+        assert code == 0 and err == ""
+    else:
+        assert code == 2 and "Xi coefficients" in err and f"sigma={float(value)!r}" in err
 
 
 def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
