@@ -229,9 +229,10 @@ class SparseOperator:
     sums repeated coordinates, drops exact zeros and sorts the entries by
     column, then row, so each coordinate occurs once and each column is one
     contiguous run; triplets already in that canonical order are taken as
-    they are.  ``grade`` is ``"even"`` or ``"odd"``.  Images that
-    leave a truncated codomain are simply not there: operators are
-    compressions.
+    they are.  The stored triplets are read-only; they may share memory
+    with read-only arrays passed in, never with writeable ones.  ``grade``
+    is ``"even"`` or ``"odd"``.  Images that leave a truncated codomain are
+    simply not there: operators are compressions.
     """
 
     def __init__(self, domain: Basis, codomain: Basis, rows, cols, vals,
@@ -241,6 +242,7 @@ class SparseOperator:
         self.domain = domain
         self.codomain = codomain
         self.grade = grade
+        given = rows, cols, vals
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=complex)
@@ -262,7 +264,14 @@ class SparseOperator:
                 np.add.at(summed, np.cumsum(first) - 1, vals)  # in entry order
                 rows, cols, vals = rows[first], cols[first], summed
         keep = vals != 0
-        self.rows, self.cols, self.vals = rows[keep], cols[keep], vals[keep]
+        if keep.all():
+            # arrays made here or already read-only are kept; a caller's
+            # writeable array is copied, never frozen
+            self.rows, self.cols, self.vals = (
+                a.copy() if a is g and a.flags.writeable else a
+                for a, g in zip((rows, cols, vals), given))
+        else:
+            self.rows, self.cols, self.vals = rows[keep], cols[keep], vals[keep]
         for arr in (self.rows, self.cols, self.vals):
             arr.flags.writeable = False
 

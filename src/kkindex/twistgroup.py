@@ -20,30 +20,34 @@ extension ``tgt[g, x] = index(-g + x)`` with the phase
 level-1 factor ``twist = roots[phase]``, and for a G-set the point table
 ``act_table[g, x] = index(g.x)``.
 
+:func:`check_cocycle` forms the exponent defect ``D(g, h, k)`` of the
+cocycle identity only on the rows of the r generators, r n^2 entries and
+not n^3: ``D(a+b,h,k) = D(b,h,k) + D(a,b+h,k) - D(a,b,h+k) + D(a,b,h)``
+for any integer table (``delta delta K = 0``), so the ``g`` whose rows
+vanish mod m form a subgroup, all of G once it holds the generators.  Only
+a failed check sweeps every ``(g, h, k)``, for the complete list.
+
 The brute-force kernels, the independent routes the tagged ones and the
-Schatten map are checked against, sum every term.  :func:`check_cocycle`
-forms the exponent defect on ``(g, h, k)`` cubes of several ``g``, at most
-:data:`opcore.BLOCK_ELEMENTS` entries each, in the narrowest signed integer
-type that holds ``4m``.  Untagged :func:`convolve` does the fiber sum
-``sum_j f(g, j) h(t, s - j)`` for a block of ``g`` as one matrix product
-and then sums over ``g`` with one gather at ``t = tgt[g, x]``,
-``s = phase[g, x] + xj mod m``, the residue read from an m x m table.
+Schatten map are checked against, sum every term.  Untagged
+:func:`convolve` does the fiber sum ``sum_j f(g, j) h(t, s - j)`` for a
+block of ``g`` as one matrix product and then sums over ``g`` with one
+gather at ``t = tgt[g, x]``, ``s = phase[g, x] + xj mod m``, the residue
+read from an m x m table.
 :func:`crossed_convolve` gathers ``b(h^{-1} g, h^{-1} x)`` for each point
 ``x`` with one flat ``take`` and sums over ``h`` with one vector-matrix
 product.  :func:`schatten_map` reads its canonical triplets from the
 crossed-product table with one flat ``take``.  On Heisenberg Z16xZ16
-(order 256, m = 16) the four take about 40-55 ms, 14-21 ms, 100-105 ms and
-3-5 ms (2-core Xeon, one BLAS thread, shared), with traced peaks of
-0.2 MB, 1.8 MB, 3.7 MB and 4.9 MB; at order 64 :func:`crossed_convolve`
-takes about 1.1-1.4 ms.
+(order 256, m = 16) a clean :func:`check_cocycle` and the other three take
+about 0.5-0.8 ms, 14-21 ms, 100-105 ms and 1.4-1.6 ms (2-core Xeon, one
+BLAS thread, shared), with traced peaks of 0.2 MB, 1.8 MB, 3.7 MB and
+2.75 MB; at order 64 :func:`crossed_convolve` takes about 1.1-1.4 ms, and
+at order 1024 a clean check about 12 ms with a 3.15 MB peak.
 
 For the trivial cocycle and the Heisenberg pairing, :class:`ProjectiveIrreps`
 gives every irreducible projective representation in closed form, built from
 DFT matrices in numpy core.
 
-A :class:`Cocycle`'s exponent table is read-only, and a clean check of it
-is recorded on the cocycle: :func:`decompose_twisted_algebra` reuses that
-check for the same table instead of running it again.
+A :class:`Cocycle`'s exponent table is read-only.
 
 Level-tagged slices ``(..., |G|)`` and module tables ``(..., |G|, |G|)`` may
 carry leading trial axes: the tagged kernels, :meth:`TwistedExtension.translates`
@@ -132,13 +136,8 @@ class FiniteAbelianGroup:
 
 
 class Cocycle:
-    """Exponent table for a two-cocycle valued in m-th roots of unity.
-
-    ``exponents`` is read-only.  A clean :func:`check_cocycle` of a
-    read-only table is recorded on the cocycle, and
-    :func:`decompose_twisted_algebra` reuses it for that same table; a table
-    assigned to ``exponents`` afterwards is checked anew.
-    """
+    """Exponent table for a two-cocycle valued in m-th roots of unity;
+    ``exponents`` is read-only."""
 
     def __init__(self, group: FiniteAbelianGroup, exponents, root_order: int):
         self.group = group
@@ -149,7 +148,6 @@ class Cocycle:
         if self.exponents.shape != (group.order, group.order):
             raise ValueError("incomplete cocycle table")
         self.exponents.flags.writeable = False
-        self._checked_table = None
 
     def root(self) -> complex:
         return np.exp(2j * np.pi / self.root_order)
@@ -176,35 +174,55 @@ def heisenberg_cocycle(group: FiniteAbelianGroup) -> Cocycle:
     return Cocycle(group, np.outer(group.coords[:, 1], group.coords[:, 0]), n2)
 
 
+def _defect(K: np.ndarray, add: np.ndarray, m: int, g) -> np.ndarray:
+    """``[i, h, k]``: the exponent defect
+    ``K[g_i, h] - K[h, k] + K[g_i + h, k] - K[g_i, h + k]`` of a table ``K``
+    reduced mod m on the rows ``g`` (an index array or a slice), zeroed
+    where it is a multiple of m."""
+    rows = K[g]
+    # the defect lies in [-2(m-1), 2(m-1)], where the multiples of m are
+    # -m, 0 and m
+    cube = K[add[g]]
+    cube -= K
+    cube += rows[:, :, None]
+    cube -= np.take(rows, add, axis=1)
+    cube[cube == m] = 0
+    cube[cube == -m] = 0
+    return cube
+
+
 def check_cocycle(tau: Cocycle):
     """All violated identities: cocycle triples ``(g, h, k)`` with
     ``tau(g,h) tau(gh,k) != tau(h,k) tau(g,hk)`` and unnormalized pairs.
     The identity is element 0 (lexicographic order).
 
-    Every triple is evaluated: the exponent defect is formed on ``(g, h, k)``
-    cubes of :data:`opcore.BLOCK_ELEMENTS` entries or fewer, in the narrowest
-    signed integer type that holds ``4m``, from the table reduced mod m."""
-    grp, m, table = tau.group, tau.root_order, tau.exponents
+    The exponent defect ``D(g, h, k) = K[g,h] - K[h,k] + K[g+h,k] - K[g,h+k]``
+    is formed from the table reduced mod m, in the narrowest signed integer
+    type that holds ``4m``, first only on the rows of the generators
+    ``e_1 ... e_r``, one per cyclic factor: r n^2 entries, not n^3.  For
+    any integer table ``D(a+b,h,k) = D(b,h,k) + D(a,b+h,k) - D(a,b,h+k)
+    + D(a,b,h)`` (``delta delta K = 0``), so the ``g`` whose rows vanish mod
+    m are closed under addition; holding on the generators, they are all of
+    G.  Only when a generator row or the normalization fails are all
+    ``(g, h, k)`` swept, in cubes of at most :data:`opcore.BLOCK_ELEMENTS`
+    entries, for the complete ordered list."""
+    grp, m = tau.group, tau.root_order
     n, add, elts = grp.order, grp.add_table, grp.elements
-    K = np.remainder(table, m, out=np.empty((n, n), np.min_scalar_type(-4 * m)),
+    K = np.remainder(tau.exponents, m, out=np.empty((n, n), np.min_scalar_type(-4 * m)),
                      casting="unsafe")
-    bad = [("normalization", g) for g, row, col in zip(elts, K[0], K[:, 0]) if row or col]
     step = max(1, opcore.BLOCK_ELEMENTS // (n * n))
+    unnormalized = np.flatnonzero(K[0] | K[:, 0])
+    generators = grp._indices(np.eye(len(grp.moduli), dtype=np.intp))
+    if not len(unnormalized) and not any(
+            np.count_nonzero(_defect(K, add, m, generators[g0:g0 + step]))
+            for g0 in range(0, len(generators), step)):
+        return []
+    bad = [("normalization", elts[g]) for g in unnormalized]
     for g0 in range(0, n, step):
-        rows = K[g0:g0 + step]
-        # K[g,h] - K[h,k] + K[gh,k] - K[g,hk] lies in [-2(m-1), 2(m-1)],
-        # where the multiples of m are -m, 0 and m
-        cube = K[add[g0:g0 + step]]
-        cube -= K
-        cube += rows[:, :, None]
-        cube -= np.take(rows, add, axis=1)
-        cube[cube == m] = 0
-        cube[cube == -m] = 0
+        cube = _defect(K, add, m, slice(g0, g0 + step))
         if np.count_nonzero(cube):
             bad.extend(("identity", elts[g0 + g], elts[h], elts[k])
                        for g, h, k in zip(*np.nonzero(cube)))
-    if not bad and not table.flags.writeable:
-        tau._checked_table = table
     return bad
 
 
@@ -456,8 +474,10 @@ def schatten_map(a: CrossedProductElement) -> SparseOperator:
     # one take reads the entries in canonical (column y, row x) order
     vals = a.values.ravel().take((grp.add_table[grp.neg_table] * n + np.arange(n)).ravel())
     vals += 0.0  # -0.0 parts become +0.0, as regular_representation's sum leaves them
-    return SparseOperator(basis, basis, np.tile(np.arange(n), n), np.repeat(np.arange(n), n),
-                          vals, "even")
+    triplets = np.tile(np.arange(n), n), np.repeat(np.arange(n), n), vals
+    for arr in triplets:
+        arr.flags.writeable = False  # handed over to the operator uncopied
+    return SparseOperator(basis, basis, *triplets, "even")
 
 
 # ------------------------------------------------------------------ modules
@@ -541,11 +561,10 @@ def decompose_twisted_algebra(group: FiniteAbelianGroup, tau: Cocycle):
     read off the exponent table; over an abelian base all blocks share the
     dimension ``sqrt(|G| / #blocks)``.
 
-    The table is checked with :func:`check_cocycle` unless a clean check of
-    this very table (``tau.exponents``, read-only) is recorded on ``tau``.
+    The table is checked with :func:`check_cocycle` first.
     """
     tau.check_group(group)
-    if tau.exponents is not tau._checked_table and check_cocycle(tau):
+    if check_cocycle(tau):
         raise ValueError("invalid cocycle")
     n = group.order
     K = tau.exponents

@@ -348,6 +348,32 @@ def test_constructor_sums_repeated_coordinates_in_entry_order():
         np.eye(3)[:, [i]] * z * np.eye(3)[[j], :] for (i, j), z in acc.items()))
 
 
+def test_constructor_never_freezes_a_callers_writeable_arrays():
+    basis = Basis([(i,) for i in range(3)], np.ones(3))
+    # canonical triplets with no zero entry, so nothing is sorted or dropped
+    rows, cols = np.array([0, 2, 1], dtype=np.int64), np.array([0, 0, 2], dtype=np.int64)
+    vals = np.array([1.0, 2.0, 3.0j])
+    given = [rows.copy(), cols.copy(), vals.copy()]
+    op = SparseOperator(basis, basis, rows, cols, vals)
+    for arr, before, kept in zip((rows, cols, vals), given, (op.rows, op.cols, op.vals)):
+        assert arr.flags.writeable
+        assert np.array_equal(arr, before)
+        assert np.array_equal(kept, before)
+        assert not kept.flags.writeable
+        assert not np.shares_memory(arr, kept)
+    rows[0] = 1
+    assert op.rows[0] == 0
+
+
+def test_scale_shares_the_read_only_coordinates():
+    basis = Basis([(i,) for i in range(3)], np.ones(3))
+    x = SparseOperator(basis, basis, [0, 2, 1], [0, 0, 2], [1.0, 2.0, 3.0j])
+    y = x.scale(2)
+    assert np.shares_memory(y.rows, x.rows) and np.shares_memory(y.cols, x.cols)
+    assert np.array_equal(y.vals, 2 * x.vals)
+    assert not (y.rows.flags.writeable or y.cols.flags.writeable or y.vals.flags.writeable)
+
+
 # to_text digests (sha256, first 16 hex digits) of the dict operators'
 # exports, so the plain-text format stays byte for byte what it was
 DICT_TEXT_DIGESTS = {
