@@ -515,7 +515,7 @@ def _finite_model(group: twistgroup.FiniteAbelianGroup, tau: twistgroup.Cocycle,
     conv[np.arange(n)[None, :], ext.tgt] = h.values[:, None] * ext.twist
     c = {p: 1.0 / n for p in group.elements}
     template = twistgroup.CrossedProductElement.translation(group)
-    p_cut = twistgroup.regular_representation(twistgroup.mishchenko(c, template))
+    p_cut = twistgroup.schatten_map(twistgroup.mishchenko(c, template)).to_dense()
     d_op = np.eye(n) - p_cut
     return h.values, conv, p_cut, d_op, np.full(n, 1.0 / np.sqrt(n))
 

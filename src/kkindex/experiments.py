@@ -430,7 +430,7 @@ def _exp_fingroup_suite(cfg: Config, rng: Lcg) -> Report:
                "Z3xZ3/mu3", worst, 0.0, 1e-10)
     # a acts on phi1 through its Schatten matrix: m(a phi1 (x) phi2) = a m(phi1 (x) phi2)
     a = twistgroup.CrossedProductElement.translation(grp, rng.complex_matrix(grp.order))
-    schatten = twistgroup.regular_representation(a)
+    schatten = twistgroup.schatten_map(a).to_dense()
     lhs = twistgroup.m_iso(phi1 @ schatten.T, phi2)
     rhs = twistgroup.module_left_action(a, mod)
     worst = float(np.max(np.abs(lhs.table - rhs.table)))

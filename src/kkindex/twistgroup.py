@@ -17,8 +17,8 @@ extension, and every kernel runs over them: ``add_table`` and ``neg_table``
 on element indices (lexicographic, so the identity is index 0), for the
 extension ``tgt[g, x] = index(-g + x)`` with the phase
 ``(g, i)^{-1} (x, j) = (tgt[g, x], phase[g, x] + j - i mod m)`` and its
-level-1 factor ``twist = roots[phase]``, and for a G-set the point table
-``act_table[g, x] = index(g.x)``.
+level-1 factor ``twist = roots[phase]``; the crossed product over ``X = G``
+under translation reads ``h^{-1} x`` from ``add_table[neg_table]``.
 
 :func:`check_cocycle` forms the exponent defect ``D(g, h, k)`` of the
 cocycle identity only on the rows of the r generators, r n^2 entries and
@@ -57,7 +57,6 @@ axes.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 
@@ -80,7 +79,6 @@ __all__ = [
     "crossed_convolve",
     "mishchenko",
     "schatten_map",
-    "regular_representation",
     "ModuleElement",
     "m_iso",
     "module_right_action",
@@ -366,114 +364,80 @@ def level_project(f: GroupAlgebraElement, level: int) -> GroupAlgebraElement:
 
 
 class CrossedProductElement:
-    """Finitely supported function ``a : G x X -> C`` for a finite G-set X.
+    """Finitely supported function ``a : G x X -> C`` over ``X = G`` under
+    translation, stored as the ``|G| x |G|`` table ``values[g, x]``."""
 
-    The action is the integer table ``act_table[g, x]``, the point index of
-    ``g.x``, shared by :meth:`with_values`.
-    """
-
-    def __init__(self, group: FiniteAbelianGroup, points, act_table, values):
+    def __init__(self, group: FiniteAbelianGroup, values):
         self.group = group
-        self.points = tuple(points)
         self.values = np.asarray(values, dtype=complex)
-        if self.values.shape != (group.order, len(self.points)):
+        if self.values.shape != (group.order, group.order):
             raise ValueError("crossed product table shape mismatch")
-        self.act_table = np.asarray(act_table)
-        if self.act_table.shape != self.values.shape:
-            raise ValueError(f"action table shape {self.act_table.shape} is not "
-                             f"|G| x |X| = {self.values.shape}")
-        if (not np.issubdtype(self.act_table.dtype, np.integer)
-                or np.any((self.act_table < 0) | (self.act_table >= len(self.points)))):
-            raise ValueError("action does not map G x X into the point indices of X")
 
     @staticmethod
     def translation(group: FiniteAbelianGroup, values=None) -> "CrossedProductElement":
         """Element over the translation action of G on itself."""
         if values is None:
             values = np.zeros((group.order, group.order), dtype=complex)
-        return CrossedProductElement(group, group.elements, group.add_table, values)
-
-    def with_values(self, values) -> "CrossedProductElement":
-        out = copy.copy(self)
-        out.values = np.asarray(values, dtype=complex)
-        if out.values.shape != self.values.shape:
-            raise ValueError("crossed product table shape mismatch")
-        return out
+        return CrossedProductElement(group, values)
 
     def involution(self) -> "CrossedProductElement":
         """``a*(g, x) = conj(a(g^{-1}, g^{-1} x))``."""
-        neg = self.group.neg_table
-        return self.with_values(np.conj(self.values[neg[:, None], self.act_table[neg]]))
-
-
-def _same_system(a: CrossedProductElement, b: CrossedProductElement):
-    if a.group.moduli != b.group.moduli or a.points != b.points:
-        raise ValueError("crossed product mismatch: different G or X")
+        grp = self.group
+        neg = grp.neg_table
+        return CrossedProductElement(
+            grp, np.conj(self.values[neg[:, None], grp.add_table[neg]]))
 
 
 def crossed_convolve(a: CrossedProductElement, b: CrossedProductElement) -> CrossedProductElement:
     """``(a*b)(g, x) = sum_h a(h, x) b(h^{-1} g, h^{-1} x)``."""
-    _same_system(a, b)
-    neg = a.group.neg_table
-    hx = a.act_table[neg]  # [h, x] -> h^{-1} x
+    grp = a.group
+    if grp.moduli != b.group.moduli:
+        raise ValueError("crossed product mismatch: different G")
+    n = grp.order
+    hinv = grp.add_table[grp.neg_table]  # [h, g] -> h^{-1} g
     # b at (h^{-1} g, h^{-1} x) through flat indices: numpy gathers one
     # take per x faster than a two-array fancy index
-    base = a.group.add_table[neg] * len(a.points)
+    base = hinv * n
     flat = b.values.ravel()
     out = np.empty_like(a.values)
-    for x in range(len(a.points)):
-        out[:, x] = a.values[:, x] @ flat.take(base + hx[:, x, None])
-    return a.with_values(out)
+    for x in range(n):
+        out[:, x] = a.values[:, x] @ flat.take(base + hinv[:, x, None])
+    return CrossedProductElement(grp, out)
 
 
 def mishchenko(c, template: CrossedProductElement) -> CrossedProductElement:
     """Idempotent ``[c](g, x) = sqrt(c(x) c(g^{-1} x))`` from a cut-off.
 
-    ``c`` is a dict from points to nonnegative reals with ``sum_g c(g.x) =
-    1`` for every ``x``; failures are reported with the offending points.
+    ``c`` is a dict from group elements to nonnegative reals with
+    ``sum_g c(g.x) = 1`` for every ``x``; failures are reported with the
+    offending elements.
     """
-    cvec = np.array([float(c[p]) for p in template.points])
+    grp = template.group
+    cvec = np.array([float(c[p]) for p in grp.elements])
     if np.any(cvec < 0):
         raise ValueError("cut-off must be nonnegative")
-    totals = cvec[template.act_table].sum(axis=0)
-    bad = [(x, t) for x, t in zip(template.points, totals) if abs(t - 1.0) > 1e-12]
+    totals = cvec[grp.add_table].sum(axis=0)
+    bad = [(x, t) for x, t in zip(grp.elements, totals) if abs(t - 1.0) > 1e-12]
     if bad:
         raise ValueError(f"cut-off normalization fails at {bad}")
-    ginv_x = template.act_table[template.group.neg_table]
-    return template.with_values(np.sqrt(cvec[None, :] * cvec[ginv_x]))
-
-
-def regular_representation(a: CrossedProductElement) -> np.ndarray:
-    """Matrix of ``phi -> sum_h a(h, .) phi(h^{-1} .)`` on functions on X."""
-    npts = len(a.points)
-    mat = np.zeros((npts, npts), dtype=complex)
-    np.add.at(mat, (np.arange(npts)[None, :], a.act_table[a.group.neg_table]), a.values)
-    return mat
-
-
-def _require_translation(a: CrossedProductElement, what: str) -> None:
-    """Refuse an element whose G-space is not ``X = G`` under translation."""
-    grp = a.group
-    if a.points != tuple(grp.elements) or not np.array_equal(a.act_table, grp.add_table):
-        raise ValueError(f"{what} needs X = G with the translation action")
+    ginv_x = grp.add_table[grp.neg_table]
+    return CrossedProductElement(grp, np.sqrt(cvec[None, :] * cvec[ginv_x]))
 
 
 def schatten_map(a: CrossedProductElement) -> SparseOperator:
     """Algebra isomorphism onto the full matrix algebra on ``l^2(G)``.
 
-    Requires ``X = G`` with the translation action; intertwines
-    :func:`crossed_convolve` with operator composition and the involution
-    with the adjoint.  The operator's triplets are those of the matrix of
-    :func:`regular_representation`, emitted in canonical order straight from
-    ``a.values``, with no dense matrix.
+    Intertwines :func:`crossed_convolve` with operator composition and the
+    involution with the adjoint.  The operator is
+    ``phi -> sum_h a(h, .) phi(h^{-1} .)``, its triplets emitted in
+    canonical order straight from ``a.values``, with no dense matrix.
     """
-    _require_translation(a, "schatten map")
     grp = a.group
     n, basis = grp.order, grp._l2_basis
     # entry (x, y) is a(x - y, x), at flat index [y, x] -> (x - y) n + x:
     # one take reads the entries in canonical (column y, row x) order
     vals = a.values.ravel().take((grp.add_table[grp.neg_table] * n + np.arange(n)).ravel())
-    vals += 0.0  # -0.0 parts become +0.0, as regular_representation's sum leaves them
+    vals += 0.0  # -0.0 parts become +0.0, as a sum into a zero matrix leaves them
     triplets = np.tile(np.arange(n), n), np.repeat(np.arange(n), n), vals
     for arr in triplets:
         arr.flags.writeable = False  # handed over to the operator uncopied
@@ -525,15 +489,13 @@ def module_right_action(e: ModuleElement, b: GroupAlgebraElement) -> ModuleEleme
 
 def module_left_action(a: CrossedProductElement, e: ModuleElement) -> ModuleElement:
     """Action of the crossed product (functions ``G -> C(G)``, level 0)
-    through the level-1 twisted translation on the inner variable; ``a``
-    must be over ``X = G`` with the translation action."""
-    _require_translation(a, "left action")
+    through the level-1 twisted translation on the inner variable."""
     ext = e.ext
     if a.group.moduli != ext.group.moduli:
         raise ValueError("left action needs the crossed product over the module's group")
     tgt, twist = ext.tgt, ext.twist
     out = np.empty_like(e.table)
-    for y in range(len(a.points)):
+    for y in range(ext.group.order):
         # sum over h (rows) of e at (h,0)^{-1}(g,0), (h,0)^{-1}(y,0) with both phases
         out[..., y] = ((a.values[:, y] * np.conj(twist[:, y]))
                        @ (e.table[..., tgt, tgt[:, y, None]] * twist))

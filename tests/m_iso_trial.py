@@ -6,6 +6,8 @@ import numpy as np
 
 from kkindex import twistgroup as tg
 
+from vectors import regular_representation
+
 
 def m_iso_trial(ext, phi1, psi1, phi2, psi2, b, a):
     """``(bimodule, left)`` for one trial: the worst deviation of the
@@ -20,7 +22,7 @@ def m_iso_trial(ext, phi1, psi1, phi2, psi2, b, a):
     right = tg.module_right_action(tg.m_iso(phi1, phi2), b)
     bimodule = max(float(np.max(np.abs(inner.values - factored.values))),
                    float(np.max(np.abs(left.table - right.table))))
-    acted = tg.regular_representation(a) @ phi1
+    acted = regular_representation(a) @ phi1
     lhs = tg.m_iso(acted, phi2)
     rhs = tg.module_left_action(a, tg.m_iso(phi1, phi2))
     return bimodule, float(np.max(np.abs(lhs.table - rhs.table)))

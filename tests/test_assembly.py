@@ -12,7 +12,8 @@ from kkindex.opcore import SparseOperator, adjoint, gram_transpose
 
 import tuple_law as law
 from traced import traced_peak
-from vectors import dense_kernel, factor_labels, orthonormal_dense, product_label
+from vectors import (dense_kernel, factor_labels, orthonormal_dense, product_label,
+                     regular_representation)
 
 
 SEQ = ls.SigmaSequence("pow2")
@@ -425,7 +426,7 @@ def kron_finite_assembly(group, tau, seed=11):
     conv = column_conv(group, tau, seed)
     c = {p: 1.0 / n for p in group.elements}
     template = tg.CrossedProductElement.translation(group)
-    p_cut = tg.regular_representation(tg.mishchenko(c, template))
+    p_cut = regular_representation(tg.mishchenko(c, template))
     d_op = np.eye(n) - p_cut
 
     big = np.kron(d_op, np.eye(n)) + np.kron(np.eye(n), conv)

@@ -11,7 +11,7 @@ from kkindex.opcore import adjoint
 import tuple_law as law
 from m_iso_trial import m_iso_trial
 from traced import traced_peak
-from vectors import from_dense
+from vectors import from_dense, regular_representation
 
 
 # ---------------------------------------------------------------- oracles
@@ -33,22 +33,17 @@ def brute_convolve(f: tg.GroupAlgebraElement, h: tg.GroupAlgebraElement):
     return out
 
 
-def brute_crossed(a: tg.CrossedProductElement, b: tg.CrossedProductElement, action=None):
-    """Triple loop over tuples; ``action`` is the dict ``(g, x) -> g.x``,
-    the translation action by default."""
+def brute_crossed(a: tg.CrossedProductElement, b: tg.CrossedProductElement):
+    """Triple loop over tuples, with G translating itself."""
     grp = a.group
-
-    def act(g, x):
-        return law.add(grp, g, x) if action is None else action[(g, x)]
-
     out = np.zeros_like(a.values)
     for gi, g in enumerate(grp.elements):
-        for xi, x in enumerate(a.points):
+        for xi, x in enumerate(grp.elements):
             acc = 0.0 + 0.0j
             for hi, h in enumerate(grp.elements):
                 hinv = law.neg(grp, h)
                 acc += a.values[hi, xi] * b.values[law.index(grp, law.add(grp, hinv, g)),
-                                                   a.points.index(act(hinv, x))]
+                                                   law.index(grp, law.add(grp, hinv, x))]
             out[gi, xi] = acc
     return out
 
@@ -235,8 +230,22 @@ def test_crossed_associative_oracle():
     assert np.max(np.abs(lhs.values - oracle)) < 1e-12
 
 
+def test_crossed_table_must_be_g_by_g():
+    grp = tg.FiniteAbelianGroup((2, 2))
+    for bad in ((4, 3), (3, 4), (1, 4, 4)):
+        with pytest.raises(ValueError, match="crossed product table shape mismatch"):
+            tg.CrossedProductElement(grp, np.zeros(bad))
+
+
+def test_crossed_convolve_refuses_another_group_of_the_same_order():
+    z4, z2z2 = tg.FiniteAbelianGroup((4,)), tg.FiniteAbelianGroup((2, 2))
+    a, b = (tg.CrossedProductElement.translation(g, np.ones((4, 4))) for g in (z4, z2z2))
+    with pytest.raises(ValueError, match="different G"):
+        tg.crossed_convolve(a, b)
+
+
 def brute_crossed_elt(a, b):
-    return a.with_values(brute_crossed(a, b))
+    return tg.CrossedProductElement.translation(a.group, brute_crossed(a, b))
 
 
 def test_schatten_matrix_unit():
@@ -293,24 +302,6 @@ def test_schatten_maps_on_one_group_share_their_basis():
     assert (lhs - sa @ sb).max_abs() < 1e-12
 
 
-def act_table(grp, points, action):
-    """The point-index table of an action dict ``(g, x) -> g.x``."""
-    return np.array([[points.index(action[(g, x)]) for x in points] for g in grp.elements])
-
-
-def test_schatten_rejects_other_spaces():
-    grp = tg.FiniteAbelianGroup((2,))
-    points = [(0,), (1,), (2,), (3,)]
-    action = {}
-    for g in grp.elements:
-        for x in points:
-            action[(g, x)] = ((x[0] + 2 * g[0]) % 4,)
-    a = tg.CrossedProductElement(grp, points, act_table(grp, points, action),
-                                 np.zeros((2, 4)))
-    with pytest.raises(ValueError):
-        tg.schatten_map(a)
-
-
 def test_schatten_spanning_bijection():
     # dimension count |G|^2 and multiplicativity make it a *-isomorphism
     grp = tg.FiniteAbelianGroup((3,))
@@ -346,16 +337,11 @@ def awkward_table(n, rng):
 def test_schatten_map_is_the_dense_route_triplet_for_triplet(moduli, monkeypatch):
     # the regular representation's entries listed column by column are the
     # oracle; schatten_map emits them in that canonical order itself, with
-    # no dense matrix and no sort (the basis is built before argsort goes)
+    # no sort (the basis is built before argsort goes)
     grp = tg.FiniteAbelianGroup(moduli)
     rng = np.random.default_rng(grp.order)
     a = tg.CrossedProductElement.translation(grp, awkward_table(grp.order, rng))
-    want = from_dense(tg.regular_representation(a), grp._l2_basis)
-
-    def dense(a):
-        raise AssertionError("schatten_map formed the dense matrix")
-
-    monkeypatch.setattr(tg, "regular_representation", dense)
+    want = from_dense(regular_representation(a), grp._l2_basis)
     monkeypatch.setattr(np, "argsort", None)
     got = tg.schatten_map(a)
     assert got.domain is got.codomain is grp._l2_basis
@@ -383,23 +369,17 @@ def test_mishchenko_normalization_error_names_points():
         tg.mishchenko({(0,): 0.7, (1,): 0.7}, template)
 
 
-def test_mishchenko_free_action_rank_counts_sections():
-    # Z2 acting freely on 4 points as two orbits; cut-off on a section
-    grp = tg.FiniteAbelianGroup((2,))
-    points = [(0,), (1,), (2,), (3,)]
-    action = {}
-    for g in grp.elements:
-        for x in points:
-            orbit, pos = divmod(x[0], 2)
-            action[(g, x)] = (2 * orbit + (pos + g[0]) % 2,)
-    template = tg.CrossedProductElement(grp, points, act_table(grp, points, action),
-                                        np.zeros((2, 4), dtype=complex))
-    c = {(0,): 1.0, (1,): 0.0, (2,): 1.0, (3,): 0.0}
-    cut = tg.mishchenko(c, template)
+def test_mishchenko_nonuniform_cutoff_is_the_rank_one_projection():
+    # finite_group_assembly refuses a cut-off whose Schatten image is not
+    # the rank-one projection onto sqrt(c); here c is not constant
+    grp = tg.FiniteAbelianGroup((4,))
+    c = dict(zip(grp.elements, (0.1, 0.2, 0.3, 0.4)))
+    cut = tg.mishchenko(c, tg.CrossedProductElement.translation(grp))
     sq = tg.crossed_convolve(cut, cut)
-    assert np.max(np.abs(sq.values - cut.values)) < 1e-13
-    rank = np.linalg.matrix_rank(tg.regular_representation(cut))
-    assert rank == 2
+    assert np.max(np.abs(sq.values - cut.values)) < 1e-15
+    assert np.max(np.abs(cut.involution().values - cut.values)) < 1e-15
+    sqrt_c = np.sqrt([c[p] for p in grp.elements])
+    assert np.max(np.abs(tg.schatten_map(cut).to_dense() - np.outer(sqrt_c, sqrt_c))) < 1e-15
 
 
 def test_mishchenko_product_factorizes():
@@ -505,26 +485,18 @@ def test_m_iso_left_module_identity():
         a = tg.CrossedProductElement.translation(
             grp, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         # a acts on phi1 through the schatten matrix
-        acted = tg.regular_representation(a) @ phi1
+        acted = regular_representation(a) @ phi1
         lhs = tg.m_iso(acted, phi2)
         rhs = tg.module_left_action(a, tg.m_iso(phi1, phi2))
         assert np.max(np.abs(lhs.table - rhs.table)) < 1e-11
 
 
-def test_left_action_and_schatten_refuse_a_non_translation_action():
-    # X = G as points, but under the trivial action g.x = x: both routes
-    # compute as if the action were translation, so both must refuse it
+def test_left_action_refuses_a_crossed_product_over_another_group():
+    # a translation element over another group of the same order
     grp, tau = z3_heisenberg()
     ext = tg.TwistedExtension(tau)
     n = grp.order
-    trivial = np.tile(np.arange(n), (n, 1))
-    a = tg.CrossedProductElement(grp, grp.elements, trivial, np.ones((n, n)))
     e = tg.ModuleElement(ext, np.ones((n, n)))
-    with pytest.raises(ValueError, match="left action needs X = G with the translation"):
-        tg.module_left_action(a, e)
-    with pytest.raises(ValueError, match="schatten map needs X = G with the translation"):
-        tg.schatten_map(a)
-    # a translation element over another group of the same order
     other = tg.CrossedProductElement.translation(tg.FiniteAbelianGroup((9,)),
                                                  np.ones((n, n)))
     with pytest.raises(ValueError, match="module's group"):
@@ -1003,64 +975,6 @@ def test_decompose_matches_center_svd_oracle(tau):
     blocks = tg.decompose_twisted_algebra(grp, tau)
     assert len(blocks) == grp.order - rank
     assert sum(d * d for d in blocks) == grp.order
-
-
-# ------------------------------------------------------- crossed, G-set
-
-def z2z2_on_z4():
-    """``Z2 x Z2`` acting on ``Z4`` by ``(a, b).x = x + 2a``: neither free
-    nor transitive, and not the translation action."""
-    grp = tg.FiniteAbelianGroup((2, 2))
-    points = [(x,) for x in range(4)]
-    action = {(g, x): ((x[0] + 2 * g[0]) % 4,) for g in grp.elements for x in points}
-    return grp, points, action
-
-
-def test_crossed_kernels_match_brute_on_gset():
-    grp, points, action = z2z2_on_z4()
-    rng = np.random.default_rng(32)
-    shape = (grp.order, len(points))
-    table = act_table(grp, points, action)
-    a, b = (tg.CrossedProductElement(grp, points, table, rng.standard_normal(shape)
-                                     + 1j * rng.standard_normal(shape)) for _ in range(2))
-    assert np.max(np.abs(tg.crossed_convolve(a, b).values
-                         - brute_crossed(a, b, action))) < 1e-13
-    star = np.array([[np.conj(a.values[law.index(grp, law.neg(grp, g)),
-                                       points.index(action[(law.neg(grp, g), x)])])
-                      for x in points] for g in grp.elements])
-    assert np.array_equal(a.involution().values, star)
-    reg = np.zeros((4, 4), dtype=complex)
-    for xi, x in enumerate(points):
-        for hi, h in enumerate(grp.elements):
-            reg[xi, points.index(action[(law.neg(grp, h), x)])] += a.values[hi, xi]
-    assert np.max(np.abs(tg.regular_representation(a) - reg)) < 1e-14
-    # each orbit {x, x+2} has stabilizer order 2: c(x) + c(x+2) = 1/2
-    c = {(0,): 0.1, (1,): 0.3, (2,): 0.4, (3,): 0.2}
-    cut = tg.mishchenko(c, a)
-    oracle = np.array([[np.sqrt(c[x] * c[action[(law.neg(grp, g), x)]]) for x in points]
-                       for g in grp.elements])
-    assert np.max(np.abs(cut.values - oracle)) < 1e-15
-    sq = tg.crossed_convolve(cut, cut)
-    assert np.max(np.abs(sq.values - cut.values)) < 1e-13
-    with pytest.raises(ValueError):
-        tg.schatten_map(a)
-
-
-def test_crossed_action_must_land_in_points():
-    grp, points, action = z2z2_on_z4()
-    table = act_table(grp, points, action)
-    for bad in (7, -1):
-        table[law.index(grp, (1, 0)), points.index((3,))] = bad
-        with pytest.raises(ValueError, match="action"):
-            tg.CrossedProductElement(grp, points, table, np.zeros((4, 4)))
-
-
-def test_crossed_action_table_must_have_the_value_shape():
-    grp, points, action = z2z2_on_z4()
-    table = act_table(grp, points, action)
-    for bad in (table[:, :3], table[:3], table[None]):
-        with pytest.raises(ValueError, match="action table shape"):
-            tg.CrossedProductElement(grp, points, bad, np.zeros((4, 4)))
 
 
 # ------------------------------------------------------- module oracles

@@ -1,8 +1,9 @@
 """Basis vectors, Gram inner products and norms, the vector arithmetic the
 tests do on coordinate arrays, the Gram-orthonormal dense view of an
-operator and the sparse operator of a dense matrix, the densified kernel
-blocks of ``kkindex.dirac.kernel``, and product-state labels read through
-the factor bases."""
+operator and the sparse operator of a dense matrix, the dense regular
+representation of a crossed-product element, the densified kernel blocks
+of ``kkindex.dirac.kernel``, and product-state labels read through the
+factor bases."""
 
 import numpy as np
 
@@ -50,6 +51,16 @@ def from_dense(mat, domain, codomain=None, grade="even") -> SparseOperator:
     mat = np.asarray(mat)
     cols, rows = np.nonzero(mat.T)
     return SparseOperator(domain, codomain or domain, rows, cols, mat[rows, cols], grade)
+
+
+def regular_representation(a) -> np.ndarray:
+    """Matrix of ``phi -> sum_h a(h, .) phi(h^{-1} .)`` on functions on G,
+    summed into a zero matrix: the dense oracle of ``schatten_map``."""
+    grp = a.group
+    n = grp.order
+    mat = np.zeros((n, n), dtype=complex)
+    np.add.at(mat, (np.arange(n)[None, :], grp.add_table[grp.neg_table]), a.values)
+    return mat
 
 
 def dense_kernel(blocks, dim) -> np.ndarray:
