@@ -11,11 +11,8 @@ import numpy as np
 
 from kkindex import twistgroup as tg
 
-grp, tau = tg.parse_group_spec("""
-    group = 3x3
-    cocycle = heisenberg
-    root_order = 3
-""")
+grp = tg.FiniteAbelianGroup((3, 3))
+tau = tg.heisenberg_cocycle(grp)  # omega^(b c), omega a cube root of unity
 print(f"group {grp!r}, cocycle violations: {len(tg.check_cocycle(tau))}")
 print(f"twisted algebra blocks: {tg.decompose_twisted_algebra(grp, tau)}"
       " (a single full matrix block: the twist is nondegenerate)")
@@ -33,8 +30,7 @@ print("level-1 * level-1 stays level", tg.convolve(f1, f1).level)
 print()
 
 # Mishchenko cut-off and the Schatten picture
-template = tg.CrossedProductElement.translation(grp)
-cut = tg.mishchenko({p: 1.0 / grp.order for p in grp.elements}, template)
+cut = tg.mishchenko(grp, np.full(grp.order, 1.0 / grp.order))
 sq = tg.crossed_convolve(cut, cut)
 print("cut-off idempotent: max |[c]*[c] - [c]| =",
       float(np.max(np.abs(sq.values - cut.values))))

@@ -39,7 +39,8 @@ for quantity, value, tol in report.rows:
 print()
 
 # the zero-dimensional model: a finite group in place of the loop group
-grp, tau = twistgroup.parse_group_spec("group = 3x3\ncocycle = heisenberg")
+grp = twistgroup.FiniteAbelianGroup((3, 3))
+tau = twistgroup.heisenberg_cocycle(grp)
 fin = assembly.finite_group_assembly(grp, tau)
 print(f"finite-group model on {grp!r}: compressed vs direct spectra "
       f"within {fin.deviation:.2e}, compressed cross term {fin.compressed_cross:.2e}")

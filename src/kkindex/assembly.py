@@ -513,9 +513,7 @@ def _finite_model(group: twistgroup.FiniteAbelianGroup, tau: twistgroup.Cocycle,
     # with (g, 0)^{-1} (x, 0) = (y, .)
     conv = np.zeros((n, n), dtype=complex)
     conv[np.arange(n)[None, :], ext.tgt] = h.values[:, None] * ext.twist
-    c = {p: 1.0 / n for p in group.elements}
-    template = twistgroup.CrossedProductElement.translation(group)
-    p_cut = twistgroup.schatten_map(twistgroup.mishchenko(c, template)).to_dense()
+    p_cut = twistgroup.schatten_map(twistgroup.mishchenko(group, np.full(n, 1.0 / n))).to_dense()
     d_op = np.eye(n) - p_cut
     return h.values, conv, p_cut, d_op, np.full(n, 1.0 / np.sqrt(n))
 
@@ -579,12 +577,9 @@ def level_vanishing_pattern(group: twistgroup.FiniteAbelianGroup,
     """
     tau.check_group(group)
     ext = twistgroup.TwistedExtension(tau)
-    grp = group
-    n, m = grp.order, ext.m
+    n, m = group.order, ext.m
     omega = ext.tau.root()
-    c = {p: 1.0 / n for p in grp.elements}
-    template = twistgroup.CrossedProductElement.translation(grp)
-    cut = twistgroup.mishchenko(c, template)
+    cut = twistgroup.mishchenko(group, np.full(n, 1.0 / n))
     tgt, phase, fiber = ext.tgt, ext.phase, np.arange(m)
     # flat row bases: table[tgt, t] and fiber_sum[phase, p] as one take each
     tgt_base, phase_base = tgt * n, phase * m

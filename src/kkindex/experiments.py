@@ -362,18 +362,22 @@ def _exp_sigma_tails(cfg: Config, rng: Lcg) -> Report:
     return rep
 
 
-_GROUPS = (("2", "trivial", 2), ("3", "trivial", 3),
-           ("4x2", "heisenberg", None), ("3x3", "heisenberg", None))
+# (moduli, root order of the trivial cocycle, or None for the Heisenberg pairing)
+_GROUPS = (((2,), 2), ((3,), 3), ((4, 2), None), ((3, 3), None))
+
+
+def _group_cocycle(moduli, root):
+    grp = twistgroup.FiniteAbelianGroup(moduli)
+    if root is None:
+        return grp, twistgroup.heisenberg_cocycle(grp)
+    return grp, twistgroup.trivial_cocycle(grp, root)
 
 
 def _exp_fingroup_suite(cfg: Config, rng: Lcg) -> Report:
     rep = Report("fingroup_suite")
-    for moduli, kind, root in _GROUPS:
-        text = f"group = {moduli}\ncocycle = {kind}"
-        if root:
-            text += f"\nroot_order = {root}"
-        grp, tau = twistgroup.parse_group_spec(text)
-        label = f"{grp!r}/{kind}"
+    for moduli, root in _GROUPS:
+        grp, tau = _group_cocycle(moduli, root)
+        label = f"{grp!r}/{'heisenberg' if root is None else 'trivial'}"
         violations = len(twistgroup.check_cocycle(tau))
         rep.equals("cocycle violations", label, violations, 0.0, 0.0)
 
@@ -398,21 +402,19 @@ def _exp_fingroup_suite(cfg: Config, rng: Lcg) -> Report:
                 - adjoint(twistgroup.schatten_map(a))).max_abs()
         rep.equals("schatten star", label, star, 0.0, 1e-12)
 
-        template = twistgroup.CrossedProductElement.translation(grp)
-        cut = twistgroup.mishchenko({p: 1.0 / grp.order for p in grp.elements},
-                                    template)
+        cut = twistgroup.mishchenko(grp, np.full(grp.order, 1.0 / grp.order))
         idem = np.max(np.abs(twistgroup.crossed_convolve(cut, cut).values
                              - cut.values))
         rep.equals("mishchenko idempotent", label, idem, 0.0, 1e-12)
 
         blocks = twistgroup.decompose_twisted_algebra(grp, tau)
         rep.notes.append(f"{label}: order {grp.order}, m {ext.m}, blocks {blocks}")
-        if moduli == "3x3":
+        if moduli == (3, 3):
             rep.equals("heisenberg single block dim 3", label, float(blocks == [3]),
                        1.0, 0.0)
     # seeded random m-iso trials on Z3 with the mu_3 pairing extension, all
     # 100 at once on leading trial axes
-    grp, tau = twistgroup.parse_group_spec("group = 3x3\ncocycle = heisenberg")
+    grp, tau = _group_cocycle((3, 3), None)
     ext = twistgroup.TwistedExtension(tau)
     # five vectors per trial, drawn in trial order: one block of the stream
     draws = rng.complex_matrix(500, grp.order).reshape(100, 5, -1)
@@ -440,8 +442,7 @@ def _exp_fingroup_suite(cfg: Config, rng: Lcg) -> Report:
 
 def _exp_level_suite(cfg: Config, rng: Lcg) -> Report:
     rep = Report("level_suite")
-    grp = twistgroup.FiniteAbelianGroup((3,))
-    tau = twistgroup.trivial_cocycle(grp, 3)
+    grp, tau = _group_cocycle((3,), 3)
     ext = twistgroup.TwistedExtension(tau)
     table = rng.complex_matrix(grp.order, ext.m)
     f = twistgroup.GroupAlgebraElement(ext, table)
@@ -460,10 +461,9 @@ def _exp_level_suite(cfg: Config, rng: Lcg) -> Report:
                                            twistgroup.GroupAlgebraElement(ext, b.table()))
                 rep.equals(f"level {l1} * level {l2} = 0", "Z3/mu3", prod.max_abs(),
                            0.0, 1e-12)
-    for moduli, tau_fn in (((3,), lambda g: twistgroup.trivial_cocycle(g, 3)),
-                           ((2, 2), twistgroup.heisenberg_cocycle)):
-        g = twistgroup.FiniteAbelianGroup(moduli)
-        rows = assembly.level_vanishing_pattern(g, tau_fn(g), seed=cfg.seed & 0xFFFF)
+    for moduli, root in (((3,), 3), ((2, 2), None)):
+        g, tau = _group_cocycle(moduli, root)
+        rows = assembly.level_vanishing_pattern(g, tau, seed=cfg.seed & 0xFFFF)
         for level, value, character in rows:
             if level == 1:
                 rep.equals("cut-off pairing survives at level 1", f"{g!r}",
@@ -525,11 +525,8 @@ def _exp_jcycle_diag(cfg: Config, rng: Lcg, sigma_modes: int) -> Report:
 
 def _exp_assembly_compare(cfg: Config, rng: Lcg) -> Report:
     rep = Report("assembly_compare")
-    for moduli, kind in (("3", "trivial"), ("3x3", "heisenberg")):
-        text = f"group = {moduli}\ncocycle = {kind}"
-        if kind == "trivial":
-            text += "\nroot_order = 3"
-        grp, tau = twistgroup.parse_group_spec(text)
+    for moduli, root in (((3,), 3), ((3, 3), None)):
+        grp, tau = _group_cocycle(moduli, root)
         fin = assembly.finite_group_assembly(grp, tau, seed=cfg.seed & 0xFFFF)
         irreps = twistgroup.ProjectiveIrreps(tau)
         rep.notes.append(f"{grp!r}: order {grp.order}, irreps {irreps.count} x {irreps.dim}")

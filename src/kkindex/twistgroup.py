@@ -18,7 +18,9 @@ on element indices (lexicographic, so the identity is index 0), for the
 extension ``tgt[g, x] = index(-g + x)`` with the phase
 ``(g, i)^{-1} (x, j) = (tgt[g, x], phase[g, x] + j - i mod m)`` and its
 level-1 factor ``twist = roots[phase]``; the crossed product over ``X = G``
-under translation reads ``h^{-1} x`` from ``add_table[neg_table]``.
+under translation reads ``h^{-1} x`` from ``add_table[neg_table]``.  There a
+cut-off vector's total ``sum_g c(g.x)`` at every point is its mass, so
+:func:`mishchenko` checks the one sum ``sum(c) = 1``.
 
 :func:`check_cocycle` forms the exponent defect ``D(g, h, k)`` of the
 cocycle identity only on the rows of the r generators, r n^2 entries and
@@ -86,8 +88,17 @@ __all__ = [
     "module_inner_product",
     "decompose_twisted_algebra",
     "ProjectiveIrreps",
-    "parse_group_spec",
 ]
+
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as ints; a non-finite or non-integral entry raises ``ValueError``."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biu":
+        bad = values[~np.isfinite(values) | (values != np.round(values))]
+        if bad.size:
+            raise ValueError(f"{what} must be integral, got {bad[0]}")
+    return values.astype(int, copy=False)
+
 
 class FiniteAbelianGroup:
     """Product of cyclic groups ``Z_n1 x ... x Z_nr``, elements as residue
@@ -98,7 +109,7 @@ class FiniteAbelianGroup:
     """
 
     def __init__(self, moduli):
-        self.moduli = tuple(int(n) for n in moduli)
+        self.moduli = tuple(int(n) for n in _integers(moduli, "moduli"))
         if any(n < 1 for n in self.moduli):
             raise ValueError("moduli must be >= 1")
         self.elements = list(np.ndindex(*self.moduli))
@@ -139,10 +150,10 @@ class Cocycle:
 
     def __init__(self, group: FiniteAbelianGroup, exponents, root_order: int):
         self.group = group
-        self.root_order = int(root_order)
+        self.root_order = int(_integers(root_order, "root_order"))
         if self.root_order < 1:
             raise ValueError(f"root_order must be at least 1, got {self.root_order}")
-        self.exponents = np.asarray(exponents, dtype=int) % self.root_order
+        self.exponents = _integers(exponents, "cocycle exponents") % self.root_order
         if self.exponents.shape != (group.order, group.order):
             raise ValueError("incomplete cocycle table")
         self.exponents.flags.writeable = False
@@ -374,10 +385,8 @@ class CrossedProductElement:
             raise ValueError("crossed product table shape mismatch")
 
     @staticmethod
-    def translation(group: FiniteAbelianGroup, values=None) -> "CrossedProductElement":
+    def translation(group: FiniteAbelianGroup, values) -> "CrossedProductElement":
         """Element over the translation action of G on itself."""
-        if values is None:
-            values = np.zeros((group.order, group.order), dtype=complex)
         return CrossedProductElement(group, values)
 
     def involution(self) -> "CrossedProductElement":
@@ -405,23 +414,19 @@ def crossed_convolve(a: CrossedProductElement, b: CrossedProductElement) -> Cros
     return CrossedProductElement(grp, out)
 
 
-def mishchenko(c, template: CrossedProductElement) -> CrossedProductElement:
-    """Idempotent ``[c](g, x) = sqrt(c(x) c(g^{-1} x))`` from a cut-off.
-
-    ``c`` is a dict from group elements to nonnegative reals with
-    ``sum_g c(g.x) = 1`` for every ``x``; failures are reported with the
-    offending elements.
-    """
-    grp = template.group
-    cvec = np.array([float(c[p]) for p in grp.elements])
-    if np.any(cvec < 0):
-        raise ValueError("cut-off must be nonnegative")
-    totals = cvec[grp.add_table].sum(axis=0)
-    bad = [(x, t) for x, t in zip(grp.elements, totals) if abs(t - 1.0) > 1e-12]
-    if bad:
-        raise ValueError(f"cut-off normalization fails at {bad}")
-    ginv_x = grp.add_table[grp.neg_table]
-    return CrossedProductElement(grp, np.sqrt(cvec[None, :] * cvec[ginv_x]))
+def mishchenko(group: FiniteAbelianGroup, c) -> CrossedProductElement:
+    """Idempotent ``[c](g, x) = sqrt(c(x) c(g^{-1} x))`` from a cut-off
+    ``c``: one finite nonnegative value per element of ``group``, in element
+    order, of mass ``|sum(c) - 1| <= 1e-12`` (a failure names the mass)."""
+    c = np.asarray(c, dtype=float)
+    if c.shape != (group.order,):
+        raise ValueError(f"cut-off on {group!r} needs shape ({group.order},), got {c.shape}")
+    if not np.all(np.isfinite(c) & (c >= 0)):
+        raise ValueError("cut-off must be finite and nonnegative")
+    mass = float(c.sum())
+    if abs(mass - 1.0) > 1e-12:
+        raise ValueError(f"cut-off mass {mass!r} is not 1")
+    return CrossedProductElement(group, np.sqrt(c[None, :] * c[group.add_table[group.neg_table]]))
 
 
 def schatten_map(a: CrossedProductElement) -> SparseOperator:
@@ -594,35 +599,3 @@ class ProjectiveIrreps:
         clocked = values.reshape(*values.shape[:-1], self.count, n2, n2) @ self._clock
         folded = np.einsum("tqp,...qps->...tps", self._zeta, clocked)  # [..., t, r - s, s]
         return folded[..., self._lag, np.arange(n2)]
-
-
-# ------------------------------------------------------------------ I/O
-
-
-def parse_group_spec(text: str):
-    """Key-value group description: ``group = 3x3``, ``cocycle = heisenberg``
-    or ``trivial``, ``root_order = 3``.  Returns ``(group, cocycle)``."""
-    keys = {}
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"malformed line {line!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        keys[key] = val
-    if "group" not in keys:
-        raise ValueError("missing required key 'group'")
-    moduli = [int(part) for part in keys["group"].lower().split("x")]
-    group = FiniteAbelianGroup(moduli)
-    kind = keys.get("cocycle", "trivial")
-    root = int(keys.get("root_order", 0) or 0)
-    if kind == "heisenberg":
-        tau = heisenberg_cocycle(group)
-        if root and root != tau.root_order:
-            raise ValueError("root_order incompatible with the heisenberg pairing")
-    elif kind == "trivial":
-        tau = trivial_cocycle(group, root or 1)
-    else:
-        raise ValueError(f"unknown cocycle {kind!r}")
-    return group, tau

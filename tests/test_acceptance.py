@@ -133,14 +133,12 @@ def test_criterion_5_xi_quantitative():
 def test_criterion_6_finite_group_suite():
     ok = True
     details = []
-    cases = (("2", "trivial", 2), ("3", "trivial", 3),
-             ("4x2", "heisenberg", None), ("3x3", "heisenberg", None))
+    z2, z3, z4z2, z3z3 = map(twistgroup.FiniteAbelianGroup, ((2,), (3,), (4, 2), (3, 3)))
+    cases = (twistgroup.trivial_cocycle(z2, 2), twistgroup.trivial_cocycle(z3, 3),
+             twistgroup.heisenberg_cocycle(z4z2), twistgroup.heisenberg_cocycle(z3z3))
     rng = Lcg(2024)
-    for moduli, kind, root in cases:
-        text = f"group = {moduli}\ncocycle = {kind}"
-        if root:
-            text += f"\nroot_order = {root}"
-        grp, tau = twistgroup.parse_group_spec(text)
+    for tau in cases:
+        grp = tau.group
         good = not twistgroup.check_cocycle(tau)
         ext = twistgroup.TwistedExtension(tau)
         f1 = twistgroup.GroupAlgebraElement(ext, rng.complex_vector(grp.order), 1)
@@ -151,22 +149,20 @@ def test_criterion_6_finite_group_suite():
         lhs = twistgroup.schatten_map(twistgroup.crossed_convolve(a, b)).to_dense()
         rhs = twistgroup.schatten_map(a).to_dense() @ twistgroup.schatten_map(b).to_dense()
         good = good and np.max(np.abs(lhs - rhs)) <= 1e-12 * max(np.max(np.abs(lhs)), 1.0)
-        template = twistgroup.CrossedProductElement.translation(grp)
-        cut = twistgroup.mishchenko({p: 1.0 / grp.order for p in grp.elements}, template)
+        cut = twistgroup.mishchenko(grp, np.full(grp.order, 1.0 / grp.order))
         good = good and np.max(np.abs(
             twistgroup.crossed_convolve(cut, cut).values - cut.values)) <= 1e-12
         ok = ok and good
         details.append(f"{grp!r}: ok")
-    blocks = twistgroup.decompose_twisted_algebra(
-        *twistgroup.parse_group_spec("group = 3x3\ncocycle = heisenberg"))
+    blocks = twistgroup.decompose_twisted_algebra(z3z3, twistgroup.heisenberg_cocycle(z3z3))
     ok = ok and blocks == [3]
     details.append(f"Z3xZ3 heisenberg blocks = {blocks} (center dimension 1)")
     report("criterion 6 (finite group suite)", ok, "; ".join(details))
 
 
 def test_criterion_7_m_iso_trials():
-    grp, tau = twistgroup.parse_group_spec("group = 3x3\ncocycle = heisenberg")
-    ext = twistgroup.TwistedExtension(tau)
+    grp = twistgroup.FiniteAbelianGroup((3, 3))
+    ext = twistgroup.TwistedExtension(twistgroup.heisenberg_cocycle(grp))
     rng = Lcg(77)
     worst = 0.0
     for _ in range(100):
@@ -185,12 +181,9 @@ def test_criterion_8_assembly_equals_mirror():
     dl, _ = dirac.build_dirac_L(spec, space=cycle.rest)
     dev = (assembly.assemble(cycle) - dl).max_abs()
     fin_dev = 0.0
-    for moduli, kind in (("3", "trivial"), ("3x3", "heisenberg")):
-        text = f"group = {moduli}\ncocycle = {kind}"
-        if kind == "trivial":
-            text += "\nroot_order = 3"
-        grp, tau = twistgroup.parse_group_spec(text)
-        fin = assembly.finite_group_assembly(grp, tau)
+    z3, z3z3 = twistgroup.FiniteAbelianGroup((3,)), twistgroup.FiniteAbelianGroup((3, 3))
+    for tau in (twistgroup.trivial_cocycle(z3, 3), twistgroup.heisenberg_cocycle(z3z3)):
+        fin = assembly.finite_group_assembly(tau.group, tau)
         fin_dev = max(fin_dev, fin.deviation)
     report("criterion 8 (assembled cycle = mirror dirac)",
            dev <= 1e-10 and fin_dev <= 1e-8,

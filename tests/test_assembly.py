@@ -348,8 +348,7 @@ def test_mishchenko_finite_group_analogue():
     # constant cut-off on a finite group maps to the rank-one projection
     # onto the constant unit vector
     grp = tg.FiniteAbelianGroup((3,))
-    template = tg.CrossedProductElement.translation(grp)
-    cut = tg.mishchenko({p: 1.0 / 3.0 for p in grp.elements}, template)
+    cut = tg.mishchenko(grp, np.full(3, 1.0 / 3.0))
     mat = tg.schatten_map(cut).to_dense()
     v = np.full(3, 1.0 / np.sqrt(3.0))
     assert np.max(np.abs(mat - np.outer(v, v))) < 1e-13
@@ -424,9 +423,7 @@ def kron_finite_assembly(group, tau, seed=11):
     operator and compressor matrices."""
     n = group.order
     conv = column_conv(group, tau, seed)
-    c = {p: 1.0 / n for p in group.elements}
-    template = tg.CrossedProductElement.translation(group)
-    p_cut = regular_representation(tg.mishchenko(c, template))
+    p_cut = regular_representation(tg.mishchenko(group, np.full(n, 1.0 / n)))
     d_op = np.eye(n) - p_cut
 
     big = np.kron(d_op, np.eye(n)) + np.kron(np.eye(n), conv)
@@ -1014,8 +1011,7 @@ def brute_level_pattern(group, tau, seed=3):
     ext = tg.TwistedExtension(tau)
     n, m = group.order, ext.m
     omega = tau.root()
-    cut = tg.mishchenko({p: 1.0 / n for p in group.elements},
-                        tg.CrossedProductElement.translation(group))
+    cut = tg.mishchenko(group, np.full(n, 1.0 / n))
     rng = Lcg(seed)
     rows = []
     for level in range(m):

@@ -285,6 +285,27 @@ def test_fingroup_suite_fails_when_the_untagged_product_leaks(tmp_path, monkeypa
     assert failed == ["level orthogonality"] * 4
 
 
+@pytest.mark.parametrize("scaled", [False, True], ids=["exact", "scaled"])
+def test_a_scaled_cutoff_class_fails_its_rows(tmp_path, capsys, monkeypatch, scaled):
+    # [c] scaled by 1 + 1e-6 is no idempotent, and its Schatten image no
+    # rank-one projection: fingroup_suite fails its idempotent rows and
+    # assembly_compare refuses to build the finite model
+    exact = twistgroup.mishchenko
+
+    def scaled_cut(group, c):
+        return twistgroup.CrossedProductElement(group, exact(group, c).values * (1 + 1e-6))
+
+    if scaled:
+        monkeypatch.setattr(twistgroup, "mishchenko", scaled_cut)
+    assert main(["run", "fingroup_suite", "--out", str(tmp_path)]) == int(scaled)
+    rows = list(csv.DictReader((tmp_path / "fingroup_suite.csv").read_text().splitlines()[1:]))
+    failed = [row["quantity"] for row in rows if row["ok"] == "0"]
+    assert failed == ["mishchenko idempotent"] * 4 * scaled
+    capsys.readouterr()
+    assert main(["run", "assembly_compare", "--out", str(tmp_path)]) == 2 * scaled
+    assert ("rank-one projection" in capsys.readouterr().err) == scaled
+
+
 def test_kernel_count_fails_when_a_shell_count_is_off(monkeypatch):
     # one (dual, fermion) pair short at the top energy: only the shell row
     # that compares dirac_R^2 with the count can see it

@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -353,8 +354,7 @@ def test_schatten_map_is_the_dense_route_triplet_for_triplet(moduli, monkeypatch
 
 def test_mishchenko_constant_cutoff():
     grp = tg.FiniteAbelianGroup((2,))
-    template = tg.CrossedProductElement.translation(grp)
-    cut = tg.mishchenko({p: 0.5 for p in grp.elements}, template)
+    cut = tg.mishchenko(grp, np.full(2, 0.5))
     assert np.max(np.abs(cut.values - 0.5)) < 1e-14
     sq = tg.crossed_convolve(cut, cut)
     assert np.max(np.abs(sq.values - cut.values)) < 1e-13
@@ -362,23 +362,64 @@ def test_mishchenko_constant_cutoff():
     assert np.max(np.abs(star.values - cut.values)) < 1e-13
 
 
-def test_mishchenko_normalization_error_names_points():
+def test_mishchenko_normalization_error_names_the_mass():
     grp = tg.FiniteAbelianGroup((2,))
-    template = tg.CrossedProductElement.translation(grp)
-    with pytest.raises(ValueError, match=r"\(0,\)"):
-        tg.mishchenko({(0,): 0.7, (1,): 0.7}, template)
+    with pytest.raises(ValueError, match=r"mass 1\.4 "):
+        tg.mishchenko(grp, [0.7, 0.7])
+
+
+def test_mishchenko_mass_within_1e_12_of_one():
+    grp = tg.FiniteAbelianGroup((4,))
+    for shift in (1e-13, -1e-13):
+        c = np.array([0.1, 0.2, 0.3, 0.4 + shift])
+        assert 5e-14 < abs(c.sum() - 1.0) <= 1e-12
+        tg.mishchenko(grp, c)
+    c = np.array([0.1, 0.2, 0.3, 0.4 + 1e-9])
+    with pytest.raises(ValueError, match=re.escape(f"cut-off mass {float(c.sum())!r} is not 1")):
+        tg.mishchenko(grp, c)
+
+
+def test_mishchenko_refuses_a_cutoff_of_the_wrong_shape():
+    grp = tg.FiniteAbelianGroup((2, 2))
+    with pytest.raises(ValueError, match=r"Z2xZ2 needs shape \(4,\), got \(3,\)"):
+        tg.mishchenko(grp, np.full(3, 1.0 / 3.0))
+    with pytest.raises(ValueError, match=r"Z2xZ2 needs shape \(4,\), got \(2, 2\)"):
+        tg.mishchenko(grp, np.full((2, 2), 0.25))
+
+
+@pytest.mark.parametrize("c", [[np.nan, 0.5], [np.inf, 0.5], [-0.5, 1.5]],
+                         ids=["nan", "inf", "negative"])
+def test_mishchenko_refuses_a_non_finite_or_negative_entry(c):
+    # a NaN entry once passed both checks: NaN < 0 and |NaN - 1| > 1e-12
+    # are both False
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        tg.mishchenko(tg.FiniteAbelianGroup((2,)), c)
+
+
+@pytest.mark.parametrize("moduli", [(4,), (4, 2), (2, 3, 2)], ids=repr)
+def test_point_totals_over_x_equal_g_are_the_mass(moduli):
+    # the per-point totals sum_g c(g.x) that the normalization once checked
+    # one by one all equal the mass sum(c), so the one sum decides it
+    grp = tg.FiniteAbelianGroup(moduli)
+    rng = np.random.default_rng(len(moduli))
+    for _ in range(5):
+        c = rng.random(grp.order)
+        c /= c.sum()
+        assert np.max(np.abs(c[grp.add_table].sum(axis=0) - c.sum())) <= 1e-12
+        cut = tg.mishchenko(grp, c)
+        assert np.max(np.abs(tg.crossed_convolve(cut, cut).values - cut.values)) <= 1e-15
 
 
 def test_mishchenko_nonuniform_cutoff_is_the_rank_one_projection():
     # finite_group_assembly refuses a cut-off whose Schatten image is not
     # the rank-one projection onto sqrt(c); here c is not constant
     grp = tg.FiniteAbelianGroup((4,))
-    c = dict(zip(grp.elements, (0.1, 0.2, 0.3, 0.4)))
-    cut = tg.mishchenko(c, tg.CrossedProductElement.translation(grp))
+    c = np.array([0.1, 0.2, 0.3, 0.4])
+    cut = tg.mishchenko(grp, c)
     sq = tg.crossed_convolve(cut, cut)
     assert np.max(np.abs(sq.values - cut.values)) < 1e-15
     assert np.max(np.abs(cut.involution().values - cut.values)) < 1e-15
-    sqrt_c = np.sqrt([c[p] for p in grp.elements])
+    sqrt_c = np.sqrt(c)
     assert np.max(np.abs(tg.schatten_map(cut).to_dense() - np.outer(sqrt_c, sqrt_c))) < 1e-15
 
 
@@ -387,12 +428,9 @@ def test_mishchenko_product_factorizes():
     g1 = tg.FiniteAbelianGroup((2,))
     g2 = tg.FiniteAbelianGroup((3,))
     g12 = tg.FiniteAbelianGroup((2, 3))
-    c1 = {p: 0.5 for p in g1.elements}
-    c2 = {p: 1.0 / 3.0 for p in g2.elements}
-    cut1 = tg.mishchenko(c1, tg.CrossedProductElement.translation(g1))
-    cut2 = tg.mishchenko(c2, tg.CrossedProductElement.translation(g2))
-    cut12 = tg.mishchenko({p: c1[p[:1]] * c2[p[1:]] for p in g12.elements},
-                          tg.CrossedProductElement.translation(g12))
+    c1, c2 = np.array([0.3, 0.7]), np.array([0.2, 0.3, 0.5])
+    cut1, cut2 = tg.mishchenko(g1, c1), tg.mishchenko(g2, c2)
+    cut12 = tg.mishchenko(g12, np.kron(c1, c2))
     for gi, g in enumerate(g12.elements):
         for xi, x in enumerate(g12.elements):
             expected = (cut1.values[law.index(g1, g[:1]), law.index(g1, x[:1])]
@@ -592,34 +630,44 @@ def test_decompose_checks_a_writeable_table_mutated_after_its_check():
         tg.decompose_twisted_algebra(grp, tau)
 
 
-# ---------------------------------------------------------------- parsing
-
-def test_parse_group_spec():
-    grp, tau = tg.parse_group_spec("""
-        # comment
-        group = 3x3
-        cocycle = heisenberg
-        root_order = 3
-    """)
-    assert grp.moduli == (3, 3)
-    assert tau.root_order == 3
-    assert tg.check_cocycle(tau) == []
-
-
-def test_parse_group_spec_errors():
-    with pytest.raises(ValueError, match="group"):
-        tg.parse_group_spec("cocycle = trivial")
-    with pytest.raises(ValueError, match="malformed"):
-        tg.parse_group_spec("group 3x3")
-    with pytest.raises(ValueError, match="unknown cocycle"):
-        tg.parse_group_spec("group = 2\ncocycle = exotic")
-
+# ---------------------------------------------------------------- values
 
 def test_root_order_below_one_is_refused():
     with pytest.raises(ValueError, match="root_order"):
         tg.Cocycle(tg.FiniteAbelianGroup((3,)), np.zeros((3, 3), dtype=int), 0)
     with pytest.raises(ValueError, match="root_order"):
-        tg.parse_group_spec("group = 3\nroot_order = -3")
+        tg.trivial_cocycle(tg.FiniteAbelianGroup((3,)), -3)
+
+
+@pytest.mark.parametrize("moduli", [(2.5,), (3, 0.6), (np.nan,), (np.inf, 2)], ids=repr)
+def test_group_refuses_non_integral_moduli(moduli):
+    with pytest.raises(ValueError, match="moduli must be integral"):
+        tg.FiniteAbelianGroup(moduli)
+
+
+@pytest.mark.parametrize("bad", [0.6, np.nan, np.inf], ids=repr)
+def test_cocycle_refuses_non_integral_exponents(bad):
+    # 0.6 was cast to 0 and NaN to 0 with only a RuntimeWarning
+    table = np.zeros((2, 2))
+    table[1, 1] = bad
+    with pytest.raises(ValueError, match="exponents must be integral"):
+        tg.Cocycle(tg.FiniteAbelianGroup((2,)), table, 2)
+
+
+@pytest.mark.parametrize("root", [2.5, np.nan, np.inf], ids=repr)
+def test_cocycle_refuses_non_integral_root_orders(root):
+    # trivial_cocycle(Z2, 2.5) once got root order 2
+    with pytest.raises(ValueError, match="root_order must be integral"):
+        tg.trivial_cocycle(tg.FiniteAbelianGroup((2,)), root)
+
+
+def test_integral_floats_stay_accepted():
+    grp = tg.FiniteAbelianGroup((4.0, np.float64(2)))
+    assert grp.moduli == (4, 2) and all(type(n) is int for n in grp.moduli)
+    tau = tg.Cocycle(grp, np.zeros((8, 8)), 2.0)
+    assert tau.root_order == 2 and tau.exponents.dtype.kind == "i"
+    assert tg.check_cocycle(tau) == []
+    assert tg.heisenberg_cocycle(tg.FiniteAbelianGroup((3.0, 3.0))).root_order == 3
 
 
 # ---------------------------------------------------------------- tables
