@@ -390,16 +390,16 @@ def test_mishchenko_refuses_a_cutoff_of_the_wrong_shape():
 @pytest.mark.parametrize("c", [[np.nan, 0.5], [np.inf, 0.5], [-0.5, 1.5]],
                          ids=["nan", "inf", "negative"])
 def test_mishchenko_refuses_a_non_finite_or_negative_entry(c):
-    # a NaN entry once passed both checks: NaN < 0 and |NaN - 1| > 1e-12
-    # are both False
+    # NaN < 0 and |NaN - 1| > 1e-12 are both False, so neither the sign nor
+    # the mass check alone refuses a NaN entry
     with pytest.raises(ValueError, match="finite and nonnegative"):
         tg.mishchenko(tg.FiniteAbelianGroup((2,)), c)
 
 
 @pytest.mark.parametrize("moduli", [(4,), (4, 2), (2, 3, 2)], ids=repr)
 def test_point_totals_over_x_equal_g_are_the_mass(moduli):
-    # the per-point totals sum_g c(g.x) that the normalization once checked
-    # one by one all equal the mass sum(c), so the one sum decides it
+    # over X = G every per-point total sum_g c(g.x) equals the mass sum(c),
+    # so the one sum decides the normalization
     grp = tg.FiniteAbelianGroup(moduli)
     rng = np.random.default_rng(len(moduli))
     for _ in range(5):
@@ -647,7 +647,8 @@ def test_group_refuses_non_integral_moduli(moduli):
 
 @pytest.mark.parametrize("bad", [0.6, np.nan, np.inf], ids=repr)
 def test_cocycle_refuses_non_integral_exponents(bad):
-    # 0.6 was cast to 0 and NaN to 0 with only a RuntimeWarning
+    # a cast to int, reduced mod 2, would turn 0.6 into 0 and NaN into 0 with
+    # only a warning
     table = np.zeros((2, 2))
     table[1, 1] = bad
     with pytest.raises(ValueError, match="exponents must be integral"):
@@ -656,7 +657,7 @@ def test_cocycle_refuses_non_integral_exponents(bad):
 
 @pytest.mark.parametrize("root", [2.5, np.nan, np.inf], ids=repr)
 def test_cocycle_refuses_non_integral_root_orders(root):
-    # trivial_cocycle(Z2, 2.5) once got root order 2
+    # int(2.5) is 2, a valid root order
     with pytest.raises(ValueError, match="root_order must be integral"):
         tg.trivial_cocycle(tg.FiniteAbelianGroup((2,)), root)
 
