@@ -16,7 +16,7 @@ from kkindex.opcore import SparseOperator, graded_commutator
 def monomial(basis, label):
     """The coordinates of the basis vector of ``label``."""
     coords = np.zeros(basis.dim, dtype=complex)
-    coords[basis.index(label)] = 1.0
+    coords[basis.labels.index(label)] = 1.0
     return coords
 
 
@@ -36,7 +36,7 @@ raise1 = fock.boson_raise(boson, 1)
 lower1 = fock.boson_lower(boson, 1)
 state = monomial(boson, (2, 0, 0))
 print("lowering z1^2 gives coefficient",
-      (lower1.to_dense() @ state)[boson.index((1, 0, 0))], "on z1")
+      (lower1.to_dense() @ state)[boson.labels.index((1, 0, 0))], "on z1")
 
 comm = graded_commutator(raise1, lower1).to_dense()
 devs = []

@@ -90,8 +90,7 @@ class MaterializedJCycle:
     def rest(self) -> dirac.TripleSpace:
         """The fermion x dual rest space at ``spec.e_max``, the domain of
         :meth:`lift`."""
-        return dirac.TripleSpace(self.space.factors[self.m_active:], e_max=self.spec.e_max,
-                                 name="rest")
+        return dirac.TripleSpace(self.space.factors[self.m_active:], e_max=self.spec.e_max)
 
     @functools.cached_property
     def _layout(self):
@@ -145,10 +144,10 @@ def materialize_j_cycle(spec: fock.TruncationSpec, m_active: int,
     # to the fermion and dual legs, which keeps the mirror part an exact
     # (leak-free) compression with squared operator 2 (N_f + E_dual)
     raw = limitspace.mode_basis(h_op)
-    mode_bases = [Basis(raw.label_array, raw.gram, name=raw.name)] * m_active
+    mode_bases = [Basis(raw.label_array, raw.gram)] * m_active
     ferm = fock.enumerate_basis(spec, "fermion")
     dual = fock.enumerate_basis(spec, "dual_boson")
-    space = dirac.TripleSpace(mode_bases + [ferm, dual], e_max=spec.e_max, name="jcycle")
+    space = dirac.TripleSpace(mode_bases + [ferm, dual], e_max=spec.e_max)
     d_part = dirac.dirac_sum(space, m_active, limitspace.translation_legs(space, m_active))
     l_part = dirac.dirac_sum(space, m_active, dirac.dual_legs(space, m_active + 1, spec.n_max))
     # the smearing's commutator bound is 2 sqrt(sum_n 2 n r_n^2), with r_n
@@ -192,7 +191,6 @@ class IndexCycle:
     kind: str
     space: object
     operator: SparseOperator
-    spec: fock.TruncationSpec
     boson: object
     dual: object
     fermion: object
@@ -216,8 +214,8 @@ class IndexCycle:
         ``(n, dual, fermion, states)``: the ``k`` pairs' dual and fermion
         indices and the ``(k, n)`` space indices of pair ``p`` and boson
         ``boson_order[i]``.  Every kept state is in exactly one block; there
-        are at most ``space.e_max + 1`` (``3 * spec.e_max + 1`` for a full
-        product).
+        are at most ``space.e_max + 1`` (``3 * e_max + 1`` for a full
+        product at cut ``e_max``).
         """
         b_pos, d_pos, f_pos = self.leg_positions()
         comps = self.space.components
@@ -248,10 +246,9 @@ def analytic_index(spec: fock.TruncationSpec, full_product: bool = False) -> Ind
     # the full product keeps every combination of individually truncated
     # factors, so algebra actions never leave the space
     space = dirac.TripleSpace([boson, dual, ferm],
-                              3 * spec.e_max if full_product else spec.e_max,
-                              name="analytic")
+                              3 * spec.e_max if full_product else spec.e_max)
     op, _ = dirac.build_dirac_R(spec, space=space)
-    return IndexCycle("analytic", space, op, spec, boson, dual, ferm)
+    return IndexCycle("analytic", space, op, boson, dual, ferm)
 
 
 def mu_index(spec: fock.TruncationSpec, full_product: bool = False) -> IndexCycle:
@@ -259,9 +256,9 @@ def mu_index(spec: fock.TruncationSpec, full_product: bool = False) -> IndexCycl
     columns, carrying ``dirac_L``."""
     boson, dual, ferm = dirac.spec_bases(spec)
     space = dirac.TripleSpace([ferm, dual, boson],
-                              3 * spec.e_max if full_product else spec.e_max, name="mu")
+                              3 * spec.e_max if full_product else spec.e_max)
     op, _ = dirac.build_dirac_L(spec, space=space)
-    return IndexCycle("mu", space, op, spec, boson, dual, ferm)
+    return IndexCycle("mu", space, op, boson, dual, ferm)
 
 
 # ------------------------------------------------------------ module algebra

@@ -50,7 +50,7 @@ class TripleSpace:
     :meth:`lift` and :meth:`embed_factor_op`.
     """
 
-    def __init__(self, factors, e_max: float, name: str = "triple"):
+    def __init__(self, factors, e_max: float):
         self.factors = tuple(factors)
         self.e_max = e_max
         self.shape = tuple(b.dim for b in self.factors)
@@ -58,7 +58,7 @@ class TripleSpace:
         picked = list(zip(self.factors, self.components.T))
         gram = np.prod([b.gram[c] for b, c in picked], axis=0)
         parity = np.sum([b.parity[c] for b, c in picked], axis=0) % 2
-        self.basis = Basis(self.components, gram, energy=energy, parity=parity, name=name,
+        self.basis = Basis(self.components, gram, energy=energy, parity=parity,
                            factors=self.factors)
 
     @property
@@ -154,7 +154,7 @@ def build_dirac_R(spec: fock.TruncationSpec, space: TripleSpace = None):
     """
     if space is None:
         boson, dual, ferm = spec_bases(spec)
-        space = TripleSpace([boson, dual, ferm], spec.e_max, name="R-triple")
+        space = TripleSpace([boson, dual, ferm], spec.e_max)
     return dirac_sum(space, 2, dual_legs(space, 1, spec.n_max)), space
 
 
@@ -163,7 +163,7 @@ def build_dirac_L(spec: fock.TruncationSpec, space: TripleSpace = None):
     a given ``space`` may also be the fermion x dual core alone."""
     if space is None:
         boson, dual, ferm = spec_bases(spec)
-        space = TripleSpace([ferm, dual, boson], spec.e_max, name="L-triple")
+        space = TripleSpace([ferm, dual, boson], spec.e_max)
     return dirac_sum(space, 0, dual_legs(space, 1, spec.n_max)), space
 
 

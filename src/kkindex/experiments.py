@@ -14,18 +14,17 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from . import assembly, dirac, fock, limitspace, twistgroup
-from .opcore import (Lcg, SparseOperator, adjoint, block_components, graded_commutator,
-                     spectrum)
+from .opcore import Lcg, SparseOperator, adjoint, graded_commutator, spectrum
 
 __all__ = ["Config", "parse_config", "selected_experiments", "run_experiment",
-           "EXPERIMENTS", "Lcg"]
+           "EXPERIMENTS"]
 
 
 @dataclass(frozen=True)
@@ -94,14 +93,14 @@ def selected_experiments(cfg: Config, target: str) -> list:
     return names
 
 
-_INT_KEYS = {"modes", "energy_cut", "seed"}
-_KNOWN = {"modes", "energy_cut", "sigma", "experiments", "output_dir", "seed"}
+_KNOWN = {f.name for f in fields(Config)}
+_INT_KEYS = {f.name for f in fields(Config) if isinstance(f.default, int)}
 
 
 def parse_config(path: str) -> Config:
-    """Line-based ``key = value`` file with ``#`` comments; unknown keys are
-    rejected, numeric fields must be positive and the requested spaces must
-    stay within :data:`MAX_DIM`."""
+    """Line-based ``key = value`` file with ``#`` comments; unknown and
+    repeated keys are rejected, numeric fields must be positive and the
+    requested spaces must stay within :data:`MAX_DIM`."""
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -117,9 +116,11 @@ def parse_config(path: str) -> Config:
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in _KNOWN:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        values[key] = val
+        if key in values:
+            raise ConfigError(f"line {lineno}: key {key!r} already set on line {values[key][0]}")
+        values[key] = lineno, val
     cfg = Config()
-    for key, val in values.items():
+    for key, (_, val) in values.items():
         if key in _INT_KEYS:
             try:
                 ival = int(val)
@@ -476,7 +477,7 @@ def _exp_level_suite(cfg: Config, rng: Lcg) -> Report:
 
 def _size_note(cycle: assembly.MaterializedJCycle) -> str:
     """Deterministic size facts of a materialized cycle."""
-    sizes = np.unique(block_components(cycle.operator), return_counts=True)[1]
+    sizes = np.unique(cycle.operator.components, return_counts=True)[1]
     return (f"materialized dim {cycle.space.dim}, rest states {cycle.rest.dim}, "
             f"operator blocks {len(sizes)}, largest block {int(sizes.max())}")
 

@@ -80,11 +80,10 @@ def enumerate_basis(spec: TruncationSpec, kind: str) -> Basis:
         gram = np.ones(len(occ))
         for col in occ.T:
             gram = gram * factorial[col]
-        return Basis(occ, gram, energy=energy, name=kind)
+        return Basis(occ, gram, energy=energy)
     if kind == "fermion":
         occ, energy = energy_product([(0, n) for n in modes], e_max)
-        return Basis(occ, np.ones(len(occ)), energy=energy,
-                     parity=occ.sum(axis=1) % 2, name=kind)
+        return Basis(occ, np.ones(len(occ)), energy=energy, parity=occ.sum(axis=1) % 2)
     raise ValueError(f"unknown basis kind {kind!r}")
 
 

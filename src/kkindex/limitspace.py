@@ -131,8 +131,7 @@ def mode_basis(h_max: int) -> Basis:
     lex order; built once per process."""
     p, t = np.triu_indices(h_max + 1)  # p <= t, row-major
     labels = np.column_stack([p, t - p])  # q = t - p, so p + q <= h_max
-    return Basis(labels, np.ones(len(labels)), energy=labels.sum(axis=1),
-                 name=f"mode(h={h_max})")
+    return Basis(labels, np.ones(len(labels)), energy=labels.sum(axis=1))
 
 
 def _ladder(basis: Basis, pos: int, step: int) -> SparseOperator:

@@ -45,7 +45,6 @@ __all__ = [
     "spectrum",
     "eigh_gram",
     "spectral_function",
-    "block_components",
     "gram_transpose",
     "shift_op",
     "energy_product",
@@ -72,8 +71,9 @@ class NotSelfAdjointError(ValueError):
 class Basis:
     """Labeled basis with a positive diagonal Gram.
 
-    The labels may come in any order; :meth:`index_of` finds them (and
-    ``index`` and ``in`` go through it).
+    The labels may come in any order; :meth:`index_of`, the one lookup,
+    finds them by mixed-radix int64 keys, so labels whose column ranges are
+    too wide for int64 keys (``prod(hi - lo + 1) >= 2**63``) are refused.
 
     Parameters
     ----------
@@ -93,7 +93,7 @@ class Basis:
         those bases; two bases are equal only if their factors are.
     """
 
-    def __init__(self, labels, gram, energy=None, parity=None, name="", factors=()):
+    def __init__(self, labels, gram, energy=None, parity=None, factors=()):
         labels = np.asarray(labels, dtype=np.int64)
         if labels.ndim != 2:
             if labels.size:
@@ -102,11 +102,11 @@ class Basis:
         self.label_array = labels
         self.gram = np.asarray(gram, dtype=float)
         lo, hi = labels.min(axis=0, initial=0), labels.max(axis=0, initial=0)
+        if math.prod(h - l + 1 for h, l in zip(hi.tolist(), lo.tolist())) >= 2 ** 63:
+            raise ValueError("basis label ranges are too wide for int64 keys")
         span = hi - lo + 1
-        # int64 keys over the column ranges where they fit, else raw bytes
-        fits = np.prod(hi.astype(float) - lo + 1) < 2.0 ** 63
-        self._ranges = ((lo[:, None], np.cumprod(span[::-1])[::-1] // span,
-                         span.astype(np.uint64)[:, None]) if fits else None)
+        self._ranges = (lo[:, None], np.cumprod(span[::-1])[::-1] // span,
+                        span.astype(np.uint64)[:, None])
         keys = self._keys(labels)
         order = np.argsort(keys)
         keys = keys[order]
@@ -123,7 +123,6 @@ class Basis:
         self.parity = (
             np.zeros(self.dim, dtype=int) if parity is None else np.asarray(parity, dtype=int)
         )
-        self.name = name
         self.factors = tuple(factors)
         for arr in (self.label_array, self.gram, self.energy, self.parity, order, keys):
             arr.flags.writeable = False
@@ -158,26 +157,10 @@ class Basis:
         """One sortable key per row of a ``(n, width)`` int64 array, equal
         for a row and a label exactly when they are: the row's mixed-radix
         number over the labels' column ranges (-1, which no label has,
-        outside them), or its raw bytes where those ranges are too wide for
-        int64 keys."""
-        if self._ranges is None:
-            rows = np.ascontiguousarray(rows)
-            return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+        outside them)."""
         lo, strides, span = self._ranges
         digits = np.subtract(rows.T, lo, order="C")  # one row per column
         return np.where((digits.view(np.uint64) < span).all(axis=0), strides @ digits, -1)
-
-    def index(self, label) -> int:
-        """Position of one label; ``KeyError`` if the basis lacks it."""
-        if label not in self:
-            raise KeyError(label)
-        return int(self.index_of(label))
-
-    def __contains__(self, label) -> bool:
-        """Whether ``label``, a sequence of integers, is a label here."""
-        row = np.asarray(label)
-        return bool(row.ndim == 1 and (row.dtype.kind in "bi" or not row.size)
-                    and self.index_of(row) >= 0)
 
     def __eq__(self, other) -> bool:
         return self is other or (
@@ -341,8 +324,11 @@ class SparseOperator:
                                 for f in ("rows", "cols", "vals")), grade)
 
     @cached_property
-    def _components(self) -> np.ndarray:
-        """:func:`block_components`, read-only.
+    def components(self) -> np.ndarray:
+        """Connected components of the symmetric sparsity graph of a square
+        operator: entry ``i`` is the smallest state index in the component
+        of state ``i``, so states with no entries are singletons.  Computed
+        once per operator and kept on it, read-only.
 
         Min-label propagation along both directions of every entry, with
         pointer jumping after each round, until no label changes.
@@ -435,14 +421,6 @@ def graded_commutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     return (a @ b) - (b @ a).scale(sign)
 
 
-def block_components(op: SparseOperator) -> np.ndarray:
-    """Connected components of the symmetric sparsity graph of a square
-    operator: entry ``i`` is the smallest state index in the component of
-    state ``i``, so states with no entries are singletons.  Computed once
-    per operator and kept on it, read-only."""
-    return op._components
-
-
 # relative self-adjointness tolerance of every eigensolve
 TOL = 1e-10
 
@@ -464,7 +442,7 @@ def _hermitian_blocks(a: SparseOperator):
     s = np.sqrt(a.domain.gram)
     vals = a.vals * s[a.rows] / s[a.cols]
     scale = max(float(np.max(np.abs(vals), initial=0.0)), 1.0)
-    label = block_components(a)
+    label = a.components
     order = np.argsort(label, kind="stable")
     _, start, size = np.unique(label[order], return_index=True, return_counts=True)
     # every state's block size, block (within its size class) and position

@@ -134,7 +134,7 @@ class FiniteAbelianGroup:
     def _l2_basis(self) -> Basis:
         """Orthonormal basis of ``l^2(G)`` labeled by the coordinates, built
         on first use and shared by every :func:`schatten_map` on the group."""
-        return Basis(self.coords, np.ones(self.order), name=f"l2({self!r})")
+        return Basis(self.coords, np.ones(self.order))
 
     @property
     def order(self) -> int:
@@ -576,7 +576,7 @@ class ProjectiveIrreps:
             return
         n1, n2 = grp.moduli if len(grp.moduli) == 2 else (0, 0)
         if not (n2 and n1 % n2 == 0 and tau.root_order == n2 and np.array_equal(
-                tau.exponents, np.outer(grp.coords[:, 1], grp.coords[:, 0]) % n2)):
+                tau.exponents, heisenberg_cocycle(grp).exponents)):
             raise ValueError(f"no closed-form irreducible representations for this "
                              f"cocycle on {grp!r}: only the trivial cocycle and the "
                              f"Heisenberg pairing omega^(b c) on Z_n1 x Z_n2 with "

@@ -9,8 +9,8 @@ import time
 import numpy as np
 
 from kkindex import assembly, dirac, fock, limitspace, twistgroup
-from kkindex.experiments import Config, Lcg, run_experiment, EXPERIMENTS
-from kkindex.opcore import SparseOperator, graded_commutator
+from kkindex.experiments import Config, run_experiment, EXPERIMENTS
+from kkindex.opcore import Lcg, SparseOperator, graded_commutator
 from m_iso_trial import m_iso_trial
 from vectors import dense_kernel
 

@@ -7,8 +7,8 @@ import pytest
 
 from kkindex import assembly as asm
 from kkindex import dirac, fock, limitspace as ls, twistgroup as tg
-from kkindex.experiments import EXPERIMENTS, Config, Lcg
-from kkindex.opcore import SparseOperator, adjoint, gram_transpose
+from kkindex.experiments import EXPERIMENTS, Config
+from kkindex.opcore import Lcg, SparseOperator, adjoint, gram_transpose
 
 import tuple_law as law
 from traced import traced_peak
@@ -54,8 +54,8 @@ def test_jcycle_distinguished_vector():
     vec = np.zeros(space.dim, dtype=complex)
     for k in range(len(xi)):
         lab = product_label(space, (k, k), (0, 0), (0, 0))
-        if lab in space.basis:
-            vec[space.basis.index(lab)] = xi[k]
+        if lab in space.basis.labels:
+            vec[space.basis.labels.index(lab)] = xi[k]
     vec /= np.linalg.norm(vec)
     l_out = mat.l_part.to_dense() @ vec
     assert np.max(np.abs(l_out)) < 1e-14
@@ -163,8 +163,7 @@ def dense_t_map(cycle, small, k_vec):
 
 def dense_kucerovsky_check(cycle, seed=5):
     space = cycle.space
-    small = dirac.TripleSpace(space.factors[cycle.m_active:], e_max=cycle.spec.e_max,
-                              name="compressed")
+    small = dirac.TripleSpace(space.factors[cycle.m_active:], e_max=cycle.spec.e_max)
     dl_small = orthonormal_dense(dirac.build_dirac_L(cycle.spec, space=small)[0])
     xi_full = cycle.xi_vecs[0]
     for v in cycle.xi_vecs[1:]:
@@ -253,7 +252,7 @@ def test_prefix_lift_matches_the_rest_state_scatter(case):
     assert np.array_equal(cycle.lift(xi).to_dense(), v)
     assert np.array_equal(cycle.isometry.to_dense(), v)
     assert np.array_equal(cycle.rest.components, np.unique(comps[:, m_active:], axis=0))
-    small = dirac.TripleSpace(cycle.space.factors[m_active:], e_max=e_max, name="compressed")
+    small = dirac.TripleSpace(cycle.space.factors[m_active:], e_max=e_max)
     rng = np.random.default_rng(9)
     for k in [xi] + [rng.standard_normal(len(xi)) + 1j * rng.standard_normal(len(xi))
                      for _ in range(2)]:
@@ -918,10 +917,10 @@ def test_flip_maps_vacuum_column():
     m = asm.mu_index(spec)
     perm = asm._flip_permutation(a, m)
     vac = (0, 0)
-    i = a.space.basis.index(product_label(a.space, vac, vac, vac))
+    i = a.space.basis.labels.index(product_label(a.space, vac, vac, vac))
     assert factor_labels(m.space, perm[i]) == (vac, vac, vac)
     # a nontrivial label flips boson and fermion legs
-    j = a.space.basis.index(product_label(a.space, (1, 0), (0, 0), (0, 1)))
+    j = a.space.basis.labels.index(product_label(a.space, (1, 0), (0, 0), (0, 1)))
     assert factor_labels(m.space, perm[j]) == ((0, 1), (0, 0), (1, 0))
 
 

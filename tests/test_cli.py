@@ -20,8 +20,9 @@ from kkindex import TruncationSpec
 from kkindex import assembly, dirac, fock, limitspace, opcore, twistgroup
 from kkindex.cli import main
 from kkindex.dirac import TripleSpace
-from kkindex.experiments import (MAX_DIM, Config, ConfigError, Lcg, Report, _exp_jcycle_diag,
+from kkindex.experiments import (MAX_DIM, Config, ConfigError, Report, _exp_jcycle_diag,
                                  parse_config, run_experiment, sigma_modes, EXPERIMENTS)
+from kkindex.opcore import Lcg
 from traced import traced_peak
 
 
@@ -357,10 +358,9 @@ def clear_memoized_builders():
 
 
 # the public methods `kkindex run all` does not call, kept because README
-# documents them: a basis's label tuples and label lookup, and the plain-text
-# operator format.  The guard below holds this list exact both ways
+# documents them: a basis's label tuples and the plain-text operator format.
+# The guard below holds this list exact both ways
 NOT_REACHED_BY_RUN_ALL = {
-    "opcore.Basis.index",
     "opcore.Basis.labels",
     "opcore.SparseOperator.to_text",
     "opcore.SparseOperator.from_text",
@@ -389,7 +389,7 @@ def test_exported_methods_sees_every_kind_of_member():
             "assembly.MaterializedJCycle.lift",
             "opcore.SparseOperator.max_abs",
             "limitspace.SigmaSequence.parse",
-            "experiments.Lcg.uniforms"} | NOT_REACHED_BY_RUN_ALL <= names
+            "opcore.Lcg.uniforms"} | NOT_REACHED_BY_RUN_ALL <= names
 
 
 def test_run_all_calls_every_exported_function(tmp_path):
@@ -450,6 +450,15 @@ def test_cli_bad_config(tmp_path, capsys):
     cfg = write(tmp_path, "modes = -2\n")
     assert main(["run", "weitzenbock", "--config", cfg]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_refuses_a_repeated_key(tmp_path, capsys):
+    # a second value would otherwise silently win over the first
+    cfg = write(tmp_path, "modes = 3\n# comment\nseed = 5\nmodes = 5\n")
+    assert main(["run", "weitzenbock", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: line 4: key 'modes' already set on line 1\n"
+    assert not (tmp_path / "weitzenbock.csv").exists()
 
 
 @pytest.mark.parametrize("line, key", [("tolerance = abc", "unknown key 'tolerance'"),

@@ -99,7 +99,7 @@ def test_dirac_r_square_on_state():
     dR, space = dirac.build_dirac_R(spec)
     sq = dense_square(dR)
     lab = product_label(space, (1, 0, 0), (0, 1, 0), (0, 0, 0))  # z1 x zbar2 x 1_f
-    j = space.basis.index(lab)
+    j = space.basis.labels.index(lab)
     col = sq[:, j]
     expected = np.zeros_like(col)
     expected[j] = 4.0
@@ -136,8 +136,8 @@ def test_weitzenbock_tiny_case_hand_oracle():
     out = dR.to_dense() @ unit(space.basis, lab)
     # wedge(lower zbar1) = -1 * sqrt(2) zbar... : lower gives -1*vac, wedge sqrt(2)
     expect_lab = product_label(space, (0,), (0,), (1,))
-    assert set(support(out)) == {space.basis.index(expect_lab)}
-    assert out[space.basis.index(expect_lab)] == pytest.approx(-np.sqrt(2.0))
+    assert set(support(out)) == {space.basis.labels.index(expect_lab)}
+    assert out[space.basis.labels.index(expect_lab)] == pytest.approx(-np.sqrt(2.0))
 
 
 def test_weitzenbock_never_indexes_outside():
@@ -306,7 +306,7 @@ def test_dirac_square_spectrum_nonnegative():
 
 def _mode_factors():
     raw = limitspace.mode_basis(3)
-    return Basis(raw.labels, raw.gram, name=raw.name)
+    return Basis(raw.labels, raw.gram)
 
 
 def _space_cases():
@@ -315,7 +315,7 @@ def _space_cases():
     sb, sd, sf = dirac.spec_bases(small)
     # labels stored out of order, with a gram, an energy and a parity
     unsorted = Basis([(2,), (0,), (3,), (1,)], [2.0, 1.0, 6.0, 1.0],
-                     energy=[2, 0, 3, 1], parity=[0, 1, 1, 0], name="unsorted")
+                     energy=[2, 0, 3, 1], parity=[0, 1, 1, 0])
     return {
         "R": ([b, d, f], 4),
         "L": ([f, d, b], 4),
@@ -352,7 +352,7 @@ def test_product_bases_are_told_apart_by_their_factors():
     # states are labelled by factor indices, so spaces over factors with
     # equal dims and Grams but other labels share one component table
     b, d, f = dirac.spec_bases(fock.TruncationSpec(3, 4))
-    relabeled = Basis(b.label_array + 1, b.gram, energy=b.energy, name=b.name)
+    relabeled = Basis(b.label_array + 1, b.gram, energy=b.energy)
     space = dirac.TripleSpace([b, d, f], 4)
     other = dirac.TripleSpace([relabeled, d, f], 4)
     assert np.array_equal(space.components, other.components)
@@ -364,7 +364,7 @@ def test_product_bases_are_told_apart_by_their_factors():
     with pytest.raises(ShapeMismatchError):
         one @ two
     # a space built again over equal, not identical, factors is the same space
-    copy = Basis(b.label_array.copy(), b.gram.copy(), energy=b.energy, name=b.name)
+    copy = Basis(b.label_array.copy(), b.gram.copy(), energy=b.energy)
     again = dirac.TripleSpace([copy, d, f], 4)
     assert again.basis == space.basis and hash(again.basis) == hash(space.basis)
     assert (one - SparseOperator.identity(again.basis)).nnz == 0

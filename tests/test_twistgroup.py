@@ -6,8 +6,8 @@ import pytest
 
 from kkindex import opcore
 from kkindex import twistgroup as tg
-from kkindex.experiments import EXPERIMENTS, Config, Lcg
-from kkindex.opcore import adjoint
+from kkindex.experiments import EXPERIMENTS, Config
+from kkindex.opcore import Lcg, adjoint
 
 import tuple_law as law
 from m_iso_trial import m_iso_trial

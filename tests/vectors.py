@@ -13,14 +13,14 @@ from kkindex.opcore import SparseOperator
 def unit(basis, label) -> np.ndarray:
     """The coordinates of the basis vector of ``label``."""
     coords = np.zeros(basis.dim, dtype=complex)
-    coords[basis.index(label)] = 1.0
+    coords[basis.labels.index(label)] = 1.0
     return coords
 
 
 def product_label(space, *parts) -> tuple:
     """The label of the product state of ``space`` whose factor states have
     the labels ``parts``: the row of their factor indices."""
-    return tuple(b.index(p) for b, p in zip(space.factors, parts))
+    return tuple(b.labels.index(p) for b, p in zip(space.factors, parts))
 
 
 def factor_labels(space, i) -> tuple:
