@@ -241,14 +241,16 @@ class IndexCycle:
 
 def analytic_index(spec: fock.TruncationSpec, full_product: bool = False) -> IndexCycle:
     """Analytic-side cycle: matrix-algebra columns tensored with the spinor
-    space, carrying ``dirac_R``."""
-    boson, dual, ferm = dirac.spec_bases(spec)
-    # the full product keeps every combination of individually truncated
-    # factors, so algebra actions never leave the space
-    space = dirac.TripleSpace([boson, dual, ferm],
-                              3 * spec.e_max if full_product else spec.e_max)
-    op, _ = dirac.build_dirac_R(spec, space=space)
-    return IndexCycle("analytic", space, op, boson, dual, ferm)
+    space, carrying ``dirac_R``: on the energy cut of ``spec``, the pair
+    :func:`dirac.build_dirac_R` builds once per process."""
+    if full_product:
+        # the full product keeps every combination of individually truncated
+        # factors, so algebra actions never leave the space
+        space = dirac.TripleSpace(dirac.spec_bases(spec), 3 * spec.e_max)
+        op, _ = dirac.build_dirac_R(spec, space=space)
+    else:
+        op, space = dirac.build_dirac_R(spec)
+    return IndexCycle("analytic", space, op, *space.factors)
 
 
 def mu_index(spec: fock.TruncationSpec, full_product: bool = False) -> IndexCycle:

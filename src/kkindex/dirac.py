@@ -11,10 +11,16 @@ the truncated operators are exact compressions: the square identity
 holds entrywise at every truncation, the spectrum is the even lattice
 ``2 * (fermion weight + dual energy)`` and the kernel is spanned by
 ``v x vacuum x 1_f``.
+
+``build_dirac_R(spec)`` on the cut of ``spec`` is built once per process
+(``functools.cache``, as :func:`fock.enumerate_basis` is); ``build_dirac_L``
+and every build on a given space are made afresh, so the two cycles that
+are compared in :mod:`assembly` never share an operator.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,11 +156,19 @@ def dual_legs(space: TripleSpace, dual_pos: int, n_max: int) -> list:
 def build_dirac_R(spec: fock.TruncationSpec, space: TripleSpace = None):
     """Odd self-adjoint Dirac on boson x dual x fermion (id on the boson leg).
 
-    Returns ``(operator, space)``.
+    Returns ``(operator, space)``.  Without a ``space`` the pair on the
+    energy cut of ``spec`` is built once per process and the same
+    read-only value is handed to every caller; a given ``space`` is always
+    built afresh.
     """
     if space is None:
-        boson, dual, ferm = spec_bases(spec)
-        space = TripleSpace([boson, dual, ferm], spec.e_max)
+        return _spec_dirac_R(spec)
+    return dirac_sum(space, 2, dual_legs(space, 1, spec.n_max)), space
+
+
+@functools.cache
+def _spec_dirac_R(spec: fock.TruncationSpec):
+    space = TripleSpace(spec_bases(spec), spec.e_max)
     return dirac_sum(space, 2, dual_legs(space, 1, spec.n_max)), space
 
 

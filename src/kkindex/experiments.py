@@ -297,8 +297,6 @@ def _exp_kernel_count(cfg: Config, rng: Lcg) -> Report:
     for n_max, e_max in _with_config_case(cfg, (3, 4), (2, 4)):
         spec = cfg.spec(modes=n_max, energy=e_max)
         dR, space = dirac.build_dirac_R(spec)
-        if (n_max, e_max) == (cfg.modes, cfg.energy_cut):
-            own = dR, spec
         blocks = dirac.kernel(dR)
         rep.equals("dim ker(dirac_R)", f"N={n_max},E={e_max}",
                    sum(len(states) for states, _ in blocks),
@@ -312,7 +310,9 @@ def _exp_kernel_count(cfg: Config, rng: Lcg) -> Report:
                    off_support, 0.0, 0.0)
     # dirac_R^2 multiplicities against independent shell counting at the
     # config's truncation
-    misses = sum(not match for *_, match in dirac.spectrum_with_prediction(*own))
+    spec = cfg.spec()
+    misses = sum(not match for *_, match in
+                 dirac.spectrum_with_prediction(dirac.build_dirac_R(spec)[0], spec))
     rep.equals("dirac_R^2 shells off the counted multiplicity",
                f"N={cfg.modes},E={cfg.energy_cut}", misses, 0.0, 0.0)
     return rep

@@ -209,9 +209,13 @@ class SparseOperator:
     """Coordinate-triplet operator between labeled bases.
 
     Entry ``k`` is ``vals[k]`` at ``(rows[k], cols[k])``.  The constructor
-    sums repeated coordinates, drops exact zeros and sorts the entries by
-    column, then row, so each coordinate occurs once and each column is one
-    contiguous run; triplets already in that canonical order are taken as
+    refuses an index outside the bases with :class:`IndexError` naming the
+    first such entry; the check is one unsigned maximum per index array,
+    and the mask that finds the entry is built only on refusal.  It sums
+    repeated coordinates, drops exact zeros (``0``, ``-0.0``, but not
+    ``nan`` or subnormals) and sorts the entries by column, then row, so
+    each coordinate occurs once and each column is one contiguous run;
+    triplets already in that canonical order, without zeros, are taken as
     they are.  The stored triplets are read-only; they may share memory
     with read-only arrays passed in, never with writeable ones.  ``grade``
     is ``"even"`` or ``"odd"``.  Images that leave a truncated codomain are
@@ -231,13 +235,15 @@ class SparseOperator:
         vals = np.asarray(vals, dtype=complex)
         if not (vals.ndim == 1 and rows.shape == cols.shape == vals.shape):
             raise ValueError("rows, cols and vals must be equal-length sequences")
-        bad = (rows < 0) | (rows >= codomain.dim) | (cols < 0) | (cols >= domain.dim)
-        if bad.any():
+        # viewed unsigned, a negative index is huge: one max per side
+        if len(vals) and (rows.view(np.uint64).max() >= codomain.dim
+                          or cols.view(np.uint64).max() >= domain.dim):
+            bad = (rows < 0) | (rows >= codomain.dim) | (cols < 0) | (cols >= domain.dim)
             k = np.argmax(bad)
             raise IndexError(f"entry ({rows[k]},{cols[k]}) outside basis bounds")
         # one integer per coordinate, in (column, row) order
         key = cols * codomain.dim + rows
-        if not np.all(key[1:] > key[:-1]):  # not canonical: sort, sum repeats
+        if not (key[1:] > key[:-1]).all():  # not canonical: sort, sum repeats
             order = np.argsort(key, kind="stable")
             key, rows, cols, vals = key[order], rows[order], cols[order], vals[order]
             first = np.ones(len(vals), dtype=bool)
@@ -246,14 +252,14 @@ class SparseOperator:
                 summed = np.zeros(np.count_nonzero(first), dtype=complex)
                 np.add.at(summed, np.cumsum(first) - 1, vals)  # in entry order
                 rows, cols, vals = rows[first], cols[first], summed
-        keep = vals != 0
-        if keep.all():
+        if vals.all():
             # arrays made here or already read-only are kept; a caller's
             # writeable array is copied, never frozen
             self.rows, self.cols, self.vals = (
                 a.copy() if a is g and a.flags.writeable else a
                 for a, g in zip((rows, cols, vals), given))
         else:
+            keep = vals != 0
             self.rows, self.cols, self.vals = rows[keep], cols[keep], vals[keep]
         for arr in (self.rows, self.cols, self.vals):
             arr.flags.writeable = False

@@ -901,6 +901,7 @@ def test_compare_indices_reach_without_dense_arrays():
         analytic, mu = asm.analytic_index(spec), asm.mu_index(spec)
         return analytic, mu, asm.compare_indices(analytic, mu)
 
+    dirac._spec_dirac_R.cache_clear()  # the peak and time cover both builds
     start = time.perf_counter()
     (analytic, mu, report), peak = traced_peak(compare)
     seconds = time.perf_counter() - start
@@ -909,6 +910,37 @@ def test_compare_indices_reach_without_dense_arrays():
     assert seconds < COMPARE_REACH_SECONDS
     assert peak < tensor_bytes
     assert all(value <= tol for _, value, tol in report.rows)
+
+
+def test_only_the_analytic_cycle_on_the_cut_reads_the_dirac_R_memo():
+    spec = fock.TruncationSpec(2, 4)
+    shared = dirac.build_dirac_R(spec)[0]
+    assert asm.analytic_index(spec).operator is shared
+    space = dirac.TripleSpace(dirac.spec_bases(spec), spec.e_max)
+    fresh = [lambda: asm.analytic_index(spec, full_product=True).operator,
+             lambda: dirac.build_dirac_R(spec, space=space)[0],
+             lambda: asm.mu_index(spec).operator]
+    for build in fresh:
+        op = build()
+        assert op is not shared and build() is not op
+        assert not np.shares_memory(op.vals, shared.vals)
+
+
+def test_index_compare_never_hands_one_operator_to_both_sides(monkeypatch):
+    seen = []
+
+    def recording(analytic, mu, seed=7):
+        seen.append((analytic.operator, mu.operator))
+        return compare(analytic, mu, seed)
+
+    compare = asm.compare_indices
+    monkeypatch.setattr(asm, "compare_indices", recording)
+    EXPERIMENTS["index_compare"](Config(), Lcg(Config().seed))
+    assert len(seen) == 4
+    for a, m in seen:
+        assert a is not m
+        assert not any(np.shares_memory(x, y) for x in (a.rows, a.cols, a.vals)
+                       for y in (m.rows, m.cols, m.vals))
 
 
 def test_flip_maps_vacuum_column():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from kkindex import fock, limitspace
+from kkindex import dirac, fock, limitspace
 from kkindex.opcore import SparseOperator, adjoint, graded_commutator, spectrum
 from vectors import norm, unit
 
@@ -249,10 +249,14 @@ def test_adjoint_skew_pairs():
 # ---------------------------------------------------------------- memoized factor builders
 
 def read_only_arrays(value):
+    if isinstance(value, np.ndarray):
+        return [value]
     if isinstance(value, SparseOperator):
         return [value.rows, value.cols, value.vals]
-    if isinstance(value, tuple):  # a quadrature rule
-        return list(value)
+    if isinstance(value, tuple):  # a quadrature rule, or a Dirac operator and its space
+        return [arr for part in value for arr in read_only_arrays(part)]
+    if isinstance(value, dirac.TripleSpace):
+        return read_only_arrays(value.basis)
     return [value.label_array, value.gram, value.energy, value.parity]
 
 
@@ -272,6 +276,7 @@ MEMOIZED = {
     "dRz_matrix": lambda: limitspace.dRz_matrix(limitspace.mode_basis(6)),
     "dRzbar_matrix": lambda: limitspace.dRzbar_matrix(limitspace.mode_basis(6)),
     "gauss-legendre rule": limitspace._gauss_legendre,
+    "build_dirac_R": lambda: dirac.build_dirac_R(MEMO_SPEC),
 }
 
 
