@@ -15,8 +15,8 @@ import argparse
 import os
 import sys
 
-from .experiments import (EXPERIMENTS, Config, ConfigError, parse_config, run_experiment,
-                          selected_experiments)
+from .experiments import (EXPERIMENTS, Config, ConfigError, parse_config, release_dirac_R,
+                          run_experiment, selected_experiments)
 
 
 def main(argv=None) -> int:
@@ -51,7 +51,7 @@ def main(argv=None) -> int:
         return 2
 
     all_ok = True
-    for name in names:
+    for i, name in enumerate(names):
         try:
             report = run_experiment(name, cfg, out_dir)
         except KeyError:
@@ -64,6 +64,7 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"output error: {exc}", file=sys.stderr)
             return 2
+        release_dirac_R(names[i + 1:])
         status = "ok" if report.ok else "FAIL"
         print(f"{name:18s} {status:4s} checks={len(report.rows):3d} "
               f"worst: {report.worst()}")

@@ -12,10 +12,11 @@ holds entrywise at every truncation, the spectrum is the even lattice
 ``2 * (fermion weight + dual energy)`` and the kernel is spanned by
 ``v x vacuum x 1_f``.
 
-``build_dirac_R(spec)`` on the cut of ``spec`` is built once per process
-(``functools.cache``, as :func:`fock.enumerate_basis` is); ``build_dirac_L``
-and every build on a given space are made afresh, so the two cycles that
-are compared in :mod:`assembly` never share an operator.
+``build_dirac_R(spec)`` on the cut of ``spec`` is memoized
+(``functools.cache``, as :func:`fock.enumerate_basis` is) until
+``build_dirac_R.cache_clear()``; ``build_dirac_L`` and every build on a
+given space are made afresh, so the two cycles that are compared in
+:mod:`assembly` never share an operator.
 """
 
 from __future__ import annotations
@@ -157,9 +158,9 @@ def build_dirac_R(spec: fock.TruncationSpec, space: TripleSpace = None):
     """Odd self-adjoint Dirac on boson x dual x fermion (id on the boson leg).
 
     Returns ``(operator, space)``.  Without a ``space`` the pair on the
-    energy cut of ``spec`` is built once per process and the same
-    read-only value is handed to every caller; a given ``space`` is always
-    built afresh.
+    energy cut of ``spec`` is memoized and the same read-only value is
+    handed to every caller until ``build_dirac_R.cache_clear()``; a given
+    ``space`` is always built afresh.
     """
     if space is None:
         return _spec_dirac_R(spec)
@@ -168,8 +169,10 @@ def build_dirac_R(spec: fock.TruncationSpec, space: TripleSpace = None):
 
 @functools.cache
 def _spec_dirac_R(spec: fock.TruncationSpec):
-    space = TripleSpace(spec_bases(spec), spec.e_max)
-    return dirac_sum(space, 2, dual_legs(space, 1, spec.n_max)), space
+    return build_dirac_R(spec, TripleSpace(spec_bases(spec), spec.e_max))
+
+
+build_dirac_R.cache_clear = _spec_dirac_R.cache_clear
 
 
 def build_dirac_L(spec: fock.TruncationSpec, space: TripleSpace = None):

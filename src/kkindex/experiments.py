@@ -24,7 +24,7 @@ from . import assembly, dirac, fock, limitspace, twistgroup
 from .opcore import Lcg, SparseOperator, adjoint, graded_commutator, spectrum
 
 __all__ = ["Config", "parse_config", "selected_experiments", "run_experiment",
-           "EXPERIMENTS"]
+           "release_dirac_R", "EXPERIMENTS"]
 
 
 @dataclass(frozen=True)
@@ -567,6 +567,17 @@ EXPERIMENTS = {
     "assembly_compare": _exp_assembly_compare,
     "index_compare": _exp_index_compare,
 }
+
+# the experiments that read dirac.build_dirac_R(spec) off its memo
+DIRAC_R_READERS = frozenset({"index_compare", "kernel_count", "weitzenbock"})
+
+
+def release_dirac_R(remaining) -> None:
+    """Clear the ``dirac.build_dirac_R`` memo once no experiment named in
+    ``remaining`` reads it, so the experiments after the last reader do not
+    peak on top of its operators."""
+    if DIRAC_R_READERS.isdisjoint(remaining):
+        dirac.build_dirac_R.cache_clear()
 
 
 def run_experiment(name: str, cfg: Config, out_dir: str = None):

@@ -268,6 +268,7 @@ def xi_coeffs(sigma: float, h_max: int = None) -> ModeFunction:
                 or kmax >= XI_HARD_CAP):
             return ModeFunction(coeffs, deficiency)
         kmax = min(4 * kmax, XI_HARD_CAP)
+        del coeffs  # freed before the longer cutoff's array is made
 
 
 # per-mode quanta cutoff of the Xi vectors whose overlap ``xi_norms`` reads

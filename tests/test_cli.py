@@ -20,8 +20,9 @@ from kkindex import TruncationSpec
 from kkindex import assembly, dirac, fock, limitspace, opcore, twistgroup
 from kkindex.cli import main
 from kkindex.dirac import TripleSpace
-from kkindex.experiments import (MAX_DIM, Config, ConfigError, Report, _exp_jcycle_diag,
-                                 parse_config, run_experiment, sigma_modes, EXPERIMENTS)
+from kkindex.experiments import (DIRAC_R_READERS, MAX_DIM, Config, ConfigError, Report,
+                                 _exp_jcycle_diag, parse_config, run_experiment, sigma_modes,
+                                 EXPERIMENTS)
 from kkindex.opcore import Lcg
 from traced import traced_peak
 
@@ -422,6 +423,43 @@ def test_run_all_calls_every_exported_function(tmp_path):
     assert status == 0
     missed = {name for code, name in exported.items() if code not in called}
     assert sorted(missed) == sorted(NOT_REACHED_BY_RUN_ALL)
+
+
+def test_dirac_R_readers_are_the_experiments_that_read_the_memo(monkeypatch):
+    build, readers, running = dirac.build_dirac_R, set(), []
+
+    def recording(spec, space=None):
+        if space is None:
+            readers.add(running[-1])
+        return build(spec, space)
+
+    monkeypatch.setattr(dirac, "build_dirac_R", recording)
+    cfg = Config(modes=3, energy_cut=6)
+    for name, experiment in EXPERIMENTS.items():
+        running.append(name)
+        experiment(cfg, Lcg(cfg.seed))
+    assert readers == DIRAC_R_READERS
+
+
+def test_run_all_clears_the_dirac_R_memo_after_its_last_reader(tmp_path, monkeypatch):
+    # the memo is shared from the first reader through the last one, and
+    # the experiments after the last reader run without it
+    held = {}
+
+    def recording(name, cfg, out_dir=None):
+        held[name] = dirac._spec_dirac_R.cache_info().currsize
+        return run_experiment(name, cfg, out_dir)
+
+    monkeypatch.setattr("kkindex.cli.run_experiment", recording)
+    dirac.build_dirac_R.cache_clear()
+    cfg = write(tmp_path, "modes = 3\nenergy_cut = 6\n")
+    assert main(["run", "all", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    names = sorted(EXPERIMENTS)
+    at = [names.index(name) for name in DIRAC_R_READERS]
+    assert [bool(held[name]) for name in names] == [min(at) < k <= max(at)
+                                                    for k in range(len(names))]
+    assert held["weitzenbock"] and not held["xi_norms"]
+    assert dirac._spec_dirac_R.cache_info().currsize == 0
 
 
 def test_run_experiment_unregistered():

@@ -364,23 +364,17 @@ def test_constructor_never_freezes_a_callers_writeable_arrays():
     assert op.rows[0] == 0
 
 
-@pytest.mark.parametrize("zero", [0, -0.0, complex(0, -0.0)])
-def test_exact_zeros_are_dropped_like_the_dict_oracle(zero):
+@pytest.mark.parametrize("value, kept", [(0, False), (-0.0, False), (complex(0, -0.0), False),
+                                         (float("nan"), True), (5e-324, True),
+                                         (complex(0, 5e-324), True)])
+def test_only_exact_zeros_are_dropped_like_the_dict_oracle(value, kept):
     basis = Basis([(i,) for i in range(3)], np.ones(3))
-    rows, cols, vals = [0, 2, 1], [0, 0, 2], [1.0, zero, 3.0j]
-    op = SparseOperator(basis, basis, rows, cols, vals)
-    ref = DictOperator(basis, basis, accumulate(rows, cols, vals))
-    assert entries(op) == ref.entries == {(0, 0): 1.0, (1, 2): 3.0j}
-
-
-@pytest.mark.parametrize("kept", [float("nan"), 5e-324, complex(0, 5e-324)])
-def test_nan_and_subnormal_entries_are_kept_like_the_dict_oracle(kept):
-    basis = Basis([(i,) for i in range(3)], np.ones(3))
-    rows, cols, vals = [0, 2, 1], [0, 0, 2], [1.0, kept, 3.0j]
+    rows, cols, vals = [0, 2, 1], [0, 0, 2], [1.0, value, 3.0j]
     op = SparseOperator(basis, basis, rows, cols, vals)
     ref = DictOperator(basis, basis, accumulate(rows, cols, vals))
     coords = list(zip(op.rows.tolist(), op.cols.tolist()))
-    assert coords == [(0, 0), (2, 0), (1, 2)] and set(coords) == set(ref.entries)
+    assert coords == ([(0, 0), (2, 0), (1, 2)] if kept else [(0, 0), (1, 2)])
+    assert set(coords) == set(ref.entries)
     assert np.array_equal(op.vals, [ref.entries[rc] for rc in coords], equal_nan=True)
 
 
@@ -485,38 +479,12 @@ def test_shift_op_matches_label_lookup():
                                       (-2 ** 63, 0), (2 ** 62, 0), (0, -2 ** 63), (0, 2 ** 62)])
 def test_out_of_range_indices_raise(row, col):
     dom, cod = Basis([(0,), (1,)], np.ones(2)), Basis([(0,), (1,), (2,)], np.ones(3))
-    with pytest.raises(IndexError, match=rf"^entry \({row},{col}\) outside basis bounds$"):
-        SparseOperator(dom, cod, [0, row], [1, col], [1.0, 2.0])
+    # alone, and before an entry out of range on both sides: the first is named
+    for rows, cols in (([0, row], [1, col]), ([0, row, 5], [1, col, -7])):
+        with pytest.raises(IndexError, match=rf"^entry \({row},{col}\) outside basis bounds$"):
+            SparseOperator(dom, cod, rows, cols, np.ones(len(rows)))
     with pytest.raises(IndexError, match="outside basis bounds"):
         DictOperator(dom, cod, {(0, 1): 1.0, (row, col): 2.0})
-
-
-@pytest.mark.parametrize("rows, cols", [([0, 5, -1], [1, 0, 0]), ([2, 0, 1], [0, -7, 9]),
-                                        ([0, 4, 0], [1, 0, 5]), ([0, 0, -4], [1, 5, 0])])
-def test_the_first_of_two_bad_entries_is_named(rows, cols):
-    dom, cod = Basis([(0,), (1,)], np.ones(2)), Basis([(0,), (1,), (2,)], np.ones(3))
-    first = next(k for k in range(3) if not (0 <= rows[k] < 3 and 0 <= cols[k] < 2))
-    with pytest.raises(IndexError, match=rf"^entry \({rows[first]},{cols[first]}\) outside"):
-        SparseOperator(dom, cod, rows, cols, [1.0, 2.0, 3.0])
-
-
-def test_bounds_check_refuses_exactly_the_elementwise_predicate():
-    # the unsigned maxima against the plain two-sided test, entry by entry
-    rng = np.random.default_rng(35)
-    dom, cod = Basis([(i,) for i in range(4)], np.ones(4)), Basis([(i,) for i in range(5)],
-                                                                 np.ones(5))
-    edges = np.array([-2 ** 63, -2 ** 62, -1, 0, 3, 4, 5, 2 ** 62, 2 ** 63 - 1], dtype=np.int64)
-    for _ in range(200):
-        n = int(rng.integers(0, 4))
-        rows = np.where(rng.random(n) < 0.2, rng.choice(edges, n), rng.integers(0, 5, n))
-        cols = np.where(rng.random(n) < 0.2, rng.choice(edges, n), rng.integers(0, 4, n))
-        bad = [not (0 <= i < 5 and 0 <= j < 4) for i, j in zip(rows.tolist(), cols.tolist())]
-        if any(bad):
-            k = bad.index(True)
-            with pytest.raises(IndexError, match=rf"^entry \({rows[k]},{cols[k]}\) outside"):
-                SparseOperator(dom, cod, rows, cols, np.ones(n))
-        else:
-            assert SparseOperator(dom, cod, rows, cols, np.ones(n)).nnz <= n
 
 
 # ---------------------------------------------------------------- properties
