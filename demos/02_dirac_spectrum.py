@@ -10,7 +10,7 @@ multiplicities, and the kernel is exactly the vacuum column.
 import numpy as np
 
 from kkindex import dirac, fock
-from kkindex.opcore import spectrum
+from kkindex.opcore import block_spectrum, eigh_gram, spectrum
 
 spec = fock.TruncationSpec(n_max=3, e_max=5)
 dR, space = dirac.build_dirac_R(spec)
@@ -35,8 +35,8 @@ dL, _ = dirac.build_dirac_L(spec)
 dev = np.max(np.abs(spectrum(dR) - spectrum(dL)))
 print(f"mirror operator has the same spectrum: max deviation {dev:.2e}")
 
-b = dirac.bounded_transform(dR)
-vals = spectrum(b)
+# the transform in block form, from one eigendecomposition of dR
+vals = block_spectrum(dirac.bounded_transform(eigh_gram(dR), dR.domain.gram))
 print(f"bounded transform contracts the spectrum into [-1, 1]: "
       f"range [{vals[0]:.4f}, {vals[-1]:.4f}]")
 

@@ -12,11 +12,8 @@ holds entrywise at every truncation, the spectrum is the even lattice
 ``2 * (fermion weight + dual energy)`` and the kernel is spanned by
 ``v x vacuum x 1_f``.
 
-``build_dirac_R(spec)`` on the cut of ``spec`` is memoized
-(``functools.cache``, as :func:`fock.enumerate_basis` is) until
-``build_dirac_R.cache_clear()``; ``build_dirac_L`` and every build on a
-given space are made afresh, so the two cycles that are compared in
-:mod:`assembly` never share an operator.
+Only ``build_dirac_R(spec)`` on the cut of ``spec`` is memoized, so the
+two cycles that :mod:`assembly` compares never share an operator.
 """
 
 from __future__ import annotations
@@ -259,12 +256,12 @@ def per_estimate(spec: fock.TruncationSpec, n: int) -> EstimateReport:
     return EstimateReport(shell_rows, violations, equality)
 
 
-def bounded_transform(a: SparseOperator) -> SparseOperator:
-    """Spectral calculus ``x -> x / sqrt(1 + x^2)``; contractive, same
-    eigenvectors and grade as the input, chopped below ``1e-15`` of the
-    largest entry (or of 1)."""
-    return spectral_function(a, lambda lam: lam / np.sqrt(1.0 + lam ** 2), a.grade,
-                             chop=1e-15)
+def bounded_transform(decomposition, gram):
+    """The Baaj-Julg transform ``x -> x / sqrt(1 + x^2)`` in the block form
+    of :func:`opcore.spectral_function`, from the :func:`eigh_gram`
+    decomposition that also gives the operator's spectrum; contractive, with
+    the operator's eigenvectors and so its grade."""
+    return spectral_function(decomposition, gram, lambda lam: lam / np.sqrt(1.0 + lam ** 2))
 
 
 def spectrum_with_prediction(dR: SparseOperator, spec: fock.TruncationSpec):

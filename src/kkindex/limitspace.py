@@ -14,8 +14,8 @@ Laguerre overlap integrals:
 
     xi_k(sigma) = (1/sigma) * integral_0^{sigma^2} L_k(u) exp(-u/2) du.
 
-Those coefficients are exact integrals, evaluated by a Laguerre recurrence
-written term by term into one float64 buffer.
+Those coefficients are exact integrals: a Laguerre recurrence in a Python
+loop, summed into one float64 buffer by numpy.
 They decay like ``k^(-3/4)`` (the disk indicator is discontinuous), so
 truncated tail masses shrink only like ``h_max^(-1/2)``; the ladder-matrix
 route is therefore validated against its a-priori truncation error, next to
@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import opcore
 from .opcore import Basis, SparseOperator, shift_op
 
 __all__ = [
@@ -245,30 +246,41 @@ def xi_coeffs(sigma: float, h_max: int = None) -> ModeFunction:
     # With a = sigma^2 the integrals I_k obey I_k + I_(k-1) = -2 e^{-a/2}
     # (L_k(a) - L_(k-1)(a)) (differentiate e^{-u/2} (L_k - L_(k-1))), and
     # L_k - L_(k-1) = -(a/k) L^(1)_(k-1) with the associated Laguerre
-    # polynomial L^(1); that form has no cancellation at small a.
+    # polynomial L^(1); that form has no cancellation at small a.  (-1)^k I_k
+    # sums the sign-flipped terms in order: bit for bit I_k = -I_(k-1) + t_k.
     a = float(sigma) * float(sigma)
     damp = float(2.0 * np.exp(-a / 2.0))
-    term = float(-2.0 * np.expm1(-a / 2.0))
-    integrals = array("d", [term])
+    carry = float(-2.0 * np.expm1(-a / 2.0))  # (-1)^k I_k at the last k done
+    store = array("d", [carry / sigma])  # xi_k, then L^(1)_(k-1)(a) past the last cut
     l1_prev, l1 = 0.0, 1.0  # L^(1)_(k-2)(a), L^(1)_(k-1)(a)
     kmax = 256 if h_max is None else max(h_max // 2, 0)
-    while True:
-        for k in range(len(integrals), kmax + 1):
-            term = -term + damp * (a / k) * l1
-            integrals.append(term)
-            l1_prev, l1 = l1, ((2 * k - a) * l1 - k * l1_prev) / k
-        coeffs = np.frombuffer(integrals) / sigma
-        norm_sq = float(coeffs @ coeffs)
-        if not (norm_sq > 0.0 and np.isfinite(norm_sq)):
-            raise ValueError(f"sigma={sigma!r}: the Xi coefficients up to radial mode "
-                             f"{kmax} {'vanish' if norm_sq == 0.0 else 'are not finite'}; "
-                             f"sigma^2 is out of the Laguerre recurrence's range")
-        deficiency = max(1.0 - norm_sq, 0.0)
-        if (h_max is not None or deficiency < XI_TARGET_DEFICIENCY
-                or kmax >= XI_HARD_CAP):
-            return ModeFunction(coeffs, deficiency)
-        kmax = min(4 * kmax, XI_HARD_CAP)
-        del coeffs  # freed before the longer cutoff's array is made
+    with np.errstate(all="ignore"):  # an out-of-range sigma is refused below
+        while True:
+            done, chunk = len(store), opcore.BLOCK_ELEMENTS // 64  # 8 KB a float list
+            for start in range(done, kmax + 1, chunk):
+                k = np.arange(start, min(start + chunk, kmax + 1), dtype=float)
+                for kf, c in zip(k.tolist(), (2.0 * k - a).tolist()):
+                    store.append(l1)
+                    l1_prev, l1 = l1, (c * l1 - kf * l1_prev) / kf
+                np.frombuffer(store)[start:] *= damp * (a / k)  # the terms t_k
+            coeffs = np.frombuffer(store)
+            new, odd = coeffs[done:], coeffs[done | 1::2]  # odd: the new entries of odd k
+            np.negative(odd, out=odd)
+            new[:1] += carry
+            np.add.accumulate(new, out=new)
+            carry = float(new[-1]) if len(new) else carry
+            np.negative(odd, out=odd)
+            new /= sigma
+            norm_sq = float(np.add.reduce(coeffs * coeffs))  # no BLAS: no thread split
+            if not (norm_sq > 0.0 and np.isfinite(norm_sq)):
+                raise ValueError(f"sigma={sigma!r}: the Xi coefficients up to radial mode "
+                                 f"{kmax} {'vanish' if norm_sq == 0.0 else 'are not finite'}; "
+                                 f"sigma^2 is out of the Laguerre recurrence's range")
+            deficiency = max(1.0 - norm_sq, 0.0)
+            if h_max is not None or deficiency < XI_TARGET_DEFICIENCY or kmax >= XI_HARD_CAP:
+                return ModeFunction(coeffs, deficiency)
+            kmax = min(4 * kmax, XI_HARD_CAP)
+            del coeffs, new, odd  # views of ``store``, which grows next
 
 
 # per-mode quanta cutoff of the Xi vectors whose overlap ``xi_norms`` reads

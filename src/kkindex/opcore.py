@@ -43,6 +43,7 @@ __all__ = [
     "graded_commutator",
     "adjoint",
     "spectrum",
+    "block_spectrum",
     "eigh_gram",
     "spectral_function",
     "gram_transpose",
@@ -56,7 +57,8 @@ __all__ = [
 # Lcg.complex_matrix, the expanded pairs of one column range of
 # SparseOperator.__matmul__, the (g, h, k) cubes of twistgroup.check_cocycle,
 # the fiber sums of untagged twistgroup.convolve and the gathered summands
-# of assembly.level_vanishing_pattern
+# of assembly.level_vanishing_pattern; a 64th of it, the Python floats of
+# one chunk of limitspace.xi_coeffs
 BLOCK_ELEMENTS = 2 ** 14
 
 
@@ -472,6 +474,13 @@ def _hermitian_blocks(a: SparseOperator):
         yield states, 0.5 * (stack + adj)
 
 
+def block_spectrum(blocks) -> np.ndarray:
+    """Real eigenvalues with multiplicity, ascending, of Hermitian
+    ``(states, blocks)`` stacks, the block form of :func:`spectral_function`."""
+    vals = [np.linalg.eigvalsh(stack).ravel() for _, stack in blocks]
+    return np.sort(np.concatenate(vals + [np.zeros(0)]))
+
+
 def spectrum(a: SparseOperator) -> np.ndarray:
     """Real eigenvalues with multiplicity, ascending.
 
@@ -480,8 +489,7 @@ def spectrum(a: SparseOperator) -> np.ndarray:
     sparsity graph is one block; the blocks are solved in one stacked call
     per block size.
     """
-    vals = [np.linalg.eigvalsh(blocks).ravel() for _, blocks in _hermitian_blocks(a)]
-    return np.sort(np.concatenate(vals + [np.zeros(0)]))
+    return block_spectrum(_hermitian_blocks(a))
 
 
 def eigh_gram(a: SparseOperator):
@@ -501,27 +509,16 @@ def eigh_gram(a: SparseOperator):
     return out
 
 
-def spectral_function(a: SparseOperator, f, grade: str = "even",
-                      chop: float = 0.0) -> SparseOperator:
-    """``f(a)`` for a Gram-self-adjoint ``a`` and a real function ``f`` of
-    the eigenvalues, with the given grade.
-
-    Recomposed block by block, ``sum_m f(lambda_m) v_m v_m^* G`` in Gram
-    coordinates; entries at most ``chop`` times the largest (or 1) are
-    dropped.
-    """
-    parts = []
-    for states, lam, vecs in eigh_gram(a):
-        gram = a.domain.gram[states]
-        blocks = (vecs * f(lam)[:, None, :]) @ (vecs.conj().swapaxes(1, 2) * gram[:, None, :])
-        width = states.shape[1]
-        parts.append((np.repeat(states, width, axis=1).ravel(),
-                      np.tile(states, width).ravel(), blocks.ravel()))
-    if not parts:
-        return SparseOperator.zero(a.domain, grade=grade)
-    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
-    keep = np.abs(vals) > chop * max(float(np.max(np.abs(vals))), 1.0)
-    return SparseOperator(a.domain, a.domain, rows[keep], cols[keep], vals[keep], grade)
+def spectral_function(decomposition, gram, f):
+    """``f(a)`` in block form, for a real ``f``, from the :func:`eigh_gram`
+    ``decomposition`` of ``a`` on a basis with Gram ``gram``, the one that
+    also gives ``a``'s spectrum: one ``(states, blocks)`` pair per block size,
+    made one size at a time, ``blocks[b] = U f(Lambda) U^H`` on ``states[b]``
+    in Gram-orthonormal coordinates, which :func:`block_spectrum` reads."""
+    root = np.sqrt(gram)
+    for states, lam, vecs in decomposition:
+        u = vecs * root[states][:, :, None]
+        yield states, (u * f(lam)[:, None, :]) @ u.conj().swapaxes(1, 2)
 
 
 def gram_transpose(mat: np.ndarray, gram: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kkindex import assembly as asm
-from kkindex import dirac, fock, limitspace as ls, twistgroup as tg
+from kkindex import dirac, fock, limitspace as ls, opcore, twistgroup as tg
 from kkindex.experiments import EXPERIMENTS, Config
 from kkindex.opcore import Lcg, SparseOperator, adjoint, gram_transpose
 
@@ -911,6 +911,24 @@ def test_compare_indices_reach_without_dense_arrays():
     assert analytic.space.shape == (388, 388, 50)
     assert seconds < COMPARE_REACH_SECONDS
     assert peak < tensor_bytes
+    assert all(value <= tol for _, value, tol in report.rows)
+
+
+def test_compare_indices_eigensolves_each_cycle_operator_once(monkeypatch):
+    # one decomposition per cycle feeds both spectral rows: the blocks of
+    # each cycle operator are formed once, and never those of a transform
+    spec = fock.TruncationSpec(2, 4)
+    analytic, mu = asm.analytic_index(spec), asm.mu_index(spec)
+    seen, blocks = [], opcore._hermitian_blocks
+
+    def counting(a):
+        seen.append(a)
+        return blocks(a)
+
+    monkeypatch.setattr(opcore, "_hermitian_blocks", counting)
+    report = asm.compare_indices(analytic, mu)
+    assert len(seen) == 2
+    assert seen[0] is analytic.operator and seen[1] is mu.operator
     assert all(value <= tol for _, value, tol in report.rows)
 
 

@@ -730,6 +730,28 @@ def test_run_all_is_byte_identical_on_warm_and_cleared_builder_caches(tmp_path):
             assert filecmp.cmp(outs[0] / name, out / name, shallow=False), (out, name)
 
 
+def test_run_all_is_byte_identical_across_blas_thread_counts(tmp_path):
+    # a BLAS reduction may split its sum by the thread count; no report row
+    # may follow it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(kkindex.__file__).parents[1])]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    stdout = []
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-m", "kkindex.cli", "run", "all", "--out",
+                               str(tmp_path / threads)], env=env, capture_output=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        stdout.append(proc.stdout)
+    assert stdout[0] == stdout[1]
+    names = sorted(os.listdir(tmp_path / "1"))
+    assert names and sorted(os.listdir(tmp_path / "2")) == names
+    for name in names:
+        assert filecmp.cmp(tmp_path / "1" / name, tmp_path / "2" / name, shallow=False), name
+
+
 def test_rerun_byte_identical(tmp_path):
     cfg_path = write(tmp_path, "modes = 2\nenergy_cut = 4\nseed = 99\n"
                                "experiments = weitzenbock, kernel_count, level_suite\n")

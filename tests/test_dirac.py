@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from kkindex import dirac, fock, limitspace
-from kkindex.opcore import Basis, ShapeMismatchError, SparseOperator, adjoint, spectrum
+from kkindex.opcore import (Basis, ShapeMismatchError, SparseOperator, adjoint,
+                            block_spectrum, spectrum)
 from traced import traced_peak
-from vectors import dense_kernel, factor_labels, from_dense, product_label, unit
+from vectors import (block_transform, dense_blocks, dense_kernel, factor_labels, from_dense,
+                     orthonormal_dense, product_label, unit)
 
 
 # ---------------------------------------------------------------- oracles
@@ -256,7 +258,7 @@ def test_per_estimate_exhaustive_no_violations():
 def test_bounded_transform_values():
     spec = fock.TruncationSpec(2, 4)
     dR, _ = dirac.build_dirac_R(spec)
-    b_vals = spectrum(dirac.bounded_transform(dR))
+    b_vals = block_spectrum(block_transform(dR))
     raw = spectrum(dR)
     assert np.max(np.abs(np.sort(raw / np.sqrt(1 + raw ** 2)) - b_vals)) < 1e-10
     # eigenvalue 2 -> 2/sqrt(5): present because 2(Nf+Ed)=4 shells exist
@@ -265,17 +267,17 @@ def test_bounded_transform_values():
 
 def test_bounded_transform_zero_and_eigvecs():
     basis = fock.enumerate_basis(fock.TruncationSpec(2, 3), "boson")
-    z = dirac.bounded_transform(SparseOperator.zero(basis))
-    assert z.max_abs() == 0.0
+    z = dense_blocks(block_transform(SparseOperator.zero(basis)), basis.dim)
+    assert np.max(np.abs(z)) == 0.0
     # random diagonal: same eigenvectors, mapped eigenvalues
     rng = np.random.default_rng(2)
     d = rng.standard_normal(basis.dim)
     diag = np.arange(basis.dim)
     op = SparseOperator(basis, basis, diag, diag, d, "even")
-    bt = dirac.bounded_transform(op)
-    expect = SparseOperator(basis, basis, diag, diag, d / np.sqrt(1 + d ** 2), "even")
-    assert (bt - expect).max_abs() < 1e-12
-    assert ((bt @ op) - (op @ bt)).max_abs() < 1e-12
+    bt = dense_blocks(block_transform(op), basis.dim)
+    assert np.max(np.abs(bt - np.diag(d / np.sqrt(1 + d ** 2)))) < 1e-12
+    on = orthonormal_dense(op)
+    assert np.max(np.abs(bt @ on - on @ bt)) < 1e-12
 
 
 def test_spectrum_multiplicities_match_counting():

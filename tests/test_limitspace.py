@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kkindex import fock, limitspace as ls
+from kkindex import fock, limitspace as ls, opcore
 from kkindex.opcore import adjoint
 
 
@@ -99,7 +99,7 @@ def restart_xi_coeffs(sigma):
     while True:
         kmax = min(kmax, ls.XI_HARD_CAP)
         coeffs = restart_laguerre_integrals(sigma, kmax)
-        deficiency = max(1.0 - float(coeffs @ coeffs), 0.0)
+        deficiency = max(1.0 - float(np.add.reduce(coeffs * coeffs)), 0.0)
         if deficiency < ls.XI_TARGET_DEFICIENCY or kmax >= ls.XI_HARD_CAP:
             return coeffs, deficiency
         kmax *= 4
@@ -140,7 +140,7 @@ def list_xi_coeffs(sigma, h_max=None):
     while True:
         integrals.extend(itertools.islice(terms, kmax + 1 - len(integrals)))
         coeffs = np.array(integrals) / sigma
-        deficiency = max(1.0 - float(coeffs @ coeffs), 0.0)
+        deficiency = max(1.0 - float(np.add.reduce(coeffs * coeffs)), 0.0)
         if (h_max is not None or deficiency < ls.XI_TARGET_DEFICIENCY
                 or kmax >= ls.XI_HARD_CAP):
             return coeffs, deficiency
@@ -148,9 +148,13 @@ def list_xi_coeffs(sigma, h_max=None):
 
 
 @pytest.mark.parametrize("sigma, h_max", [(1.0, None), (0.5, None), (0.125, None),
-                                          (0.5, 64)])
+                                          (0.5, 64), (0.5, opcore.BLOCK_ELEMENTS // 16),
+                                          (0.5, opcore.BLOCK_ELEMENTS // 16 + 2), (8.0, None)])
 def test_buffered_xi_coeffs_match_the_list_recurrence_bit_for_bit(sigma, h_max):
-    # the three adaptive cuts of a default run and the j-cycle's fixed cut
+    # the three adaptive cuts of a default run and the j-cycle's fixed cut;
+    # fixed cuts that end on the recurrence's second chunk boundary (a chunk
+    # is BLOCK_ELEMENTS // 64 modes) and one past it, and the adaptive cut
+    # that stops at 256
     mode = ls.xi_coeffs(sigma, h_max)
     coeffs, deficiency = list_xi_coeffs(sigma, h_max)
     assert np.array_equal(mode.coeffs.view(np.uint64), coeffs.view(np.uint64))

@@ -14,7 +14,8 @@ from kkindex.opcore import (Basis, SparseOperator, adjoint, eigh_gram,
                             graded_commutator, shift_op, spectrum, gram_transpose,
                             spectral_function, NotSelfAdjointError, ShapeMismatchError)
 from traced import traced_peak
-from vectors import dense_kernel, from_dense, inner, norm, orthonormal_dense, unit
+from vectors import (block_transform, dense_blocks, dense_kernel, from_dense, inner, norm,
+                     off_grade, orthonormal_dense, unit)
 
 SPEC = fock.TruncationSpec(n_max=3, e_max=6)
 
@@ -597,6 +598,7 @@ def block_cases():
     """Operators the block layer is checked on, built once on first use."""
     rng = np.random.default_rng(31)
     spec = fock.TruncationSpec(2, 3)
+    boson = fock.enumerate_basis(spec, "boson")
     jcycle = assembly.materialize_j_cycle(spec, 1, limitspace.SigmaSequence("pow2"), h_op=4)
     d = jcycle.operator
     return {
@@ -608,11 +610,23 @@ def block_cases():
         "j-cycle D^2": d @ d,
         "shuffled blocks": shuffled_blocks(rng, [3, 1, 5, 3, 2, 5, 1], free=4),
         "zero-dim": SparseOperator.zero(Basis([], [])),
+        # the index cycles compare_indices transforms, a zero operator and a
+        # random diagonal (singleton blocks) on Grams up to 3!
+        "analytic (2,4)": assembly.analytic_index(fock.TruncationSpec(2, 4)).operator,
+        "mu (2,4)": assembly.mu_index(fock.TruncationSpec(2, 4)).operator,
+        "analytic (3,6)": assembly.analytic_index(fock.TruncationSpec(3, 6)).operator,
+        "mu (3,6)": assembly.mu_index(fock.TruncationSpec(3, 6)).operator,
+        "zero": SparseOperator.zero(boson),
+        "singleton blocks": SparseOperator(boson, boson, np.arange(boson.dim),
+                                           np.arange(boson.dim),
+                                           rng.standard_normal(boson.dim)),
     }
 
 
 BLOCK_CASES = ["dirac_R (3,8)", "dirac_L (3,8)", "analytic full (2,3)", "mu full (2,3)",
                "j-cycle D", "j-cycle D^2", "shuffled blocks", "zero-dim"]
+TRANSFORM_CASES = BLOCK_CASES + ["analytic (2,4)", "mu (2,4)", "analytic (3,6)", "mu (3,6)",
+                                 "zero", "singleton blocks"]
 
 
 @pytest.mark.parametrize("name", BLOCK_CASES)
@@ -679,14 +693,25 @@ def test_block_components_singletons_and_chains():
     assert op.components.tolist() == [0, 1, 0, 3, 0, 3, 0]
 
 
-@pytest.mark.parametrize("name", BLOCK_CASES)
+def dense_spectral_function(op, f):
+    """The dense twin of the block-form spectral calculus, the recomposition
+    ``U f(Lambda) U^H`` of the whole orthonormal view."""
+    vals, u = np.linalg.eigh(dense_hermitian(op))
+    return (u * f(vals)[None, :]) @ u.conj().T
+
+
+@pytest.mark.parametrize("name", TRANSFORM_CASES)
 def test_bounded_transform_matches_dense_recomposition(name):
     op = block_cases()[name]
-    vals, u = np.linalg.eigh(dense_hermitian(op))
-    dense_on = (u * (vals / np.sqrt(1.0 + vals ** 2))[None, :]) @ u.conj().T
-    bt = dirac.bounded_transform(op)
-    assert bt.grade == op.grade
-    assert np.max(np.abs(orthonormal_dense(bt) - dense_on), initial=0.0) <= 1e-12
+    dense_on = dense_spectral_function(op, lambda lam: lam / np.sqrt(1.0 + lam ** 2))
+    bt = dense_blocks(block_transform(op), op.domain.dim)
+    assert np.max(np.abs(bt - dense_on), initial=0.0) <= 1e-13
+    # the transform keeps the operator's grade
+    assert off_grade(bt, op.domain, op.grade) <= 1e-13
+    # its spectrum, as compare_indices reads it, is f of the operator's
+    raw = spectrum(op)
+    got = opcore.block_spectrum(block_transform(op))
+    assert np.max(np.abs(got - raw / np.sqrt(1.0 + raw ** 2)), initial=0.0) <= 1e-13
 
 
 def _resolvent(lam):
@@ -696,11 +721,12 @@ def _resolvent(lam):
 @pytest.mark.parametrize("name", BLOCK_CASES)
 def test_spectral_routes_match_the_dense_resolvent(name):
     op = block_cases()[name]
-    vals, u = np.linalg.eigh(dense_hermitian(op))
-    dense_res = (u * _resolvent(vals)[None, :]) @ u.conj().T
-    res = spectral_function(op, _resolvent)
-    assert res.grade == "even"
-    assert np.max(np.abs(orthonormal_dense(res) - dense_res), initial=0.0) <= 1e-12
+    dense_res = dense_spectral_function(op, _resolvent)
+    res = dense_blocks(spectral_function(eigh_gram(op), op.domain.gram, _resolvent),
+                       op.domain.dim)
+    assert np.max(np.abs(res - dense_res), initial=0.0) <= 1e-12
+    # the resolvent is even whatever the operator's grade
+    assert off_grade(res, op.domain, "even") <= 1e-12
 
 
 @pytest.mark.parametrize("case", ["dirac_R", "null blocks"])
@@ -723,7 +749,7 @@ def test_kernel_vectors_are_gram_orthonormal(case):
 def test_block_routes_reject_non_self_adjoint():
     basis = fock.enumerate_basis(fock.TruncationSpec(2, 3), "boson")
     skew = fock.energy_op(basis)  # i * diagonal
-    for route in (spectrum, eigh_gram, dirac.bounded_transform):
+    for route in (spectrum, eigh_gram, block_transform):
         with pytest.raises(NotSelfAdjointError):
             route(skew)
     # an off-diagonal asymmetry inside one block, in Gram scaling
@@ -731,7 +757,7 @@ def test_block_routes_reject_non_self_adjoint():
     k = np.flatnonzero(block.rows != block.cols)[0]
     tilted = block + SparseOperator(block.domain, block.domain, [block.rows[k]],
                                     [block.cols[k]], [1e-6])
-    for route in (spectrum, eigh_gram, dirac.bounded_transform):
+    for route in (spectrum, eigh_gram, block_transform):
         route(block)
         with pytest.raises(NotSelfAdjointError):
             route(tilted)
@@ -1009,7 +1035,7 @@ def test_unmatched_entry_is_not_self_adjoint():
     op = SparseOperator(basis, basis, [0, 1, 2, 3, 2], [0, 1, 2, 3, 0],
                         [1.0, 2.0, 3.0, 4.0, 1e-6])
     assert sparse_asymmetry(op) > opcore.TOL * 4.0
-    for route in (spectrum, eigh_gram, dirac.bounded_transform):
+    for route in (spectrum, eigh_gram, block_transform):
         with pytest.raises(NotSelfAdjointError):
             route(op)
 

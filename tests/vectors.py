@@ -1,13 +1,16 @@
 """Basis vectors, Gram inner products and norms, the vector arithmetic the
 tests do on coordinate arrays, the Gram-orthonormal dense view of an
-operator and the sparse operator of a dense matrix, the dense regular
+operator and the sparse operator of a dense matrix, the bounded transform
+in the block form of ``kkindex.opcore.spectral_function`` and its dense
+view, the dense regular
 representation of a crossed-product element, the densified kernel blocks
 of ``kkindex.dirac.kernel``, and product-state labels read through the
 factor bases."""
 
 import numpy as np
 
-from kkindex.opcore import SparseOperator
+from kkindex import dirac
+from kkindex.opcore import SparseOperator, eigh_gram
 
 
 def unit(basis, label) -> np.ndarray:
@@ -43,6 +46,34 @@ def orthonormal_dense(op) -> np.ndarray:
     norms, singular values and eigenvalues are metrically meaningful there."""
     return (op.to_dense() * np.sqrt(op.codomain.gram)[:, None]
             / np.sqrt(op.domain.gram)[None, :])
+
+
+def block_transform(op) -> list:
+    """The bounded transform of ``op`` in block form, from one
+    decomposition, as a list."""
+    return list(dirac.bounded_transform(eigh_gram(op), op.domain.gram))
+
+
+def dense_blocks(blocks, dim) -> np.ndarray:
+    """The ``dim x dim`` matrix, in Gram-orthonormal coordinates, of an
+    operator in the block form of ``opcore.spectral_function``; the blocks
+    must hold every state exactly once."""
+    out = np.zeros((dim, dim), dtype=complex)
+    seen = np.zeros(dim, dtype=np.int64)
+    for states, stack in blocks:
+        out[states[:, :, None], states[:, None, :]] = stack
+        np.add.at(seen, states.ravel(), 1)
+    assert (seen == 1).all()
+    return out
+
+
+def off_grade(mat, basis, grade) -> float:
+    """The largest entry of ``mat`` between states of ``basis`` whose
+    parities differ by other than ``grade``: zero for a matrix of that
+    grade."""
+    p = basis.parity
+    wrong = (p[:, None] != p[None, :]) != (grade == "odd")
+    return float(np.max(np.abs(mat[wrong]), initial=0.0))
 
 
 def from_dense(mat, domain, codomain=None, grade="even") -> SparseOperator:
