@@ -19,9 +19,9 @@ Module models (all legs are truncated Fock bases, labels shared):
 
 The leg flip ``(b, d, s) -> (s, d, b)`` is the matrix transpose on rank-one
 elements and intertwines the two cycles exactly: operators, right actions
-and inner products.  Module-axiom checks run on the full tensor product
-(where nothing is compressed); operator comparisons run on the
-energy-truncated space, which both Diracs preserve without leakage.
+and inner products.  Both cycles live on the energy-truncated space, which
+both Diracs preserve without leakage; the module axioms are exact on the
+full tensor product (where nothing is compressed), a test fixture.
 """
 
 from __future__ import annotations
@@ -214,8 +214,7 @@ class IndexCycle:
         ``(n, dual, fermion, states)``: the ``k`` pairs' dual and fermion
         indices and the ``(k, n)`` space indices of pair ``p`` and boson
         ``boson_order[i]``.  Every kept state is in exactly one block; there
-        are at most ``space.e_max + 1`` (``3 * e_max + 1`` for a full
-        product at cut ``e_max``).
+        are at most ``space.e_max + 1``.
         """
         b_pos, d_pos, f_pos = self.leg_positions()
         comps = self.space.components
@@ -239,27 +238,19 @@ class IndexCycle:
         return out
 
 
-def analytic_index(spec: fock.TruncationSpec, full_product: bool = False) -> IndexCycle:
+def analytic_index(spec: fock.TruncationSpec) -> IndexCycle:
     """Analytic-side cycle: matrix-algebra columns tensored with the spinor
     space, carrying ``dirac_R``: on the energy cut of ``spec``, the pair
     :func:`dirac.build_dirac_R` builds once per process."""
-    if full_product:
-        # the full product keeps every combination of individually truncated
-        # factors, so algebra actions never leave the space
-        space = dirac.TripleSpace(dirac.spec_bases(spec), 3 * spec.e_max)
-        op, _ = dirac.build_dirac_R(spec, space=space)
-    else:
-        op, space = dirac.build_dirac_R(spec)
+    op, space = dirac.build_dirac_R(spec)
     return IndexCycle("analytic", space, op, *space.factors)
 
 
-def mu_index(spec: fock.TruncationSpec, full_product: bool = False) -> IndexCycle:
+def mu_index(spec: fock.TruncationSpec) -> IndexCycle:
     """Assembled-side cycle: spinor space tensored with matrix-algebra
-    columns, carrying ``dirac_L``."""
-    boson, dual, ferm = dirac.spec_bases(spec)
-    space = dirac.TripleSpace([ferm, dual, boson],
-                              3 * spec.e_max if full_product else spec.e_max)
-    op, _ = dirac.build_dirac_L(spec, space=space)
+    columns, carrying ``dirac_L`` on the energy cut of ``spec``."""
+    op, space = dirac.build_dirac_L(spec)
+    ferm, dual, boson = space.factors
     return IndexCycle("mu", space, op, boson, dual, ferm)
 
 
@@ -273,11 +264,12 @@ def right_action(cycle: IndexCycle, vec: np.ndarray, b: np.ndarray) -> np.ndarra
     ket leg, ``out[w] = sum_w' tb[w, w'] f[w']``.
     mu: right matrix multiplication through the boson column leg,
     ``out[w] = sum_w' f[w'] b[w', w] g_w' / g_w``.
-    Both land where the (possibly truncated) space supports them; on the
-    full product nothing is lost and the module axioms are exact.  Worked
-    one energy block at a time (:attr:`IndexCycle.blocks`): with the bosons
-    in energy order, a block's kept bosons are the first ``n``, so only the
-    leading ``n x n`` corner of ``b`` enters.
+    Both land where the space supports them: the energy cut drops what
+    leaves it, and on the full product of the tests nothing is lost and the
+    module axioms are exact.  Worked one energy block at a time
+    (:attr:`IndexCycle.blocks`): with the bosons in energy order, a block's
+    kept bosons are the first ``n``, so only the leading ``n x n`` corner of
+    ``b`` enters.
     """
     vec = np.asarray(vec, dtype=complex)
     by_energy = np.ix_(cycle.boson_order, cycle.boson_order)

@@ -54,10 +54,6 @@ def main(argv=None) -> int:
     for i, name in enumerate(names):
         try:
             report = run_experiment(name, cfg, out_dir)
-        except KeyError:
-            print(f"unregistered experiment {name!r}; 'kkindex list' shows the registry",
-                  file=sys.stderr)
-            return 2
         except RuntimeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

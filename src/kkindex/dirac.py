@@ -12,8 +12,8 @@ holds entrywise at every truncation, the spectrum is the even lattice
 ``2 * (fermion weight + dual energy)`` and the kernel is spanned by
 ``v x vacuum x 1_f``.
 
-Only ``build_dirac_R(spec)`` on the cut of ``spec`` is memoized, so the
-two cycles that :mod:`assembly` compares never share an operator.
+Only ``build_dirac_R`` is memoized, so the two cycles that :mod:`assembly`
+compares never share an operator.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .opcore import (Basis, SparseOperator, eigh_gram, energy_product, expand_runs,
-                     spectral_function, spectrum)
+from .opcore import Basis, SparseOperator, eigh_gram, energy_product, expand_runs, spectrum
 
 __all__ = [
     "TripleSpace",
@@ -151,25 +150,16 @@ def dual_legs(space: TripleSpace, dual_pos: int, n_max: int) -> list:
             for n in range(1, n_max + 1)]
 
 
-def build_dirac_R(spec: fock.TruncationSpec, space: TripleSpace = None):
+@functools.cache
+def build_dirac_R(spec: fock.TruncationSpec):
     """Odd self-adjoint Dirac on boson x dual x fermion (id on the boson leg).
 
-    Returns ``(operator, space)``.  Without a ``space`` the pair on the
-    energy cut of ``spec`` is memoized and the same read-only value is
-    handed to every caller until ``build_dirac_R.cache_clear()``; a given
-    ``space`` is always built afresh.
+    Returns ``(operator, space)`` on the energy cut of ``spec``, memoized:
+    the same read-only value is handed to every caller until
+    ``build_dirac_R.cache_clear()``.
     """
-    if space is None:
-        return _spec_dirac_R(spec)
+    space = TripleSpace(spec_bases(spec), spec.e_max)
     return dirac_sum(space, 2, dual_legs(space, 1, spec.n_max)), space
-
-
-@functools.cache
-def _spec_dirac_R(spec: fock.TruncationSpec):
-    return build_dirac_R(spec, TripleSpace(spec_bases(spec), spec.e_max))
-
-
-build_dirac_R.cache_clear = _spec_dirac_R.cache_clear
 
 
 def build_dirac_L(spec: fock.TruncationSpec, space: TripleSpace = None):
@@ -257,11 +247,18 @@ def per_estimate(spec: fock.TruncationSpec, n: int) -> EstimateReport:
 
 
 def bounded_transform(decomposition, gram):
-    """The Baaj-Julg transform ``x -> x / sqrt(1 + x^2)`` in the block form
-    of :func:`opcore.spectral_function`, from the :func:`eigh_gram`
-    decomposition that also gives the operator's spectrum; contractive, with
-    the operator's eigenvectors and so its grade."""
-    return spectral_function(decomposition, gram, lambda lam: lam / np.sqrt(1.0 + lam ** 2))
+    """The Baaj-Julg transform ``F = D (1 + D^2)^(-1/2)`` in block form, from
+    the :func:`eigh_gram` ``decomposition`` of ``D`` on a basis with Gram
+    ``gram``, the one that also gives ``D``'s spectrum: one ``(states,
+    blocks)`` pair per block size, made one size at a time, ``blocks[b] = U
+    f(Lambda) U^H`` on ``states[b]`` in Gram-orthonormal coordinates, which
+    :func:`opcore.block_spectrum` reads.  Contractive, with ``D``'s
+    eigenvectors and so its grade."""
+    root = np.sqrt(gram)
+    for states, lam, vecs in decomposition:
+        u = vecs * root[states][:, :, None]
+        f = lam / np.sqrt(1.0 + lam ** 2)
+        yield states, (u * f[:, None, :]) @ u.conj().swapaxes(1, 2)
 
 
 def spectrum_with_prediction(dR: SparseOperator, spec: fock.TruncationSpec):

@@ -79,12 +79,14 @@ def sigma_modes(name: str) -> int:
 def selected_experiments(cfg: Config, target: str) -> list:
     """Names that ``kkindex run <target>`` executes: the config's
     ``experiments`` for ``all`` (every registered one if it lists none), else
-    ``[target]``.  Raises :class:`ConfigError` when an explicit sigma list is
-    too short for them, before anything runs."""
+    ``[target]``.  Raises :class:`ConfigError` on an unregistered target and
+    when an explicit sigma list is too short for them, before anything runs."""
     if target == "all":
         names = [n for n in cfg.experiments if n != "all"] or sorted(EXPERIMENTS)
-    else:
+    elif target in EXPERIMENTS:
         names = [target]
+    else:
+        raise ConfigError(f"unregistered experiment {target!r}; 'kkindex list' shows the registry")
     seq = cfg.sigma_seq()
     need = max((sigma_modes(name) for name in names), default=0)
     if seq.rule == "explicit" and len(seq.values) < need:
@@ -137,9 +139,13 @@ def parse_config(path: str) -> Config:
             cfg = replace(cfg, sigma=val)
         elif key == "experiments":
             names = tuple(tok.strip() for tok in val.split(",") if tok.strip())
-            for name in names:
+            for i, name in enumerate(names):
                 if name != "all" and name not in EXPERIMENTS:
                     raise ConfigError(f"key 'experiments': unregistered name {name!r}")
+                if name in names[:i]:
+                    raise ConfigError(f"key 'experiments': {name!r} listed twice")
+            if "all" in names and len(names) > 1:
+                raise ConfigError("key 'experiments': 'all' must stand alone")
             cfg = replace(cfg, experiments=names)
         elif key == "output_dir":
             cfg = replace(cfg, output_dir=val)
@@ -570,6 +576,8 @@ EXPERIMENTS = {
 
 # the experiments that read dirac.build_dirac_R(spec) off its memo
 DIRAC_R_READERS = frozenset({"index_compare", "kernel_count", "weitzenbock"})
+# bound at import: a functools.wraps wrapper put in its place copies no cache_clear
+_clear_dirac_R = dirac.build_dirac_R.cache_clear
 
 
 def release_dirac_R(remaining) -> None:
@@ -577,7 +585,7 @@ def release_dirac_R(remaining) -> None:
     ``remaining`` reads it, so the experiments after the last reader do not
     peak on top of its operators."""
     if DIRAC_R_READERS.isdisjoint(remaining):
-        dirac.build_dirac_R.cache_clear()
+        _clear_dirac_R()
 
 
 def run_experiment(name: str, cfg: Config, out_dir: str = None):

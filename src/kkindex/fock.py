@@ -152,13 +152,10 @@ def number_op(basis: Basis) -> SparseOperator:
     return SparseOperator(basis, basis, diag, diag, basis.energy, "even")
 
 
-def safe_indices(basis: Basis, margin: int, cap: float = None):
-    """Indices whose energy stays at least ``margin`` below the truncation.
-
-    On these columns every raise-by-``<= margin`` path stays inside the
-    basis, so ladder identities hold without compression artifacts.  ``cap``
-    defaults to the largest energy present.
-    """
-    if cap is None:
-        cap = max(basis.energy) if basis.dim else 0
+def safe_indices(basis: Basis, margin: int):
+    """Indices whose energy stays at least ``margin`` below the largest
+    energy present: on these columns every raise-by-``<= margin`` path
+    stays inside the basis, so ladder identities hold without compression
+    artifacts."""
+    cap = max(basis.energy) if basis.dim else 0
     return np.flatnonzero(basis.energy <= cap - margin)

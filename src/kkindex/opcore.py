@@ -45,7 +45,6 @@ __all__ = [
     "spectrum",
     "block_spectrum",
     "eigh_gram",
-    "spectral_function",
     "gram_transpose",
     "shift_op",
     "energy_product",
@@ -476,7 +475,7 @@ def _hermitian_blocks(a: SparseOperator):
 
 def block_spectrum(blocks) -> np.ndarray:
     """Real eigenvalues with multiplicity, ascending, of Hermitian
-    ``(states, blocks)`` stacks, the block form of :func:`spectral_function`."""
+    ``(states, blocks)`` stacks, the block form of :func:`dirac.bounded_transform`."""
     vals = [np.linalg.eigvalsh(stack).ravel() for _, stack in blocks]
     return np.sort(np.concatenate(vals + [np.zeros(0)]))
 
@@ -507,18 +506,6 @@ def eigh_gram(a: SparseOperator):
         vals, u = np.linalg.eigh(blocks)
         out.append((states, vals, u / np.sqrt(a.domain.gram)[states][:, :, None]))
     return out
-
-
-def spectral_function(decomposition, gram, f):
-    """``f(a)`` in block form, for a real ``f``, from the :func:`eigh_gram`
-    ``decomposition`` of ``a`` on a basis with Gram ``gram``, the one that
-    also gives ``a``'s spectrum: one ``(states, blocks)`` pair per block size,
-    made one size at a time, ``blocks[b] = U f(Lambda) U^H`` on ``states[b]``
-    in Gram-orthonormal coordinates, which :func:`block_spectrum` reads."""
-    root = np.sqrt(gram)
-    for states, lam, vecs in decomposition:
-        u = vecs * root[states][:, :, None]
-        yield states, (u * f(lam)[:, None, :]) @ u.conj().swapaxes(1, 2)
 
 
 def gram_transpose(mat: np.ndarray, gram: np.ndarray) -> np.ndarray:

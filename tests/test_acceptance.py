@@ -58,7 +58,8 @@ def test_criterion_2_ccr_car():
                                          fock.clifford(ferm, m, "antiholo"))
                 target = identf.scale(-2.0 if n == m else 0.0)
                 diff = anti - target
-                for j in fock.safe_indices(ferm, max(n, m), cap=e_max):
+                # the columns at least max(n, m) below the energy cut
+                for j in np.flatnonzero(ferm.energy <= e_max - max(n, m)):
                     col_dev = float(np.max(np.abs(diff.vals[diff.cols == j]), initial=0.0))
                     worst = max(worst, col_dev)
         total = SparseOperator.zero(boson)

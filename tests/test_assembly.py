@@ -12,8 +12,8 @@ from kkindex.opcore import Lcg, SparseOperator, adjoint, gram_transpose
 
 import tuple_law as law
 from traced import traced_peak
-from vectors import (dense_kernel, factor_labels, orthonormal_dense, product_label,
-                     regular_representation)
+from vectors import (dense_kernel, factor_labels, full_product_cycles, orthonormal_dense,
+                     product_label, regular_representation)
 
 
 SEQ = ls.SigmaSequence("pow2")
@@ -720,11 +720,6 @@ def test_direct_spectrum_matches_the_convolution_at_every_order_to_64():
 
 # ---------------------------------------------------------------- modules
 
-def full_cycles(spec):
-    return (asm.analytic_index(spec, full_product=True),
-            asm.mu_index(spec, full_product=True))
-
-
 def to_tensor(space, vec):
     """Coordinates scattered into a factor-shaped tensor, zero on the
     product states the truncation drops."""
@@ -780,8 +775,10 @@ MODULE_CASES = ([(n, e, False) for n, e in ((2, 3), (2, 4), (3, 4), (3, 6), (3, 
 @pytest.mark.parametrize("n_max,e_max,full", MODULE_CASES)
 def test_graded_module_algebra_matches_dense_tensors(kind, n_max, e_max, full):
     spec = fock.TruncationSpec(n_max, e_max)
-    build = asm.analytic_index if kind == "analytic" else asm.mu_index
-    cycle = build(spec, full_product=full)
+    if full:
+        cycle = full_product_cycles(spec)[kind == "mu"]
+    else:
+        cycle = (asm.analytic_index if kind == "analytic" else asm.mu_index)(spec)
     dim, nd = cycle.space.dim, cycle.dual.dim
     assert dim <= 800
     # the blocks hold every kept state once, at most e_max + 1 of them
@@ -800,7 +797,7 @@ def test_graded_module_algebra_matches_dense_tensors(kind, n_max, e_max, full):
 
 def test_analytic_inner_product_positive():
     spec = fock.TruncationSpec(2, 3)
-    cycle = asm.analytic_index(spec, full_product=True)
+    cycle = full_product_cycles(spec)[0]
     rng = np.random.default_rng(0)
     for _ in range(5):
         f = rng.standard_normal(cycle.space.dim) + 1j * rng.standard_normal(cycle.space.dim)
@@ -815,7 +812,7 @@ def test_analytic_inner_product_positive():
 
 def test_analytic_action_associative():
     spec = fock.TruncationSpec(2, 3)
-    cycle = asm.analytic_index(spec, full_product=True)
+    cycle = full_product_cycles(spec)[0]
     rng = np.random.default_rng(1)
     nd = cycle.dual.dim
     f = rng.standard_normal(cycle.space.dim) + 1j * rng.standard_normal(cycle.space.dim)
@@ -834,7 +831,7 @@ def test_analytic_action_associative():
 
 def test_inner_product_compatible_with_action():
     spec = fock.TruncationSpec(2, 3)
-    cycle = asm.analytic_index(spec, full_product=True)
+    cycle = full_product_cycles(spec)[0]
     rng = np.random.default_rng(2)
     nd = cycle.dual.dim
     f1 = rng.standard_normal(cycle.space.dim) + 1j * rng.standard_normal(cycle.space.dim)
@@ -852,13 +849,13 @@ def test_analytic_kernel_carries_vacuum_column():
     vecs = dense_kernel(dirac.kernel(cycle.operator), cycle.space.dim)
     # built apart from the memoized pair the cycle carries
     space = dirac.TripleSpace(dirac.spec_bases(spec), spec.e_max)
-    dR, _ = dirac.build_dirac_R(spec, space=space)
+    dR = dirac.dirac_sum(space, 2, dirac.dual_legs(space, 1, spec.n_max))
     assert len(vecs) == len(dense_kernel(dirac.kernel(dR), space.dim)) == 11
 
 
 def test_operator_commutes_with_action():
     spec = fock.TruncationSpec(2, 4)
-    cycle = asm.analytic_index(spec, full_product=True)
+    cycle = full_product_cycles(spec)[0]
     rng = np.random.default_rng(3)
     nd = cycle.dual.dim
     f = rng.standard_normal(cycle.space.dim) + 1j * rng.standard_normal(cycle.space.dim)
@@ -886,9 +883,7 @@ def test_compare_indices_truncated(n_max, e_max):
 
 def test_compare_indices_full_product():
     spec = fock.TruncationSpec(2, 3)
-    report = asm.compare_indices(*(c for c in (
-        asm.analytic_index(spec, full_product=True),
-        asm.mu_index(spec, full_product=True))))
+    report = asm.compare_indices(*full_product_cycles(spec))
     assert all(value <= tol for _, value, tol in report.rows)
 
 
@@ -937,8 +932,8 @@ def test_only_the_analytic_cycle_on_the_cut_reads_the_dirac_R_memo():
     shared = dirac.build_dirac_R(spec)[0]
     assert asm.analytic_index(spec).operator is shared
     space = dirac.TripleSpace(dirac.spec_bases(spec), spec.e_max)
-    fresh = [lambda: asm.analytic_index(spec, full_product=True).operator,
-             lambda: dirac.build_dirac_R(spec, space=space)[0],
+    fresh = [lambda: full_product_cycles(spec)[0].operator,
+             lambda: dirac.dirac_sum(space, 2, dirac.dual_legs(space, 1, spec.n_max)),
              lambda: asm.mu_index(spec).operator]
     for build in fresh:
         op = build()

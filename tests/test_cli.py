@@ -9,7 +9,7 @@ import pkgutil
 import subprocess
 import sys
 import warnings
-from functools import partial
+from functools import partial, wraps
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +65,20 @@ def test_parse_config_malformed_value(tmp_path):
 def test_parse_config_unregistered_experiment(tmp_path):
     with pytest.raises(ConfigError, match="unregistered"):
         parse_config(write(tmp_path, "experiments = weitzenbock, nonsense\n"))
+
+
+@pytest.mark.parametrize("names, refusal", [("weitzenbock, weitzenbock", "listed twice"),
+                                            ("all, weitzenbock", "'all' must stand alone")])
+def test_parse_config_refuses_a_repeated_experiment_and_all_among_others(tmp_path, capsys,
+                                                                         names, refusal):
+    # the first would run an experiment twice, the second only weitzenbock
+    cfg = write(tmp_path, f"experiments = {names}\n")
+    with pytest.raises(ConfigError, match=refusal):
+        parse_config(cfg)
+    out = tmp_path / "out"
+    assert main(["run", "all", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: key 'experiments'")
+    assert not out.exists()
 
 
 class ScalarLcg:
@@ -428,10 +442,9 @@ def test_run_all_calls_every_exported_function(tmp_path):
 def test_dirac_R_readers_are_the_experiments_that_read_the_memo(monkeypatch):
     build, readers, running = dirac.build_dirac_R, set(), []
 
-    def recording(spec, space=None):
-        if space is None:
-            readers.add(running[-1])
-        return build(spec, space)
+    def recording(spec):
+        readers.add(running[-1])
+        return build(spec)
 
     monkeypatch.setattr(dirac, "build_dirac_R", recording)
     cfg = Config(modes=3, energy_cut=6)
@@ -447,7 +460,7 @@ def test_run_all_clears_the_dirac_R_memo_after_its_last_reader(tmp_path, monkeyp
     held = {}
 
     def recording(name, cfg, out_dir=None):
-        held[name] = dirac._spec_dirac_R.cache_info().currsize
+        held[name] = dirac.build_dirac_R.cache_info().currsize
         return run_experiment(name, cfg, out_dir)
 
     monkeypatch.setattr("kkindex.cli.run_experiment", recording)
@@ -459,7 +472,23 @@ def test_run_all_clears_the_dirac_R_memo_after_its_last_reader(tmp_path, monkeyp
     assert [bool(held[name]) for name in names] == [min(at) < k <= max(at)
                                                     for k in range(len(names))]
     assert held["weitzenbock"] and not held["xi_norms"]
-    assert dirac._spec_dirac_R.cache_info().currsize == 0
+    assert dirac.build_dirac_R.cache_info().currsize == 0
+
+
+def test_run_all_clears_the_dirac_R_memo_behind_a_wrapper(tmp_path, monkeypatch):
+    # a span tracer puts a functools.wraps wrapper in place of the memo,
+    # and such a wrapper does not copy the memo's cache_clear
+    memo = dirac.build_dirac_R
+
+    @wraps(memo)
+    def wrapped(spec):
+        return memo(spec)
+
+    monkeypatch.setattr(dirac, "build_dirac_R", wrapped)
+    assert not hasattr(wrapped, "cache_clear")
+    cfg = write(tmp_path, "modes = 3\nenergy_cut = 6\n")
+    assert main(["run", "all", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert memo.cache_info().currsize == 0
 
 
 def test_run_experiment_unregistered():
@@ -585,11 +614,12 @@ def test_kucerovsky_is_no_experiment_of_its_own(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "kucerovsky", "--out", str(out)]) == 2
     assert "unregistered experiment 'kucerovsky'" in capsys.readouterr().err
+    assert not out.exists()
     cfg = write(tmp_path, "experiments = kucerovsky\n")
     assert main(["run", "all", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "'kucerovsky'" in err
-    assert not out.exists() or not list(out.glob("*.csv"))
+    assert not out.exists()
 
 
 def test_run_all_materializes_the_j_cycle_once(tmp_path, monkeypatch):

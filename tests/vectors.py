@@ -1,15 +1,14 @@
 """Basis vectors, Gram inner products and norms, the vector arithmetic the
 tests do on coordinate arrays, the Gram-orthonormal dense view of an
-operator and the sparse operator of a dense matrix, the bounded transform
-in the block form of ``kkindex.opcore.spectral_function`` and its dense
-view, the dense regular
+operator and the sparse operator of a dense matrix, the block form of
+``kkindex.dirac.bounded_transform`` and its dense view, the dense regular
 representation of a crossed-product element, the densified kernel blocks
-of ``kkindex.dirac.kernel``, and product-state labels read through the
-factor bases."""
+of ``kkindex.dirac.kernel``, product-state labels read through the factor
+bases, and the index cycles on the full tensor product."""
 
 import numpy as np
 
-from kkindex import dirac
+from kkindex import assembly, dirac
 from kkindex.opcore import SparseOperator, eigh_gram
 
 
@@ -56,7 +55,7 @@ def block_transform(op) -> list:
 
 def dense_blocks(blocks, dim) -> np.ndarray:
     """The ``dim x dim`` matrix, in Gram-orthonormal coordinates, of an
-    operator in the block form of ``opcore.spectral_function``; the blocks
+    operator in the block form of ``dirac.bounded_transform``; the blocks
     must hold every state exactly once."""
     out = np.zeros((dim, dim), dtype=complex)
     seen = np.zeros(dim, dtype=np.int64)
@@ -103,3 +102,19 @@ def dense_kernel(blocks, dim) -> np.ndarray:
         np.put_along_axis(dense, states, coeffs, axis=1)
         rows.append(dense)
     return np.concatenate(rows)
+
+
+def full_product_cycles(spec) -> tuple:
+    """The analytic and mu index cycles of ``spec`` on the full tensor
+    product, cut at ``3 * e_max``: it keeps every combination of
+    individually truncated factors, so the algebra actions never leave it
+    and the module axioms hold exactly.  Built apart from the memo of
+    ``dirac.build_dirac_R``."""
+    boson, dual, ferm = dirac.spec_bases(spec)
+    space = dirac.TripleSpace([boson, dual, ferm], 3 * spec.e_max)
+    analytic = assembly.IndexCycle("analytic", space,
+                                   dirac.dirac_sum(space, 2, dirac.dual_legs(space, 1, spec.n_max)),
+                                   boson, dual, ferm)
+    space = dirac.TripleSpace([ferm, dual, boson], 3 * spec.e_max)
+    op, _ = dirac.build_dirac_L(spec, space=space)
+    return analytic, assembly.IndexCycle("mu", space, op, boson, dual, ferm)
