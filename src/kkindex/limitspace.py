@@ -23,10 +23,8 @@ a quadrature of the closed radial form.  Frozen tail modes enter every
 computation only through the scalars ``|Xi| = 1``, ``<Xi, dR_z Xi> = 0``
 and ``|dR_z Xi_sigma| = sigma/2``.
 
-:func:`mode_basis`, the two translation generators and the Gauss-Legendre
-rule are built once per process (``functools.cache``) and shared read-only.
-The 80-point rule is built here by numpy's ``leggauss`` algorithm, bit for
-bit, so a run never loads ``numpy.polynomial``.
+:func:`mode_basis` and the two translation generators are built once per
+process (``functools.cache``) and shared read-only.
 """
 
 from __future__ import annotations
@@ -52,10 +50,7 @@ __all__ = [
     "tail_bound",
     "frozen_tail_dirac_norm",
     "translation_legs",
-    "radial_quadrature",
 ]
-
-_QUAD_POINTS = 80
 
 
 class SigmaSequence:
@@ -150,74 +145,6 @@ def dRz_matrix(basis: Basis) -> SparseOperator:
 @functools.cache
 def dRzbar_matrix(basis: Basis) -> SparseOperator:
     return (_ladder(basis, 0, -1) - _ladder(basis, 1, 1)).scale(1.0 / np.sqrt(2.0))
-
-
-# ------------------------------------------------------------ quadrature
-
-
-def _legendre_series(x, c):
-    """``sum_k c[k] P_k(x)`` by Clenshaw's recurrence, in the operation
-    order of numpy's ``legval``; ``c`` has two terms or more."""
-    c0, c1 = c[-2], c[-1]
-    for nd in range(len(c) - 1, 1, -1):
-        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
-    return c0 + c1 * x
-
-
-@functools.cache
-def _gauss_legendre():
-    """The :data:`_QUAD_POINTS`-point Gauss-Legendre rule on [-1, 1],
-    read-only, built once per process by numpy's ``leggauss`` algorithm,
-    bit for bit: the eigenvalues of the symmetric Legendre companion
-    matrix, one Newton step, then symmetrized weights rescaled to total 2."""
-    n = _QUAD_POINTS
-    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
-    companion = np.zeros((n, n))
-    off = np.arange(1, n) * scl[:-1] * scl[1:]
-    companion.reshape(-1)[1::n + 1] = off
-    companion.reshape(-1)[n::n + 1] = off
-    x = np.linalg.eigvalsh(companion)
-    p_n = [0.0] * n + [1.0]
-    # P_n' = sum (2k + 1) P_k over k = n - 1, n - 3, ...
-    dp_n = [float(2 * k + 1) if (n - 1 - k) % 2 == 0 else 0.0 for k in range(n)]
-    df = _legendre_series(x, dp_n)
-    x -= _legendre_series(x, p_n) / df
-    fm = _legendre_series(x, p_n[1:])
-    fm /= np.abs(fm).max()
-    df /= np.abs(df).max()
-    w = 1 / (fm * df)
-    w = (w + w[::-1]) / 2
-    x = (x - x[::-1]) / 2
-    w *= 2. / w.sum()
-    for arr in (x, w):
-        arr.flags.writeable = False
-    return x, w
-
-
-def radial_quadrature(f, upper: float, rel_tol: float = 1e-12):
-    """Adaptive Gauss-Legendre integral of ``f`` over ``[0, upper]``.
-
-    The panel count doubles until two refinements agree to ``rel_tol``;
-    raises if that does not happen within 24 doublings.
-    """
-    nodes, weights = _gauss_legendre()
-
-    def on_panels(npanels):
-        edges = np.linspace(0.0, upper, npanels + 1)
-        total = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-            total += 0.5 * (b - a) * float(np.sum(weights * f(x)))
-        return total
-
-    prev = on_panels(1)
-    npanels = 2
-    for _ in range(24):
-        cur = on_panels(npanels)
-        if abs(cur - prev) <= rel_tol * max(abs(cur), 1.0):
-            return cur
-        prev, npanels = cur, npanels * 2
-    raise RuntimeError(f"quadrature did not converge to {rel_tol} on [0, {upper}]")
 
 
 # the adaptive cutoff of :func:`xi_coeffs` stops at this norm deficiency or
@@ -316,11 +243,13 @@ def _dRz_norm_hermite(mode: ModeFunction) -> float:
 
 def dRz_norm_quadrature(sigma: float) -> float:
     """``|dR_z Xi_sigma|`` (equal to ``sigma / 2``) by quadrature of
-    ``(r^2/2) chi_sigma^2`` in closed numerical form, exact for the
-    polynomial integrand."""
-    return float(np.sqrt(radial_quadrature(
-        lambda r: (r ** 2 / 2.0) * (1.0 / (np.pi * sigma ** 2)) * 2.0 * np.pi * r,
-        sigma)))
+    ``(r^2/2) chi_sigma^2`` over the disk: the radial cubic ``r^3 / sigma^2``
+    on ``[0, sigma]``, which the two-point Gauss-Legendre rule (nodes
+    ``sigma/2 (1 -+ 1/sqrt(3))``, weights ``sigma/2``) integrates exactly."""
+    half = 0.5 * sigma
+    r = half * (1.0 + np.array([-1.0, 1.0]) / np.sqrt(3.0))
+    return float(np.sqrt(half * np.sum(
+        (r ** 2 / 2.0) * (1.0 / (np.pi * sigma ** 2)) * 2.0 * np.pi * r)))
 
 
 def dRz_norm_details(sigma: float):

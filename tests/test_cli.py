@@ -17,7 +17,7 @@ import pytest
 
 import kkindex
 from kkindex import TruncationSpec
-from kkindex import assembly, dirac, fock, limitspace, opcore, twistgroup
+from kkindex import assembly, dirac, fock, opcore, twistgroup
 from kkindex.cli import main
 from kkindex.dirac import TripleSpace
 from kkindex.experiments import (DIRAC_R_READERS, MAX_DIM, Config, ConfigError, Report,
@@ -369,7 +369,6 @@ def clear_memoized_builders():
     for _, _, obj in exported_objects():
         if hasattr(obj, "cache_clear"):
             obj.cache_clear()
-    limitspace._gauss_legendre.cache_clear()
 
 
 # the public methods `kkindex run all` does not call, kept because README
@@ -622,6 +621,20 @@ def test_kucerovsky_is_no_experiment_of_its_own(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_all_solves_no_dense_eigenproblem_beyond_the_block_bound(tmp_path, monkeypatch):
+    # every dense eigensolve of a default run is one conserved block, at most
+    # 16 states up to modes = 6, energy_cut = 14; the memos are cleared
+    # first, so what an earlier test built is built again here
+    clear_memoized_builders()
+    sizes = []
+    for name in ("eigh", "eigvalsh"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *args, solve=solve, **kwargs:
+                            sizes.append(np.shape(a)[-1]) or solve(a, *args, **kwargs))
+    assert main(["run", "all", "--out", str(tmp_path)]) == 0
+    assert sizes and max(sizes) <= 16
+
+
 def test_run_all_materializes_the_j_cycle_once(tmp_path, monkeypatch):
     calls = []
     build = assembly.materialize_j_cycle
@@ -762,24 +775,27 @@ def test_run_all_is_byte_identical_on_warm_and_cleared_builder_caches(tmp_path):
 
 def test_run_all_is_byte_identical_across_blas_thread_counts(tmp_path):
     # a BLAS reduction may split its sum by the thread count; no report row
-    # may follow it
+    # may follow it, at the default config or at the largest one README documents
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(kkindex.__file__).parents[1])]
         + [p for p in [env.get("PYTHONPATH")] if p])
-    stdout = []
-    for threads in ("1", "2"):
-        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = threads
-        proc = subprocess.run([sys.executable, "-m", "kkindex.cli", "run", "all", "--out",
-                               str(tmp_path / threads)], env=env, capture_output=True,
-                              timeout=300)
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        stdout.append(proc.stdout)
-    assert stdout[0] == stdout[1]
-    names = sorted(os.listdir(tmp_path / "1"))
-    assert names and sorted(os.listdir(tmp_path / "2")) == names
-    for name in names:
-        assert filecmp.cmp(tmp_path / "1" / name, tmp_path / "2" / name, shallow=False), name
+    for case, config in (("default", ""), ("reach", "modes = 6\nenergy_cut = 14\n")):
+        cfg = write(tmp_path, config, name=f"{case}.txt")
+        stdout = []
+        for threads in ("1", "2"):
+            env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = threads
+            proc = subprocess.run([sys.executable, "-m", "kkindex.cli", "run", "all", "--config",
+                                   cfg, "--out", str(tmp_path / case / threads)], env=env,
+                                  capture_output=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            stdout.append(proc.stdout)
+        assert stdout[0] == stdout[1], case
+        out = tmp_path / case
+        names = sorted(os.listdir(out / "1"))
+        assert names and sorted(os.listdir(out / "2")) == names
+        for name in names:
+            assert filecmp.cmp(out / "1" / name, out / "2" / name, shallow=False), (case, name)
 
 
 def test_rerun_byte_identical(tmp_path):
@@ -852,8 +868,8 @@ def test_default_run_all_never_imports_numpy_fft(default_run_all_imports):
 
 
 def test_default_run_all_never_imports_numpy_polynomial(default_run_all_imports):
-    # the Gauss-Legendre rule is built in limitspace; numpy.polynomial would
-    # cost every fresh process its import
+    # the quadrature of |dR_z Xi| is the two-point Gauss-Legendre rule in
+    # closed form; numpy.polynomial would cost every fresh process its import
     bare, modules = default_run_all_imports
     if "numpy.polynomial" in bare:
         pytest.skip("a bare 'import numpy' already loads numpy.polynomial")

@@ -253,7 +253,7 @@ def read_only_arrays(value):
         return [value]
     if isinstance(value, SparseOperator):
         return [value.rows, value.cols, value.vals]
-    if isinstance(value, tuple):  # a quadrature rule, or a Dirac operator and its space
+    if isinstance(value, tuple):  # a Dirac operator and its space
         return [arr for part in value for arr in read_only_arrays(part)]
     if isinstance(value, dirac.TripleSpace):
         return read_only_arrays(value.basis)
@@ -275,7 +275,6 @@ MEMOIZED = {
     "mode_basis": lambda: limitspace.mode_basis(6),
     "dRz_matrix": lambda: limitspace.dRz_matrix(limitspace.mode_basis(6)),
     "dRzbar_matrix": lambda: limitspace.dRzbar_matrix(limitspace.mode_basis(6)),
-    "gauss-legendre rule": limitspace._gauss_legendre,
     "build_dirac_R": lambda: dirac.build_dirac_R(MEMO_SPEC),
 }
 

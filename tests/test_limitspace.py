@@ -7,6 +7,7 @@ import pytest
 
 from kkindex import fock, limitspace as ls, opcore
 from kkindex.opcore import adjoint
+from vectors import radial_quadrature
 
 
 # ---------------------------------------------------------------- oracles
@@ -75,7 +76,7 @@ def test_laguerre_integrals_match_quadrature(sigma):
     ks = (0, 1, 2, 5, 17, 64, 200)
     got = ls.xi_coeffs(sigma, h_max=2 * max(ks)).coeffs
     oracle = np.array([
-        ls.radial_quadrature(
+        radial_quadrature(
             lambda u, k=k: np.polynomial.laguerre.lagval(u, np.eye(k + 1)[k])
             * np.exp(-u / 2.0), sigma ** 2, rel_tol=1e-14) / sigma
         for k in ks])
@@ -164,18 +165,6 @@ def test_buffered_xi_coeffs_match_the_list_recurrence_bit_for_bit(sigma, h_max):
     assert ls._dRz_norm_hermite(mode) == hermite
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 20, 80, 100])
-def test_gauss_legendre_rule_matches_leggauss_bit_for_bit(monkeypatch, n):
-    # every report reads the 80-point rule; the other sizes exercise the
-    # same code, built uncached
-    monkeypatch.setattr(ls, "_QUAD_POINTS", n)
-    nodes, weights = ls._gauss_legendre.__wrapped__()
-    want_nodes, want_weights = np.polynomial.legendre.leggauss(n)
-    assert np.array_equal(nodes.view(np.uint64), want_nodes.view(np.uint64))
-    assert np.array_equal(weights.view(np.uint64), want_weights.view(np.uint64))
-    assert not (nodes.flags.writeable or weights.flags.writeable)
-
-
 @pytest.mark.parametrize("sigma, h_max, what", [(1e6, 64, "are not finite"),
                                                 (1e300, 4, "are not finite"),
                                                 (1e300, None, "are not finite"),
@@ -203,6 +192,9 @@ def test_dRz_norm_quadrature_value():
         assert quad == pytest.approx(sigma / 2.0, abs=1e-12)
         assert abs(quad - hermite) <= err_bound
         assert quad <= sigma and hermite <= sigma
+    # the two-point rule is exact for the cubic at non-dyadic sigma too
+    for sigma in (0.7, 0.33):
+        assert ls.dRz_norm_quadrature(sigma) ** 2 == pytest.approx(sigma ** 2 / 4.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------- sigma
@@ -256,19 +248,10 @@ def test_build_d_frozen_measurements():
         assert measured <= ls.tail_bound(m, seq)
 
 
-def test_quadrature_validates_first_moment():
-    # adaptive quadrature against the closed form sigma^2/4
-    for sigma in (0.7, 0.33):
-        val = ls.radial_quadrature(
-            lambda r: (r ** 2 / 2.0) * (1.0 / (np.pi * sigma ** 2)) * 2.0 * np.pi * r,
-            sigma)
-        assert val == pytest.approx(sigma ** 2 / 4.0, rel=1e-12)
-
-
 def test_chi_unit_norm_by_quadrature():
     # the normalized disk indicator is a unit vector exactly
     for sigma in (1.0, 0.5, 0.125):
-        val = ls.radial_quadrature(
+        val = radial_quadrature(
             lambda r: (1.0 / (np.pi * sigma ** 2)) * 2.0 * np.pi * r, sigma)
         assert val == pytest.approx(1.0, rel=1e-13)
 

@@ -4,7 +4,8 @@ operator and the sparse operator of a dense matrix, the block form of
 ``kkindex.dirac.bounded_transform`` and its dense view, the dense regular
 representation of a crossed-product element, the densified kernel blocks
 of ``kkindex.dirac.kernel``, product-state labels read through the factor
-bases, and the index cycles on the full tensor product."""
+bases, the index cycles on the full tensor product, and an adaptive
+Gauss-Legendre quadrature."""
 
 import numpy as np
 
@@ -118,3 +119,28 @@ def full_product_cycles(spec) -> tuple:
     space = dirac.TripleSpace([ferm, dual, boson], 3 * spec.e_max)
     op, _ = dirac.build_dirac_L(spec, space=space)
     return analytic, assembly.IndexCycle("mu", space, op, boson, dual, ferm)
+
+
+def radial_quadrature(f, upper: float, rel_tol: float = 1e-12) -> float:
+    """Adaptive integral of ``f`` over ``[0, upper]`` by numpy's 80-point
+    Gauss-Legendre rule on panels whose count doubles until two refinements
+    agree to ``rel_tol``; raises if that does not happen within 24
+    doublings."""
+    nodes, weights = np.polynomial.legendre.leggauss(80)
+
+    def on_panels(npanels):
+        edges = np.linspace(0.0, upper, npanels + 1)
+        total = 0.0
+        for a, b in zip(edges[:-1], edges[1:]):
+            x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
+            total += 0.5 * (b - a) * float(np.sum(weights * f(x)))
+        return total
+
+    prev = on_panels(1)
+    npanels = 2
+    for _ in range(24):
+        cur = on_panels(npanels)
+        if abs(cur - prev) <= rel_tol * max(abs(cur), 1.0):
+            return cur
+        prev, npanels = cur, npanels * 2
+    raise RuntimeError(f"quadrature did not converge to {rel_tol} on [0, {upper}]")
