@@ -192,9 +192,6 @@ def test_dRz_norm_quadrature_value():
         assert quad == pytest.approx(sigma / 2.0, abs=1e-12)
         assert abs(quad - hermite) <= err_bound
         assert quad <= sigma and hermite <= sigma
-    # the two-point rule is exact for the cubic at non-dyadic sigma too
-    for sigma in (0.7, 0.33):
-        assert ls.dRz_norm_quadrature(sigma) ** 2 == pytest.approx(sigma ** 2 / 4.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------- sigma
@@ -246,6 +243,17 @@ def test_build_d_frozen_measurements():
     for m in range(3, 9):
         measured = ls.frozen_tail_dirac_norm(m, seq, n_cut=m + 40)
         assert measured <= ls.tail_bound(m, seq)
+
+
+def test_quadrature_validates_first_moment():
+    # the lab's two-point rule and the adaptive oracle against the closed
+    # form sigma^2/4, at non-dyadic sigma
+    for sigma in (0.7, 0.33):
+        assert ls.dRz_norm_quadrature(sigma) ** 2 == pytest.approx(sigma ** 2 / 4.0, rel=1e-12)
+        val = radial_quadrature(
+            lambda r: (r ** 2 / 2.0) * (1.0 / (np.pi * sigma ** 2)) * 2.0 * np.pi * r,
+            sigma)
+        assert val == pytest.approx(sigma ** 2 / 4.0, rel=1e-12)
 
 
 def test_chi_unit_norm_by_quadrature():
